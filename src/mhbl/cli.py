@@ -132,30 +132,30 @@ def run_simulate(config_text: str) -> int:
     every = max(1, cfg.getint("output", "snapshot_every"))
     nt = grid.nsteps
     levels = sorted(set(list(range(0, nt + 1, every)) + [nt]))
+    mid = nt // 2
+    triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
     physical = {}
     try:
-        for k in levels:
-            write_snapshot(traj.state(k),
-                           os.path.join(out_dir, f"state_{k:05d}.mhbl"))
+        for k in sorted(set(levels) | set(triple)):
+            # d_t h1 pairs each level with an adjacent one: level 1 for
+            # level 0, the level below otherwise
             prev = traj.state(1) if k == 0 else traj.state(k - 1)
-            ps = pullback_physical(traj.state(k), outflow, params, grid, y,
-                                   v_hat_prev=prev)
-            physical[k] = ps
-            write_snapshot(ps, os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
+            physical[k] = pullback_physical(traj.state(k), outflow, params,
+                                            grid, y, v_hat_prev=prev)
+            if k in levels:
+                write_snapshot(traj.state(k),
+                               os.path.join(out_dir, f"state_{k:05d}.mhbl"))
+                write_snapshot(physical[k],
+                               os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
     except MhblError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     res_t = residual_transformed(traj, outflow, params, grid)
     emit_plot_data(res_t, out_dir)
-    if nt >= 2:
-        mid = nt // 2
-        triple = [pullback_physical(traj.state(j), outflow, params, grid, y,
-                                    v_hat_prev=traj.state(j - 1))
-                  for j in (mid - 1, mid, mid + 1)] if mid >= 1 else None
-        if triple is not None:
-            res_o = residual_original(triple, outflow, params)
-            emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
+    if triple:
+        res_o = residual_original([physical[j] for j in triple], outflow, params)
+        emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
     if cfg.getbool("output", "emit_plots"):
         emit_plot_data(traj, out_dir, grid=grid)
 

@@ -39,7 +39,7 @@ def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
     Pmq = P - q
     Q = P + (1.0 - 2.0 * params.a) * q
     for name, arr in (("theta", theta), ("q", q), ("P - q", Pmq), ("Q", Q)):
-        if np.min(arr) < DENOM_GUARD:
+        if not (np.min(arr) >= DENOM_GUARD):  # also catches NaN
             raise DegenerateStateError(
                 f"{name} = {float(np.min(arr)):.3e} fell below the "
                 f"{DENOM_GUARD:g} degeneracy guard")
@@ -141,6 +141,21 @@ def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     G[..., 2, 2] = -2.0 * (1.0 - a) * material_P / Q
 
     return f, F, g, G
+
+
+def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,
+             d2ev: FloatArray, P, P_t, P_xi, params: Params) -> FloatArray:
+    """The spatial operator of the system, A(v) d_xi v + f(v, d_eta v) + g(v)
+    - B(v) d_eta^2 v, so that the equation reads d_tau v + operator = 0.
+
+    dxv, dev and d2ev are d_xi v, d_eta v and d_eta^2 v in v's (..., 3)
+    layout; P, P_t and P_xi broadcast against v[..., 0] as elsewhere here.
+    """
+    A = eval_advection(v, P, params)
+    B = eval_diffusion(v, P, params)
+    f, _, g, _ = eval_lower_order(v, dev, P, P_t, P_xi, params)
+    return (np.einsum("...ij,...j->...i", A, dxv) + f + g
+            - np.einsum("...ij,...j->...i", B, d2ev))
 
 
 def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):

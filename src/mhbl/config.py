@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields as dc_fields
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 import numpy as np
 

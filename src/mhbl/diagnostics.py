@@ -9,13 +9,14 @@ is space-only: trajectories are measured level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import coeffs
 from .errors import DegenerateStateError, GridSizingError, MissingTimeLevelError
 from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
+from .stencils import bounded_diff, periodic_diff
 from .stepper import Trajectory, apply_derivative
 
 
@@ -116,28 +117,19 @@ def residual_transformed(traj: Trajectory, outflow: OutflowData,
     nt = traj.nlevels - 1
     if nt < 1:
         raise MissingTimeLevelError("residual needs at least two time levels")
-    if nt == 1:
-        klist = [1]
-        ddt = lambda k: (traj.data[1] - traj.data[0]) / grid.dt
-    else:
-        klist = list(range(1, nt))
-        ddt = lambda k: (traj.data[k + 1] - traj.data[k - 1]) / (2.0 * grid.dt)
+    klist = [1] if nt == 1 else list(range(1, nt))
     max_norm = np.zeros(3)
     l2_acc = np.zeros(3)
     w = grid.eta_weights()[1:-1]
     for k in klist:
         v = traj.data[k]
-        P = outflow.P[k][:, None]
-        P_t = outflow.P_t[k][:, None]
-        P_xi = outflow.P_xi[k][:, None]
+        ddt = bounded_diff(traj.data[k - 1:k + 2], grid.dt, 0, 1)[1]
         dxv = apply_derivative(v, grid, axis="xi", order=1)
         dev = apply_derivative(v, grid, axis="eta", order=1)
         d2ev = apply_derivative(v, grid, axis="eta", order=2)
-        A = coeffs.eval_advection(v, P, params)
-        B = coeffs.eval_diffusion(v, P, params)
-        f, _, g, _ = coeffs.eval_lower_order(v, dev, P, P_t, P_xi, params)
-        r = (ddt(k) + np.einsum("xeij,xej->xei", A, dxv) + f + g
-             - np.einsum("xeij,xej->xei", B, d2ev))
+        r = ddt + coeffs.operator(v, dxv, dev, d2ev, outflow.P[k][:, None],
+                                  outflow.P_t[k][:, None],
+                                  outflow.P_xi[k][:, None], params)
         if source is not None:
             r = r - source[k]
         inner = r[:, 1:-1, :]
@@ -199,7 +191,7 @@ def outflow_consistency(outflow: OutflowData, params: Params) -> OutflowConsiste
         return out
 
     def ddx(f):
-        return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * dxi)
+        return periodic_diff(f, dxi, 1, 1)
 
     mat_P = outflow.P_t + outflow.P_xi * U
     r = np.empty((3,) + U.shape)

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import GridSizingError, MissingTimeLevelError, PositivityError
-
-FloatArray = NDArray[np.float64]
+from .stencils import FloatArray, bounded_diff, periodic_diff
 
 #: Hard floor used by coefficient evaluations before dividing.
 DENOM_GUARD = 1e-12
@@ -219,28 +217,6 @@ def _sample_trace(fn: Union[float, TraceFn], times: FloatArray,
     return out
 
 
-def _ddt_sampled(f: FloatArray, dt: float) -> FloatArray:
-    """Time derivative of a sampled trace: centered interior, one-sided
-    second-order ends; falls back to first order with only two levels."""
-    n = f.shape[0]
-    out = np.empty_like(f)
-    if n == 1:
-        out[:] = 0.0
-        return out
-    if n == 2:
-        out[0] = out[1] = (f[1] - f[0]) / dt
-        return out
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dt)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dt)
-    return out
-
-
-def _ddxi_periodic(f: FloatArray, dxi: float) -> FloatArray:
-    """Centered periodic derivative along the last axis."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dxi)
-
-
 def sample_outflow(spec: OutflowSpec, grid: Grid) -> OutflowData:
     """Sample the outflow recipe on the space-time grid.
 
@@ -260,13 +236,13 @@ def sample_outflow(spec: OutflowSpec, grid: Grid) -> OutflowData:
     elif spec.mode == "constant":
         P_t = np.zeros_like(P)
     else:
-        P_t = _ddt_sampled(P, grid.dt)
+        P_t = bounded_diff(P, grid.dt, 0, 1)
     if spec.P_xi is not None:
         P_xi = _sample_trace(spec.P_xi, times, xi)
     elif spec.mode == "constant":
         P_xi = np.zeros_like(P)
     else:
-        P_xi = _ddxi_periodic(P, grid.dxi)
+        P_xi = periodic_diff(P, grid.dxi, 1, 1)
     return OutflowData(U=U, Theta=Theta, Hfield=Hfield, P=P,
                        theta_star=theta_star, P_t=P_t, P_xi=P_xi,
                        times=times, xi=xi)
@@ -315,11 +291,12 @@ class State:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Result of checking theta >= delta, delta <= q <= P - delta.
+    """Result of checking theta >= m, m <= q <= P - m for a margin m.
 
     min_Q reports the minimum of Q = P + (1 - 2a) q, which stays positive on
-    admissible states.  first_violation is the (xi index, eta index) of the
-    first failing node in row-major order, or None.
+    admissible states.  first_violation is the index of the first failing
+    node in row-major order ((xi index, eta index) for one state), or None.
+    NaN values count as violations.
     """
 
     ok: bool
@@ -330,30 +307,39 @@ class AdmissibilityReport:
     first_violation: Optional[tuple] = None
 
 
-def validate_admissibility(v: State, outflow: OutflowData,
-                           params: Params) -> AdmissibilityReport:
-    """Check the admissible-set inequalities for one state.
+def admissibility(theta: FloatArray, q: FloatArray, P: FloatArray,
+                  params: Params, margin: float) -> AdmissibilityReport:
+    """Check theta >= margin, q >= margin and P - q >= margin nodewise.
 
-    P is taken at the outflow time level matching v.time and broadcast over
-    eta.  The report carries the minima actually attained so callers can see
-    the margin, not just a flag.
+    theta and q share any shape and P broadcasts against them.  This is the
+    one place the admissible-set inequalities are evaluated; the report
+    carries the minima actually attained so callers can see the margin, not
+    just a flag.
     """
-    k = outflow.time_index(v.time)
-    P = outflow.P[k][:, None]
-    d = params.delta
-    P_minus_q = P - v.q
-    Q = P + (1.0 - 2.0 * params.a) * v.q
-    bad = (v.theta < d) | (v.q < d) | (P_minus_q < d)
-    ok = not bool(bad.any())
+    P_minus_q = P - q
+    good = (theta >= margin) & (q >= margin) & (P_minus_q >= margin)
+    ok = bool(good.all())
     first = None
     if not ok:
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        first = (int(idx[0]), int(idx[1]))
+        idx = np.unravel_index(int(np.argmin(good)), good.shape)
+        first = tuple(int(i) for i in idx)
     return AdmissibilityReport(
         ok=ok,
-        min_theta=float(v.theta.min()),
-        min_q=float(v.q.min()),
+        min_theta=float(theta.min()),
+        min_q=float(q.min()),
         min_P_minus_q=float(P_minus_q.min()),
-        min_Q=float(Q.min()),
+        min_Q=float((P + (1.0 - 2.0 * params.a) * q).min()),
         first_violation=first,
     )
+
+
+def validate_admissibility(v: State, outflow: OutflowData,
+                           params: Params) -> AdmissibilityReport:
+    """Check the admissible-set inequalities with margin delta for one state.
+
+    P is taken at the outflow time level matching v.time and broadcast over
+    eta.
+    """
+    k = outflow.time_index(v.time)
+    return admissibility(v.theta, v.q, outflow.P[k][:, None], params,
+                         params.delta)

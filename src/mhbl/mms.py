@@ -34,7 +34,7 @@ import numpy as np
 from . import coeffs
 from .errors import GridSizingError, PreconditionError
 from .fields import (FloatArray, Grid, OutflowData, OutflowSpec, Params,
-                     State, make_grid, sample_outflow)
+                     State, admissibility, make_grid, sample_outflow)
 from .picard import picard_solve
 
 #: signature of the exact-field callables: (t, xi_col (nx,1), eta_row (1,neta))
@@ -76,26 +76,18 @@ def manufacture_source(case: ManufacturedCase, outflow: OutflowData,
     eta = grid.eta[None, :]
     nt = grid.nsteps
     out = np.empty((nt + 1, grid.nx, grid.neta, 3))
-    d = params.delta
     for k in range(nt + 1):
         t = float(grid.times[k])
         v = case.v(t, xi, eta)
         P = outflow.P[k][:, None]
-        if (v[..., 1].min() < d or v[..., 2].min() < d
-                or (P - v[..., 2]).min() < d):
+        if not admissibility(v[..., 1], v[..., 2], P, params,
+                             params.delta).ok:
             raise PreconditionError(
                 f"case {case.name!r} leaves the admissible set at t = {t:g}")
-        dv_t = case.v_t(t, xi, eta)
-        dv_xi = case.v_xi(t, xi, eta)
-        dv_eta = case.v_eta(t, xi, eta)
-        dv_ee = case.v_etaeta(t, xi, eta)
-        A = coeffs.eval_advection(v, P, params)
-        B = coeffs.eval_diffusion(v, P, params)
-        f, _, g, _ = coeffs.eval_lower_order(
-            v, dv_eta, P, outflow.P_t[k][:, None], outflow.P_xi[k][:, None],
-            params)
-        out[k] = (dv_t + np.einsum("xeij,xej->xei", A, dv_xi) + f + g
-                  - np.einsum("xeij,xej->xei", B, dv_ee))
+        out[k] = case.v_t(t, xi, eta) + coeffs.operator(
+            v, case.v_xi(t, xi, eta), case.v_eta(t, xi, eta),
+            case.v_etaeta(t, xi, eta), P, outflow.P_t[k][:, None],
+            outflow.P_xi[k][:, None], params)
     return out
 
 

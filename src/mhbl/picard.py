@@ -11,7 +11,7 @@ in the admissible set theta >= delta, delta <= q <= P - delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -19,8 +19,10 @@ import numpy as np
 from . import coeffs
 from .diagnostics import NormSpec, discrete_norm
 from .errors import GridSizingError, PreconditionError
-from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
-from .stepper import Trajectory, apply_bcs, apply_derivative, solve_linear_problem
+from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
+                     admissibility)
+from .stencils import bounded_diff
+from .stepper import Trajectory, apply_derivative, solve_linear_problem
 
 
 def cutoff_phi(eta) -> FloatArray:
@@ -97,17 +99,12 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
     arr = v0.as_array()
     out = [arr]
     if order == 1:
-        P = outflow.P[0][:, None]
-        P_t = outflow.P_t[0][:, None]
-        P_xi = outflow.P_xi[0][:, None]
         dxv = apply_derivative(arr, grid, axis="xi", order=1)
         dev = apply_derivative(arr, grid, axis="eta", order=1)
         d2ev = apply_derivative(arr, grid, axis="eta", order=2)
-        A = coeffs.eval_advection(arr, P, params)
-        B = coeffs.eval_diffusion(arr, P, params)
-        f, _, g, _ = coeffs.eval_lower_order(arr, dev, P, P_t, P_xi, params)
-        v1 = (-np.einsum("xeij,xej->xei", A, dxv) - f - g
-              + np.einsum("xeij,xej->xei", B, d2ev))
+        v1 = -coeffs.operator(arr, dxv, dev, d2ev, outflow.P[0][:, None],
+                              outflow.P_t[0][:, None],
+                              outflow.P_xi[0][:, None], params)
         # boundary rows follow the data, not the interior stencils
         dth_star = _ddt0(outflow.theta_star, grid.dt)
         v1[:, 0, 0] = 0.0
@@ -121,12 +118,9 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
 
 
 def _ddt0(trace: FloatArray, dt: float) -> FloatArray:
-    """One-sided time derivative of a sampled (nt+1, nx) trace at t = 0."""
-    if trace.shape[0] >= 3:
-        return (-3.0 * trace[0] + 4.0 * trace[1] - trace[2]) / (2.0 * dt)
-    if trace.shape[0] == 2:
-        return (trace[1] - trace[0]) / dt
-    return np.zeros_like(trace[0])
+    """Time derivative of a sampled trajectory or trace at t = 0, from the
+    first three levels (two when that is all there is)."""
+    return bounded_diff(trace[:3], dt, 0, 1)[0]
 
 
 def build_zeroth_approx(background: Background, compat: CompatibilitySet,
@@ -144,10 +138,7 @@ def build_zeroth_approx(background: Background, compat: CompatibilitySet,
     data = np.array(vbar)
     dvbar0 = [vbar[0]]
     if compat.order >= 1:
-        if nt >= 2:
-            dvbar0.append((-3.0 * vbar[0] + 4.0 * vbar[1] - vbar[2]) / (2.0 * grid.dt))
-        else:
-            dvbar0.append((vbar[1] - vbar[0]) / grid.dt)
+        dvbar0.append(_ddt0(vbar, grid.dt))
     for k in range(nt + 1):
         tau = grid.times[k]
         for j in range(compat.order + 1):
@@ -177,11 +168,8 @@ class IterationReport:
 
 def _traj_admissible(traj: Trajectory, outflow: OutflowData,
                      params: Params) -> bool:
-    d = params.delta
-    theta = traj.data[..., 1]
-    q = traj.data[..., 2]
-    P = outflow.P[:, :, None]
-    return bool((theta >= d).all() and (q >= d).all() and ((P - q) >= d).all())
+    return admissibility(traj.data[..., 1], traj.data[..., 2],
+                         outflow.P[:, :, None], params, params.delta).ok
 
 
 def _traj_distance(a: Trajectory, b: Trajectory, grid: Grid) -> float:
@@ -228,15 +216,13 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
             f"on_admissibility_loss must be 'abort' or 'continue', "
             f"got {on_admissibility_loss!r}")
     d = params.delta
-    P0 = outflow.P[0][:, None]
-    margin_bad = (v0.theta.min() < 2.0 * d or v0.q.min() < 2.0 * d
-                  or (P0 - v0.q).min() < 2.0 * d)
-    if margin_bad:
+    rep = admissibility(v0.theta, v0.q, outflow.P[0][:, None], params, 2.0 * d)
+    if not rep.ok:
         raise PreconditionError(
             "initial data must satisfy theta >= 2 delta and "
             f"2 delta <= q <= P - 2 delta (delta = {d}); got min theta = "
-            f"{v0.theta.min():.6g}, min q = {v0.q.min():.6g}, "
-            f"min (P - q) = {float((P0 - v0.q).min()):.6g}")
+            f"{rep.min_theta:.6g}, min q = {rep.min_q:.6g}, "
+            f"min (P - q) = {rep.min_P_minus_q:.6g}")
 
     background = build_background(outflow, grid)
     compat = compatibility_derivatives(v0, outflow, params, grid,

@@ -22,7 +22,7 @@ import csv
 import os
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 import numpy as np
 

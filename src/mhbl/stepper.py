@@ -22,7 +22,7 @@ tridiagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from . import coeffs
 from .errors import CFLError, GridSizingError, LinearSolveError
 from .fields import FloatArray, Grid, OutflowData, Params, State
+from .stencils import bounded_diff, periodic_diff
 
 #: dt must not exceed CFL_CONSTANT * dxi / (spectral radius of A0).
 CFL_CONSTANT = 0.5
@@ -43,29 +44,11 @@ def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> Fl
     array whose first two axes are (nx, neta); extra trailing axes (for
     state components) ride along.  Exact on polynomials of degree <= 2.
     """
-    f = np.asarray(f, dtype=float)
     if axis == "xi":
-        h = grid.dxi
-        if order == 1:
-            return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
-        if order == 2:
-            return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / h ** 2
-        raise GridSizingError(f"derivative order must be 1 or 2, got {order}")
-    if axis != "eta":
-        raise GridSizingError(f"axis must be 'xi' or 'eta', got {axis!r}")
-    h = grid.deta
-    out = np.empty_like(f)
-    if order == 1:
-        out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-        out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
-        out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
-        return out
-    if order == 2:
-        out[:, 1:-1] = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / h ** 2
-        out[:, 0] = (2.0 * f[:, 0] - 5.0 * f[:, 1] + 4.0 * f[:, 2] - f[:, 3]) / h ** 2
-        out[:, -1] = (2.0 * f[:, -1] - 5.0 * f[:, -2] + 4.0 * f[:, -3] - f[:, -4]) / h ** 2
-        return out
-    raise GridSizingError(f"derivative order must be 1 or 2, got {order}")
+        return periodic_diff(f, grid.dxi, 0, order)
+    if axis == "eta":
+        return bounded_diff(f, grid.deta, 1, order)
+    raise GridSizingError(f"axis must be 'xi' or 'eta', got {axis!r}")
 
 
 @dataclass
@@ -132,20 +115,14 @@ class FrozenCoeffs:
     """Coefficient matrices frozen from one previous-iterate time level.
 
     A, B, F, G have shape (nx, neta, 3, 3).  adv_radius is the per-node
-    spectral radius of A used for the CFL refusal check; when not supplied
-    it is computed numerically from the eigenvalues of A.
+    spectral radius of A used for the CFL refusal check.
     """
 
     A: FloatArray
     B: FloatArray
     F: FloatArray
     G: FloatArray
-    adv_radius: Optional[FloatArray] = None
-
-    def __post_init__(self) -> None:
-        if self.adv_radius is None:
-            lam = np.linalg.eigvals(self.A)
-            self.adv_radius = np.max(np.abs(lam), axis=-1)
+    adv_radius: FloatArray
 
     @staticmethod
     def from_state(v: FloatArray, P_row: FloatArray, P_t_row: FloatArray,

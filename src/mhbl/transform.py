@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import GridSizingError, MissingTimeLevelError, NondegeneracyError
 from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
+from .stencils import bounded_diff, periodic_diff
 from .stepper import apply_derivative
 
 
@@ -70,31 +71,6 @@ class PhysicalState:
     def __post_init__(self) -> None:
         for name in ("rho", "u1", "u2", "theta", "h1", "h2", "y_nodes"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-
-def _dydx_ops(dx: float, y_nodes: FloatArray):
-    """Return (d_x, d_y, d_y^2) operators matching apply_derivative's stencils
-    on a uniform y grid; h1, h2 and the residual checks share these."""
-    dy = y_nodes[1] - y_nodes[0]
-
-    def ddx(f: FloatArray) -> FloatArray:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * dx)
-
-    def ddy(f: FloatArray) -> FloatArray:
-        out = np.empty_like(f)
-        out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * dy)
-        out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * dy)
-        out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * dy)
-        return out
-
-    def ddy2(f: FloatArray) -> FloatArray:
-        out = np.empty_like(f)
-        out[:, 1:-1] = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / dy ** 2
-        out[:, 0] = (2.0 * f[:, 0] - 5.0 * f[:, 1] + 4.0 * f[:, 2] - f[:, 3]) / dy ** 2
-        out[:, -1] = (2.0 * f[:, -1] - 5.0 * f[:, -2] + 4.0 * f[:, -3] - f[:, -4]) / dy ** 2
-        return out
-
-    return ddx, ddy, ddy2
 
 
 def _check_uniform(y_nodes: FloatArray) -> None:
@@ -213,9 +189,8 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     u1 = _interp_at_psi(v_hat.u1, eta_nodes, psi)
     theta = _interp_at_psi(v_hat.theta, eta_nodes, psi)
 
-    ddx, ddy, _ = _dydx_ops(grid.dxi, y_nodes)
-    h1 = ddy(psi)
-    h2 = -ddx(psi)
+    h1 = bounded_diff(psi, y_nodes[1] - y_nodes[0], 1, 1)
+    h2 = -periodic_diff(psi, grid.dxi, 0, 1)
 
     k = outflow.time_index(v_hat.time)
     P = outflow.P[k][:, None]
@@ -242,8 +217,8 @@ def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
                                params: Params) -> Tuple[float, float]:
     """Max-norm residuals of the two built-in constraints on a physical state:
     divergence d_x h1 + d_y h2 and total pressure R rho theta + h1^2/2 - P."""
-    ddx, ddy, _ = _dydx_ops(2.0 * np.pi / ps.h1.shape[0], ps.y_nodes)
-    div = ddx(ps.h1) + ddy(ps.h2)
+    div = (periodic_diff(ps.h1, 2.0 * np.pi / ps.h1.shape[0], 0, 1)
+           + bounded_diff(ps.h2, ps.y_nodes[1] - ps.y_nodes[0], 1, 1))
     k = outflow.time_index(ps.time)
     P = outflow.P[k][:, None]
     press = params.R * ps.rho * ps.theta + 0.5 * ps.h1 ** 2 - P
@@ -272,10 +247,20 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
     y = np.asarray(s0.y_nodes)
     nx, ny = s0.u1.shape
     dx = 2.0 * np.pi / nx
-    ddx, ddy, ddy2 = _dydx_ops(dx, y)
+    dy = y[1] - y[0]
+
+    def ddx(f: FloatArray) -> FloatArray:
+        return periodic_diff(f, dx, 0, 1)
+
+    def ddy(f: FloatArray) -> FloatArray:
+        return bounded_diff(f, dy, 1, 1)
+
+    def ddy2(f: FloatArray) -> FloatArray:
+        return bounded_diff(f, dy, 1, 2)
 
     def ddt(name: str) -> FloatArray:
-        return (getattr(sp, name) - getattr(sm, name)) / (2.0 * dt1)
+        levels = np.stack([getattr(s, name) for s in states])
+        return bounded_diff(levels, dt1, 0, 1)[1]
 
     u1, u2, th, h1, h2 = s0.u1, s0.u2, s0.theta, s0.h1, s0.h2
     k = outflow.time_index(s0.time)
@@ -314,7 +299,6 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
     r[4] = ddx(h1) + ddy(h2)
 
     inner = r[:, :, 1:-1]
-    dy = y[1] - y[0]
     max_norm = np.max(np.abs(inner), axis=(1, 2))
     l2_norm = np.sqrt(np.sum(inner ** 2, axis=(1, 2)) * dx * dy)
     return PhysicalResidualReport(max_norm=max_norm, l2_norm=l2_norm,

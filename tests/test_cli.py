@@ -18,8 +18,11 @@ from mhbl.cli import (
     _apply_thread_cap,
     main,
 )
-from mhbl.snapshots import read_snapshot, write_snapshot
-from mhbl import State, make_grid
+from mhbl.config import parse_config
+from mhbl.snapshots import emit_plot_data, read_snapshot, write_snapshot
+from mhbl import transform
+from mhbl.transform import pullback_physical, residual_original
+from mhbl import State, make_grid, sample_outflow
 
 
 def config_text(out_dir, **overrides):
@@ -126,6 +129,44 @@ def test_simulate_snapshot_every_and_plots(tmp_path):
     assert [n for n in names if n.startswith("state_")] == [
         "state_00000.mhbl", "state_00002.mhbl", "state_00003.mhbl"]
     assert "profile_theta.csv" in names and "plots.gp" in names
+
+
+def test_simulate_residual_triple_pairs_adjacent_levels(tmp_path, monkeypatch):
+    # t_end = 3 dt puts the residual triple at levels 0, 1, 2.  Every level
+    # is pulled back once, against an adjacent level (level 1 for level 0),
+    # and the triple reuses those pullbacks.  The pairs are recorded because
+    # residual_original reads no u2 off its first state, so a wrong partner
+    # for level 0 would not show in the CSV.
+    pairs = []
+
+    def recording(v_hat, *args, v_hat_prev=None, **kwargs):
+        pairs.append((v_hat.time, v_hat_prev.time))
+        return pullback_physical(v_hat, *args, v_hat_prev=v_hat_prev, **kwargs)
+
+    monkeypatch.setattr(transform, "pullback_physical", recording)
+    path, out_dir = write_config(tmp_path, h1_0="1.1 - 0.2*exp(-y*y)")
+    assert main(["simulate", str(path)]) == EXIT_OK
+    cfg = parse_config(path.read_text())
+    params, grid = cfg.make_params(), cfg.make_grid()
+    assert grid.nsteps == 3
+    assert sorted(round(t / grid.dt) for t, _ in pairs) == [0, 1, 2, 3]
+    for t, t_prev in pairs:
+        assert abs(t - t_prev) == pytest.approx(grid.dt)
+
+    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
+                    cfg.getint("initial", "ny"))
+    states = []
+    for k in range(3):
+        snap = read_snapshot(str(out_dir / f"state_{k:05d}.mhbl"))
+        states.append(State(time=snap.time, **snap.fields))
+    triple = [pullback_physical(s, outflow, params, grid, y,
+                                v_hat_prev=states[1 if k == 0 else k - 1])
+              for k, s in enumerate(states)]
+    expected_dir = tmp_path / "expected"
+    emit_plot_data(residual_original(triple, outflow, params), str(expected_dir))
+    assert ((out_dir / "physical_residuals" / "residuals.csv").read_text()
+            == (expected_dir / "residuals.csv").read_text())
 
 
 def test_simulate_config_error_exit_2(tmp_path, capsys):

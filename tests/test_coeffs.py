@@ -162,6 +162,9 @@ def test_broadcasting_over_grids():
     (np.array([0.0, 0.0, 0.5]), 1.0),     # theta at zero
     (np.array([0.0, 1.0, 0.0]), 1.0),     # q at zero
     (np.array([0.0, 1.0, 1.0]), 1.0),     # P - q at zero
+    (np.array([0.0, np.nan, 0.5]), 1.0),  # NaN theta fails every comparison
+    (np.array([0.0, 1.0, np.nan]), 1.0),  # NaN q
+    (np.array([0.0, 1.0, 0.5]), np.nan),  # NaN pressure
 ])
 def test_degenerate_states_raise(v, P):
     with pytest.raises(DegenerateStateError):

@@ -17,6 +17,7 @@ from mhbl import (
     sample_outflow,
     validate_admissibility,
 )
+from mhbl.fields import admissibility
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +229,23 @@ def test_admissibility_margin_is_delta_not_zero():
     g, data, s = _setup(q=0.06)
     assert not validate_admissibility(s, data, Params(delta=0.1)).ok
     assert validate_admissibility(s, data, Params(delta=0.05)).ok
+
+
+def test_admissibility_over_a_trajectory_reports_first_index_and_nan():
+    # the array-level check takes any leading shape: here (levels, nx, neta)
+    # with P per (level, xi) broadcast over eta
+    params = Params(delta=0.05)
+    theta = np.ones((3, 4, 5))
+    q = np.full((3, 4, 5), 0.5)
+    P = np.full((3, 4, 1), 1.5)
+    rep = admissibility(theta, q, P, params, params.delta)
+    assert rep.ok and rep.first_violation is None
+    assert rep.min_P_minus_q == pytest.approx(1.0)
+    q[2, 1, 3] = 1.48            # P - q inside the margin
+    theta[1, 3, 0] = np.nan      # NaN is a violation, not a pass
+    rep = admissibility(theta, q, P, params, params.delta)
+    assert not rep.ok
+    assert rep.first_violation == (1, 3, 0)
+    # the 2 delta margin of the solver's precondition uses the same check
+    assert not admissibility(np.ones(3), np.full(3, 0.08), 1.5, params,
+                             2.0 * params.delta).ok

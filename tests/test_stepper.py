@@ -13,6 +13,7 @@ import pytest
 
 from mhbl import (
     CFLError,
+    DegenerateStateError,
     GridSizingError,
     LinearSolveError,
     OutflowSpec,
@@ -310,9 +311,21 @@ def test_frozen_coeffs_numeric_radius_matches_closed_form():
     v = State.constant(g, 0.3, 1.2, 0.4).as_array()
     fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                  outflow.P_xi[0], PARAMS, g)
-    fc_numeric = FrozenCoeffs(A=fc.A, B=fc.B, F=fc.F, G=fc.G)  # eigvals path
-    np.testing.assert_allclose(fc.adv_radius, fc_numeric.adv_radius,
+    numeric_radius = np.max(np.abs(np.linalg.eigvals(fc.A)), axis=-1)
+    np.testing.assert_allclose(fc.adv_radius, numeric_radius,
                                rtol=1e-12, atol=1e-12)
+
+
+def test_frozen_coeffs_clamp_does_not_hide_nan():
+    # clamping pushes theta and q back inside the admissible set, but NaN
+    # survives np.maximum and np.clip and must reach the degeneracy guard
+    g = small_grid()
+    outflow = constant_outflow(g, P=1.5)
+    v = State.constant(g, 0.0, 1.0, 0.5).as_array().copy()
+    v[2, 3, 1] = np.nan
+    with pytest.raises(DegenerateStateError):
+        FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
+                                outflow.P_xi[0], PARAMS, g, clamp=True)
 
 
 def test_frozen_coeffs_clamp_recovers_inadmissible_state():
