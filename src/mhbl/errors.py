@@ -31,7 +31,7 @@ class CFLError(MhblError, RuntimeError):
 
 
 class LinearSolveError(MhblError, RuntimeError):
-    """A diagonal block of the implicit system is singular or nearly so."""
+    """A step's implicit system is singular, nearly so, or not finite."""
 
 
 class MissingTimeLevelError(MhblError, ValueError):

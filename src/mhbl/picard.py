@@ -22,7 +22,7 @@ from .errors import GridSizingError, PreconditionError
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
-from .stepper import Trajectory, apply_derivative, solve_linear_problem
+from .stepper import Trajectory, apply_derivative, solve_linear_problem, wall_q
 
 
 def cutoff_phi(eta) -> FloatArray:
@@ -109,7 +109,7 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
         dth_star = _ddt0(outflow.theta_star, grid.dt)
         v1[:, 0, 0] = 0.0
         v1[:, 0, 1] = dth_star
-        v1[:, 0, 2] = (4.0 * v1[:, 1, 2] - v1[:, 2, 2]) / 3.0
+        v1[:, 0, 2] = wall_q(v1[:, 1, 2], v1[:, 2, 2])
         v1[:, -1, 0] = _ddt0(outflow.U, grid.dt)
         v1[:, -1, 1] = _ddt0(outflow.Theta, grid.dt)
         v1[:, -1, 2] = _ddt0(0.5 * outflow.Hfield ** 2, grid.dt)

@@ -5,19 +5,19 @@ One Picard stage solves the linear system
     d_tau v + A0 d_xi v + F0 d_eta v + G0 v = B0 d_eta^2 v + s,
 
 with all coefficient matrices frozen from the previous iterate.  The step is
-first-order IMEX: the eta operators (F0 d_eta and B0 d_eta^2) are implicit
-and solved per xi column by 3x3 block Thomas elimination; the xi advection
-A0 d_xi and the zero-order term G0 are explicit with centered periodic
+first-order IMEX: the eta operators (F0 d_eta and B0 d_eta^2) are implicit,
+3x3 block tridiagonal per xi column, and all columns share one pivoted banded
+LU solve (LAPACK dgbsv); A0 d_xi and G0 are explicit with centered periodic
 differences.  Explicit advection with centered differences is only weakly
 stable, so steps refuse to run when dt exceeds 0.5 * dxi / max spectral
 radius of A0; advection-dominated regimes need that bound respected.
 
 Boundary rows are not part of the implicit solve.  The wall values of u1 and
 theta are Dirichlet data, the wall q satisfies the one-sided second-order
-Neumann closure q0 = (4 q1 - q2) / 3, and the far row carries the outflow
-state (U, Theta, H^2/2).  The q closure couples the first interior row to
-rows 1 and 2, which is folded into the matrix so the system stays block
-tridiagonal.
+Neumann closure q0 = (4 q1 - q2) / 3 (wall_q), and the far row carries the
+outflow state (U, Theta, H^2/2).  The q closure couples the first interior
+row to rows 1 and 2, which is folded into the matrix so the system stays
+block tridiagonal.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from . import coeffs
 from .errors import CFLError, GridSizingError, LinearSolveError
@@ -34,6 +35,15 @@ from .stencils import bounded_diff, periodic_diff
 
 #: dt must not exceed CFL_CONSTANT * dxi / (spectral radius of A0).
 CFL_CONSTANT = 0.5
+
+#: Weights of q1 and q2 in wall_q, folded into the first interior row.
+WALL_Q_WEIGHTS = (4.0 / 3.0, -1.0 / 3.0)
+
+
+def wall_q(q1: FloatArray, q2: FloatArray) -> FloatArray:
+    """Wall value q0 = (4 q1 - q2) / 3 of the second-order one-sided
+    zero-Neumann closure, from the first two interior rows."""
+    return (4.0 * q1 - q2) / 3.0
 
 
 def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> FloatArray:
@@ -57,8 +67,9 @@ class BlockTridiag:
 
     lower, diag, upper have shape (nbatch, m, 3, 3) (lower[.,0] and
     upper[.,-1] are ignored); rhs has shape (nbatch, m, 3).  solve() runs
-    Thomas elimination without pivoting and checks each reduced diagonal
-    block for invertibility.
+    LAPACK dgbsv (LU with partial pivoting) on the systems stacked into one
+    band matrix; it raises LinearSolveError on a non-finite entry or on a
+    pivot |u_ii| <= 1e-13 times the largest |entry| of its xi column.
     """
 
     lower: FloatArray
@@ -67,47 +78,44 @@ class BlockTridiag:
 
     def solve(self, rhs: FloatArray) -> FloatArray:
         nb, m = rhs.shape[0], rhs.shape[1]
-        cp = np.empty_like(self.upper)
-        dp = np.empty_like(rhs)
-        dcur = self.diag[:, 0]
-        _require_invertible(dcur, 0)
-        cp[:, 0] = np.linalg.solve(dcur, self.upper[:, 0])
-        dp[:, 0] = np.linalg.solve(dcur, rhs[:, 0][..., None])[..., 0]
-        for j in range(1, m):
-            dred = self.diag[:, j] - self.lower[:, j] @ cp[:, j - 1]
-            _require_invertible(dred, j)
-            if j < m - 1:
-                cp[:, j] = np.linalg.solve(dred, self.upper[:, j])
-            r = rhs[:, j] - (self.lower[:, j] @ dp[:, j - 1][..., None])[..., 0]
-            dp[:, j] = np.linalg.solve(dred, r[..., None])[..., 0]
-        x = np.empty_like(rhs)
-        x[:, m - 1] = dp[:, m - 1]
-        for j in range(m - 2, -1, -1):
-            x[:, j] = dp[:, j] - (cp[:, j] @ x[:, j + 1][..., None])[..., 0]
-        return x
+        # band storage with kl = ku = 5: A[i, j] is ab[10 + i - j, j], unknowns
+        # in (xi column, eta row, component) order; rows 0-4 are LU workspace
+        ab = np.zeros((16, nb, m, 3))
+        for r in range(3):
+            for c in range(3):
+                ab[10 + r - c, :, :, c] = self.diag[..., r, c]
+                ab[13 + r - c, :, :-1, c] = self.lower[:, 1:, r, c]
+                ab[7 + r - c, :, 1:, c] = self.upper[:, :-1, r, c]
+        scale = np.abs(ab).max(axis=(0, 2, 3))
+        bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
+        if bad.any():
+            raise LinearSolveError(
+                f"non-finite implicit system in xi column {int(np.argmax(bad))}")
+        lub, _, x, info = dgbsv(5, 5, ab.reshape(16, -1), rhs.reshape(-1))
+        pivot = np.abs(lub[10]).reshape(nb, 3 * m).min(axis=1)
+        small = pivot <= 1e-13 * scale
+        if info == 0 and not small.any():
+            return x.reshape(nb, m, 3)
+        col = (info - 1) // (3 * m) if info > 0 else int(np.argmax(small))
+        # pivoting moves a zero pivot away from the row that caused it, so
+        # name the row where the column's left null vector is largest
+        one = BlockTridiag(self.lower[col:col + 1], self.diag[col:col + 1],
+                           self.upper[col:col + 1]).dense()[0]
+        row = int(np.argmax(np.abs(np.linalg.svd(one)[0][:, -1]))) // 3
+        raise LinearSolveError(
+            f"singular implicit system at eta row {row}, xi column {col} "
+            f"(min |pivot| = {pivot[col]:.3e}, max |entry| = {scale[col]:.3e})")
 
     def dense(self) -> FloatArray:
         """Assemble the dense (nbatch, 3m, 3m) matrices; for small-system checks."""
         nb, m = self.diag.shape[0], self.diag.shape[1]
-        out = np.zeros((nb, 3 * m, 3 * m))
-        for j in range(m):
-            out[:, 3 * j:3 * j + 3, 3 * j:3 * j + 3] = self.diag[:, j]
-            if j > 0:
-                out[:, 3 * j:3 * j + 3, 3 * j - 3:3 * j] = self.lower[:, j]
-            if j < m - 1:
-                out[:, 3 * j:3 * j + 3, 3 * j + 3:3 * j + 6] = self.upper[:, j]
-        return out
-
-
-def _require_invertible(blocks: FloatArray, row: int) -> None:
-    det = np.linalg.det(blocks)
-    scale = np.max(np.abs(blocks), axis=(-2, -1))
-    bad = np.abs(det) <= 1e-13 * np.maximum(scale, 1e-300) ** 3
-    if bad.any():
-        col = int(np.argmax(bad))
-        raise LinearSolveError(
-            f"singular diagonal block at eta row {row}, xi column {col} "
-            f"(|det| = {abs(det[col]):.3e})")
+        out = np.zeros((nb, m, 3, m, 3))
+        j = np.arange(m)
+        # indexing two separated axes by arrays puts the eta row axis first
+        out[:, j, :, j] = self.diag.swapaxes(0, 1)
+        out[:, j[1:], :, j[:-1]] = self.lower[:, 1:].swapaxes(0, 1)
+        out[:, j[:-1], :, j[1:]] = self.upper[:, :-1].swapaxes(0, 1)
+        return out.reshape(nb, 3 * m, 3 * m)
 
 
 @dataclass
@@ -154,22 +162,21 @@ class FrozenCoeffs:
 def apply_bcs(v: State, outflow: OutflowData, grid: Grid) -> State:
     """Enforce the boundary rows at the state's own time level.
 
-    Wall (eta = 0): u1 = 0, theta = theta_star, q0 = (4 q1 - q2) / 3 (the
-    second-order one-sided zero-Neumann closure).  Far (eta = eta_max):
-    v = (U, Theta, H^2/2).
+    Wall (eta = 0): u1 = 0, theta = theta_star, q0 = wall_q(q1, q2) (zero
+    Neumann).  Far (eta = eta_max): v = (U, Theta, H^2/2).
     """
-    k = outflow.time_index(v.time)
-    u1 = np.array(v.u1)
-    theta = np.array(v.theta)
-    q = np.array(v.q)
-    u1[:, 0] = 0.0
-    theta[:, 0] = outflow.theta_star[k]
-    q[:, 0] = (4.0 * q[:, 1] - q[:, 2]) / 3.0
-    vinf = outflow.vinf(k)
-    u1[:, -1] = vinf[:, 0]
-    theta[:, -1] = vinf[:, 1]
-    q[:, -1] = vinf[:, 2]
-    return State(u1=u1, theta=theta, q=q, time=v.time)
+    a = _set_boundary_rows(v.as_array(), outflow, outflow.time_index(v.time))
+    return State.from_array(a, time=v.time)
+
+
+def _set_boundary_rows(a: FloatArray, outflow: OutflowData, k: int) -> FloatArray:
+    """Overwrite the wall and far rows of a state array (nx, neta, 3) with
+    time level k's boundary conditions, as apply_bcs states them; returns a."""
+    a[:, 0, 0] = 0.0
+    a[:, 0, 1] = outflow.theta_star[k]
+    a[:, 0, 2] = wall_q(a[:, 1, 2], a[:, 2, 2])
+    a[:, -1] = outflow.vinf(k)
+    return a
 
 
 def _step_arrays(v: FloatArray, time: float, frozen: FrozenCoeffs,
@@ -193,30 +200,23 @@ def _step_arrays(v: FloatArray, time: float, frozen: FrozenCoeffs,
 
     # interior rows 1..neta-2
     sl = slice(1, -1)
-    eye = np.eye(3)
     L = -frozen.F[:, sl] / (2.0 * deta) - frozen.B[:, sl] / deta ** 2
-    D = eye / dt + 2.0 * frozen.B[:, sl] / deta ** 2
+    D = np.eye(3) / dt + 2.0 * frozen.B[:, sl] / deta ** 2
     U = frozen.F[:, sl] / (2.0 * deta) - frozen.B[:, sl] / deta ** 2
     rhs = rhs_full[:, sl].copy()
 
-    # fold the wall row: v0 = (0, theta_star, (4 q1 - q2)/3) at the new level
-    theta_w = outflow.theta_star[k_new]
-    rhs[:, 0] -= L[:, 0, :, 1] * theta_w[:, None]
-    D[:, 0, :, 2] += (4.0 / 3.0) * L[:, 0, :, 2]
-    U[:, 0, :, 2] += (-1.0 / 3.0) * L[:, 0, :, 2]
+    # fold the wall row: v0 = (0, theta_star, wall_q(q1, q2)) at the new level
+    rhs[:, 0] -= L[:, 0, :, 1] * outflow.theta_star[k_new][:, None]
+    D[:, 0, :, 2] += WALL_Q_WEIGHTS[0] * L[:, 0, :, 2]
+    U[:, 0, :, 2] += WALL_Q_WEIGHTS[1] * L[:, 0, :, 2]
     # fold the far row: known Dirichlet data
-    vinf = outflow.vinf(k_new)
-    rhs[:, -1] -= (U[:, -1] @ vinf[..., None])[..., 0]
+    rhs[:, -1] -= (U[:, -1] @ outflow.vinf(k_new)[..., None])[..., 0]
 
     sol = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
 
     out = np.empty_like(v)
     out[:, sl] = sol
-    out[:, 0, 0] = 0.0
-    out[:, 0, 1] = theta_w
-    out[:, 0, 2] = (4.0 * sol[:, 0, 2] - sol[:, 1, 2]) / 3.0
-    out[:, -1] = vinf
-    return out
+    return _set_boundary_rows(out, outflow, k_new)
 
 
 def step_linear(v: State, frozen: FrozenCoeffs, outflow: OutflowData,

@@ -101,25 +101,53 @@ def random_block_system(rng, nb=4, m=8):
     return BlockTridiag(lower=L, diag=D, upper=U)
 
 
-def test_block_solve_matches_dense_oracle():
-    rng = np.random.default_rng(42)
-    sys = random_block_system(rng)
-    rhs = rng.normal(size=(4, 8, 3))
+def assert_matches_dense(sys, rhs):
     x = sys.solve(rhs)
     dense = sys.dense()
-    for b in range(4):
+    for b in range(rhs.shape[0]):
         want = np.linalg.solve(dense[b], rhs[b].reshape(-1))
         np.testing.assert_allclose(x[b].reshape(-1), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("nb,m", [(4, 8), (1, 1), (1, 5), (3, 2)])
+def test_block_solve_matches_dense_oracle(nb, m):
+    # m = 1 (neta = 3) has no lower or upper block at all
+    rng = np.random.default_rng(42)
+    sys = random_block_system(rng, nb, m)
+    assert_matches_dense(sys, rng.normal(size=(nb, m, 3)))
 
 
 def test_block_solve_detects_singular_block():
     rng = np.random.default_rng(1)
     sys = random_block_system(rng)
-    # the reduced diagonal is D - L cp, so both must vanish to hit zero
+    # a zero block row makes the matrix itself singular; pivoting hits the
+    # zero pivot at the column's last row, so the message must not rely on it
     sys.diag[2, 5] = 0.0
     sys.lower[2, 5] = 0.0
-    with pytest.raises(LinearSolveError, match="eta row 5"):
+    sys.upper[2, 5] = 0.0
+    with pytest.raises(LinearSolveError, match="eta row 5, xi column 2"):
         sys.solve(rng.normal(size=(4, 8, 3)))
+
+
+def test_block_solve_pivots_past_a_singular_diagonal_block():
+    # D - L cp vanishes in block row 5 of column 2, so elimination without
+    # pivoting breaks down there, but the matrix itself is nonsingular
+    rng = np.random.default_rng(1)
+    sys = random_block_system(rng)
+    sys.diag[2, 5] = 0.0
+    sys.lower[2, 5] = 0.0
+    assert_matches_dense(sys, rng.normal(size=(4, 8, 3)))
+
+
+@pytest.mark.parametrize("where", ["diag", "rhs"])
+def test_block_solve_rejects_nan(where):
+    rng = np.random.default_rng(3)
+    sys = random_block_system(rng)
+    rhs = rng.normal(size=(4, 8, 3))
+    target = sys.diag if where == "diag" else rhs
+    target[1, 6, 0] = np.nan
+    with pytest.raises(LinearSolveError, match="non-finite .* xi column 1"):
+        sys.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
