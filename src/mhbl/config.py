@@ -14,6 +14,7 @@ t, xi for outflow traces and x, y for initial profiles.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import io
 from dataclasses import dataclass
@@ -30,6 +31,11 @@ _SAFE_FUNCS: Dict[str, object] = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "pi": np.pi,
 }
+
+#: Syntax nodes an expression may contain besides calls and number constants.
+_SAFE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name, ast.Load,
+               ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+               ast.Pow, ast.UAdd, ast.USub)
 
 _SCHEMA: Dict[str, Dict[str, str]] = {
     "physics": {"mu": "float", "kappa": "float", "nu": "float", "R": "float",
@@ -131,14 +137,33 @@ class RunConfig:
 
 def compile_expression(text: str, variables: tuple) -> Callable:
     """Compile a closed-form expression over the safe namespace; the result
-    broadcasts its array arguments."""
+    broadcasts its array arguments.
+
+    Only arithmetic on numbers, the variables and the safe names is accepted,
+    with calls to the safe functions by name; every node of the syntax tree is
+    checked, so no attribute, subscript, lambda or comprehension gets through.
+    """
     try:
-        code = compile(text, "<config>", "eval")
+        tree = ast.parse(text, "<config>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"bad expression {text!r}: {exc}") from exc
-    for name in code.co_names:
-        if name not in _SAFE_FUNCS and name not in variables:
-            raise ConfigError(f"expression {text!r} uses unknown name {name!r}")
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if (isinstance(node, ast.Name) and node.id not in _SAFE_FUNCS
+                and node.id not in variables):
+            raise ConfigError(f"expression {text!r} uses unknown name {node.id!r}")
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            ok = (isinstance(node.func, ast.Name)
+                  and callable(_SAFE_FUNCS.get(node.func.id)))
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        else:
+            ok = isinstance(node, _SAFE_NODES)
+        if not ok:
+            raise ConfigError(f"expression {text!r} uses disallowed syntax "
+                              f"({type(node).__name__})")
+    code = compile(tree, "<config>", "eval")
 
     def fn(*args):
         local = dict(zip(variables, args))

@@ -6,18 +6,23 @@ One Picard stage solves the linear system
 
 with all coefficient matrices frozen from the previous iterate.  The step is
 first-order IMEX: the eta operators (F0 d_eta and B0 d_eta^2) are implicit,
-3x3 block tridiagonal per xi column, and all columns share one pivoted banded
-LU solve (LAPACK dgbsv); A0 d_xi and G0 are explicit with centered periodic
-differences.  Explicit advection with centered differences is only weakly
-stable, so steps refuse to run when dt exceeds 0.5 * dxi / max spectral
-radius of A0; advection-dominated regimes need that bound respected.
+block tridiagonal per xi column, and A0 d_xi and G0 are explicit with centered
+periodic differences.  The implicit operator is block lower-triangular in the
+components: u1 couples only to itself (B is a 1x1 u1 block plus a 2x2
+(theta, q) block, and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees
+u1 only through F[1:, 0].  So each step makes two pivoted banded LU solves
+(LAPACK dgbsv) over all columns at once: the scalar u1 system, then the 2x2
+(theta, q) system with the u1 couplings moved to its right-hand side.
+Explicit advection with centered differences is only weakly stable, so steps
+refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
+advection-dominated regimes need that bound respected.
 
 Boundary rows are not part of the implicit solve.  The wall values of u1 and
 theta are Dirichlet data, the wall q satisfies the one-sided second-order
 Neumann closure q0 = (4 q1 - q2) / 3 (wall_q), and the far row carries the
 outflow state (U, Theta, H^2/2).  The q closure couples the first interior
-row to rows 1 and 2, which is folded into the matrix so the system stays
-block tridiagonal.
+row to rows 1 and 2, which is folded into the (theta, q) matrix so the system
+stays block tridiagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from . import coeffs
-from .errors import CFLError, GridSizingError, LinearSolveError
+from .errors import CFLError, DegenerateStateError, GridSizingError, LinearSolveError
 from .fields import FloatArray, Grid, OutflowData, Params, State
 from .stencils import bounded_diff, periodic_diff
 
@@ -63,13 +68,15 @@ def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> Fl
 
 @dataclass
 class BlockTridiag:
-    """Batched block-tridiagonal system with 3x3 blocks.
+    """Batched block-tridiagonal system with k x k blocks.
 
-    lower, diag, upper have shape (nbatch, m, 3, 3) (lower[.,0] and
-    upper[.,-1] are ignored); rhs has shape (nbatch, m, 3).  solve() runs
-    LAPACK dgbsv (LU with partial pivoting) on the systems stacked into one
-    band matrix; it raises LinearSolveError on a non-finite entry or on a
-    pivot |u_ii| <= 1e-13 times the largest |entry| of its xi column.
+    lower, diag, upper have shape (nbatch, m, k, k) (lower[.,0] and
+    upper[.,-1] are ignored); rhs has shape (nbatch, m, k).  The block size
+    k is read from the blocks; a step solves k = 1 (u1) and k = 2
+    (theta, q).  solve() runs LAPACK dgbsv (LU with partial pivoting) on the
+    systems stacked into one band matrix; it raises LinearSolveError on
+    mismatched shapes, on a non-finite entry, or on a pivot |u_ii| <= 1e-13
+    times the largest |entry| of its xi column.
     """
 
     lower: FloatArray
@@ -77,45 +84,54 @@ class BlockTridiag:
     upper: FloatArray
 
     def solve(self, rhs: FloatArray) -> FloatArray:
-        nb, m = rhs.shape[0], rhs.shape[1]
-        # band storage with kl = ku = 5: A[i, j] is ab[10 + i - j, j], unknowns
-        # in (xi column, eta row, component) order; rows 0-4 are LU workspace
-        ab = np.zeros((16, nb, m, 3))
-        for r in range(3):
-            for c in range(3):
-                ab[10 + r - c, :, :, c] = self.diag[..., r, c]
-                ab[13 + r - c, :, :-1, c] = self.lower[:, 1:, r, c]
-                ab[7 + r - c, :, 1:, c] = self.upper[:, :-1, r, c]
+        shape = np.shape(self.diag)
+        if (len(shape) != 4 or shape[2] != shape[3] or np.shape(rhs) != shape[:3]
+                or np.shape(self.lower) != shape or np.shape(self.upper) != shape):
+            raise LinearSolveError(
+                f"block-tridiagonal shapes do not match: blocks {shape} "
+                f"(lower {np.shape(self.lower)}, upper {np.shape(self.upper)}), "
+                f"rhs {np.shape(rhs)}; want (nbatch, m, k, k) and (nbatch, m, k)")
+        nb, m, k = shape[:3]
+        # band storage with kl = ku = w = 2k - 1: A[i, j] is ab[2w + i - j, j],
+        # unknowns in (xi column, eta row, component) order; rows 0..w-1 are
+        # LU workspace
+        w = 2 * k - 1
+        ab = np.zeros((3 * w + 1, nb, m, k))
+        for r in range(k):
+            for c in range(k):
+                ab[2 * w + r - c, :, :, c] = self.diag[..., r, c]
+                ab[2 * w + k + r - c, :, :-1, c] = self.lower[:, 1:, r, c]
+                ab[2 * w - k + r - c, :, 1:, c] = self.upper[:, :-1, r, c]
         scale = np.abs(ab).max(axis=(0, 2, 3))
         bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
         if bad.any():
             raise LinearSolveError(
                 f"non-finite implicit system in xi column {int(np.argmax(bad))}")
-        lub, _, x, info = dgbsv(5, 5, ab.reshape(16, -1), rhs.reshape(-1))
-        pivot = np.abs(lub[10]).reshape(nb, 3 * m).min(axis=1)
+        lub, _, x, info = dgbsv(w, w, ab.reshape(3 * w + 1, -1), rhs.reshape(-1))
+        pivot = np.abs(lub[2 * w]).reshape(nb, k * m).min(axis=1)
         small = pivot <= 1e-13 * scale
         if info == 0 and not small.any():
-            return x.reshape(nb, m, 3)
-        col = (info - 1) // (3 * m) if info > 0 else int(np.argmax(small))
+            return x.reshape(nb, m, k)
+        col = (info - 1) // (k * m) if info > 0 else int(np.argmax(small))
         # pivoting moves a zero pivot away from the row that caused it, so
         # name the row where the column's left null vector is largest
         one = BlockTridiag(self.lower[col:col + 1], self.diag[col:col + 1],
                            self.upper[col:col + 1]).dense()[0]
-        row = int(np.argmax(np.abs(np.linalg.svd(one)[0][:, -1]))) // 3
+        row = int(np.argmax(np.abs(np.linalg.svd(one)[0][:, -1]))) // k
         raise LinearSolveError(
             f"singular implicit system at eta row {row}, xi column {col} "
             f"(min |pivot| = {pivot[col]:.3e}, max |entry| = {scale[col]:.3e})")
 
     def dense(self) -> FloatArray:
-        """Assemble the dense (nbatch, 3m, 3m) matrices; for small-system checks."""
-        nb, m = self.diag.shape[0], self.diag.shape[1]
-        out = np.zeros((nb, m, 3, m, 3))
+        """Assemble the dense (nbatch, k m, k m) matrices; for small-system checks."""
+        nb, m, k = self.diag.shape[:3]
+        out = np.zeros((nb, m, k, m, k))
         j = np.arange(m)
         # indexing two separated axes by arrays puts the eta row axis first
         out[:, j, :, j] = self.diag.swapaxes(0, 1)
         out[:, j[1:], :, j[:-1]] = self.lower[:, 1:].swapaxes(0, 1)
         out[:, j[:-1], :, j[1:]] = self.upper[:, :-1].swapaxes(0, 1)
-        return out.reshape(nb, 3 * m, 3 * m)
+        return out.reshape(nb, k * m, k * m)
 
 
 @dataclass
@@ -198,25 +214,37 @@ def _step_arrays(v: FloatArray, time: float, frozen: FrozenCoeffs,
     if source is not None:
         rhs_full = rhs_full + source
 
-    # interior rows 1..neta-2
+    # interior rows 1..neta-2 of the eta operator, per component block:
+    # L = -F/(2 deta) - B/deta^2, D = I/dt + 2 B/deta^2, U = F/(2 deta) - B/deta^2.
+    # The boundary rows are set first, as the folds and the u1 couplings read
+    # them; the wall q follows once the interior is solved.
     sl = slice(1, -1)
-    L = -frozen.F[:, sl] / (2.0 * deta) - frozen.B[:, sl] / deta ** 2
-    D = np.eye(3) / dt + 2.0 * frozen.B[:, sl] / deta ** 2
-    U = frozen.F[:, sl] / (2.0 * deta) - frozen.B[:, sl] / deta ** 2
-    rhs = rhs_full[:, sl].copy()
+    F, B = frozen.F[:, sl], frozen.B[:, sl]
+    out = _set_boundary_rows(np.zeros_like(v), outflow, k_new)
 
-    # fold the wall row: v0 = (0, theta_star, wall_q(q1, q2)) at the new level
-    rhs[:, 0] -= L[:, 0, :, 1] * outflow.theta_star[k_new][:, None]
-    D[:, 0, :, 2] += WALL_Q_WEIGHTS[0] * L[:, 0, :, 2]
-    U[:, 0, :, 2] += WALL_Q_WEIGHTS[1] * L[:, 0, :, 2]
+    # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
+    f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
+    U = f - b
+    rhs = rhs_full[:, sl, :1].copy()
+    rhs[:, -1] -= U[:, -1, :, 0] * out[:, -1, :1]
+    out[:, sl, :1] = BlockTridiag(lower=-f - b, diag=1.0 / dt + 2.0 * b,
+                                  upper=U).solve(rhs)
+
+    # (theta, q): u1 enters only through F[1:, 0] (B[1:, 0] = 0), as
+    # F[1:, 0] (u1[i+1] - u1[i-1]) / (2 deta), moved to the right-hand side
+    f, b = F[..., 1:, 1:] / (2.0 * deta), B[..., 1:, 1:] / deta ** 2
+    L, D, U = -f - b, np.eye(2) / dt + 2.0 * b, f - b
+    rhs = rhs_full[:, sl, 1:] - F[..., 1:, 0] * (
+        (out[:, 2:, :1] - out[:, :-2, :1]) / (2.0 * deta))
+    # fold the wall row: theta0 = theta_star, q0 = wall_q(q1, q2)
+    rhs[:, 0] -= L[:, 0, :, 0] * out[:, 0, 1:2]
+    D[:, 0, :, 1] += WALL_Q_WEIGHTS[0] * L[:, 0, :, 1]
+    U[:, 0, :, 1] += WALL_Q_WEIGHTS[1] * L[:, 0, :, 1]
     # fold the far row: known Dirichlet data
-    rhs[:, -1] -= (U[:, -1] @ outflow.vinf(k_new)[..., None])[..., 0]
-
-    sol = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
-
-    out = np.empty_like(v)
-    out[:, sl] = sol
-    return _set_boundary_rows(out, outflow, k_new)
+    rhs[:, -1] -= (U[:, -1] @ out[:, -1, 1:, None])[..., 0]
+    out[:, sl, 1:] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
+    out[:, 0, 2] = wall_q(out[:, 1, 2], out[:, 2, 2])
+    return out
 
 
 def step_linear(v: State, frozen: FrozenCoeffs, outflow: OutflowData,
@@ -264,7 +292,9 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     freezes A, B, F, G at v_prev(level k).  source, when given, has shape
     (nsteps+1, nx, neta, 3) and enters each step at its new time level.
     Every returned level satisfies apply_bcs exactly; level 0 is v0 with the
-    boundary rows enforced.
+    boundary rows enforced.  A LinearSolveError, CFLError or
+    DegenerateStateError from the step off level k is raised again as the
+    same class with "time level k: " before its message.
     """
     nt = grid.nsteps
     if v_prev.nlevels != nt + 1:
@@ -273,10 +303,13 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     data = np.empty((nt + 1, grid.nx, grid.neta, 3))
     data[0] = apply_bcs(v0, outflow, grid).as_array()
     for k in range(nt):
-        frozen = FrozenCoeffs.from_state(
-            v_prev.data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
-            params, grid, clamp=clamp)
         src = None if source is None else source[k + 1]
-        data[k + 1] = _step_arrays(data[k], float(grid.times[k]), frozen,
-                                   outflow, params, grid, source=src)
+        try:
+            frozen = FrozenCoeffs.from_state(
+                v_prev.data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
+                params, grid, clamp=clamp)
+            data[k + 1] = _step_arrays(data[k], float(grid.times[k]), frozen,
+                                       outflow, params, grid, source=src)
+        except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+            raise type(exc)(f"time level {k}: {exc}") from exc
     return Trajectory(data=data, times=grid.times.copy())

@@ -131,6 +131,21 @@ def test_identity_suite_random_samples():
         assert rel_err(np.einsum("nij,nj->ni", G, v), g) < 1e-12
 
 
+def test_u1_is_decoupled_in_the_implicit_eta_operator():
+    # the stepper solves u1 first and then (theta, q): B is a 1x1 u1 block
+    # plus a 2x2 (theta, q) block, and F's u1 row is (c_vis dq, 0, 0)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        v, dv, P, P_t, P_xi, params = random_admissible(rng, 250)
+        assert np.all(P_t != 0.0) and np.all(P_xi != 0.0)
+        B = eval_diffusion(v, P, params)
+        _, F, _, _ = eval_lower_order(v, dv, P, P_t, P_xi, params)
+        assert np.all(B[..., 0, 1:] == 0.0)
+        assert np.all(B[..., 1:, 0] == 0.0)
+        assert np.all(F[..., 0, 1:] == 0.0)
+        assert np.all(F[..., 1:, 0] != 0.0)
+
+
 def test_advection_radius_matches_eigenvalue_oracle():
     rng = np.random.default_rng(11)
     v, dv, P, P_t, P_xi, params = random_admissible(rng, 300)

@@ -145,6 +145,20 @@ def test_expression_compile_rejects_non_whitelisted_names():
         compile_expression("1.0 +* 2", ("t", "xi"))
 
 
+@pytest.mark.parametrize("text", [
+    "(lambda: ().__class__.__bases__[0].__name__)()",   # names hide in a lambda
+    "[sin(t) for t in (1.0, 2.0)][0]",                   # comprehension
+    "xi.__class__",                                      # attribute
+    "(1.0, 2.0)[0]",                                     # subscript
+    "t(1.0)",                                            # call of a variable
+    "sin(t, out=t)",                                     # keyword argument
+    "'text'",                                            # non-number constant
+])
+def test_expression_compile_rejects_non_arithmetic_syntax(text):
+    with pytest.raises(ConfigError, match="disallowed syntax"):
+        compile_expression(text, ("t", "xi"))
+
+
 def test_expression_broadcasts_scalars_against_arrays():
     # the result takes the common broadcast shape of all array arguments
     fn = compile_expression("2.0 + 0.0*x", ("x", "y"))

@@ -3,14 +3,21 @@
 Oracles used here:
   * quadratics (exact for every eta stencil, including the one-sided ends)
     and the exact discrete derivative of sin on the periodic axis,
-  * a dense np.linalg.solve of the assembled block-tridiagonal matrix,
+  * a dense np.linalg.solve of the assembled block-tridiagonal matrix, for
+    any block size and for a whole step as the coupled 3x3 system,
   * a scalar implicit-Euler heat march written out longhand,
-  * the exact one-step update of pure explicit advection.
+  * the exact one-step update of pure explicit advection,
+  * a source scan that keeps the LAPACK band format inside the stepper.
 """
+
+import ast
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import mhbl
 from mhbl import (
     CFLError,
     DegenerateStateError,
@@ -27,6 +34,7 @@ from mhbl.stepper import (
     BlockTridiag,
     FrozenCoeffs,
     Trajectory,
+    _step_arrays,
     apply_bcs,
     apply_derivative,
     solve_linear_problem,
@@ -34,6 +42,7 @@ from mhbl.stepper import (
 )
 
 PARAMS = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.0, cV=1.0, delta=0.05)
+SRC = pathlib.Path(mhbl.__file__).parent
 
 
 def small_grid(nx=8, neta=16, eta_max=3.0, dt=0.01, t_end=0.05):
@@ -94,10 +103,10 @@ def test_derivative_validates_axis_and_order():
 # ---------------------------------------------------------------------------
 # block-tridiagonal solver
 
-def random_block_system(rng, nb=4, m=8):
-    L = 0.3 * rng.normal(size=(nb, m, 3, 3))
-    U = 0.3 * rng.normal(size=(nb, m, 3, 3))
-    D = rng.normal(size=(nb, m, 3, 3)) + 4.0 * np.eye(3)
+def random_block_system(rng, nb=4, m=8, k=3):
+    L = 0.3 * rng.normal(size=(nb, m, k, k))
+    U = 0.3 * rng.normal(size=(nb, m, k, k))
+    D = rng.normal(size=(nb, m, k, k)) + 4.0 * np.eye(k)
     return BlockTridiag(lower=L, diag=D, upper=U)
 
 
@@ -111,22 +120,38 @@ def assert_matches_dense(sys, rhs):
 
 @pytest.mark.parametrize("nb,m", [(4, 8), (1, 1), (1, 5), (3, 2)])
 def test_block_solve_matches_dense_oracle(nb, m):
-    # m = 1 (neta = 3) has no lower or upper block at all
-    rng = np.random.default_rng(42)
-    sys = random_block_system(rng, nb, m)
-    assert_matches_dense(sys, rng.normal(size=(nb, m, 3)))
+    # m = 1 (neta = 3) has no lower or upper block at all; a step solves
+    # k = 1 and k = 2, and k = 3 is the coupled system
+    for k in (1, 2, 3):
+        rng = np.random.default_rng(42)
+        sys = random_block_system(rng, nb, m, k)
+        assert_matches_dense(sys, rng.normal(size=(nb, m, k)))
 
 
 def test_block_solve_detects_singular_block():
-    rng = np.random.default_rng(1)
-    sys = random_block_system(rng)
-    # a zero block row makes the matrix itself singular; pivoting hits the
-    # zero pivot at the column's last row, so the message must not rely on it
-    sys.diag[2, 5] = 0.0
-    sys.lower[2, 5] = 0.0
-    sys.upper[2, 5] = 0.0
-    with pytest.raises(LinearSolveError, match="eta row 5, xi column 2"):
-        sys.solve(rng.normal(size=(4, 8, 3)))
+    for k in (3, 2, 1):
+        rng = np.random.default_rng(1)
+        sys = random_block_system(rng, k=k)
+        # a zero block row makes the matrix itself singular; pivoting hits the
+        # zero pivot at the column's last row, so the message must not rely on it
+        sys.diag[2, 5] = 0.0
+        sys.lower[2, 5] = 0.0
+        sys.upper[2, 5] = 0.0
+        with pytest.raises(LinearSolveError, match="eta row 5, xi column 2"):
+            sys.solve(rng.normal(size=(4, 8, k)))
+
+
+@pytest.mark.parametrize("blocks,rhs", [
+    ((4, 8, 2, 2), (4, 8, 3)),    # rhs last axis is not the block size
+    ((4, 8, 2, 3), (4, 8, 2)),    # non-square blocks
+], ids=["rhs-axis", "non-square"])
+def test_block_solve_rejects_mismatched_shapes(blocks, rhs):
+    sys = BlockTridiag(lower=np.zeros(blocks), diag=np.ones(blocks),
+                       upper=np.zeros(blocks))
+    with pytest.raises(LinearSolveError,
+                       match=re.escape(f"blocks {blocks}") + ".*"
+                       + re.escape(f"rhs {rhs}")):
+        sys.solve(np.ones(rhs))
 
 
 def test_block_solve_pivots_past_a_singular_diagonal_block():
@@ -256,6 +281,49 @@ def test_step_is_affine_in_the_state():
     np.testing.assert_allclose(s1 - s0, s2 - s1, rtol=0, atol=1e-12)
 
 
+def coupled_step(v, frozen, outflow, g, source):
+    """One step as the coupled 3x3 block system with the wall and far rows
+    folded in, solved densely column by column."""
+    dt, deta, sl = g.dt, g.deta, slice(1, -1)
+    k_new = outflow.time_index(g.dt)
+    dxv = apply_derivative(v, g, axis="xi", order=1)
+    rhs = (v / dt - np.einsum("xeij,xej->xei", frozen.A, dxv)
+           - np.einsum("xeij,xej->xei", frozen.G, v) + source)[:, sl]
+    F, B = frozen.F[:, sl], frozen.B[:, sl]
+    L = -F / (2.0 * deta) - B / deta ** 2
+    D = np.eye(3) / dt + 2.0 * B / deta ** 2
+    U = F / (2.0 * deta) - B / deta ** 2
+    rhs[:, 0] -= L[:, 0, :, 1] * outflow.theta_star[k_new][:, None]
+    D[:, 0, :, 2] += 4.0 / 3.0 * L[:, 0, :, 2]
+    U[:, 0, :, 2] -= 1.0 / 3.0 * L[:, 0, :, 2]
+    rhs[:, -1] -= (U[:, -1] @ outflow.vinf(k_new)[..., None])[..., 0]
+    dense = BlockTridiag(lower=L, diag=D, upper=U).dense()
+    return np.stack([np.linalg.solve(dense[x], rhs[x].reshape(-1))
+                     for x in range(g.nx)]).reshape(rhs.shape)
+
+
+def test_step_matches_coupled_block_system():
+    # the u1 solve, then the (theta, q) solve with the u1 couplings F[1:, 0]
+    # on its right-hand side, is the coupled system solved exactly
+    g = small_grid(nx=6, neta=12)
+    outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
+                               theta_star=0.9)
+    rng = np.random.default_rng(17)
+    v = np.stack([rng.uniform(-0.3, 0.3, (g.nx, g.neta)),
+                  rng.uniform(0.8, 1.2, (g.nx, g.neta)),
+                  rng.uniform(0.5, 0.9, (g.nx, g.neta))], axis=-1)
+    frozen = FrozenCoeffs.from_state(v, outflow.P[0], rng.normal(size=g.nx),
+                                     rng.normal(size=g.nx), PARAMS, g)
+    assert np.min(np.abs(frozen.F[:, 1:-1, 1:, 0])) > 0.0
+    source = rng.normal(size=v.shape)
+    got = _step_arrays(v, 0.0, frozen, outflow, PARAMS, g, source=source)
+    np.testing.assert_allclose(got[:, 1:-1],
+                               coupled_step(v, frozen, outflow, g, source),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(
+        got, apply_bcs(State.from_array(got, time=g.dt), outflow, g).as_array())
+
+
 def test_cfl_refusal():
     g = small_grid(nx=8, dt=0.5, t_end=0.5)   # dxi ~ 0.785, bound 0.39 at radius 1
     outflow = constant_outflow(g)
@@ -368,3 +436,38 @@ def test_frozen_coeffs_clamp_recovers_inadmissible_state():
     fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                  outflow.P_xi[0], PARAMS, g, clamp=True)
     assert np.all(np.isfinite(fc.A))
+
+
+@pytest.mark.parametrize("error", [DegenerateStateError, CFLError,
+                                   LinearSolveError])
+def test_march_errors_name_the_time_level(error):
+    g = small_grid()
+    outflow = constant_outflow(g)
+    v = State.constant(g, 0.0, 1.0, 0.5)
+    coeff = constant_trajectory(g, v)
+    source = None
+    if error is DegenerateStateError:
+        coeff.data[2, 3, 4, 1] = 0.0          # theta at zero in level 2
+    elif error is CFLError:
+        coeff.data[2, ..., 0] = 100.0         # u1 far past the CFL bound
+    else:
+        source = np.zeros((g.nsteps + 1,) + coeff.data.shape[1:])
+        source[3, 1, 4, 2] = np.nan           # enters the step off level 2
+    with pytest.raises(error, match="^time level 2: "):
+        solve_linear_problem(coeff, v, outflow, PARAMS, g, source=source)
+
+
+def test_lapack_is_imported_only_by_the_stepper():
+    # the band storage format is the stepper's business alone
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.linalg.lapack") for n in names):
+                importers.append(path.name)
+    assert importers == ["stepper.py"]
