@@ -30,7 +30,7 @@ from .picard import (Background, CompatibilitySet, IterationReport,
 from .snapshots import Snapshot, emit_plot_data, read_snapshot, write_snapshot
 from .stepper import (BlockTridiag, FrozenCoeffs, Trajectory, apply_bcs,
                       apply_derivative, solve_linear_problem, step_linear)
-from .transform import (PhysicalState, StreamField, check_physical_constraints,
+from .transform import (PhysicalState, check_physical_constraints,
                         initial_eta_map, pullback_physical, residual_original,
                         stream_from_h1)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import coeffs
 from .diagnostics import NormSpec, discrete_norm
-from .errors import GridSizingError, PreconditionError
+from .errors import (CFLError, DegenerateStateError, GridSizingError,
+                     LinearSolveError, PreconditionError)
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
@@ -207,7 +208,10 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     trajectory distance drops to tol or max_iter is hit.  Admissibility of
     every iterate is recorded; losing it either aborts with a report
     (default) or, with on_admissibility_loss="continue", clamps coefficient
-    evaluations and keeps going with the iterate flagged.
+    evaluations and keeps going with the iterate flagged.  A
+    LinearSolveError, CFLError or DegenerateStateError from iterate n is
+    raised again as the same class with "Picard iterate n: " before its
+    message.
 
     Returns (trajectory, IterationReport).
     """
@@ -248,8 +252,11 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     message = ""
     n_done = 0
     for n in range(1, max_iter + 1):
-        traj = solve_linear_problem(prev, v0, outflow, params, grid,
-                                    source=source, clamp=clamp)
+        try:
+            traj = solve_linear_problem(prev, v0, outflow, params, grid,
+                                        source=source, clamp=clamp)
+        except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+            raise type(exc)(f"Picard iterate {n}: {exc}") from exc
         n_done = n
         distances.append(_traj_distance(traj, prev, grid))
         if len(distances) >= 2 and distances[-2] > 0.0:

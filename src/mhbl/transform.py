@@ -5,8 +5,12 @@ The stream function psi solves d_y psi = h1 with psi = 0 on the wall, so
 eta = psi(t, x, y) is a valid normal coordinate as long as h1 >= delta > 0.
 At t = 0 the map is eta(x, y) = integral_0^y h10(x, s) ds.  Going back, the
 physical height of a level set is y = integral_0^eta d eta' / h1_hat, and
-the hatted fields pull back by composition with psi.  The normal velocity
-and magnetic components are recovered from psi rather than evolved:
+the hatted fields pull back by composition with psi.  All xi rows are
+inverted together: their not-a-knot spline systems stack into one banded
+solve, a row whose spline inverse is not monotone is refitted with pchip,
+and the compositions with psi share one search of the eta grid.  The
+normal velocity and magnetic components are recovered from psi rather than
+evolved:
 
     u2 = -(d_t psi + u1 d_x psi - nu d_y^2 psi) / h1,     h2 = -d_x psi,
 
@@ -26,28 +30,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
+from scipy.linalg import solve_banded
 
 from .errors import GridSizingError, MissingTimeLevelError, NondegeneracyError
 from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
 from .stencils import bounded_diff, periodic_diff
 from .stepper import apply_derivative
-
-
-@dataclass(frozen=True)
-class StreamField:
-    """The stream function tabulated on the physical grid: psi[i, j] =
-    psi(t, x_i, y_j), strictly increasing in y."""
-
-    psi: FloatArray
-    y_nodes: FloatArray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "psi", _frozen(self.psi))
-        object.__setattr__(self, "y_nodes", _frozen(self.y_nodes))
-        if self.psi.ndim != 2 or self.psi.shape[1] != self.y_nodes.size:
-            raise GridSizingError("psi must be (nx, ny) matching y_nodes")
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,7 @@ def initial_eta_map(u10: FloatArray, theta0: FloatArray, h10: FloatArray,
     u10, theta0, h10 = (np.asarray(a, dtype=float) for a in (u10, theta0, h10))
     y_nodes = np.asarray(y_nodes, dtype=float)
     _check_uniform(y_nodes)
-    if h10.min() < delta:
+    if not h10.min() >= delta:  # also rejects NaN
         raise NondegeneracyError(
             f"initial h1 must stay >= delta = {delta}; min = {h10.min():.6g}")
     if u10.shape != (grid.nx, y_nodes.size) or h10.shape != u10.shape \
@@ -118,48 +107,124 @@ def initial_eta_map(u10: FloatArray, theta0: FloatArray, h10: FloatArray,
 
 
 def stream_from_h1(h1_hat: FloatArray, grid: Grid, y_nodes: FloatArray,
-                   delta: float, time: float = 0.0) -> StreamField:
-    """Reconstruct psi on the physical grid from the hatted field h1(t, xi, eta).
+                   delta: float) -> FloatArray:
+    """Reconstruct psi[i, j] = psi(x_i, y_j) on the physical grid from the
+    hatted field h1(t, xi, eta); returns an (nx, ny) array.
 
     The level height y(eta) = cumulative trapezoid of 1/h1_hat is strictly
     increasing, so psi(y) is its inverse; psi vanishes at the wall and values
-    of y beyond y(eta_max) clamp to eta_max.  The inverse table is fitted
-    with a cubic spline, whose smooth fourth-order error keeps the discrete
-    derivatives of psi (h1, h2) at full second order; rows where the spline
-    overshoots monotonicity (possible for rough h1_hat) fall back to the
-    shape-preserving pchip inverse.  Both fits reproduce linear tables
-    exactly, so constant h1_hat rows round-trip to rounding.
+    of y beyond y(eta_max) clamp to eta_max.  The inverse tables of all xi
+    rows are fitted with cubic splines from one banded solve; their smooth
+    fourth-order error keeps the discrete derivatives of psi (h1, h2) at full
+    second order.  Each row where the spline overshoots monotonicity
+    (possible for rough h1_hat) falls back to the shape-preserving pchip
+    inverse.  Both fits reproduce linear tables exactly, so constant h1_hat
+    rows round-trip to rounding.
     """
     h1_hat = np.asarray(h1_hat, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
     _check_uniform(y_nodes)
     if h1_hat.shape != (grid.nx, grid.neta):
         raise GridSizingError("h1_hat must have shape (nx, neta)")
-    if h1_hat.min() < delta:
+    lo, hi = h1_hat.min(), h1_hat.max()
+    if not delta <= lo <= hi < np.inf:  # NaN fails every comparison
         raise NondegeneracyError(
-            f"h1 must stay >= delta = {delta}; min = {h1_hat.min():.6g}")
+            f"h1 must stay finite and >= delta = {delta}; "
+            f"min = {lo:.6g}, max = {hi:.6g}")
     y_of_eta = cumulative_trapezoid(1.0 / h1_hat, grid.eta, axis=1, initial=0.0)
-    psi = np.empty((grid.nx, y_nodes.size))
-    eta_nodes = grid.eta
-    for i in range(grid.nx):
-        inv = CubicSpline(y_of_eta[i], eta_nodes, bc_type="not-a-knot",
-                          extrapolate=False)
-        row = inv(y_nodes)
-        np.copyto(row, grid.eta_max, where=np.isnan(row))  # beyond y(eta_max)
-        if np.any(np.diff(row) < 0.0):
-            inv = PchipInterpolator(y_of_eta[i], eta_nodes, extrapolate=False)
-            row = inv(y_nodes)
-            np.copyto(row, grid.eta_max, where=np.isnan(row))
-        psi[i] = row
-    return StreamField(psi=psi, y_nodes=y_nodes, time=time)
+    psi = _spline_inverse(y_of_eta, grid.eta, y_nodes)
+    np.copyto(psi, grid.eta_max, where=np.isnan(psi))  # beyond y(eta_max)
+    for i in np.flatnonzero(np.any(np.diff(psi, axis=1) < 0.0, axis=1)):
+        row = PchipInterpolator(y_of_eta[i], grid.eta, extrapolate=False)(y_nodes)
+        psi[i] = np.where(np.isnan(row), grid.eta_max, row)
+    return psi
 
 
-def _interp_at_psi(field_hat: FloatArray, eta_nodes: FloatArray,
-                   psi: FloatArray) -> FloatArray:
-    out = np.empty_like(psi)
-    for i in range(psi.shape[0]):
-        out[i] = np.interp(psi[i], eta_nodes, field_hat[i])
-    return out
+def _spline_inverse(table: FloatArray, eta: FloatArray,
+                    y: FloatArray) -> FloatArray:
+    """Evaluate at y the not-a-knot cubic spline through the points
+    (table[i, k], eta[k]) of every row i; NaN beyond table[i, -1], and
+    queries below table[i, 0] extend the first piece.
+
+    Rows need at least 4 strictly increasing knots.  The arithmetic is that
+    of scipy's CubicSpline (n >= 4) and PPoly evaluation, in the same order,
+    so each row equals CubicSpline(table[i], eta, bc_type="not-a-knot",
+    extrapolate=False)(y) on y >= table[i, 0].
+    """
+    nx, n = table.shape
+    dx = np.diff(table, axis=1)
+    slope = np.diff(eta) / dx
+    # knot slopes s: row k of block i reads
+    #   dx[k] s[k-1] + 2 (dx[k-1] + dx[k]) s[k] + dx[k-1] s[k+1]
+    #     = 3 (dx[k] slope[k-1] + dx[k-1] slope[k])
+    # with not-a-knot closures in rows 0 and n-1.  The blocks do not couple,
+    # so one stacked tridiagonal solve performs the nx row solves exactly.
+    band = np.zeros((3, nx, n))  # super-, main and sub-diagonal
+    rhs = np.empty((nx, n))
+    band[0, :, 2:] = dx[:, :-1]
+    band[1, :, 1:-1] = 2.0 * (dx[:, :-1] + dx[:, 1:])
+    band[2, :, :-2] = dx[:, 1:]
+    rhs[:, 1:-1] = 3.0 * (dx[:, 1:] * slope[:, :-1] + dx[:, :-1] * slope[:, 1:])
+    # scipy squares these end widths as scalars, with pow()
+    sq0, sq1 = np.float_power(dx[:, 0], 2), np.float_power(dx[:, -1], 2)
+    d = table[:, 2] - table[:, 0]
+    band[0, :, 1] = d
+    band[1, :, 0] = dx[:, 1]
+    rhs[:, 0] = ((dx[:, 0] + 2.0 * d) * dx[:, 1] * slope[:, 0]
+                 + sq0 * slope[:, 1]) / d
+    d = table[:, -1] - table[:, -3]
+    band[2, :, -2] = d
+    band[1, :, -1] = dx[:, -2]
+    rhs[:, -1] = (sq1 * slope[:, -2]
+                  + (2.0 * d + dx[:, -1]) * dx[:, -2] * slope[:, -1]) / d
+    s = solve_banded((1, 1), band.reshape(3, nx * n), rhs.reshape(nx * n),
+                     overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(nx, n)
+
+    # Hermite power-basis coefficients of each piece, highest power first
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:, :-1]) / dx - t
+    c2 = s[:, :-1]
+
+    # piece j(i, q) holds table[i, j] <= y[q] < table[i, j + 1] (the last
+    # piece is closed): j counts the interior knots at or below y[q], from
+    # the index of the first query that reaches each knot
+    ny = y.size
+    rows = np.arange(nx)[:, None]
+    reached = np.searchsorted(y, table[:, 1:-1]) + (ny + 1) * rows
+    reached_at = np.bincount(reached.ravel(), minlength=nx * (ny + 1))
+    j = np.cumsum(reached_at.reshape(nx, ny + 1)[:, :ny], axis=1)
+    piece = j + (n - 1) * rows  # flat index into (nx, n - 1) arrays
+    h = y - np.take(table[:, :-1], piece)
+    value = ((np.take(eta, j) + np.take(c2, piece) * h)
+             + np.take(c1, piece) * (h * h) + np.take(c0, piece) * (h * h * h))
+    return np.where(y > table[:, -1:], np.nan, value)
+
+
+def _locate_in_eta(eta: FloatArray,
+                   psi: FloatArray) -> Tuple[np.ndarray, FloatArray]:
+    """Where each psi entry falls on the eta grid, for _interp_at_psi.
+
+    Returns the flat index i * neta + j of the node below psi[i, q] in an
+    (nx, neta) field and the offset psi[i, q] - eta[j].  Entries at or
+    outside the ends get the end node and offset 0, so they take the end
+    value, as np.interp does.
+    """
+    n = eta.size
+    j = np.clip(np.searchsorted(eta, psi, side="right") - 1, 0, n - 1)
+    offset = np.where((psi > eta[0]) & (psi < eta[-1]), psi - eta[j], 0.0)
+    return j + n * np.arange(psi.shape[0])[:, None], offset
+
+
+def _interp_at_psi(field_hat: FloatArray, eta: FloatArray,
+                   located: Tuple[np.ndarray, FloatArray]) -> FloatArray:
+    """Row i of the result is np.interp(psi[i], eta, field_hat[i]), with psi
+    located once by _locate_in_eta for every field."""
+    flat, offset = located
+    slope = np.zeros(field_hat.shape)  # zero at the last node: offset is 0 there
+    np.divide(np.diff(field_hat, axis=1), np.diff(eta), out=slope[:, :-1])
+    return np.take(slope, flat) * offset + np.take(field_hat, flat)
 
 
 def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
@@ -182,12 +247,12 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     y_nodes = np.asarray(y_nodes, dtype=float)
     h1_hat = np.sqrt(2.0 * v_hat.q)
     h1_prev = np.sqrt(2.0 * v_hat_prev.q)
-    sf = stream_from_h1(h1_hat, grid, y_nodes, params.delta, time=v_hat.time)
-    psi = np.asarray(sf.psi)
+    psi = stream_from_h1(h1_hat, grid, y_nodes, params.delta)
     eta_nodes = grid.eta
+    at_psi = _locate_in_eta(eta_nodes, psi)
 
-    u1 = _interp_at_psi(v_hat.u1, eta_nodes, psi)
-    theta = _interp_at_psi(v_hat.theta, eta_nodes, psi)
+    u1 = _interp_at_psi(v_hat.u1, eta_nodes, at_psi)
+    theta = _interp_at_psi(v_hat.theta, eta_nodes, at_psi)
 
     h1 = bounded_diff(psi, y_nodes[1] - y_nodes[0], 1, 1)
     h2 = -periodic_diff(psi, grid.dxi, 0, 1)
@@ -202,11 +267,11 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     I_t = cumulative_trapezoid(dth1 / h1_hat ** 2, eta_nodes, axis=1, initial=0.0)
     dxh1 = apply_derivative(h1_hat, grid, axis="xi", order=1)
     I_x = cumulative_trapezoid(dxh1 / h1_hat ** 2, eta_nodes, axis=1, initial=0.0)
-    h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, psi)
-    dt_psi = h1_at_psi * _interp_at_psi(I_t, eta_nodes, psi)
-    dx_psi = h1_at_psi * _interp_at_psi(I_x, eta_nodes, psi)
+    h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, at_psi)
+    dt_psi = h1_at_psi * _interp_at_psi(I_t, eta_nodes, at_psi)
+    dx_psi = h1_at_psi * _interp_at_psi(I_x, eta_nodes, at_psi)
     deta_h1 = apply_derivative(h1_hat, grid, axis="eta", order=1)
-    dyy_psi = _interp_at_psi(h1_hat * deta_h1, eta_nodes, psi)
+    dyy_psi = _interp_at_psi(h1_hat * deta_h1, eta_nodes, at_psi)
 
     u2 = -(dt_psi + u1 * dx_psi - params.nu * dyy_psi) / h1_at_psi
     return PhysicalState(rho=rho, u1=u1, u2=u2, theta=theta, h1=h1, h2=h2,

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from mhbl import (
+    CFLError,
+    DegenerateStateError,
     Grid,
     GridSizingError,
+    LinearSolveError,
     OutflowSpec,
     Params,
     PreconditionError,
@@ -28,8 +31,8 @@ from mhbl.picard import (
     cutoff_phi,
     picard_solve,
 )
-from mhbl import coeffs
-from mhbl.stepper import apply_derivative
+from mhbl import coeffs, picard
+from mhbl.stepper import Trajectory, apply_derivative
 
 PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
 
@@ -284,6 +287,34 @@ def test_nonconvergence_reported_not_raised():
     assert not report.converged and not report.aborted
     assert report.iterations == 2
     assert "no convergence" in report.message
+
+
+@pytest.mark.parametrize("error", [DegenerateStateError, CFLError,
+                                   LinearSolveError])
+def test_picard_errors_name_the_iterate(error, monkeypatch):
+    # iterate 2 is handed a bad level-2 coefficient state or source
+    grid, data, v0 = perturbed_setup()
+    real = picard.solve_linear_problem
+    calls = []
+
+    def second_iterate_breaks(v_prev, v0, outflow, params, grid, source=None,
+                              clamp=False):
+        calls.append(1)
+        if len(calls) == 2:
+            v_prev = Trajectory(data=v_prev.data.copy(), times=v_prev.times)
+            if error is DegenerateStateError:
+                v_prev.data[2, 3, 4, 1] = 0.0      # theta at zero
+            elif error is CFLError:
+                v_prev.data[2, ..., 0] = 100.0     # u1 far past the CFL bound
+            else:
+                source = np.zeros_like(v_prev.data)
+                source[3, 1, 4, 2] = np.nan        # enters the step off level 2
+        return real(v_prev, v0, outflow, params, grid, source=source,
+                    clamp=clamp)
+
+    monkeypatch.setattr(picard, "solve_linear_problem", second_iterate_breaks)
+    with pytest.raises(error, match="^Picard iterate 2: time level 2: "):
+        picard_solve(v0, data, PARAMS, grid, tol=1e-16, max_iter=5)
 
 
 def declining_pressure_setup():

@@ -12,6 +12,8 @@ Closed-form oracles:
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from mhbl import (
     GridSizingError,
@@ -25,6 +27,9 @@ from mhbl import (
 )
 from mhbl.transform import (
     PhysicalState,
+    _interp_at_psi,
+    _locate_in_eta,
+    _spline_inverse,
     check_physical_constraints,
     initial_eta_map,
     pullback_physical,
@@ -83,6 +88,16 @@ def test_initial_map_rejects_degenerate_h1():
         initial_eta_map(z, 1.0 + z, h10, y, grid, delta=0.05)
 
 
+def test_initial_map_rejects_nan_h1():
+    y = np.linspace(0.0, 2.0, 21)
+    grid = make_grid(4, 16, 4.0, 0.1, 0.5)
+    h10 = np.ones((4, 21))
+    h10[2, 7] = np.nan
+    z = np.zeros_like(h10)
+    with pytest.raises(NondegeneracyError):
+        initial_eta_map(z, 1.0 + z, h10, y, grid, delta=0.05)
+
+
 def test_initial_map_validates_grid():
     grid = make_grid(4, 16, 4.0, 0.1, 0.5)
     y_bad = np.array([0.0, 0.1, 0.3, 0.35, 0.6])   # non-uniform
@@ -108,8 +123,8 @@ def test_stream_function_exponential_oracle():
         grid = make_grid(4, neta, 8.0, 0.1, 0.5)
         h1_hat = np.broadcast_to(1.0 + grid.eta, (4, neta)).copy()
         y = np.linspace(0.0, 2.0, ny)
-        sf = stream_from_h1(h1_hat, grid, y, delta=0.05)
-        errs.append(np.max(np.abs(sf.psi - (np.exp(y) - 1.0)[None, :])))
+        psi = stream_from_h1(h1_hat, grid, y, delta=0.05)
+        errs.append(np.max(np.abs(psi - (np.exp(y) - 1.0)[None, :])))
     assert errs[0] < 3e-3
     assert errs[0] / errs[1] > 3.0       # second-order drop under refinement
 
@@ -118,19 +133,16 @@ def test_stream_function_constant_h1_exact_and_monotone():
     grid = make_grid(4, 33, 6.0, 0.1, 0.5)
     h1_hat = np.full((4, 33), 2.0)
     y = np.linspace(0.0, 3.0, 33)
-    sf = stream_from_h1(h1_hat, grid, y, delta=0.05)
-    np.testing.assert_allclose(sf.psi, np.broadcast_to(2.0 * y, (4, 33)),
+    psi = stream_from_h1(h1_hat, grid, y, delta=0.05)
+    np.testing.assert_allclose(psi, np.broadcast_to(2.0 * y, (4, 33)),
                                rtol=0, atol=1e-13)
-    assert np.all(np.diff(sf.psi, axis=1) >= 0.0)
-    assert np.max(np.abs(sf.psi[:, 0])) == 0.0   # wall value pinned
+    assert np.all(np.diff(psi, axis=1) >= 0.0)
+    assert np.max(np.abs(psi[:, 0])) == 0.0   # wall value pinned
 
 
 def test_stream_function_monotone_for_rough_h1():
     # a strongly alternating (but admissible) h1 makes the plain spline
     # inverse overshoot; the shape-preserving fallback must keep psi monotone
-    from scipy.integrate import cumulative_trapezoid
-    from scipy.interpolate import CubicSpline
-
     grid = make_grid(4, 17, 8.0, 0.01, 0.02)
     h1row = np.where(np.sin(3.0 * grid.eta) > 0, 10.0, 0.06)
     h1_hat = np.broadcast_to(h1row, (4, 17)).copy()
@@ -139,10 +151,10 @@ def test_stream_function_monotone_for_rough_h1():
     raw = CubicSpline(table, grid.eta, bc_type="not-a-knot")(y)
     assert np.min(np.diff(raw)) < 0.0            # the trigger is real
 
-    sf = stream_from_h1(h1_hat, grid, y, delta=0.05)
-    assert np.all(np.diff(sf.psi, axis=1) >= 0.0)
-    assert np.max(np.abs(sf.psi[:, 0])) == 0.0
-    assert np.max(sf.psi) <= grid.eta_max + 1e-12
+    psi = stream_from_h1(h1_hat, grid, y, delta=0.05)
+    assert np.all(np.diff(psi, axis=1) >= 0.0)
+    assert np.max(np.abs(psi[:, 0])) == 0.0
+    assert np.max(psi) <= grid.eta_max + 1e-12
 
 
 def test_stream_function_rejects_degenerate_h1():
@@ -152,6 +164,67 @@ def test_stream_function_rejects_degenerate_h1():
         stream_from_h1(np.full((4, 16), 1e-4), grid, y, delta=0.05)
     with pytest.raises(GridSizingError):
         stream_from_h1(np.ones((4, 7)), grid, y, delta=0.05)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stream_function_rejects_non_finite_h1(bad):
+    grid = make_grid(4, 16, 4.0, 0.1, 0.5)
+    y = np.linspace(0.0, 2.0, 9)
+    h1_hat = np.ones((4, 16))
+    h1_hat[1, 5] = bad
+    with pytest.raises(NondegeneracyError):
+        stream_from_h1(h1_hat, grid, y, delta=0.05)
+
+
+@pytest.mark.parametrize("neta", [8, 33])
+def test_batched_spline_matches_scipy_per_row(neta):
+    rng = np.random.default_rng(neta)
+    eta = np.arange(neta) * (5.0 / (neta - 1))
+    steps = 0.02 + rng.random((6, neta - 1)) * rng.choice([0.1, 1.0, 10.0], (6, 1))
+    table = np.concatenate([np.zeros((6, 1)), np.cumsum(steps, axis=1)], axis=1)
+    # queries past the longest row's end, and exactly on some knots
+    y = np.sort(np.concatenate([np.linspace(0.0, 1.2 * table.max(), 301),
+                                table[0], table[3, 2:5]]))
+    got = _spline_inverse(table, eta, y)
+    for i in range(table.shape[0]):
+        want = CubicSpline(table[i], eta, bc_type="not-a-knot",
+                           extrapolate=False)(y)
+        np.testing.assert_array_equal(got[i], want)
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_pchip_fallback_replaces_only_rough_rows():
+    grid = make_grid(4, 17, 8.0, 0.01, 0.02)
+    rough = np.where(np.sin(3.0 * grid.eta) > 0, 10.0, 0.06)
+    smooth = 1.0 + 0.5 * np.tanh(grid.eta)
+    h1_hat = np.stack([smooth, rough, smooth[::-1], rough])
+    table = cumulative_trapezoid(1.0 / h1_hat, grid.eta, axis=1, initial=0.0)
+    y = np.linspace(0.0, 1.1 * table.max(), 80)
+    psi = stream_from_h1(h1_hat, grid, y, delta=0.05)
+    for i in range(4):
+        spline = CubicSpline(table[i], grid.eta, bc_type="not-a-knot",
+                             extrapolate=False)(y)
+        pchip = PchipInterpolator(table[i], grid.eta, extrapolate=False)(y)
+        spline, pchip = (np.where(np.isnan(f), grid.eta_max, f)
+                         for f in (spline, pchip))
+        assert np.any(np.diff(spline) < 0.0) == (i % 2 == 1)
+        assert not np.array_equal(spline, pchip)
+        np.testing.assert_array_equal(psi[i], pchip if i % 2 else spline)
+
+
+@pytest.mark.parametrize("neta", [8, 33])
+def test_shared_index_interpolation_matches_np_interp(neta):
+    rng = np.random.default_rng(100 + neta)
+    eta = np.arange(neta) * (6.0 / (neta - 1))
+    fields = rng.standard_normal((6, 5, neta))
+    psi = rng.uniform(-0.5, eta[-1] + 0.5, (5, 40))
+    psi[:, :neta] = eta            # exactly at every knot
+    psi[:, -3:] = [0.0, eta[-1], 0.5 * (eta[1] + eta[2])]
+    located = _locate_in_eta(eta, psi)
+    for f in fields:
+        got = _interp_at_psi(f, eta, located)
+        for i in range(psi.shape[0]):
+            np.testing.assert_array_equal(got[i], np.interp(psi[i], eta, f[i]))
 
 
 # ---------------------------------------------------------------------------
