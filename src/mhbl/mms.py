@@ -11,6 +11,13 @@ is evaluated with those analytic derivatives (never with the grid stencils)
 and fed to the solver; the discrete solution then converges to v_e at the
 scheme's order: second in space, first in time.
 
+Every shipped case is separable: each of (u1, theta, q) is
+c0 + a w(t, xi) g(eta), where a weight returns (w, d_t w, d_xi w) and a
+profile (g, g', g''); a factor that depends on none of its arguments
+returns floats.  So a case is data, three (c0, a, weight, profile) entries,
+and advection and shear share the profiles eta e^{-eta^2} and the
+wall-flat (1 + eta^2 + eta^4/2) e^{-eta^2}.
+
 The shipped library:
 
   constant:   the fixed point itself; zero source, machine-zero errors.
@@ -210,9 +217,65 @@ def write_study_csv(result: StudyResult, path: str) -> None:
 # --------------------------------------------------------------------------
 # case library
 
-def _stack(u1, theta, q) -> FloatArray:
-    u1, theta, q = np.broadcast_arrays(u1, theta, q)
-    return np.stack([u1, theta, q], axis=-1).astype(float)
+def _separable_case(name: str, params: Params, spec: OutflowSpec,
+                    eta_max: float, base_dt: float,
+                    components: Sequence[tuple]) -> ManufacturedCase:
+    """A case from the (c0, a, weight, profile) of u1, theta and q; each
+    field callable evaluates every distinct weight and profile once."""
+    weights = list(dict.fromkeys(c[2] for c in components))
+    profiles = list(dict.fromkeys(c[3] for c in components))
+
+    def field(w_part: int, g_part: int, with_c0: bool) -> FieldFn:
+        def fn(t, xi, eta):
+            ws = {w: w(t, xi) for w in weights}
+            gs = {g: g(eta) for g in profiles}
+            shape = np.broadcast_shapes(np.shape(xi), np.shape(eta))
+            out = np.empty(shape + (3,))
+            for i, (c0, a, w, g) in enumerate(components):
+                term = a * ws[w][w_part] * gs[g][g_part]
+                out[..., i] = c0 + term if with_c0 else term
+            return out
+        return fn
+
+    return ManufacturedCase(
+        name=name, params=params, outflow_spec=spec, eta_max=eta_max,
+        t_end=0.2, base_dt=base_dt, v=field(0, 0, True),
+        v_t=field(1, 0, False), v_xi=field(2, 0, False),
+        v_eta=field(0, 1, False), v_etaeta=field(0, 2, False))
+
+
+def _unit(*_):
+    """The constant factor 1, as a weight or a profile."""
+    return 1.0, 0.0, 0.0
+
+
+def _bump(eta):
+    """eta e^{-eta^2}: zero at the wall and decaying to the far edge."""
+    e = np.exp(-eta ** 2)
+    return (eta * e, (1.0 - 2.0 * eta ** 2) * e,
+            (4.0 * eta ** 3 - 6.0 * eta) * e)
+
+
+def _wall_flat(eta):
+    """(1 + eta^2 + eta^4/2) e^{-eta^2} = 1 - eta^6/6 + O(eta^8).
+
+    Flat to sixth order at the wall, so the one-sided Neumann closure there
+    is essentially exact and the measured q error reflects the interior
+    stencils rather than the wall node.
+    """
+    e = np.exp(-eta ** 2)
+    return ((1.0 + eta ** 2 + 0.5 * eta ** 4) * e, -(eta ** 5) * e,
+            (2.0 * eta ** 6 - 5.0 * eta ** 4) * e)
+
+
+def _wave_sin(t, xi):
+    s, c = np.sin(xi - t), np.cos(xi - t)
+    return s, -c, c
+
+
+def _wave_cos(t, xi):
+    s, c = np.sin(xi - t), np.cos(xi - t)
+    return c, s, -s
 
 
 def make_constant_case() -> ManufacturedCase:
@@ -220,127 +283,40 @@ def make_constant_case() -> ManufacturedCase:
     params = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.0, cV=1.0, delta=0.05)
     spec = OutflowSpec.constant(U=0.0, Theta=1.0, Hfield=1.0, P=1.5,
                                 theta_star=1.0)
-
-    def v(t, xi, eta):
-        z = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
-        return _stack(z, z + 1.0, z + 0.5)
-
-    def zero(t, xi, eta):
-        z = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
-        return _stack(z, z, z)
-
-    return ManufacturedCase(name="constant", params=params, outflow_spec=spec,
-                            eta_max=8.0, t_end=0.2, base_dt=0.02,
-                            v=v, v_t=zero, v_xi=zero, v_eta=zero, v_etaeta=zero)
+    return _separable_case("constant", params, spec, 8.0, 0.02, [
+        (0.0, 0.0, _unit, _unit), (1.0, 0.0, _unit, _unit),
+        (0.5, 0.0, _unit, _unit)])
 
 
 def make_advection_case() -> ManufacturedCase:
-    """Travelling wave in xi; weak diffusivities keep A d_xi v dominant.
-
-    The q profile is flat to sixth order at the wall, so the one-sided
-    Neumann closure there is essentially exact and the measured q error
-    reflects the interior stencils rather than the wall node.
-    """
+    """Travelling wave in xi; weak diffusivities keep A d_xi v dominant."""
     params = Params(mu=0.05, kappa=0.05, nu=0.05, R=1.0, cV=1.0, delta=0.05)
     spec = OutflowSpec.constant(U=0.0, Theta=1.0, Hfield=1.0, P=1.0,
                                 theta_star=1.0)
-    au, ath, aq = 0.10, 0.10, 0.10
-
-    def pieces(t, xi, eta):
-        e = np.exp(-eta ** 2)
-        gu = eta * e
-        dgu = (1.0 - 2.0 * eta ** 2) * e
-        d2gu = (4.0 * eta ** 3 - 6.0 * eta) * e
-        # e^{-eta^2}(1 + eta^2 + eta^4/2) = 1 - eta^6/6 + O(eta^8)
-        gq = (1.0 + eta ** 2 + 0.5 * eta ** 4) * e
-        dgq = -(eta ** 5) * e
-        d2gq = (2.0 * eta ** 6 - 5.0 * eta ** 4) * e
-        s, c = np.sin(xi - t), np.cos(xi - t)
-        return gu, dgu, d2gu, gq, dgq, d2gq, s, c
-
-    def v(t, xi, eta):
-        gu, _, _, gq, _, _, s, c = pieces(t, xi, eta)
-        return _stack(au * s * gu, 1.0 + ath * c * gu, 0.5 + aq * s * gq)
-
-    def v_t(t, xi, eta):
-        gu, _, _, gq, _, _, s, c = pieces(t, xi, eta)
-        return _stack(-au * c * gu, ath * s * gu, -aq * c * gq)
-
-    def v_xi(t, xi, eta):
-        gu, _, _, gq, _, _, s, c = pieces(t, xi, eta)
-        return _stack(au * c * gu, -ath * s * gu, aq * c * gq)
-
-    def v_eta(t, xi, eta):
-        _, dgu, _, _, dgq, _, s, c = pieces(t, xi, eta)
-        return _stack(au * s * dgu, ath * c * dgu, aq * s * dgq)
-
-    def v_etaeta(t, xi, eta):
-        _, _, d2gu, _, _, d2gq, s, c = pieces(t, xi, eta)
-        return _stack(au * s * d2gu, ath * c * d2gu, aq * s * d2gq)
-
-    return ManufacturedCase(name="advection", params=params, outflow_spec=spec,
-                            eta_max=8.0, t_end=0.2, base_dt=0.02,
-                            v=v, v_t=v_t, v_xi=v_xi, v_eta=v_eta,
-                            v_etaeta=v_etaeta)
+    return _separable_case("advection", params, spec, 8.0, 0.02, [
+        (0.0, 0.10, _wave_sin, _bump), (1.0, 0.10, _wave_cos, _bump),
+        (0.5, 0.10, _wave_sin, _wall_flat)])
 
 
 def make_shear_case() -> ManufacturedCase:
     """xi-independent layers with strong eta gradients; the quadratic f/F
-    terms carry the spatial balance.  The q profile is wall-flat to sixth
-    order for the same reason as in the advection case."""
+    terms carry the spatial balance."""
     params = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
     spec = OutflowSpec.constant(U=0.0, Theta=1.0, Hfield=1.0, P=1.0,
                                 theta_star=1.0)
-    au, ath, aq = 0.5, 0.3, 0.25
 
-    def parts(t, eta):
-        e = np.exp(-eta ** 2)
-        g = eta * e
-        dg = (1.0 - 2.0 * eta ** 2) * e
-        d2g = (4.0 * eta ** 3 - 6.0 * eta) * e
-        b = (1.0 + eta ** 2 + 0.5 * eta ** 4) * e
-        db = -(eta ** 5) * e
-        d2b = (2.0 * eta ** 6 - 5.0 * eta ** 4) * e
-        wu = 1.0 + 0.5 * math.sin(2.0 * t)
-        wth = 1.0 + 0.5 * math.cos(2.0 * t)
-        wq = 1.0 + 0.4 * math.sin(2.0 * t)
-        dwu = math.cos(2.0 * t)
-        dwth = -math.sin(2.0 * t)
-        dwq = 0.8 * math.cos(2.0 * t)
-        return g, dg, d2g, b, db, d2b, wu, wth, wq, dwu, dwth, dwq
+    def w_u(t, xi):
+        return 1.0 + 0.5 * math.sin(2.0 * t), math.cos(2.0 * t), 0.0
 
-    def v(t, xi, eta):
-        g, _, _, b, _, _, wu, wth, wq, _, _, _ = parts(t, eta)
-        one = np.ones_like(xi)
-        return _stack(au * wu * g * one, 1.0 + ath * wth * g * one,
-                      0.5 + aq * wq * b * one)
+    def w_theta(t, xi):
+        return 1.0 + 0.5 * math.cos(2.0 * t), -math.sin(2.0 * t), 0.0
 
-    def v_t(t, xi, eta):
-        g, _, _, b, _, _, _, _, _, dwu, dwth, dwq = parts(t, eta)
-        one = np.ones_like(xi)
-        return _stack(au * dwu * g * one, ath * dwth * g * one,
-                      aq * dwq * b * one)
+    def w_q(t, xi):
+        return 1.0 + 0.4 * math.sin(2.0 * t), 0.8 * math.cos(2.0 * t), 0.0
 
-    def v_xi(t, xi, eta):
-        z = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
-        return _stack(z, z, z)
-
-    def v_eta(t, xi, eta):
-        _, dg, _, _, db, _, wu, wth, wq, _, _, _ = parts(t, eta)
-        one = np.ones_like(xi)
-        return _stack(au * wu * dg * one, ath * wth * dg * one,
-                      aq * wq * db * one)
-
-    def v_etaeta(t, xi, eta):
-        _, _, d2g, _, _, d2b, wu, wth, wq, _, _, _ = parts(t, eta)
-        one = np.ones_like(xi)
-        return _stack(au * wu * d2g * one, ath * wth * d2g * one,
-                      aq * wq * d2b * one)
-
-    return ManufacturedCase(name="shear", params=params, outflow_spec=spec,
-                            eta_max=8.0, t_end=0.2, base_dt=0.02,
-                            v=v, v_t=v_t, v_xi=v_xi, v_eta=v_eta,
-                            v_etaeta=v_etaeta)
+    return _separable_case("shear", params, spec, 8.0, 0.02, [
+        (0.0, 0.5, w_u, _bump), (1.0, 0.3, w_theta, _bump),
+        (0.5, 0.25, w_q, _wall_flat)])
 
 
 def make_diffusion_case() -> ManufacturedCase:
@@ -350,51 +326,23 @@ def make_diffusion_case() -> ManufacturedCase:
     spec = OutflowSpec.constant(U=0.0, Theta=1.0, Hfield=1.0, P=1.0,
                                 theta_star=1.0)
     L = 4.0
-    au, ath, aq = 0.15, 0.15, 0.15
 
-    def weights(t):
-        return (math.sin(2.0 * t), math.cos(2.0 * t),
-                2.0 * math.cos(2.0 * t), -2.0 * math.sin(2.0 * t))
+    def w_sin(t, xi):
+        return math.sin(2.0 * t), 2.0 * math.cos(2.0 * t), 0.0
 
-    def v(t, xi, eta):
-        s, c, _, _ = weights(t)
-        one = np.ones_like(xi)
-        gu = 4.0 * (eta / L) * (1.0 - eta / L)
-        gq = 1.0 - (eta / L) ** 2
-        return _stack(au * s * gu * one, 1.0 + ath * c * gu * one,
-                      0.5 + aq * s * gq * one)
+    def w_cos(t, xi):
+        return math.cos(2.0 * t), -2.0 * math.sin(2.0 * t), 0.0
 
-    def v_t(t, xi, eta):
-        _, _, ds, dc = weights(t)
-        one = np.ones_like(xi)
-        gu = 4.0 * (eta / L) * (1.0 - eta / L)
-        gq = 1.0 - (eta / L) ** 2
-        return _stack(au * ds * gu * one, ath * dc * gu * one,
-                      aq * ds * gq * one)
+    def g_u(eta):
+        return (4.0 * (eta / L) * (1.0 - eta / L), 4.0 / L - 8.0 * eta / L ** 2,
+                -8.0 / L ** 2)
 
-    def v_xi(t, xi, eta):
-        z = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
-        return _stack(z, z, z)
+    def g_q(eta):
+        return 1.0 - (eta / L) ** 2, -2.0 * eta / L ** 2, -2.0 / L ** 2
 
-    def v_eta(t, xi, eta):
-        s, c, _, _ = weights(t)
-        one = np.ones_like(xi)
-        dgu = 4.0 / L - 8.0 * eta / L ** 2
-        dgq = -2.0 * eta / L ** 2
-        return _stack(au * s * dgu * one, ath * c * dgu * one,
-                      aq * s * dgq * one)
-
-    def v_etaeta(t, xi, eta):
-        s, c, _, _ = weights(t)
-        one = np.ones_like(xi) * np.ones_like(eta)
-        return _stack(au * s * (-8.0 / L ** 2) * one,
-                      ath * c * (-8.0 / L ** 2) * one,
-                      aq * s * (-2.0 / L ** 2) * one)
-
-    return ManufacturedCase(name="diffusion", params=params, outflow_spec=spec,
-                            eta_max=L, t_end=0.2, base_dt=0.04,
-                            v=v, v_t=v_t, v_xi=v_xi, v_eta=v_eta,
-                            v_etaeta=v_etaeta)
+    return _separable_case("diffusion", params, spec, L, 0.04, [
+        (0.0, 0.15, w_sin, g_u), (1.0, 0.15, w_cos, g_u),
+        (0.5, 0.15, w_sin, g_q)])
 
 
 def case_library() -> Dict[str, ManufacturedCase]:

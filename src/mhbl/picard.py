@@ -44,13 +44,14 @@ class Background:
         vbar = (phi U, phi Theta + (1 - phi) theta_star, H^2 / 2),
 
     sampled at every grid time level; vbar has shape (nsteps+1, nx, neta, 3).
+    vbar is trajectory-sized, so it is made read-only in place, not copied.
     """
 
     vbar: FloatArray
     phi: FloatArray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vbar", _frozen(self.vbar))
+        self.vbar.setflags(write=False)
         object.__setattr__(self, "phi", _frozen(self.phi))
 
 
@@ -167,18 +168,18 @@ class IterationReport:
     message: str = ""
 
 
+# The trajectory checks go level by level: no trajectory-sized temporaries.
 def _traj_admissible(traj: Trajectory, outflow: OutflowData,
                      params: Params) -> bool:
-    return admissibility(traj.data[..., 1], traj.data[..., 2],
-                         outflow.P[:, :, None], params, params.delta).ok
+    return all(admissibility(v[..., 1], v[..., 2], P[:, None], params,
+                             params.delta).ok
+               for v, P in zip(traj.data, outflow.P))
 
 
 def _traj_distance(a: Trajectory, b: Trajectory, grid: Grid) -> float:
-    w = grid.eta_weights()
-    diff2 = (a.data - b.data) ** 2
-    per_level = np.sqrt(np.sum(diff2 * w[None, None, :, None], axis=(1, 2, 3))
-                        * grid.dxi)
-    return float(np.max(per_level))
+    w = grid.eta_weights()[:, None]
+    return float(np.max([np.sqrt(np.sum((va - vb) ** 2 * w) * grid.dxi)
+                         for va, vb in zip(a.data, b.data)]))
 
 
 def _traj_norm(traj: Trajectory, background: Background, grid: Grid,

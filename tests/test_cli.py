@@ -20,9 +20,10 @@ from mhbl.cli import (
 )
 from mhbl.config import parse_config
 from mhbl.snapshots import emit_plot_data, read_snapshot, write_snapshot
-from mhbl import transform
+from mhbl import stepper, transform
 from mhbl.transform import pullback_physical, residual_original
-from mhbl import State, make_grid, sample_outflow
+from mhbl import (DegenerateStateError, LinearSolveError, State, make_grid,
+                  sample_outflow)
 
 
 def config_text(out_dir, **overrides):
@@ -202,6 +203,20 @@ def test_simulate_admissibility_loss_exit_4(tmp_path, capsys):
         t_end="0.08", compat_order="0")
     assert main(["simulate", str(path)]) == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [LinearSolveError, DegenerateStateError])
+def test_simulate_solver_failure_mid_march_exit_4(tmp_path, capsys,
+                                                  monkeypatch, error):
+    # a failed step solve is a solver error, not a non-convergence
+    def failing(self, rhs):
+        raise error("injected")
+
+    monkeypatch.setattr(stepper.BlockTridiag, "solve", failing)
+    path, _ = write_config(tmp_path)
+    assert main(["simulate", str(path)]) == EXIT_SOLVER
+    assert ("solver error: Picard iterate 1: time level 0: injected"
+            in capsys.readouterr().err)
 
 
 def test_check_identities_prints_pass_table(capsys):

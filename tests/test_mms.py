@@ -168,3 +168,54 @@ def test_exact_state_shape_and_time():
     st = exact_state(case, grid, 0.06)
     assert st.time == 0.06
     assert st.u1.shape == (8, 16)
+
+
+@pytest.mark.parametrize("name", ["constant", "advection", "shear",
+                                  "diffusion"])
+def test_case_derivatives_match_finite_differences(name):
+    # fourth-order central differences of v at random interior points
+    case = CASES[name]
+    h = 1e-3
+    rng = np.random.default_rng(7)
+    xi = rng.uniform(0.0, 2.0 * np.pi, (6, 1))
+    eta = rng.uniform(0.1, case.eta_max - 0.1, (1, 7))
+
+    def d1(f):
+        return (-f(2.0) + 8.0 * f(1.0) - 8.0 * f(-1.0) + f(-2.0)) / (12.0 * h)
+
+    def d2(f):
+        return (-f(2.0) + 16.0 * f(1.0) - 30.0 * f(0.0) + 16.0 * f(-1.0)
+                - f(-2.0)) / (12.0 * h * h)
+
+    for t in rng.uniform(2.0 * h, case.t_end, 3):
+        t = float(t)
+        checks = {
+            "v_t": d1(lambda s: case.v(t + s * h, xi, eta)),
+            "v_xi": d1(lambda s: case.v(t, xi + s * h, eta)),
+            "v_eta": d1(lambda s: case.v(t, xi, eta + s * h)),
+            "v_etaeta": d2(lambda s: case.v(t, xi, eta + s * h)),
+        }
+        for field, fd in checks.items():
+            np.testing.assert_allclose(getattr(case, field)(t, xi, eta), fd,
+                                       rtol=0, atol=1e-8, err_msg=field)
+
+
+def test_phase_shifted_case_shifts_the_source():
+    # the phase shift perfbench applies: every field callable is replaced,
+    # so the source must read each of them through the case
+    case = CASES["advection"]
+    grid = make_grid(16, 24, case.eta_max, case.base_dt, case.t_end)
+    outflow = sample_outflow(case.outflow_spec, grid)
+    phase = 2.0 * grid.dxi
+
+    def shifted(fn):
+        return lambda t, xi, eta: fn(t, xi + phase, eta)
+
+    moved = dataclasses.replace(
+        case, v=shifted(case.v), v_t=shifted(case.v_t),
+        v_xi=shifted(case.v_xi), v_eta=shifted(case.v_eta),
+        v_etaeta=shifted(case.v_etaeta))
+    base = manufacture_source(case, outflow, case.params, grid)
+    got = manufacture_source(moved, outflow, case.params, grid)
+    np.testing.assert_allclose(got, np.roll(base, -2, axis=1), rtol=0,
+                               atol=1e-12 * np.max(np.abs(base)))
