@@ -129,7 +129,7 @@ def run_simulate(config_text: str) -> int:
         print(f"non-convergence: {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    every = max(1, cfg.getint("output", "snapshot_every"))
+    every = cfg.getint("output", "snapshot_every")
     nt = grid.nsteps
     levels = sorted(set(list(range(0, nt + 1, every)) + [nt]))
     mid = nt // 2

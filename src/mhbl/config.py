@@ -212,16 +212,19 @@ def parse_config(text: str) -> RunConfig:
     cfg.make_grid()
     cfg.outflow_spec()
     cfg.initial_profiles()
-    cfg.getfloat("picard", "tol")
-    cfg.getint("picard", "max_iter")
-    cfg.getint("picard", "compat_order")
+    tol = cfg.getfloat("picard", "tol")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"[picard] tol must be finite and >= 0, got {tol!r}")
+    if cfg.getint("picard", "compat_order") not in (0, 1):
+        raise ConfigError("[picard] compat_order must be 0 or 1")
     if cfg.get("picard", "on_admissibility_loss") not in ("abort", "continue"):
         raise ConfigError("[picard] on_admissibility_loss must be "
                           "'abort' or 'continue'")
-    cfg.getint("output", "snapshot_every")
     cfg.getbool("output", "emit_plots")
-    if cfg.getint("initial", "ny") < 4:
-        raise ConfigError("[initial] ny must be at least 4")
+    for section, key, least in (("initial", "ny", 4), ("picard", "max_iter", 1),
+                                ("output", "snapshot_every", 1)):
+        if cfg.getint(section, key) < least:
+            raise ConfigError(f"[{section}] {key} must be at least {least}")
     if cfg.getfloat("initial", "y_max") <= 0:
         raise ConfigError("[initial] y_max must be positive")
     return cfg

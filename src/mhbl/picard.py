@@ -39,32 +39,33 @@ def cutoff_phi(eta) -> FloatArray:
 
 @dataclass(frozen=True)
 class Background:
-    """Background trajectory vbar interpolating wall and outflow data:
+    """Background vbar interpolating wall and outflow data:
 
-        vbar = (phi U, phi Theta + (1 - phi) theta_star, H^2 / 2),
+        vbar = (phi U, phi Theta + (1 - phi) theta_star, H^2 / 2).
 
-    sampled at every grid time level; vbar has shape (nsteps+1, nx, neta, 3).
-    vbar is trajectory-sized, so it is made read-only in place, not copied.
+    It is a closed form in the outflow rows and the cutoff phi(eta), so it is
+    evaluated one time level at a time and never stored as a trajectory.
     """
 
-    vbar: FloatArray
+    outflow: OutflowData
     phi: FloatArray
 
     def __post_init__(self) -> None:
-        self.vbar.setflags(write=False)
         object.__setattr__(self, "phi", _frozen(self.phi))
+
+    def components(self, k: int) -> FloatArray:
+        """vbar at time level k as its three (nx, neta) component fields,
+        stacked on axis 0: shape (3, nx, neta)."""
+        o, phi = self.outflow, self.phi[None, :]
+        out = np.empty((3, o.U.shape[1], phi.shape[1]))
+        out[0] = o.U[k][:, None] * phi
+        out[1] = o.Theta[k][:, None] * phi + o.theta_star[k][:, None] * (1.0 - phi)
+        out[2] = 0.5 * o.Hfield[k][:, None] ** 2
+        return out
 
 
 def build_background(outflow: OutflowData, grid: Grid) -> Background:
-    phi = np.asarray(cutoff_phi(grid.eta))
-    nt = grid.nsteps
-    vbar = np.empty((nt + 1, grid.nx, grid.neta, 3))
-    for k in range(nt + 1):
-        vbar[k, :, :, 0] = outflow.U[k][:, None] * phi[None, :]
-        vbar[k, :, :, 1] = (outflow.Theta[k][:, None] * phi[None, :]
-                            + outflow.theta_star[k][:, None] * (1.0 - phi[None, :]))
-        vbar[k, :, :, 2] = 0.5 * outflow.Hfield[k][:, None] ** 2
-    return Background(vbar=vbar, phi=phi)
+    return Background(outflow=outflow, phi=cutoff_phi(grid.eta))
 
 
 @dataclass(frozen=True)
@@ -132,15 +133,17 @@ def build_zeroth_approx(background: Background, compat: CompatibilitySet,
         v0(tau) = vbar(tau) + sum_j tau^j / j! (v0_j - d_tau^j vbar(0)),
 
     so that d_tau^j v0(0) = v0_j for j <= order while the far-field behavior
-    of vbar is kept.  d_tau vbar(0) is a one-sided difference of the sampled
-    background.
+    of vbar is kept.  d_tau vbar(0) is a one-sided difference of the first
+    background levels.
     """
     nt = grid.nsteps
-    vbar = background.vbar
-    data = np.array(vbar)
-    dvbar0 = [vbar[0]]
+    data = np.empty((nt + 1, grid.nx, grid.neta, 3))
+    for k in range(nt + 1):
+        data[k] = np.moveaxis(background.components(k), 0, -1)
+    # read d_tau^j vbar(0) off the first levels before they are corrected
+    dvbar0 = [data[0].copy()]
     if compat.order >= 1:
-        dvbar0.append(_ddt0(vbar, grid.dt))
+        dvbar0.append(_ddt0(data[:3], grid.dt))
     for k in range(nt + 1):
         tau = grid.times[k]
         for j in range(compat.order + 1):
@@ -155,7 +158,7 @@ class IterationReport:
     distances[n] is the trajectory distance sup_k || v^{n+1} - v^n ||_L2
     after iterate n+1; ratios are successive quotients.  admissible[n] flags
     iterate n (entry 0 is the zeroth approximation).  norm_history tracks
-    sup_k || v^n - vbar ||_{H^k} for the report's norm order.
+    sup_k || v^n - vbar ||_{H^1}.
     """
 
     converged: bool
@@ -168,39 +171,41 @@ class IterationReport:
     message: str = ""
 
 
-# The trajectory checks go level by level: no trajectory-sized temporaries.
-def _traj_admissible(traj: Trajectory, outflow: OutflowData,
-                     params: Params) -> bool:
-    return all(admissibility(v[..., 1], v[..., 2], P[:, None], params,
-                             params.delta).ok
-               for v, P in zip(traj.data, outflow.P))
+def _measure(traj: Trajectory, prev: Optional[Trajectory],
+             background: Background, params: Params, grid: Grid):
+    """One pass over the levels of an iterate.
 
-
-def _traj_distance(a: Trajectory, b: Trajectory, grid: Grid) -> float:
+    Returns (distance, admissible, norm): the trajectory distance
+    sup_k || v(k) - prev(k) ||_L2 (None when prev is None), whether every
+    level lies in the admissible set with margin delta, and the deviation
+    sup_k || v(k) - vbar(k) ||_{H^1}.  A NaN anywhere in a level makes the
+    distance and the norm NaN; in theta or q it also fails admissibility.
+    """
+    spec = NormSpec(k=1)
     w = grid.eta_weights()[:, None]
-    return float(np.max([np.sqrt(np.sum((va - vb) ** 2 * w) * grid.dxi)
-                         for va, vb in zip(a.data, b.data)]))
-
-
-def _traj_norm(traj: Trajectory, background: Background, grid: Grid,
-               k: int) -> float:
-    spec = NormSpec(k=k)
-    best = 0.0
-    for lvl in range(traj.nlevels):
-        w = traj.data[lvl] - background.vbar[lvl]
-        total = 0.0
-        for c in range(3):
-            total += discrete_norm(w[..., c], spec, grid) ** 2
-        best = max(best, math.sqrt(total))
-    return best
+    dists: List[float] = []
+    norms: List[float] = []
+    ok = True
+    for k, v in enumerate(traj.data):
+        if prev is not None:
+            dists.append(np.sqrt(np.sum((v - prev.data[k]) ** 2 * w) * grid.dxi))
+        ok = ok and admissibility(v[..., 1], v[..., 2],
+                                  background.outflow.P[k][:, None], params,
+                                  params.delta).ok
+        vbar = background.components(k)
+        norms.append(math.sqrt(sum(
+            discrete_norm(v[..., c] - vbar[c], spec, grid) ** 2
+            for c in range(3))))
+    # np.max, not max(): the builtin drops a NaN that is not first
+    dist = None if prev is None else float(np.max(dists))
+    return dist, ok, float(np.max(norms))
 
 
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                  tol: float = 1e-8, max_iter: int = 30,
                  compat_order: int = 1,
                  on_admissibility_loss: str = "abort",
-                 source: Optional[FloatArray] = None,
-                 norm_order: int = 1):
+                 source: Optional[FloatArray] = None):
     """Run the frozen-coefficient iteration to tolerance.
 
     Preconditions: v0 admissible with margin 2*delta (theta >= 2 delta,
@@ -216,6 +221,8 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
 
     Returns (trajectory, IterationReport).
     """
+    if max_iter < 1:
+        raise GridSizingError(f"max_iter must be at least 1, got {max_iter}")
     if on_admissibility_loss not in ("abort", "continue"):
         raise GridSizingError(
             f"on_admissibility_loss must be 'abort' or 'continue', "
@@ -232,55 +239,46 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     background = build_background(outflow, grid)
     compat = compatibility_derivatives(v0, outflow, params, grid,
                                        order=compat_order)
-    prev = build_zeroth_approx(background, compat, grid)
-
-    admissible = [_traj_admissible(prev, outflow, params)]
+    traj = build_zeroth_approx(background, compat, grid)
+    prev: Optional[Trajectory] = None
     distances: List[float] = []
     ratios: List[float] = []
-    norms: List[float] = [_traj_norm(prev, background, grid, norm_order)]
+    admissible: List[bool] = []
+    norms: List[float] = []
     clamp = False
-    if not admissible[0]:
-        if on_admissibility_loss == "abort":
-            return prev, IterationReport(
-                converged=False, iterations=0, distances=[], ratios=[],
-                admissible=admissible, norm_history=norms, aborted=True,
-                message="zeroth approximation left the admissible set; "
-                        "shorten t_end or fix the data")
-        clamp = True
-
-    traj = prev
-    converged = False
-    message = ""
-    n_done = 0
-    for n in range(1, max_iter + 1):
-        try:
-            traj = solve_linear_problem(prev, v0, outflow, params, grid,
-                                        source=source, clamp=clamp)
-        except (LinearSolveError, CFLError, DegenerateStateError) as exc:
-            raise type(exc)(f"Picard iterate {n}: {exc}") from exc
-        n_done = n
-        distances.append(_traj_distance(traj, prev, grid))
-        if len(distances) >= 2 and distances[-2] > 0.0:
-            ratios.append(distances[-1] / distances[-2])
-        ok = _traj_admissible(traj, outflow, params)
+    # iterate 0 is the zeroth approximation: measured, never solved for
+    for n in range(max_iter + 1):
+        if n > 0:
+            try:
+                traj = solve_linear_problem(prev, v0, outflow, params, grid,
+                                            source=source, clamp=clamp)
+            except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+                raise type(exc)(f"Picard iterate {n}: {exc}") from exc
+        dist, ok, norm = _measure(traj, prev, background, params, grid)
         admissible.append(ok)
-        norms.append(_traj_norm(traj, background, grid, norm_order))
+        norms.append(norm)
+        if dist is not None:
+            distances.append(dist)
+            if len(distances) >= 2 and distances[-2] > 0.0:
+                ratios.append(distances[-1] / distances[-2])
         if not ok:
             if on_admissibility_loss == "abort":
                 return traj, IterationReport(
                     converged=False, iterations=n, distances=distances,
                     ratios=ratios, admissible=admissible, norm_history=norms,
                     aborted=True,
-                    message=f"iterate {n} left the admissible set")
+                    message=f"iterate {n} left the admissible set" if n else
+                    "zeroth approximation left the admissible set; "
+                    "shorten t_end or fix the data")
             clamp = True
-        if distances[-1] <= tol:
-            converged = True
+        if n > 0 and distances[-1] <= tol:
             break
         prev = traj
-    if not converged:
-        message = (f"no convergence after {n_done} iterations; "
-                   f"last distance {distances[-1]:.3e} > tol {tol:g}")
+    converged = distances[-1] <= tol
+    message = "" if converged else (
+        f"no convergence after {n} iterations; "
+        f"last distance {distances[-1]:.3e} > tol {tol:g}")
     return traj, IterationReport(
-        converged=converged, iterations=n_done, distances=distances,
+        converged=converged, iterations=n, distances=distances,
         ratios=ratios, admissible=admissible, norm_history=norms,
         aborted=False, message=message)

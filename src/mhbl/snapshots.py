@@ -113,12 +113,12 @@ def _write_csv(path: str, header: List[str], rows) -> None:
         wr.writerows(rows)
 
 
-def emit_plot_data(obj, out_dir: str, grid=None, xi_index: int = 0) -> List[str]:
+def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
     """Write plain CSV plot data for a Trajectory, an IterationReport or a
     residual report, plus a gnuplot script referencing the files.
 
     Trajectories produce one profile file per component (eta against the
-    field at the selected xi index, one column per stored time level).
+    field at the first xi node, one column per stored time level).
     Iteration reports produce the contraction history.  Returns the list of
     files written.
     """
@@ -134,7 +134,7 @@ def emit_plot_data(obj, out_dir: str, grid=None, xi_index: int = 0) -> List[str]
         for c, name in enumerate(names):
             path = os.path.join(out_dir, f"profile_{name}.csv")
             header = ["eta"] + [f"t={t:.6g}" for t in obj.times]
-            cols = [eta] + [obj.data[k, xi_index, :, c] for k in range(obj.nlevels)]
+            cols = [eta] + [obj.data[k, 0, :, c] for k in range(obj.nlevels)]
             rows = list(zip(*[np.asarray(col) for col in cols]))
             _write_csv(path, header, rows)
             written.append(path)
@@ -157,11 +157,10 @@ def emit_plot_data(obj, out_dir: str, grid=None, xi_index: int = 0) -> List[str]
         written.append(path)
         return written
     # fall through: any object with max_norm/l2_norm pairs counts as residuals
-    if hasattr(obj, "max_norm"):
+    if hasattr(obj, "max_norm") and hasattr(obj, "l2_norm"):
         path = os.path.join(out_dir, "residuals.csv")
         maxn = np.atleast_1d(np.asarray(obj.max_norm, dtype=float))
-        l2 = getattr(obj, "l2_norm", None)
-        l2 = np.full_like(maxn, np.nan) if l2 is None else np.atleast_1d(np.asarray(l2))
+        l2 = np.atleast_1d(np.asarray(obj.l2_norm))
         rows = [[i, f"{m:.12e}", f"{l:.12e}"] for i, (m, l) in enumerate(zip(maxn, l2))]
         _write_csv(path, ["equation", "max_norm", "l2_norm"], rows)
         written.append(path)

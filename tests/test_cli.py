@@ -178,6 +178,19 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "missing.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_iter", "0"), ("max_iter", "-3"), ("compat_order", "2"),
+    ("tol", "nan"), ("tol", "inf"), ("tol", "-1e-9"), ("snapshot_every", "0"),
+])
+def test_simulate_rejects_bad_picard_and_output_values(tmp_path, capsys, key,
+                                                       value):
+    path, out_dir = write_config(tmp_path, **{key: value})
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not out_dir.exists()
+
+
 def test_simulate_precondition_exit_3(tmp_path, capsys):
     path, _ = write_config(tmp_path, h1_0="0.01 + 0.0*y")
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION

@@ -8,6 +8,8 @@ linear solver preserves constants exactly, so the iteration must converge
 in one step with distance at rounding level.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,8 @@ from mhbl.picard import (
     cutoff_phi,
     picard_solve,
 )
-from mhbl import coeffs, picard
+from mhbl import coeffs, mms, picard
+from mhbl.diagnostics import NormSpec, discrete_norm
 from mhbl.stepper import Trajectory, apply_derivative
 
 PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
@@ -80,33 +83,37 @@ def test_background_interpolates_wall_and_outflow():
     data = sample_outflow(OutflowSpec.constant(
         U=0.3, Theta=2.0, Hfield=1.2, P=2.0, theta_star=0.7), grid)
     bg = build_background(data, grid)
-    assert bg.vbar.shape == (grid.nsteps + 1, grid.nx, grid.neta, 3)
     phi = cutoff_phi(grid.eta)
     np.testing.assert_allclose(bg.phi, phi, atol=0)
     for k in (0, grid.nsteps):
+        vbar = bg.components(k)
+        assert vbar.shape == (3, grid.nx, grid.neta)
         np.testing.assert_allclose(
-            bg.vbar[k, :, 0], np.broadcast_to([0.0, 0.7, 0.72], (grid.nx, 3)),
+            vbar[:, :, 0], np.broadcast_to([[0.0], [0.7], [0.72]], (3, grid.nx)),
             rtol=0, atol=1e-15)                            # wall: phi = 0
         np.testing.assert_allclose(
-            bg.vbar[k, :, -1], np.broadcast_to([0.3, 2.0, 0.72], (grid.nx, 3)),
+            vbar[:, :, -1], np.broadcast_to([[0.3], [2.0], [0.72]], (3, grid.nx)),
             rtol=0, atol=1e-15)                            # far: phi = 1
         np.testing.assert_allclose(
-            bg.vbar[k, :, :, 1],
+            vbar[1],
             np.broadcast_to(2.0 * phi + 0.7 * (1.0 - phi), (grid.nx, grid.neta)),
             rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        bg.vbar[0, 0, 0, 0] = 9.0     # frozen
+        bg.phi[0] = 9.0               # frozen
 
 
 def test_background_tracks_time_varying_traces():
     grid = make_grid(6, 25, 6.0, 0.05, 0.2)
-    spec = OutflowSpec(mode="functions", U=0.1,
+    bg = build_background(sample_outflow(time_varying_spec(), grid), grid)
+    for k in range(grid.nsteps + 1):
+        np.testing.assert_allclose(bg.components(k)[1, :, -1],
+                                   1.0 + grid.times[k], rtol=0, atol=1e-15)
+
+
+def time_varying_spec():
+    return OutflowSpec(mode="functions", U=0.1,
                        Theta=lambda t, xi: 1.0 + t + 0.0 * xi,
                        Hfield=1.0, P=3.0, theta_star=0.5)
-    bg = build_background(sample_outflow(spec, grid), grid)
-    for k in range(grid.nsteps + 1):
-        np.testing.assert_allclose(bg.vbar[k, :, -1, 1], 1.0 + grid.times[k],
-                                   rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +221,13 @@ def test_zeroth_approx_order_zero_is_background_when_data_matches():
     data = sample_outflow(OutflowSpec.constant(
         U=0.0, Theta=1.0, Hfield=1.0, P=1.5, theta_star=1.0), grid)
     bg = build_background(data, grid)
-    v0 = State(u1=bg.vbar[0, ..., 0], theta=bg.vbar[0, ..., 1],
-               q=bg.vbar[0, ..., 2])
+    u1, theta, q = bg.components(0)
+    v0 = State(u1=u1, theta=theta, q=q)
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=0)
     traj = build_zeroth_approx(bg, cs, grid)
-    np.testing.assert_allclose(traj.data, bg.vbar, rtol=0, atol=0)
+    vbar = np.stack([np.moveaxis(bg.components(k), 0, -1)
+                     for k in range(grid.nsteps + 1)])
+    np.testing.assert_allclose(traj.data, vbar, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +357,94 @@ def test_admissibility_loss_continue_mode_flags_and_runs():
     assert report.admissible[0] is False
     assert report.iterations >= 1
     assert np.all(np.isfinite(traj.data))
+
+
+def test_max_iter_below_one_rejected_before_any_work(monkeypatch):
+    grid, data = constant_setup()
+    monkeypatch.setattr(picard, "build_background", None)   # never reached
+    for bad in (0, -3):
+        with pytest.raises(GridSizingError, match="max_iter"):
+            picard_solve(State.constant(grid, 0.0, 1.0, 0.5), data, PARAMS,
+                         grid, max_iter=bad)
+
+
+# ---------------------------------------------------------------------------
+# per-iterate measurement
+
+def test_norm_history_matches_stacked_background_reference(monkeypatch):
+    # time-varying outflow: the background differs from level to level, so a
+    # level paired with the wrong background row would show in the norm
+    grid = make_grid(6, 25, 6.0, 0.05, 0.2)
+    data = sample_outflow(time_varying_spec(), grid)
+    phi = cutoff_phi(grid.eta)[None, :]
+    eta = grid.eta[None, :]
+    bump = 0.03 * np.sin(grid.xi)[:, None] * (eta ** 2 * np.exp(-eta))
+    v0 = State(u1=0.1 * phi + bump, theta=phi + 0.5 * (1 - phi) + bump,
+               q=0.5 + bump)
+    iterates = []
+    real = picard.solve_linear_problem
+
+    def recording(v_prev, *args, **kwargs):
+        if not iterates:
+            iterates.append(v_prev.data.copy())            # zeroth iterate
+        out = real(v_prev, *args, **kwargs)
+        iterates.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(picard, "solve_linear_problem", recording)
+    _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-16, max_iter=3)
+    assert len(report.norm_history) == len(iterates) == 4
+
+    vbar = np.empty((grid.nsteps + 1, grid.nx, grid.neta, 3))
+    vbar[..., 0] = data.U[:, :, None] * phi
+    vbar[..., 1] = (data.Theta[:, :, None] * phi
+                    + data.theta_star[:, :, None] * (1.0 - phi))
+    vbar[..., 2] = 0.5 * data.Hfield[:, :, None] ** 2
+    spec = NormSpec(k=1)
+    for got, traj in zip(report.norm_history, iterates):
+        want = max(np.sqrt(sum(discrete_norm(w[..., c], spec, grid) ** 2
+                               for c in range(3)))
+                   for w in traj - vbar)
+        assert got == pytest.approx(want, rel=1e-14)
+    assert report.norm_history[0] > 0.0
+
+
+def test_measure_propagates_a_nan_level():
+    grid, data = constant_setup()
+    bg = build_background(data, grid)
+    level = State.constant(grid, 0.0, 1.0, 0.5).as_array()
+    prev = Trajectory(data=np.stack([level] * (grid.nsteps + 1)),
+                      times=grid.times.copy())
+    traj = Trajectory(data=prev.data.copy(), times=prev.times)
+    dist, ok, norm = picard._measure(traj, prev, bg, PARAMS, grid)
+    assert dist == 0.0 and ok and norm <= 1e-13
+    # a NaN level after the first: the builtin max() would drop it
+    traj.data[2] = np.nan
+    dist, ok, norm = picard._measure(traj, prev, bg, PARAMS, grid)
+    assert np.isnan(dist) and np.isnan(norm) and ok is False
+    dist, ok, norm = picard._measure(traj, None, bg, PARAMS, grid)
+    assert dist is None and np.isnan(norm) and ok is False
+
+
+def test_picard_peak_memory_stays_below_three_and_a_half_sources():
+    # the 32x64 level of criterion 04's advection study; the source is built
+    # before tracing starts, so the peak counts only what picard_solve holds:
+    # the previous and the current iterate, one step's work arrays (about
+    # 0.9 trajectory at 42 levels) and no stored background
+    case = mms.case_library()["advection"]
+    deta0 = case.eta_max / 31
+    dt = case.base_dt * (case.eta_max / 63 / deta0) ** 2
+    nsteps = int(round(case.t_end / dt))
+    grid = make_grid(32, 64, case.eta_max, case.t_end / nsteps, case.t_end)
+    outflow = sample_outflow(case.outflow_spec, grid)
+    source = mms.manufacture_source(case, outflow, case.params, grid)
+    v0 = mms.exact_state(case, grid, 0.0)
+    tracemalloc.start()
+    try:
+        _, report = picard_solve(v0, outflow, case.params, grid, tol=1e-10,
+                                 max_iter=40, source=source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak / source.nbytes < 3.5

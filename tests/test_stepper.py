@@ -14,8 +14,11 @@ import ast
 import pathlib
 import re
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import mhbl
 from mhbl import (
@@ -126,6 +129,23 @@ def test_block_solve_matches_dense_oracle(nb, m):
         rng = np.random.default_rng(42)
         sys = random_block_system(rng, nb, m, k)
         assert_matches_dense(sys, rng.normal(size=(nb, m, k)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), nb=st.integers(1, 4), m=st.integers(1, 6),
+       data=st.data())
+def test_block_solve_property_matches_dense(k, nb, m, data):
+    # strictly diagonally dominant rows: nonsingular without any pivoting
+    def blocks():
+        return data.draw(hnp.arrays(np.float64, (nb, m, k, k),
+                                    elements=st.floats(-1.0, 1.0)))
+    L, D, U = blocks(), blocks(), blocks()
+    off = (np.abs(L).sum(axis=-1) + np.abs(U).sum(axis=-1)
+           + np.abs(D).sum(axis=-1) - np.abs(np.diagonal(D, axis1=-2, axis2=-1)))
+    D[..., np.arange(k), np.arange(k)] = 1.0 + off
+    rhs = data.draw(hnp.arrays(np.float64, (nb, m, k),
+                               elements=st.floats(-1.0, 1.0)))
+    assert_matches_dense(BlockTridiag(lower=L, diag=D, upper=U), rhs)
 
 
 def test_block_solve_detects_singular_block():
