@@ -14,6 +14,13 @@ S(v) makes S A symmetric and S B = diag(2 mu theta^2 q, 2 kappa theta q,
 nu theta^2) positive definite; eval_symmetrizer returns the closed forms of
 S, S A, S B and S F so tests can verify the products independently.
 
+Only 21 of the 36 entries of A, B, F and G are nonzero: A 6 (its diagonal is
+u1), B 5, F 7 and G 3.  Each is written once, in the per-matrix entry
+functions below, keyed by its slot ("a02" is A[..., 0, 2]).  frozen_entries
+returns them all from one denominator pass for the time stepper;
+eval_advection, eval_diffusion and eval_lower_order place them into dense
+matrices.
+
 All functions broadcast: v has shape (..., 3), P broadcasts against
 v[..., 0], and matrices come back with shape (..., 3, 3).
 """
@@ -33,6 +40,15 @@ def _split(v: FloatArray):
     return v[..., 0], v[..., 1], v[..., 2]
 
 
+def _at(bad: FloatArray) -> str:
+    """' at eta row j, xi column i' for the first True of an (nx, neta) mask;
+    other shapes are not a grid level, and name no node."""
+    if np.ndim(bad) != 2:
+        return ""
+    i, j = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    return f" at eta row {j}, xi column {i}"
+
+
 def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
     """Common strictly-positive factors; raises if any falls below the guard."""
     P = np.asarray(P, dtype=float)
@@ -42,7 +58,7 @@ def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
         if not (np.min(arr) >= DENOM_GUARD):  # also catches NaN
             raise DegenerateStateError(
                 f"{name} = {float(np.min(arr)):.3e} fell below the "
-                f"{DENOM_GUARD:g} degeneracy guard")
+                f"{DENOM_GUARD:g} degeneracy guard{_at(~(arr >= DENOM_GUARD))}")
     return P, Pmq, Q
 
 
@@ -50,44 +66,108 @@ def _alloc(shape) -> FloatArray:
     return np.zeros(shape + (3, 3))
 
 
+def _dense(shape, entries: dict) -> FloatArray:
+    """Zero (..., 3, 3) matrices with the named entries in their slots."""
+    M = _alloc(shape)
+    for name, value in entries.items():
+        M[..., int(name[1]), int(name[2])] = value
+    return M
+
+
+def _advection_entries(theta, q, Pmq, Q, params: Params) -> dict:
+    """Off-diagonal nonzeros of A(v); A's diagonal is u1."""
+    a, R = params.a, params.R
+    return {"a02": -R * theta / Pmq,
+            "a10": 2.0 * a * theta * q / Q,
+            "a20": -2.0 * Pmq * q / Q}
+
+
+def _radius(u1, theta, q, Q, params: Params) -> FloatArray:
+    return np.abs(u1) + np.sqrt(2.0 * params.R * theta * q / Q)
+
+
+def _diffusion_entries(theta, q, P, Pmq, Q, params: Params) -> dict:
+    """Nonzeros of B(v): a 1x1 u1 block and a 2x2 (theta, q) block."""
+    a = params.a
+    mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
+    tq = 2.0 * q
+    return {"b00": tq * mu * R * theta / Pmq,
+            "b11": tq * kappa * a * theta * (P + q) / (Q * Pmq),
+            "b12": tq * (-nu * a * theta / Q),
+            "b21": tq * (-2.0 * kappa * a * q / Q),
+            "b22": tq * nu * Pmq / Q}
+
+
+def _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params: Params) -> dict:
+    """Nonzeros of F(v, d_eta v); F's u1 row is (c_vis dq, 0, 0)."""
+    a = params.a
+    mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
+    c_vis = nu - mu * R * theta / Pmq
+    return {"f00": c_vis * dq,
+            "f10": -2.0 * mu * a * theta * q * (P + q) / (Q * Pmq) * du1,
+            "f11": -kappa * a * theta * (P + q) / (Q * Pmq) * dq,
+            "f12": nu * dtheta - nu * a * theta * (P + q) / (Q * Pmq) * dq,
+            "f20": 4.0 * mu * a * q ** 2 / Q * du1,
+            "f21": 2.0 * kappa * a * q / Q * dq,
+            "f22": nu * (P + q) / Q * dq}
+
+
+def _pressure_entries(u1, Pmq, Q, P_t, P_xi, params: Params):
+    """Nonzeros of G(v), and the material derivative P_t + u1 P_xi that g
+    shares with them."""
+    a, R = params.a, params.R
+    material_P = P_t + P_xi * u1
+    return {"g01": R * P_xi / Pmq,
+            "g11": -a * material_P / Q,
+            "g22": -2.0 * (1.0 - a) * material_P / Q}, material_P
+
+
+def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
+                   params: Params) -> dict:
+    """The nonzero entries of A, B, F and G at v, plus the spectral radius.
+
+    Keys are u1 (A's diagonal), a02 a10 a20, b00 b11 b12 b21 b22, f00 f10
+    f11 f12 f20 f21 f22, g01 g11 g22 and adv_radius; each value has v's
+    shape without the last axis.  dv is d_eta v.  Besides the denominator
+    guard, raises DegenerateStateError where u1 is not finite.
+    """
+    u1, theta, q = _split(v)
+    du1, dtheta, dq = _split(dv)
+    P, Pmq, Q = _denominators(theta, q, P, params)
+    bad = ~np.isfinite(u1)
+    if bad.any():
+        raise DegenerateStateError(
+            f"u1 = {float(u1[bad][0])} is not finite{_at(bad)}")
+    G, _ = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
+    return {"u1": np.ascontiguousarray(u1),
+            **_advection_entries(theta, q, Pmq, Q, params),
+            **_diffusion_entries(theta, q, P, Pmq, Q, params),
+            **_gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params),
+            **G, "adv_radius": _radius(u1, theta, q, Q, params)}
+
+
 def eval_advection(v: FloatArray, P, params: Params) -> FloatArray:
     """Advection matrix A(v); eigenvalues are u1 and u1 +- sqrt(2 R theta q / Q)."""
     u1, theta, q = _split(v)
     P, Pmq, Q = _denominators(theta, q, P, params)
-    a, R = params.a, params.R
     shape = np.broadcast_shapes(u1.shape, P.shape)
-    A = _alloc(shape)
-    A[..., 0, 0] = u1
-    A[..., 0, 2] = -R * theta / Pmq
-    A[..., 1, 0] = 2.0 * a * theta * q / Q
-    A[..., 1, 1] = u1
-    A[..., 2, 0] = -2.0 * Pmq * q / Q
-    A[..., 2, 2] = u1
-    return A
+    return _dense(shape, {"a00": u1, "a11": u1, "a22": u1,
+                          **_advection_entries(theta, q, Pmq, Q, params)})
 
 
 def advection_radius(v: FloatArray, P, params: Params) -> FloatArray:
     """Spectral radius |u1| + sqrt(2 R theta q / Q) of A(v), elementwise."""
     u1, theta, q = _split(v)
     P, Pmq, Q = _denominators(theta, q, P, params)
-    return np.abs(u1) + np.sqrt(2.0 * params.R * theta * q / Q)
+    return _radius(u1, theta, q, Q, params)
 
 
 def eval_diffusion(v: FloatArray, P, params: Params) -> FloatArray:
     """Diffusion matrix B(v): 1x1 block for u1 plus a 2x2 block in (theta, q)."""
     u1, theta, q = _split(v)
     P, Pmq, Q = _denominators(theta, q, P, params)
-    a = params.a
-    mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     shape = np.broadcast_shapes(u1.shape, P.shape)
-    B = _alloc(shape)
-    tq = 2.0 * q
-    B[..., 0, 0] = tq * mu * R * theta / Pmq
-    B[..., 1, 1] = tq * kappa * a * theta * (P + q) / (Q * Pmq)
-    B[..., 1, 2] = tq * (-nu * a * theta / Q)
-    B[..., 2, 1] = tq * (-2.0 * kappa * a * q / Q)
-    B[..., 2, 2] = tq * nu * Pmq / Q
-    return B
+    return _dense(shape, _diffusion_entries(theta, q, P, Pmq, Q, params))
 
 
 def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
@@ -107,40 +187,24 @@ def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     shape = np.broadcast_shapes(u1.shape, du1.shape, P.shape)
+    F = _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params)
+    G, material_P = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
 
-    # common composite factors
-    c_vis = nu - mu * R * theta / Pmq            # u1 row prefactor
     c_mid = a * theta * (P + q) / (Q * Pmq)      # theta row prefactor
     quad = (2.0 * mu * q * du1 ** 2 + kappa * dq * dtheta + nu * dq ** 2)
-
     f = np.zeros(shape + (3,))
-    f[..., 0] = c_vis * dq * du1
+    f[..., 0] = F["f00"] * du1
     f[..., 1] = nu * dq * dtheta - c_mid * quad
     f[..., 2] = (a / Q) * (4.0 * mu * q ** 2 * du1 ** 2
                            + 2.0 * kappa * q * dq * dtheta
                            + (nu * (P + q) / a) * dq ** 2)
 
-    F = _alloc(shape)
-    F[..., 0, 0] = c_vis * dq
-    F[..., 1, 0] = -2.0 * mu * a * theta * q * (P + q) / (Q * Pmq) * du1
-    F[..., 1, 1] = -kappa * a * theta * (P + q) / (Q * Pmq) * dq
-    F[..., 1, 2] = nu * dtheta - nu * a * theta * (P + q) / (Q * Pmq) * dq
-    F[..., 2, 0] = 4.0 * mu * a * q ** 2 / Q * du1
-    F[..., 2, 1] = 2.0 * kappa * a * q / Q * dq
-    F[..., 2, 2] = nu * (P + q) / Q * dq
-
-    material_P = P_t + P_xi * u1
     g = np.zeros(shape + (3,))
     g[..., 0] = R * P_xi * theta / Pmq
     g[..., 1] = -a * material_P * theta / Q
     g[..., 2] = -2.0 * (1.0 - a) * material_P * q / Q
 
-    G = _alloc(shape)
-    G[..., 0, 1] = R * P_xi / Pmq
-    G[..., 1, 1] = -a * material_P / Q
-    G[..., 2, 2] = -2.0 * (1.0 - a) * material_P / Q
-
-    return f, F, g, G
+    return f, _dense(shape, F), g, _dense(shape, G)
 
 
 def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,

@@ -18,7 +18,8 @@ class PreconditionError(MhblError, ValueError):
 
 
 class DegenerateStateError(MhblError, ValueError):
-    """A coefficient denominator (P - q, Q, q, theta) fell below the guard."""
+    """A coefficient denominator (P - q, Q, q, theta) fell below the guard,
+    or a frozen u1 is not finite."""
 
 
 class NondegeneracyError(MhblError, ValueError):

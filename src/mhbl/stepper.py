@@ -4,15 +4,18 @@ One Picard stage solves the linear system
 
     d_tau v + A0 d_xi v + F0 d_eta v + G0 v = B0 d_eta^2 v + s,
 
-with all coefficient matrices frozen from the previous iterate.  The step is
-first-order IMEX: the eta operators (F0 d_eta and B0 d_eta^2) are implicit,
-block tridiagonal per xi column, and A0 d_xi and G0 are explicit with centered
-periodic differences.  The implicit operator is block lower-triangular in the
-components: u1 couples only to itself (B is a 1x1 u1 block plus a 2x2
-(theta, q) block, and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees
-u1 only through F[1:, 0].  So each step makes two pivoted banded LU solves
-(LAPACK dgbsv) over all columns at once: the scalar u1 system, then the 2x2
-(theta, q) system with the u1 couplings moved to its right-hand side.
+with all coefficient matrices frozen from the previous iterate.  The step
+never forms the dense 3x3 matrices: FrozenCoeffs holds their 21 nonzero
+entries (19 arrays, A's diagonal being u1) from one coeffs.frozen_entries
+pass per time level.  The step is first-order IMEX: the eta operators
+(F0 d_eta and B0 d_eta^2) are implicit, block tridiagonal per xi column, and
+A0 d_xi and G0 are explicit with centered periodic differences, nine products
+in all.  The implicit operator is block lower-triangular in the components:
+u1 couples only to itself (B is a 1x1 u1 block plus a 2x2 (theta, q) block,
+and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees u1 only through
+F[1:, 0].  So each step makes two pivoted banded LU solves (LAPACK dgbsv) over
+all columns at once: the scalar u1 system, then the 2x2 (theta, q) system
+with the u1 couplings moved to its right-hand side.
 Explicit advection with centered differences is only weakly stable, so steps
 refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
 advection-dominated regimes need that bound respected.
@@ -136,23 +139,40 @@ class BlockTridiag:
 
 @dataclass
 class FrozenCoeffs:
-    """Coefficient matrices frozen from one previous-iterate time level.
+    """The nonzero entries of A, B, F, G frozen from one previous-iterate
+    time level, each a contiguous (nx, neta) array.
 
-    A, B, F, G have shape (nx, neta, 3, 3).  adv_radius is the per-node
-    spectral radius of A used for the CFL refusal check.
+    u1 is A's diagonal; a02 is A[..., 0, 2] and so on for the other 18 (see
+    coeffs.frozen_entries).  adv_radius is the per-node spectral radius of A
+    used for the CFL refusal check.
     """
 
-    A: FloatArray
-    B: FloatArray
-    F: FloatArray
-    G: FloatArray
+    u1: FloatArray
+    a02: FloatArray
+    a10: FloatArray
+    a20: FloatArray
+    b00: FloatArray
+    b11: FloatArray
+    b12: FloatArray
+    b21: FloatArray
+    b22: FloatArray
+    f00: FloatArray
+    f10: FloatArray
+    f11: FloatArray
+    f12: FloatArray
+    f20: FloatArray
+    f21: FloatArray
+    f22: FloatArray
+    g01: FloatArray
+    g11: FloatArray
+    g22: FloatArray
     adv_radius: FloatArray
 
     @staticmethod
     def from_state(v: FloatArray, P_row: FloatArray, P_t_row: FloatArray,
                    P_xi_row: FloatArray, params: Params, grid: Grid,
                    clamp: bool = False) -> "FrozenCoeffs":
-        """Evaluate A, B, F, G at a previous-iterate level v (nx, neta, 3).
+        """Evaluate the entries at a previous-iterate level v (nx, neta, 3).
 
         P_row etc. are the outflow pressure rows (nx,) at the same time
         level.  With clamp=True, theta and q are pushed back inside the
@@ -167,12 +187,8 @@ class FrozenCoeffs:
             v[..., 1] = np.maximum(v[..., 1], d)
             v[..., 2] = np.clip(v[..., 2], d, P - d)
         dv = apply_derivative(v, grid, axis="eta", order=1)
-        A = coeffs.eval_advection(v, P, params)
-        B = coeffs.eval_diffusion(v, P, params)
-        _, F, _, G = coeffs.eval_lower_order(v, dv, P, P_t_row[:, None],
-                                             P_xi_row[:, None], params)
-        radius = coeffs.advection_radius(v, P, params)
-        return FrozenCoeffs(A=A, B=B, F=F, G=G, adv_radius=radius)
+        return FrozenCoeffs(**coeffs.frozen_entries(
+            v, dv, P, P_t_row[:, None], P_xi_row[:, None], params))
 
 
 def apply_bcs(v: State, outflow: OutflowData, grid: Grid) -> State:
@@ -195,47 +211,60 @@ def _set_boundary_rows(a: FloatArray, outflow: OutflowData, k: int) -> FloatArra
     return a
 
 
-def _step_arrays(v: FloatArray, time: float, frozen: FrozenCoeffs,
+def _eta_weights(F: FloatArray, B: FloatArray, dt: float, deta: float):
+    """Blocks (L, D, U) of the implicit eta operator on the interior rows,
+    from one component block of F and B, shape (nx, m, k, k):
+    L = -f - b, D = I/dt + 2 b, U = f - b with f = F/(2 deta), b = B/deta^2."""
+    f, b = F / (2.0 * deta), B / deta ** 2
+    return -f - b, np.eye(F.shape[-1]) / dt + 2.0 * b, f - b
+
+
+def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
                  outflow: OutflowData, params: Params, grid: Grid,
                  source: Optional[FloatArray] = None) -> FloatArray:
     """Advance raw state arrays (nx, neta, 3) one step; returns new arrays."""
     dt, dxi, deta = grid.dt, grid.dxi, grid.deta
-    radius = float(np.max(frozen.adv_radius))
+    radius = float(np.max(fc.adv_radius))
     if radius > 0.0 and dt > CFL_CONSTANT * dxi / radius:
         raise CFLError(
             f"dt = {dt:g} exceeds the advection bound "
             f"{CFL_CONSTANT * dxi / radius:g} (spectral radius {radius:g})")
 
     k_new = outflow.time_index(time + dt)
-    dxv = apply_derivative(v, grid, axis="xi", order=1)
-    expl = (np.einsum("xeij,xej->xei", frozen.A, dxv)
-            + np.einsum("xeij,xej->xei", frozen.G, v))
-    rhs_full = v / dt - expl
+    # explicit A d_xi v + G v from the nine nonzero products, each row summed
+    # in column order
+    dx = apply_derivative(v, grid, axis="xi", order=1)
+    rhs_full = v / dt
+    rhs_full[..., 0] -= fc.u1 * dx[..., 0] + fc.a02 * dx[..., 2] + fc.g01 * v[..., 1]
+    rhs_full[..., 1] -= fc.a10 * dx[..., 0] + fc.u1 * dx[..., 1] + fc.g11 * v[..., 1]
+    rhs_full[..., 2] -= fc.a20 * dx[..., 0] + fc.u1 * dx[..., 2] + fc.g22 * v[..., 2]
     if source is not None:
-        rhs_full = rhs_full + source
+        rhs_full += source
 
-    # interior rows 1..neta-2 of the eta operator, per component block:
-    # L = -F/(2 deta) - B/deta^2, D = I/dt + 2 B/deta^2, U = F/(2 deta) - B/deta^2.
     # The boundary rows are set first, as the folds and the u1 couplings read
     # them; the wall q follows once the interior is solved.
     sl = slice(1, -1)
-    F, B = frozen.F[:, sl], frozen.B[:, sl]
     out = _set_boundary_rows(np.zeros_like(v), outflow, k_new)
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
-    f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
-    U = f - b
-    rhs = rhs_full[:, sl, :1].copy()
+    L, D, U = _eta_weights(fc.f00[:, sl, None, None], fc.b00[:, sl, None, None],
+                           dt, deta)
+    rhs = rhs_full[:, sl, :1]
     rhs[:, -1] -= U[:, -1, :, 0] * out[:, -1, :1]
-    out[:, sl, :1] = BlockTridiag(lower=-f - b, diag=1.0 / dt + 2.0 * b,
-                                  upper=U).solve(rhs)
+    out[:, sl, :1] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
 
     # (theta, q): u1 enters only through F[1:, 0] (B[1:, 0] = 0), as
     # F[1:, 0] (u1[i+1] - u1[i-1]) / (2 deta), moved to the right-hand side
-    f, b = F[..., 1:, 1:] / (2.0 * deta), B[..., 1:, 1:] / deta ** 2
-    L, D, U = -f - b, np.eye(2) / dt + 2.0 * b, f - b
-    rhs = rhs_full[:, sl, 1:] - F[..., 1:, 0] * (
-        (out[:, 2:, :1] - out[:, :-2, :1]) / (2.0 * deta))
+    shape = (grid.nx, grid.neta - 2, 2, 2)
+    L, D, U = _eta_weights(
+        np.stack([fc.f11[:, sl], fc.f12[:, sl], fc.f21[:, sl], fc.f22[:, sl]],
+                 axis=-1).reshape(shape),
+        np.stack([fc.b11[:, sl], fc.b12[:, sl], fc.b21[:, sl], fc.b22[:, sl]],
+                 axis=-1).reshape(shape), dt, deta)
+    rhs = rhs_full[:, sl, 1:]
+    du1 = (out[:, 2:, 0] - out[:, :-2, 0]) / (2.0 * deta)
+    rhs[..., 0] -= fc.f10[:, sl] * du1
+    rhs[..., 1] -= fc.f20[:, sl] * du1
     # fold the wall row: theta0 = theta_star, q0 = wall_q(q1, q2)
     rhs[:, 0] -= L[:, 0, :, 0] * out[:, 0, 1:2]
     D[:, 0, :, 1] += WALL_Q_WEIGHTS[0] * L[:, 0, :, 1]

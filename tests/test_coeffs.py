@@ -2,11 +2,15 @@
 
 The closed forms of S, S A, S B and S F are coded independently of A, B, F,
 so multiplying and comparing is a real cross-check of the algebra, not a
-tautology.
+tautology.  The dense matrices are in turn pinned, bit for bit, to the
+named nonzero entries that the time stepper reads.
 """
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mhbl import DegenerateStateError, Params
 from mhbl.coeffs import (
@@ -15,6 +19,7 @@ from mhbl.coeffs import (
     eval_diffusion,
     eval_lower_order,
     eval_symmetrizer,
+    frozen_entries,
 )
 
 # reference point used throughout: v = (0, 1, 1/2), P = 1, all physical
@@ -131,6 +136,73 @@ def test_identity_suite_random_samples():
         assert rel_err(np.einsum("nij,nj->ni", G, v), g) < 1e-12
 
 
+@st.composite
+def admissible_grids(draw, delta=0.05):
+    """An (nx, neta) admissible level against (nx, 1) pressure rows, as the
+    stepper evaluates it, with its eta gradient and parameters."""
+    nx, neta = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def arr(shape, lo, hi):
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+    P = arr((nx, 1), 0.5, 5.0)
+    q = delta + arr((nx, neta), 0.0, 1.0) * (P - 2.0 * delta)
+    v = np.stack([arr((nx, neta), -2.0, 2.0), arr((nx, neta), delta, 5.0), q],
+                 axis=-1)
+    dv = arr((nx, neta, 3), -3.0, 3.0)
+    P_t, P_xi = arr((nx, 1), -3.0, 3.0), arr((nx, 1), -3.0, 3.0)
+    params = Params(*(draw(st.floats(0.1, 10.0)) for _ in range(5)),
+                    delta=delta)
+    return v, dv, P, P_t, P_xi, params
+
+
+#: nonzero slots of A, B, F, G; A's diagonal is the u1 entry
+NONZERO = {"A": ("u1", "a02", "a10", "a20"),
+           "B": ("b00", "b11", "b12", "b21", "b22"),
+           "F": ("f00", "f10", "f11", "f12", "f20", "f21", "f22"),
+           "G": ("g01", "g11", "g22")}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(admissible_grids())
+def test_dense_matrices_are_the_named_entries_in_their_slots(case):
+    v, dv, P, P_t, P_xi, params = case
+    entries = frozen_entries(v, dv, P, P_t, P_xi, params)
+    assert set(entries) == {n for names in NONZERO.values() for n in names} | {
+        "adv_radius"}
+    _, F, _, G = eval_lower_order(v, dv, P, P_t, P_xi, params)
+    dense = {"A": eval_advection(v, P, params), "B": eval_diffusion(v, P, params),
+             "F": F, "G": G}
+    slots = 0
+    for matrix, names in NONZERO.items():
+        M = dense[matrix].copy()
+        for name in names:
+            at = [(i, i) for i in range(3)] if name == "u1" else [
+                (int(name[1]), int(name[2]))]
+            for i, j in at:
+                assert np.array_equal(M[..., i, j], entries[name])
+                M[..., i, j] = 0.0
+                slots += 1
+        assert np.all(M == 0.0)   # the structural zeros are exact
+    assert slots == 21
+    assert np.array_equal(entries["adv_radius"], advection_radius(v, P, params))
+    for value in entries.values():
+        assert value.shape == v.shape[:-1] and value.flags.c_contiguous
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(admissible_grids())
+def test_symmetrizer_identities_property(case):
+    v, dv, P, P_t, P_xi, params = case
+    A = eval_advection(v, P, params)
+    B = eval_diffusion(v, P, params)
+    _, F, _, _ = eval_lower_order(v, dv, P, P_t, P_xi, params)
+    S, SA, SB, SF = eval_symmetrizer(v, dv, P, params)
+    assert rel_err(S @ A, SA) < 1e-12
+    assert rel_err(S @ B, SB) < 1e-12
+    assert rel_err(S @ F, SF) < 1e-12
+
+
 def test_u1_is_decoupled_in_the_implicit_eta_operator():
     # the stepper solves u1 first and then (theta, q): B is a 1x1 u1 block
     # plus a 2x2 (theta, q) block, and F's u1 row is (c_vis dq, 0, 0)
@@ -190,6 +262,17 @@ def test_degenerate_states_raise(v, P):
         eval_lower_order(v, np.zeros(3), P, 0.0, 0.0, PARAMS1)
     with pytest.raises(DegenerateStateError):
         eval_symmetrizer(v, np.zeros(3), P, PARAMS1)
+
+
+def test_degeneracy_error_names_the_first_node():
+    v = np.stack([np.zeros((4, 6)), np.ones((4, 6)), np.full((4, 6), 0.5)],
+                 axis=-1)
+    v[2, 3, 1] = 0.0
+    v[3, 1, 1] = -1.0
+    with pytest.raises(DegenerateStateError,
+                       match=r"^theta = -1\.000e\+00 fell below .* guard at "
+                             r"eta row 3, xi column 2$"):
+        eval_advection(v, np.full((4, 1), 1.0), PARAMS1)
 
 
 def test_degenerate_Q_raises():

@@ -430,7 +430,7 @@ def test_picard_peak_memory_stays_below_three_and_a_half_sources():
     # the 32x64 level of criterion 04's advection study; the source is built
     # before tracing starts, so the peak counts only what picard_solve holds:
     # the previous and the current iterate, one step's work arrays (about
-    # 0.9 trajectory at 42 levels) and no stored background
+    # 0.7 trajectory at 42 levels) and no stored background
     case = mms.case_library()["advection"]
     deta0 = case.eta_max / 31
     dt = case.base_dt * (case.eta_max / 63 / deta0) ** 2

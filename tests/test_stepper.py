@@ -7,12 +7,17 @@ Oracles used here:
     any block size and for a whole step as the coupled 3x3 system,
   * a scalar implicit-Euler heat march written out longhand,
   * the exact one-step update of pure explicit advection,
-  * a source scan that keeps the LAPACK band format inside the stepper.
+  * the step written longhand with the dense coeffs.eval_* matrices and
+    np.einsum, which must agree bit for bit with the entry-wise step,
+  * source scans that keep the LAPACK band format inside the stepper and
+    the dense coefficient path out of it.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -32,6 +37,7 @@ from mhbl import (
     make_grid,
     sample_outflow,
 )
+from mhbl import coeffs
 from mhbl.stepper import (
     CFL_CONSTANT,
     BlockTridiag,
@@ -208,10 +214,11 @@ def diag_coeffs(grid, b0=0.0, c0=0.0):
     """Hand-built frozen coefficients: A = c0 I (explicit advection) and
     B = b0 I (implicit diffusion); F = G = 0."""
     shape = (grid.nx, grid.neta)
-    eye = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-    zero = np.zeros(shape + (3, 3))
-    return FrozenCoeffs(A=c0 * eye, B=b0 * eye, F=zero.copy(), G=zero.copy(),
-                        adv_radius=np.full(shape, abs(c0)))
+    entries = {f.name: np.zeros(shape) for f in dataclasses.fields(FrozenCoeffs)}
+    entries.update(u1=np.full(shape, c0), b00=np.full(shape, b0),
+                   b11=np.full(shape, b0), b22=np.full(shape, b0),
+                   adv_radius=np.full(shape, abs(c0)))
+    return FrozenCoeffs(**entries)
 
 
 def test_step_matches_scalar_heat_march():
@@ -301,15 +308,27 @@ def test_step_is_affine_in_the_state():
     np.testing.assert_allclose(s1 - s0, s2 - s1, rtol=0, atol=1e-12)
 
 
-def coupled_step(v, frozen, outflow, g, source):
+def dense_coeffs(v, outflow, P_t, P_xi, g, k=0):
+    """A, B, F, G at a coefficient level v as dense (nx, neta, 3, 3) matrices
+    from coeffs.eval_*, the layout the stepper does not use."""
+    P = outflow.P[k][:, None]
+    dv = apply_derivative(v, g, axis="eta", order=1)
+    _, F, _, G = coeffs.eval_lower_order(v, dv, P, P_t[:, None], P_xi[:, None],
+                                         PARAMS)
+    return (coeffs.eval_advection(v, P, PARAMS),
+            coeffs.eval_diffusion(v, P, PARAMS), F, G)
+
+
+def coupled_step(v, dense, outflow, g, source):
     """One step as the coupled 3x3 block system with the wall and far rows
     folded in, solved densely column by column."""
     dt, deta, sl = g.dt, g.deta, slice(1, -1)
     k_new = outflow.time_index(g.dt)
+    A, B, F, G = dense
     dxv = apply_derivative(v, g, axis="xi", order=1)
-    rhs = (v / dt - np.einsum("xeij,xej->xei", frozen.A, dxv)
-           - np.einsum("xeij,xej->xei", frozen.G, v) + source)[:, sl]
-    F, B = frozen.F[:, sl], frozen.B[:, sl]
+    rhs = (v / dt - np.einsum("xeij,xej->xei", A, dxv)
+           - np.einsum("xeij,xej->xei", G, v) + source)[:, sl]
+    F, B = F[:, sl], B[:, sl]
     L = -F / (2.0 * deta) - B / deta ** 2
     D = np.eye(3) / dt + 2.0 * B / deta ** 2
     U = F / (2.0 * deta) - B / deta ** 2
@@ -332,16 +351,96 @@ def test_step_matches_coupled_block_system():
     v = np.stack([rng.uniform(-0.3, 0.3, (g.nx, g.neta)),
                   rng.uniform(0.8, 1.2, (g.nx, g.neta)),
                   rng.uniform(0.5, 0.9, (g.nx, g.neta))], axis=-1)
-    frozen = FrozenCoeffs.from_state(v, outflow.P[0], rng.normal(size=g.nx),
-                                     rng.normal(size=g.nx), PARAMS, g)
-    assert np.min(np.abs(frozen.F[:, 1:-1, 1:, 0])) > 0.0
+    P_t, P_xi = rng.normal(size=g.nx), rng.normal(size=g.nx)
+    frozen = FrozenCoeffs.from_state(v, outflow.P[0], P_t, P_xi, PARAMS, g)
+    assert np.min(np.abs([frozen.f10[:, 1:-1], frozen.f20[:, 1:-1]])) > 0.0
     source = rng.normal(size=v.shape)
     got = _step_arrays(v, 0.0, frozen, outflow, PARAMS, g, source=source)
+    dense = dense_coeffs(v, outflow, P_t, P_xi, g)
     np.testing.assert_allclose(got[:, 1:-1],
-                               coupled_step(v, frozen, outflow, g, source),
+                               coupled_step(v, dense, outflow, g, source),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(
         got, apply_bcs(State.from_array(got, time=g.dt), outflow, g).as_array())
+
+
+def dense_step(v, dense, outflow, g, source):
+    """One step written longhand from the dense matrices with np.einsum, the
+    eta weights spelled out per block."""
+    A, B, F, G = dense
+    dt, deta, sl = g.dt, g.deta, slice(1, -1)
+    dxv = apply_derivative(v, g, axis="xi", order=1)
+    expl = (np.einsum("xeij,xej->xei", A, dxv)
+            + np.einsum("xeij,xej->xei", G, v))
+    rhs_full = v / dt - expl + source
+    F, B = F[:, sl], B[:, sl]
+    out = apply_bcs(State.from_array(np.zeros_like(v), time=dt), outflow,
+                    g).as_array()
+    f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
+    U = f - b
+    rhs = rhs_full[:, sl, :1].copy()
+    rhs[:, -1] -= U[:, -1, :, 0] * out[:, -1, :1]
+    out[:, sl, :1] = BlockTridiag(lower=-f - b, diag=1.0 / dt + 2.0 * b,
+                                  upper=U).solve(rhs)
+    f, b = F[..., 1:, 1:] / (2.0 * deta), B[..., 1:, 1:] / deta ** 2
+    L, D, U = -f - b, np.eye(2) / dt + 2.0 * b, f - b
+    rhs = rhs_full[:, sl, 1:] - F[..., 1:, 0] * (
+        (out[:, 2:, :1] - out[:, :-2, :1]) / (2.0 * deta))
+    rhs[:, 0] -= L[:, 0, :, 0] * out[:, 0, 1:2]
+    D[:, 0, :, 1] += 4.0 / 3.0 * L[:, 0, :, 1]
+    U[:, 0, :, 1] -= 1.0 / 3.0 * L[:, 0, :, 1]
+    rhs[:, -1] -= (U[:, -1] @ out[:, -1, 1:, None])[..., 0]
+    out[:, sl, 1:] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
+    out[:, 0, 2] = (4.0 * out[:, 1, 2] - out[:, 2, 2]) / 3.0
+    return out
+
+
+def random_level(rng, g, u=0.3):
+    return np.stack([rng.uniform(-u, u, (g.nx, g.neta)),
+                     rng.uniform(0.8, 1.2, (g.nx, g.neta)),
+                     rng.uniform(0.5, 0.9, (g.nx, g.neta))], axis=-1)
+
+
+@pytest.mark.parametrize("nx,neta,seed", [(6, 12, 0), (16, 32, 1), (5, 8, 2)])
+def test_step_matches_dense_formulation_bit_for_bit(nx, neta, seed):
+    # the nine explicit products and the entry-wise eta blocks keep the
+    # operation order of the dense formulation: every sum over j runs in
+    # order, and the dropped terms are exact zeros
+    g = small_grid(nx=nx, neta=neta)
+    outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
+                               theta_star=0.9)
+    rng = np.random.default_rng(seed)
+    coeff, v = random_level(rng, g), random_level(rng, g)
+    P_t, P_xi = rng.normal(size=g.nx), rng.normal(size=g.nx)
+    source = rng.normal(size=v.shape)
+    frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], P_t, P_xi, PARAMS, g)
+    dense = dense_coeffs(coeff, outflow, P_t, P_xi, g)
+    np.testing.assert_array_equal(
+        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g, source=source),
+        dense_step(v, dense, outflow, g, source))
+    np.testing.assert_array_equal(
+        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g),
+        dense_step(v, dense, outflow, g, 0.0))
+
+
+def test_step_peak_memory_stays_below_33_levels():
+    # frozen entries, the explicit products, the eta blocks and the band
+    # solve together; the dense 3x3 layout alone took 12 level-sized arrays
+    g = make_grid(32, 64, 3.0, 0.01, 0.05)
+    outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
+                               theta_star=0.9)
+    rng = np.random.default_rng(4)
+    coeff, v = random_level(rng, g), random_level(rng, g)
+    P_t, P_xi = rng.normal(size=g.nx), rng.normal(size=g.nx)
+    tracemalloc.start()
+    try:
+        frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], P_t, P_xi,
+                                         PARAMS, g)
+        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / v.nbytes < 33.0
 
 
 def test_cfl_refusal():
@@ -427,7 +526,8 @@ def test_frozen_coeffs_numeric_radius_matches_closed_form():
     v = State.constant(g, 0.3, 1.2, 0.4).as_array()
     fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                  outflow.P_xi[0], PARAMS, g)
-    numeric_radius = np.max(np.abs(np.linalg.eigvals(fc.A)), axis=-1)
+    A, _, _, _ = dense_coeffs(v, outflow, outflow.P_t[0], outflow.P_xi[0], g)
+    numeric_radius = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
     np.testing.assert_allclose(fc.adv_radius, numeric_radius,
                                rtol=1e-12, atol=1e-12)
 
@@ -455,7 +555,7 @@ def test_frozen_coeffs_clamp_recovers_inadmissible_state():
                                 outflow.P_xi[0], PARAMS, g)
     fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                  outflow.P_xi[0], PARAMS, g, clamp=True)
-    assert np.all(np.isfinite(fc.A))
+    assert all(np.all(np.isfinite(e)) for e in dataclasses.astuple(fc))
 
 
 @pytest.mark.parametrize("error", [DegenerateStateError, CFLError,
@@ -475,6 +575,33 @@ def test_march_errors_name_the_time_level(error):
         source[3, 1, 4, 2] = np.nan           # enters the step off level 2
     with pytest.raises(error, match="^time level 2: "):
         solve_linear_problem(coeff, v, outflow, PARAMS, g, source=source)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_march_rejects_non_finite_frozen_u1(value):
+    # u1 has no denominator guard; without its own check a NaN skipped the
+    # CFL refusal and surfaced as a solver error, an inf as a CFL error
+    g = small_grid()
+    outflow = constant_outflow(g)
+    v = State.constant(g, 0.0, 1.0, 0.5)
+    coeff = constant_trajectory(g, v)
+    coeff.data[2, 3, 5, 0] = value
+    with pytest.raises(DegenerateStateError,
+                       match=r"^time level 2: u1 = (nan|inf) is not finite "
+                             r"at eta row 5, xi column 3$"):
+        solve_linear_problem(coeff, v, outflow, PARAMS, g)
+
+
+def test_stepper_keeps_the_dense_coefficient_path_out_of_the_march():
+    # the march reads the nonzero entries only; the dense 3x3 matrices serve
+    # coeffs.operator, the identity checks and the tests
+    tree = ast.parse((SRC / "stepper.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    names += [node.attr if isinstance(node, ast.Attribute) else node.id
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Attribute, ast.Name))]
+    assert [n for n in names if n == "einsum" or n.startswith("eval_")] == []
 
 
 def test_lapack_is_imported_only_by_the_stepper():
