@@ -37,7 +37,8 @@ def _split(v: FloatArray):
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise DegenerateStateError(f"state vector must have last axis 3, got {v.shape}")
-    return v[..., 0], v[..., 1], v[..., 2]
+    # contiguous copies: arithmetic on the strided views is slower
+    return v[..., 0].copy(), v[..., 1].copy(), v[..., 2].copy()
 
 
 def _at(bad: FloatArray) -> str:
@@ -139,7 +140,7 @@ def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
         raise DegenerateStateError(
             f"u1 = {float(u1[bad][0])} is not finite{_at(bad)}")
     G, _ = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
-    return {"u1": np.ascontiguousarray(u1),
+    return {"u1": u1,
             **_advection_entries(theta, q, Pmq, Q, params),
             **_diffusion_entries(theta, q, P, Pmq, Q, params),
             **_gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params),

@@ -35,34 +35,39 @@ def _multi_indices(k: int):
     return [(a1, a2) for a1 in range(k + 1) for a2 in range(k + 1 - a1)]
 
 
-def _derivative_power(f: FloatArray, grid: Grid, a1: int, a2: int) -> FloatArray:
-    """Mixed derivative d_xi^a1 d_eta^a2 f via the second-order stencils."""
+def _derivative_power(f: FloatArray, grid: Grid, a1: int, a2: int,
+                      axis: int = 0) -> FloatArray:
+    """Mixed derivative d_xi^a1 d_eta^a2 f via the second-order stencils,
+    with xi along the given axis of f and eta along the next."""
     out = f
-    if a1 == 1:
-        out = apply_derivative(out, grid, axis="xi", order=1)
-    elif a1 == 2:
-        out = apply_derivative(out, grid, axis="xi", order=2)
-    if a2 == 1:
-        out = apply_derivative(out, grid, axis="eta", order=1)
-    elif a2 == 2:
-        out = apply_derivative(out, grid, axis="eta", order=2)
+    if a1:
+        out = periodic_diff(out, grid.dxi, axis, a1)
+    if a2:
+        out = bounded_diff(out, grid.deta, axis + 1, a2)
     return out
 
 
-def _l2_sq(f: FloatArray, grid: Grid) -> float:
+def _l2_sq(f: FloatArray, grid: Grid):
+    """Squared L2 norm over the last two axes (xi, eta) of f."""
     w = grid.eta_weights()
-    return float(np.sum(f ** 2 * w[None, :]) * grid.dxi)
+    return np.sum(f ** 2 * w, axis=(-2, -1)) * grid.dxi
 
 
-def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid) -> float:
-    """Discrete H^k norm of a scalar field (nx, neta)."""
+def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid):
+    """Discrete H^k norm of a scalar field (nx, neta), as a float.
+
+    A stack of fields (..., nx, neta) gives the array of their norms from
+    one pass of each stencil.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.nx, grid.neta):
+    if f.shape[-2:] != (grid.nx, grid.neta):
         raise GridSizingError(f"field shape {f.shape} does not match the grid")
     total = 0.0
     for a1, a2 in _multi_indices(spec.k):
-        total += _l2_sq(_derivative_power(f, grid, a1, a2), grid)
-    return float(np.sqrt(total))
+        total = total + _l2_sq(_derivative_power(f, grid, a1, a2, f.ndim - 2),
+                               grid)
+    norm = np.sqrt(total)
+    return float(norm) if f.ndim == 2 else norm
 
 
 def energy_functional(v: State, vbar: FloatArray, v_frozen: State,

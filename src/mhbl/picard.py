@@ -192,10 +192,9 @@ def _measure(traj: Trajectory, prev: Optional[Trajectory],
         ok = ok and admissibility(v[..., 1], v[..., 2],
                                   background.outflow.P[k][:, None], params,
                                   params.delta).ok
-        vbar = background.components(k)
-        norms.append(math.sqrt(sum(
-            discrete_norm(v[..., c] - vbar[c], spec, grid) ** 2
-            for c in range(3))))
+        comp = discrete_norm(np.moveaxis(v, -1, 0) - background.components(k),
+                             spec, grid)
+        norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
     # np.max, not max(): the builtin drops a NaN that is not first
     dist = None if prev is None else float(np.max(dists))
     return dist, ok, float(np.max(norms))

@@ -29,12 +29,28 @@ def _check_order(order: int) -> None:
 
 
 def periodic_diff(f: FloatArray, h: float, axis: int, order: int) -> FloatArray:
-    """Centred difference of order 1 or 2 along a periodic axis of spacing h."""
+    """Centred difference of order 1 or 2 along a periodic axis of spacing h
+    (at least two nodes; two give zeros for order 1)."""
     _check_order(order)
     f = np.asarray(f, dtype=float)
+    out = np.empty_like(f)
+    g = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    # the interior through slices, then the two wrap rows; the operations
+    # run in the order of (f[i+1] - f[i-1]) / (2h) and
+    # ((f[i+1] - 2 f[i]) + f[i-1]) / h^2
     if order == 1:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-    return (np.roll(f, -1, axis=axis) - 2.0 * f + np.roll(f, 1, axis=axis)) / h ** 2
+        np.subtract(g[2:], g[:-2], out=o[1:-1])
+        o[0] = g[1] - g[-1]
+        o[-1] = g[0] - g[-2]
+        out /= 2.0 * h
+        return out
+    np.subtract(g[2:], 2.0 * g[1:-1], out=o[1:-1])
+    o[1:-1] += g[:-2]
+    o[0] = g[1] - 2.0 * g[0] + g[-1]
+    o[-1] = g[0] - 2.0 * g[-1] + g[-2]
+    out /= h ** 2
+    return out
 
 
 def bounded_diff(f: FloatArray, h: float, axis: int, order: int) -> FloatArray:

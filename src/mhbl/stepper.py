@@ -13,9 +13,10 @@ A0 d_xi and G0 are explicit with centered periodic differences, nine products
 in all.  The implicit operator is block lower-triangular in the components:
 u1 couples only to itself (B is a 1x1 u1 block plus a 2x2 (theta, q) block,
 and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees u1 only through
-F[1:, 0].  So each step makes two pivoted banded LU solves (LAPACK dgbsv) over
-all columns at once: the scalar u1 system, then the 2x2 (theta, q) system
-with the u1 couplings moved to its right-hand side.
+F[1:, 0].  So each step makes two pivoted LU solves over all columns at
+once: the scalar u1 system, tridiagonal (LAPACK dgtsv), then the 2x2
+(theta, q) system, block tridiagonal in band storage (LAPACK dgbsv), with the
+u1 couplings moved to its right-hand side.
 Explicit advection with centered differences is only weakly stable, so steps
 refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
 advection-dominated regimes need that bound respected.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from . import coeffs
 from .errors import CFLError, DegenerateStateError, GridSizingError, LinearSolveError
@@ -76,10 +77,12 @@ class BlockTridiag:
     lower, diag, upper have shape (nbatch, m, k, k) (lower[.,0] and
     upper[.,-1] are ignored); rhs has shape (nbatch, m, k).  The block size
     k is read from the blocks; a step solves k = 1 (u1) and k = 2
-    (theta, q).  solve() runs LAPACK dgbsv (LU with partial pivoting) on the
-    systems stacked into one band matrix; it raises LinearSolveError on
-    mismatched shapes, on a non-finite entry, or on a pivot |u_ii| <= 1e-13
-    times the largest |entry| of its xi column.
+    (theta, q).  solve() makes one LAPACK LU solve with partial pivoting of
+    the systems stacked over all xi columns: dgtsv on the tridiagonal matrix
+    for k = 1, dgbsv on one band matrix for k >= 2.  It raises
+    LinearSolveError on mismatched shapes, on a non-finite entry, or on a
+    pivot |u_ii| <= 1e-13 times the largest |entry| of its xi column, that
+    scale taken from the three block arrays.
     """
 
     lower: FloatArray
@@ -95,23 +98,40 @@ class BlockTridiag:
                 f"(lower {np.shape(self.lower)}, upper {np.shape(self.upper)}), "
                 f"rhs {np.shape(rhs)}; want (nbatch, m, k, k) and (nbatch, m, k)")
         nb, m, k = shape[:3]
-        # band storage with kl = ku = w = 2k - 1: A[i, j] is ab[2w + i - j, j],
-        # unknowns in (xi column, eta row, component) order; rows 0..w-1 are
-        # LU workspace
-        w = 2 * k - 1
-        ab = np.zeros((3 * w + 1, nb, m, k))
-        for r in range(k):
-            for c in range(k):
-                ab[2 * w + r - c, :, :, c] = self.diag[..., r, c]
-                ab[2 * w + k + r - c, :, :-1, c] = self.lower[:, 1:, r, c]
-                ab[2 * w - k + r - c, :, 1:, c] = self.upper[:, :-1, r, c]
-        scale = np.abs(ab).max(axis=(0, 2, 3))
+        lower, upper = self.lower[:, 1:], self.upper[:, :-1]
+        # the pivot guard's scale: the largest |entry| of each xi column's
+        # system (lower[:, 0] and upper[:, -1] lie outside it)
+        scale = np.max([np.abs(a).max(axis=(1, 2, 3), initial=0.0)
+                        for a in (self.diag, lower, upper)], axis=0)
         bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
         if bad.any():
             raise LinearSolveError(
                 f"non-finite implicit system in xi column {int(np.argmax(bad))}")
-        lub, _, x, info = dgbsv(w, w, ab.reshape(3 * w + 1, -1), rhs.reshape(-1))
-        pivot = np.abs(lub[2 * w]).reshape(nb, k * m).min(axis=1)
+        # unknowns in (xi column, eta row, component) order
+        if k == 1:
+            # zero couplings where two xi columns meet; the wrapper wants dl
+            # and du of length max(n - 1, 1)
+            n = nb * m
+            dl = np.array(self.lower[..., 0, 0])
+            du = np.array(self.upper[..., 0, 0])
+            dl[:, 0] = du[:, -1] = 0.0
+            _, u_diag, _, x, info = dgtsv(
+                dl.reshape(-1)[min(n - 1, 1):], self.diag[..., 0, 0].reshape(-1),
+                du.reshape(-1)[:max(n - 1, 1)], rhs.reshape(-1))
+        else:
+            # band storage with kl = ku = w = 2k - 1: A[i, j] is
+            # ab[2w + i - j, j]; rows 0..w-1 are LU workspace
+            w = 2 * k - 1
+            ab = np.zeros((3 * w + 1, nb, m, k))
+            for r in range(k):
+                for c in range(k):
+                    ab[2 * w + r - c, :, :, c] = self.diag[..., r, c]
+                    ab[2 * w + k + r - c, :, :-1, c] = lower[..., r, c]
+                    ab[2 * w - k + r - c, :, 1:, c] = upper[..., r, c]
+            lub, _, x, info = dgbsv(w, w, ab.reshape(3 * w + 1, -1),
+                                    rhs.reshape(-1))
+            u_diag = lub[2 * w]
+        pivot = np.abs(u_diag).reshape(nb, k * m).min(axis=1)
         small = pivot <= 1e-13 * scale
         if info == 0 and not small.any():
             return x.reshape(nb, m, k)
@@ -216,7 +236,10 @@ def _eta_weights(F: FloatArray, B: FloatArray, dt: float, deta: float):
     from one component block of F and B, shape (nx, m, k, k):
     L = -f - b, D = I/dt + 2 b, U = f - b with f = F/(2 deta), b = B/deta^2."""
     f, b = F / (2.0 * deta), B / deta ** 2
-    return -f - b, np.eye(F.shape[-1]) / dt + 2.0 * b, f - b
+    D = 2.0 * b
+    for i in range(F.shape[-1]):
+        D[..., i, i] += 1.0 / dt
+    return -f - b, D, f - b
 
 
 def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,

@@ -84,10 +84,23 @@ def test_norm_of_linear_eta_has_exact_trapezoid_error():
     assert discrete_norm(f, NormSpec(1), grid) == pytest.approx(want1, rel=1e-14)
 
 
+def test_norm_of_a_stack_is_each_field_norm_to_the_bit():
+    # the Picard monitor measures three components in one call
+    grid = make_grid(8, 21, 4.0, 0.1, 0.5)
+    stack = np.random.default_rng(5).normal(size=(3, 8, 21))
+    for k in (0, 1, 2):
+        got = discrete_norm(stack, NormSpec(k), grid)
+        assert got.shape == (3,)
+        singles = [discrete_norm(f, NormSpec(k), grid) for f in stack]
+        assert all(type(x) is float for x in singles)
+        assert got.tolist() == singles
+
+
 def test_norm_shape_validation():
     grid = make_grid(8, 21, 4.0, 0.1, 0.5)
-    with pytest.raises(GridSizingError):
-        discrete_norm(np.zeros((8, 20)), NormSpec(0), grid)
+    for shape in ((8, 20), (3, 8, 20), (21,)):
+        with pytest.raises(GridSizingError):
+            discrete_norm(np.zeros(shape), NormSpec(0), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The difference stencils: exactness along any axis, and one home for them.
 
 Oracles: quadratics, on which every stencil (one-sided ends included) is
-exact, and a source scan that keeps periodic shifts, the building block of
-the xi stencils, inside the stencil module.
+exact; the two-shift np.roll formula, which the periodic stencils reproduce
+bit for bit; and a source scan that keeps periodic shifts inside the stencil
+module.
 """
 
 import pathlib
@@ -41,6 +42,21 @@ def test_periodic_diff_exact_on_quadratic_symbols_along_axis_0_of_3d():
     np.testing.assert_allclose(d1, np.broadcast_to(2.0 * x[1:-1], d1.shape),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(d2, 2.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_periodic_diff_bit_equal_to_the_shift_formula(n):
+    # the slice form keeps the operation order of the two-shift formula, so
+    # its output is the same to the bit; an axis of two nodes gives zeros
+    f = np.random.default_rng(n).normal(size=(n, 3)) * [1e-3, 1.0, 1e3]
+    h = 0.37
+    up, down = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
+    want = {1: (up - down) / (2.0 * h), 2: (up - 2.0 * f + down) / h ** 2}
+    for order in (1, 2):
+        got = periodic_diff(f, h, 0, order)
+        assert got.tobytes() == want[order].tobytes()
+    if n == 2:
+        assert np.all(periodic_diff(f, h, 0, 1) == 0.0)
 
 
 def test_bounded_diff_two_levels_is_the_two_point_difference():

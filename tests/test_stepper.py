@@ -182,12 +182,14 @@ def test_block_solve_rejects_mismatched_shapes(blocks, rhs):
 
 def test_block_solve_pivots_past_a_singular_diagonal_block():
     # D - L cp vanishes in block row 5 of column 2, so elimination without
-    # pivoting breaks down there, but the matrix itself is nonsingular
-    rng = np.random.default_rng(1)
-    sys = random_block_system(rng)
-    sys.diag[2, 5] = 0.0
-    sys.lower[2, 5] = 0.0
-    assert_matches_dense(sys, rng.normal(size=(4, 8, 3)))
+    # pivoting breaks down there, but the matrix itself is nonsingular; k = 1
+    # takes the tridiagonal solver's row interchanges, k >= 2 the band's
+    for k in (1, 2, 3):
+        rng = np.random.default_rng(1)
+        sys = random_block_system(rng, k=k)
+        sys.diag[2, 5] = 0.0
+        sys.lower[2, 5] = 0.0
+        assert_matches_dense(sys, rng.normal(size=(4, 8, k)))
 
 
 @pytest.mark.parametrize("where", ["diag", "rhs"])
@@ -530,6 +532,20 @@ def test_frozen_coeffs_numeric_radius_matches_closed_form():
     numeric_radius = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
     np.testing.assert_allclose(fc.adv_radius, numeric_radius,
                                rtol=1e-12, atol=1e-12)
+
+
+def test_frozen_coeffs_entries_are_contiguous_grid_arrays():
+    # the march's arithmetic runs on these; strided entries would slow it
+    g = small_grid()
+    outflow = constant_outflow(g)
+    v = State.constant(g, 0.3, 1.2, 0.4).as_array()
+    for clamp in (False, True):
+        fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
+                                     outflow.P_xi[0], PARAMS, g, clamp=clamp)
+        for field in dataclasses.fields(FrozenCoeffs):
+            value = getattr(fc, field.name)
+            assert value.shape == (g.nx, g.neta), field.name
+            assert value.flags.c_contiguous, field.name
 
 
 def test_frozen_coeffs_clamp_does_not_hide_nan():
