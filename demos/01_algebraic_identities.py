@@ -17,78 +17,14 @@ every sample:
     g = G(v) v.
 
 Everything holds to rounding because these are identities of the
-coefficient algebra, not discretization statements.
+coefficient algebra, not discretization statements.  The checks are those
+of `mhbl check-identities`, which this script runs; it exits with that
+command's code.
 """
 
-import numpy as np
+import sys
 
-from mhbl import (
-    Params,
-    eval_advection,
-    eval_diffusion,
-    eval_lower_order,
-    eval_symmetrizer,
-)
-
-
-def rel(diff, ref):
-    return float(np.max(np.abs(diff)) / max(float(np.max(np.abs(ref))), 1e-30))
-
-
-def main():
-    rng = np.random.default_rng(11)
-    delta = 0.05
-    print("sampling 5 x 2000 admissible states with random coefficients\n")
-    print(f"{'check':<34s} {'worst relative error':>22s}")
-    print("-" * 58)
-
-    worst = {
-        "S positive definite (Cholesky)": 0.0,
-        "S A symmetric": 0.0,
-        "S B diagonal, closed form": 0.0,
-        "f(v, dv) = F(v) dv": 0.0,
-        "g(v) = G(v) v": 0.0,
-    }
-    for _ in range(5):
-        mu, kappa, nu, R, cV = rng.uniform(0.1, 10.0, size=5)
-        params = Params(mu=mu, kappa=kappa, nu=nu, R=R, cV=cV, delta=delta)
-        n = 2000
-        P = rng.uniform(0.5, 5.0, size=n)
-        theta = rng.uniform(delta, 5.0, size=n)
-        q = rng.uniform(delta, P - delta)           # admissible: q <= P - delta
-        u1 = rng.uniform(-2.0, 2.0, size=n)
-        v = np.stack([u1, theta, q], axis=-1)
-        dv = rng.uniform(-2.0, 2.0, size=(n, 3))
-        P_t, P_xi = rng.uniform(-1.0, 1.0, size=2)
-
-        A = eval_advection(v, P, params)
-        B = eval_diffusion(v, P, params)
-        f, F, g, G = eval_lower_order(v, dv, P, P_t, P_xi, params)
-        S, SA, SB, SF = eval_symmetrizer(v, dv, P, params)
-
-        np.linalg.cholesky(S)        # raises if any sample is not SPD
-        diag = np.zeros_like(SB)
-        diag[..., 0, 0] = 2.0 * mu * theta ** 2 * q
-        diag[..., 1, 1] = 2.0 * kappa * theta * q
-        diag[..., 2, 2] = nu * theta ** 2
-
-        worst["S A symmetric"] = max(
-            worst["S A symmetric"],
-            rel(S @ A - SA, SA), rel(SA - np.swapaxes(SA, -1, -2), SA))
-        worst["S B diagonal, closed form"] = max(
-            worst["S B diagonal, closed form"],
-            rel(S @ B - SB, SB), rel(SB - diag, diag))
-        worst["f(v, dv) = F(v) dv"] = max(
-            worst["f(v, dv) = F(v) dv"],
-            rel(f - (F @ dv[..., None])[..., 0], f))
-        worst["g(v) = G(v) v"] = max(
-            worst["g(v) = G(v) v"],
-            rel(g - (G @ v[..., None])[..., 0], g))
-
-    for name, w in worst.items():
-        print(f"{name:<34s} {w:>22.3e}")
-    print("\nall identities hold at rounding level on 10000 random states")
-
+from mhbl.cli import main
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(["check-identities"]))

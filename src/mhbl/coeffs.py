@@ -16,10 +16,12 @@ S, S A, S B and S F so tests can verify the products independently.
 
 Only 21 of the 36 entries of A, B, F and G are nonzero: A 6 (its diagonal is
 u1), B 5, F 7 and G 3.  Each is written once, in the per-matrix entry
-functions below, keyed by its slot ("a02" is A[..., 0, 2]).  frozen_entries
-returns them all from one denominator pass for the time stepper;
-eval_advection, eval_diffusion and eval_lower_order place them into dense
-matrices.
+functions below, keyed by its slot ("a02" is A[..., 0, 2]), and f and g have
+one closed form each.  frozen_entries returns the entries from one
+denominator pass for the time stepper, and operator builds the spatial
+operator from them in one pass as well.  eval_advection, eval_diffusion and
+eval_lower_order place the same entries into dense matrices: a view for the
+identity checks and the test oracles, which no solver path uses.
 
 All functions broadcast: v has shape (..., 3), P broadcasts against
 v[..., 0], and matrices come back with shape (..., 3, 3).
@@ -113,14 +115,35 @@ def _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params: Params) -> d
             "f22": nu * (P + q) / Q * dq}
 
 
-def _pressure_entries(u1, Pmq, Q, P_t, P_xi, params: Params):
-    """Nonzeros of G(v), and the material derivative P_t + u1 P_xi that g
-    shares with them."""
+def _pressure_entries(u1, Pmq, Q, P_t, P_xi, params: Params) -> dict:
+    """Nonzeros of G(v); material_P = P_t + u1 P_xi is the material
+    derivative of the pressure."""
     a, R = params.a, params.R
     material_P = P_t + P_xi * u1
     return {"g01": R * P_xi / Pmq,
             "g11": -a * material_P / Q,
-            "g22": -2.0 * (1.0 - a) * material_P / Q}, material_P
+            "g22": -2.0 * (1.0 - a) * material_P / Q}
+
+
+def _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q, P_t, P_xi,
+                       params: Params):
+    """Closed forms of f(v, d_eta v) and g(v), three components each; they
+    equal F d_eta v and G v to rounding (check-identities verifies it)."""
+    a = params.a
+    mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
+    c_vis = nu - mu * R * theta / Pmq
+    c_mid = a * theta * (P + q) / (Q * Pmq)      # theta row prefactor
+    quad = (2.0 * mu * q * du1 ** 2 + kappa * dq * dtheta + nu * dq ** 2)
+    f = (c_vis * dq * du1,
+         nu * dq * dtheta - c_mid * quad,
+         (a / Q) * (4.0 * mu * q ** 2 * du1 ** 2
+                    + 2.0 * kappa * q * dq * dtheta
+                    + (nu * (P + q) / a) * dq ** 2))
+    material_P = P_t + P_xi * u1
+    g = (R * P_xi * theta / Pmq,
+         -a * material_P * theta / Q,
+         -2.0 * (1.0 - a) * material_P * q / Q)
+    return f, g
 
 
 def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
@@ -139,12 +162,12 @@ def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     if bad.any():
         raise DegenerateStateError(
             f"u1 = {float(u1[bad][0])} is not finite{_at(bad)}")
-    G, _ = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
     return {"u1": u1,
             **_advection_entries(theta, q, Pmq, Q, params),
             **_diffusion_entries(theta, q, P, Pmq, Q, params),
             **_gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params),
-            **G, "adv_radius": _radius(u1, theta, q, Q, params)}
+            **_pressure_entries(u1, Pmq, Q, P_t, P_xi, params),
+            "adv_radius": _radius(u1, theta, q, Q, params)}
 
 
 def eval_advection(v: FloatArray, P, params: Params) -> FloatArray:
@@ -183,28 +206,14 @@ def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     u1, theta, q = _split(v)
     du1, dtheta, dq = _split(dv)
     P, Pmq, Q = _denominators(theta, q, P, params)
-    P_t = np.asarray(P_t, dtype=float)
-    P_xi = np.asarray(P_xi, dtype=float)
-    a = params.a
-    mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     shape = np.broadcast_shapes(u1.shape, du1.shape, P.shape)
+    fc, gc = _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q,
+                                P_t, P_xi, params)
+    f, g = np.zeros(shape + (3,)), np.zeros(shape + (3,))
+    for i in range(3):
+        f[..., i], g[..., i] = fc[i], gc[i]
     F = _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params)
-    G, material_P = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
-
-    c_mid = a * theta * (P + q) / (Q * Pmq)      # theta row prefactor
-    quad = (2.0 * mu * q * du1 ** 2 + kappa * dq * dtheta + nu * dq ** 2)
-    f = np.zeros(shape + (3,))
-    f[..., 0] = F["f00"] * du1
-    f[..., 1] = nu * dq * dtheta - c_mid * quad
-    f[..., 2] = (a / Q) * (4.0 * mu * q ** 2 * du1 ** 2
-                           + 2.0 * kappa * q * dq * dtheta
-                           + (nu * (P + q) / a) * dq ** 2)
-
-    g = np.zeros(shape + (3,))
-    g[..., 0] = R * P_xi * theta / Pmq
-    g[..., 1] = -a * material_P * theta / Q
-    g[..., 2] = -2.0 * (1.0 - a) * material_P * q / Q
-
+    G = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
     return f, _dense(shape, F), g, _dense(shape, G)
 
 
@@ -215,12 +224,24 @@ def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,
 
     dxv, dev and d2ev are d_xi v, d_eta v and d_eta^2 v in v's (..., 3)
     layout; P, P_t and P_xi broadcast against v[..., 0] as elsewhere here.
+    The products run over the nonzero entries only, in the column order of
+    the dense matrix-vector products, so they round as those do.
     """
-    A = eval_advection(v, P, params)
-    B = eval_diffusion(v, P, params)
-    f, _, g, _ = eval_lower_order(v, dev, P, P_t, P_xi, params)
-    return (np.einsum("...ij,...j->...i", A, dxv) + f + g
-            - np.einsum("...ij,...j->...i", B, d2ev))
+    u1, theta, q = _split(v)
+    du1, dtheta, dq = _split(dev)
+    P, Pmq, Q = _denominators(theta, q, P, params)
+    A = _advection_entries(theta, q, Pmq, Q, params)
+    B = _diffusion_entries(theta, q, P, Pmq, Q, params)
+    f, g = _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q,
+                              P_t, P_xi, params)
+    x0, x1, x2 = np.moveaxis(np.asarray(dxv, dtype=float), -1, 0)
+    d0, d1, d2 = np.moveaxis(np.asarray(d2ev, dtype=float), -1, 0)
+    adv = (u1 * x0 + A["a02"] * x2, A["a10"] * x0 + u1 * x1,
+           A["a20"] * x0 + u1 * x2)
+    dif = (B["b00"] * d0, B["b11"] * d1 + B["b12"] * d2,
+           B["b21"] * d1 + B["b22"] * d2)
+    return np.stack([((adv[i] + f[i]) + g[i]) - dif[i] for i in range(3)],
+                    axis=-1)
 
 
 def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):

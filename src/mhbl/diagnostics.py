@@ -15,7 +15,8 @@ import numpy as np
 
 from . import coeffs
 from .errors import DegenerateStateError, GridSizingError, MissingTimeLevelError
-from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
+from .fields import (DENOM_GUARD, FloatArray, Grid, OutflowData, Params, State,
+                     _frozen)
 from .stencils import bounded_diff, periodic_diff
 from .stepper import Trajectory, apply_derivative
 
@@ -178,10 +179,11 @@ def outflow_consistency(outflow: OutflowData, params: Params) -> OutflowConsiste
     dxi = 2.0 * np.pi / outflow.xi.size
     q = 0.5 * H ** 2
     Pmq = P - q
-    if np.min(Pmq) < 1e-12 or np.min(P + (1.0 - 2.0 * params.a) * q) < 1e-12:
-        raise DegenerateStateError(
-            f"outflow state degenerate: min (P - H^2/2) = {float(np.min(Pmq)):.3e}")
     Q = P + (1.0 - 2.0 * params.a) * q
+    if not (np.min(Pmq) >= DENOM_GUARD and np.min(Q) >= DENOM_GUARD):
+        raise DegenerateStateError(
+            f"outflow state degenerate: min (P - H^2/2) = {float(np.min(Pmq)):.3e}, "
+            f"min Q = {float(np.min(Q)):.3e}")
     a, R = params.a, params.R
 
     def ddt(f):

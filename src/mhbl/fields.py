@@ -160,9 +160,10 @@ class OutflowSpec:
 class OutflowData:
     """Outflow traces sampled on the (time level, xi node) grid.
 
-    All arrays have shape (nsteps+1, nx).  Theta, Hfield, P and theta_star are
-    strictly positive everywhere sampled.  P_t and P_xi hold the pressure
-    derivatives used by the zero-order coefficients.
+    All arrays have shape (nsteps+1, nx).  The seven traces are finite, and
+    Theta, Hfield, P and theta_star are strictly positive everywhere sampled.
+    P_t and P_xi hold the pressure derivatives used by the zero-order
+    coefficients.
     """
 
     U: FloatArray
@@ -184,6 +185,14 @@ class OutflowData:
             if getattr(self, name).shape != shape:
                 raise PositivityError(f"outflow field {name} has shape "
                                       f"{getattr(self, name).shape}, expected {shape}")
+        for name in ("U", "Theta", "Hfield", "P", "theta_star", "P_t", "P_xi"):
+            arr = getattr(self, name)
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                at = tuple(int(j) for j in np.argwhere(bad)[0])
+                raise PositivityError(
+                    f"outflow trace {name} is not finite: {arr[bad][0]} at "
+                    f"(time level, xi node) = {at}")
         for name in ("Theta", "Hfield", "P", "theta_star"):
             arr = getattr(self, name)
             if not np.all(arr > 0.0):

@@ -148,10 +148,6 @@ class StudyResult:
     exact: bool
     monotone: bool
 
-    @property
-    def overall_order(self) -> float:
-        return float(min(self.orders))
-
 
 def convergence_study(case: ManufacturedCase,
                       resolutions: Sequence[Tuple[int, int]],

@@ -256,6 +256,15 @@ def test_check_outflow_degenerate_exit_4(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_nonpositive_pressure_is_a_precondition_for_both_commands(tmp_path,
+                                                                  capsys):
+    path, _ = write_config(tmp_path, P="-1.0")
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert main(["check-outflow", str(path)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.count("precondition violated: outflow trace P") == 2
+
+
 def test_mms_subcommand_constant_case(tmp_path, capsys):
     out = tmp_path / "study.csv"
     assert main(["mms", "constant", "3", "--out", str(out)]) == EXIT_OK

@@ -20,7 +20,10 @@ from mhbl.coeffs import (
     eval_lower_order,
     eval_symmetrizer,
     frozen_entries,
+    operator,
 )
+from mhbl.fields import make_grid, sample_outflow
+from mhbl.mms import case_library
 
 # reference point used throughout: v = (0, 1, 1/2), P = 1, all physical
 # constants 1, so a = 1/2, P - q = 1/2, Q = 1.
@@ -190,6 +193,45 @@ def test_dense_matrices_are_the_named_entries_in_their_slots(case):
         assert value.shape == v.shape[:-1] and value.flags.c_contiguous
 
 
+def dense_operator(v, dxv, dev, d2ev, P, P_t, P_xi, params):
+    """A d_xi v + f + g - B d_eta^2 v through the dense matrices."""
+    A = eval_advection(v, P, params)
+    B = eval_diffusion(v, P, params)
+    f, _, g, _ = eval_lower_order(v, dev, P, P_t, P_xi, params)
+    return (np.einsum("...ij,...j->...i", A, dxv) + f + g
+            - np.einsum("...ij,...j->...i", B, d2ev))
+
+
+@pytest.mark.parametrize("nx,neta", [(8, 33), (64, 128)])
+@pytest.mark.parametrize("name", sorted(case_library()))
+def test_operator_matches_dense_formulation_bit_for_bit(name, nx, neta):
+    # operator reads the named entries; it must round exactly as the dense
+    # products did, so manufactured sources and residuals stay bit-identical
+    case = case_library()[name]
+    grid = make_grid(nx, neta, case.eta_max, case.base_dt, case.t_end)
+    outflow = sample_outflow(case.outflow_spec, grid)
+    xi, eta = grid.xi[:, None], grid.eta[None, :]
+    for k in sorted({0, grid.nsteps // 2, grid.nsteps}):
+        t = float(grid.times[k])
+        args = (case.v(t, xi, eta), case.v_xi(t, xi, eta),
+                case.v_eta(t, xi, eta), case.v_etaeta(t, xi, eta),
+                outflow.P[k][:, None], outflow.P_t[k][:, None],
+                outflow.P_xi[k][:, None], case.params)
+        np.testing.assert_array_equal(operator(*args), dense_operator(*args))
+
+
+def test_operator_matches_dense_formulation_on_random_samples():
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        v, dv, P, P_t, P_xi, params = random_admissible(rng, 500)
+        dxv, d2v = rng.normal(size=(2, 500, 3))
+        for P_arg in (P, 5.5):   # (n,) and scalar; q < 5 - delta always
+            args = (v, dxv, dv, d2v, P_arg, P_t, P_xi, params)
+            got = operator(*args)
+            assert got.shape == (500, 3)
+            np.testing.assert_array_equal(got, dense_operator(*args))
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(admissible_grids())
 def test_symmetrizer_identities_property(case):
@@ -262,6 +304,8 @@ def test_degenerate_states_raise(v, P):
         eval_lower_order(v, np.zeros(3), P, 0.0, 0.0, PARAMS1)
     with pytest.raises(DegenerateStateError):
         eval_symmetrizer(v, np.zeros(3), P, PARAMS1)
+    with pytest.raises(DegenerateStateError):
+        operator(v, np.zeros(3), np.zeros(3), np.zeros(3), P, 0.0, 0.0, PARAMS1)
 
 
 def test_degeneracy_error_names_the_first_node():

@@ -153,6 +153,15 @@ def test_outflow_requires_positive_traces():
         sample_outflow(bad, g)
 
 
+def test_outflow_rejects_non_finite_traces_by_name():
+    # a NaN trace used to reach check-outflow as "max residual nan", exit 0
+    g = make_grid(8, 16, 4.0, 0.1, 1.0)
+    bad = OutflowSpec(mode="functions", U=lambda t, xi: np.full_like(xi, np.nan),
+                      Theta=1.0, Hfield=1.0, P=2.0, theta_star=1.0)
+    with pytest.raises(PositivityError, match=r"outflow trace U is not finite"):
+        sample_outflow(bad, g)
+
+
 def test_outflow_mode_validated():
     with pytest.raises(PositivityError):
         OutflowSpec("wavy", 0.0, 1.0, 1.0, 1.0, 1.0)

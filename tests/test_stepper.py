@@ -608,16 +608,34 @@ def test_march_rejects_non_finite_frozen_u1(value):
         solve_linear_problem(coeff, v, outflow, PARAMS, g)
 
 
-def test_stepper_keeps_the_dense_coefficient_path_out_of_the_march():
-    # the march reads the nonzero entries only; the dense 3x3 matrices serve
-    # coeffs.operator, the identity checks and the tests
-    tree = ast.parse((SRC / "stepper.py").read_text())
+def _names(tree):
+    """Every imported, attribute and plain name under an ast node."""
     names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for a in node.names]
-    names += [node.attr if isinstance(node, ast.Attribute) else node.id
-              for node in ast.walk(tree)
-              if isinstance(node, (ast.Attribute, ast.Name))]
+    return names + [node.attr if isinstance(node, ast.Attribute) else node.id
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Attribute, ast.Name))]
+
+
+def test_stepper_keeps_the_dense_coefficient_path_out_of_the_march():
+    # the march reads the nonzero entries only; the dense 3x3 matrices serve
+    # the identity checks and the tests
+    names = _names(ast.parse((SRC / "stepper.py").read_text()))
     assert [n for n in names if n == "einsum" or n.startswith("eval_")] == []
+
+
+def test_production_code_takes_the_operator_off_the_dense_matrices():
+    # sources, compatibility derivatives, residuals and the Picard solve go
+    # through coeffs.operator, which reads the named entries; the dense
+    # eval_* matrices are left to the identity checks and the tests
+    dense = {"eval_advection", "eval_diffusion", "eval_lower_order"}
+    for name in ("mms.py", "diagnostics.py", "picard.py"):
+        tree = ast.parse((SRC / name).read_text())
+        assert dense.isdisjoint(_names(tree)), name
+    tree = ast.parse((SRC / "coeffs.py").read_text())
+    [op] = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "operator"]
+    assert (dense | {"einsum"}).isdisjoint(_names(op))
 
 
 def test_lapack_is_imported_only_by_the_stepper():
