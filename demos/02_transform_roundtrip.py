@@ -9,10 +9,18 @@ recovered by composition, with h1 = d_y psi and h2 = -d_x psi.
 For constant magnetic profiles the loop is exact; for genuinely curved
 profiles each leg contributes an O(dy^2) interpolation or quadrature
 error, and the refinement table below shows the expected second-order
-decay of the worst reconstruction error over u1, theta and h1.
+decay of the worst reconstruction error over u1, theta and h1.  The
+verdict line reads PASS when the constant rows are exact to 1e-12 and the
+fitted orders of the curved rows lie in [1.7, 2.3], acceptance criterion
+04's band; otherwise FAIL, and the script exits 1.
+
+Usage: python 02_transform_roundtrip.py [output_dir]
+The error plot, if matplotlib is available, goes to output_dir, by default
+demos/output/ next to this script.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -56,7 +64,11 @@ def round_trip_error(h1_fn, ny):
                np.max(np.abs(ps.h1 - h10)))
 
 
-def main():
+CONSTANT = ("h1 = 1", "h1 = 2")
+ORDER_BAND = (1.7, 2.3)
+
+
+def main(out_dir=None):
     nys = (65, 129, 257)
     dys = [6.0 / (ny - 1) for ny in nys]
     print("physical -> hatted -> stream function -> physical, L_inf errors\n")
@@ -65,25 +77,30 @@ def main():
     print("-" * len(header + "        "))
 
     table = {}
+    ok = True
     for name, fn in PROFILES.items():
         errs = np.array([round_trip_error(fn, ny) for ny in nys])
         table[name] = errs
         if np.all(errs <= 1e-12):
-            order = "exact"
+            order, passed = "exact", name in CONSTANT
         else:
-            order = f"{np.polyfit(np.log(dys), np.log(errs), 1)[0]:.2f}"
+            fitted = np.polyfit(np.log(dys), np.log(errs), 1)[0]
+            order = f"{fitted:.2f}"
+            passed = (name not in CONSTANT
+                      and ORDER_BAND[0] <= fitted <= ORDER_BAND[1])
+        ok = ok and passed
         row = f"{name:<20s}" + "".join(f"{e:>12.2e}" for e in errs)
         print(row + f"{order:>8s}")
 
-    print("\nconstant profiles round-trip exactly; curved profiles decay at"
-          "\nsecond order in the wall-normal spacing")
+    print(f"\n{'PASS' if ok else 'FAIL'}  constant profiles round-trip "
+          f"exactly; curved profiles decay at second order")
 
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        return
+        return 0 if ok else 1
     fig, ax = plt.subplots(figsize=(5, 4))
     for name, errs in table.items():
         if np.all(errs <= 1e-12):
@@ -94,12 +111,15 @@ def main():
     ax.set_ylabel("round-trip error (L_inf)")
     ax.legend()
     fig.tight_layout()
-    out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "transform_roundtrip.png")
+    if out_dir is None:
+        out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "output")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "transform_roundtrip.png")
     fig.savefig(path, dpi=120)
     print(f"wrote {path}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(*sys.argv[1:2]))

@@ -90,6 +90,7 @@ def run_simulate(config_text: str) -> int:
 
     d = params.delta
     checks = [
+        ("u1_0 finite", bool(np.isfinite(u10).all())),
         ("theta_star >= 2 delta", float(outflow.theta_star.min()) >= 2 * d),
         ("theta0 >= 2 delta", float(theta0.min()) >= 2 * d),
         ("h1_0 >= 2 delta", float(h10.min()) >= 2 * d),

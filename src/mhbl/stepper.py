@@ -37,10 +37,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgtsv
 
-from . import coeffs
+from . import _heap, coeffs
 from .errors import CFLError, DegenerateStateError, GridSizingError, LinearSolveError
 from .fields import FloatArray, Grid, OutflowData, Params, State
 from .stencils import bounded_diff, periodic_diff
+
+_heap.steady()  # every solve runs through this module
 
 #: dt must not exceed CFL_CONSTANT * dxi / (spectral radius of A0).
 CFL_CONSTANT = 0.5

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
 from .errors import GridSizingError, MissingTimeLevelError, NondegeneracyError
@@ -72,6 +70,18 @@ def _check_uniform(y_nodes: FloatArray) -> None:
         raise GridSizingError("y grid must be uniform")
 
 
+def _cumtrapz(f: FloatArray, x: FloatArray) -> FloatArray:
+    """Cumulative trapezoid of each row of f over the nodes x, starting from
+    0 at x[0].  The arithmetic is that of scipy's cumulative_trapezoid(f, x,
+    axis=1, initial=0.0), in the same order, so the results are equal bit
+    for bit.
+    """
+    out = np.zeros(f.shape)
+    d = np.diff(x)
+    np.cumsum(d * (f[:, 1:] + f[:, :-1]) / 2.0, axis=1, out=out[:, 1:])
+    return out
+
+
 def initial_eta_map(u10: FloatArray, theta0: FloatArray, h10: FloatArray,
                     y_nodes: FloatArray, grid: Grid,
                     delta: float) -> Tuple[State, FloatArray]:
@@ -93,7 +103,7 @@ def initial_eta_map(u10: FloatArray, theta0: FloatArray, h10: FloatArray,
     if u10.shape != (grid.nx, y_nodes.size) or h10.shape != u10.shape \
             or theta0.shape != u10.shape:
         raise GridSizingError("initial fields must have shape (nx, ny)")
-    eta_table = cumulative_trapezoid(h10, y_nodes, axis=1, initial=0.0)
+    eta_table = _cumtrapz(h10, y_nodes)
     eta_nodes = grid.eta
     u1_hat = np.empty((grid.nx, grid.neta))
     theta_hat = np.empty_like(u1_hat)
@@ -131,13 +141,25 @@ def stream_from_h1(h1_hat: FloatArray, grid: Grid, y_nodes: FloatArray,
         raise NondegeneracyError(
             f"h1 must stay finite and >= delta = {delta}; "
             f"min = {lo:.6g}, max = {hi:.6g}")
-    y_of_eta = cumulative_trapezoid(1.0 / h1_hat, grid.eta, axis=1, initial=0.0)
+    y_of_eta = _cumtrapz(1.0 / h1_hat, grid.eta)
     psi = _spline_inverse(y_of_eta, grid.eta, y_nodes)
     np.copyto(psi, grid.eta_max, where=np.isnan(psi))  # beyond y(eta_max)
     for i in np.flatnonzero(np.any(np.diff(psi, axis=1) < 0.0, axis=1)):
-        row = PchipInterpolator(y_of_eta[i], grid.eta, extrapolate=False)(y_nodes)
+        row = _pchip_row(y_of_eta[i], grid.eta, y_nodes)
         psi[i] = np.where(np.isnan(row), grid.eta_max, row)
     return psi
+
+
+def _pchip_row(table_row: FloatArray, eta: FloatArray,
+               y: FloatArray) -> FloatArray:
+    """Evaluate at y the shape-preserving pchip inverse of one row, through
+    the points (table_row[k], eta[k]); NaN outside [table_row[0],
+    table_row[-1]].  Only rough rows need it, so scipy.interpolate is
+    imported here, once, by the first run that meets one.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(table_row, eta, extrapolate=False)(y)
 
 
 def _spline_inverse(table: FloatArray, eta: FloatArray,
@@ -264,9 +286,9 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     # closed-form stream-function derivatives, evaluated on the eta grid and
     # composed with psi
     dth1 = (h1_hat - h1_prev) / dt_pair
-    I_t = cumulative_trapezoid(dth1 / h1_hat ** 2, eta_nodes, axis=1, initial=0.0)
+    I_t = _cumtrapz(dth1 / h1_hat ** 2, eta_nodes)
     dxh1 = apply_derivative(h1_hat, grid, axis="xi", order=1)
-    I_x = cumulative_trapezoid(dxh1 / h1_hat ** 2, eta_nodes, axis=1, initial=0.0)
+    I_x = _cumtrapz(dxh1 / h1_hat ** 2, eta_nodes)
     h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, at_psi)
     dt_psi = h1_at_psi * _interp_at_psi(I_t, eta_nodes, at_psi)
     dx_psi = h1_at_psi * _interp_at_psi(I_x, eta_nodes, at_psi)

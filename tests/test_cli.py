@@ -200,6 +200,17 @@ def test_simulate_precondition_exit_3(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
 
 
+# the expressions themselves warn as numpy evaluates them
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u1_0", ["sqrt(y - 1.0)", "1.0/y"],
+                         ids=["nan", "inf"])
+def test_simulate_non_finite_u1_0_exit_3(tmp_path, capsys, u1_0):
+    path, out_dir = write_config(tmp_path, u1_0=u1_0)
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert "precondition violated: u1_0 finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_simulate_nonconvergence_exit_5(tmp_path, capsys):
     path, _ = write_config(tmp_path, tol="1e-15", max_iter="1")
     assert main(["simulate", str(path)]) == EXIT_NO_CONVERGENCE

@@ -1,10 +1,12 @@
 """The quick demos run as scripts, exit 0 and print their verdict.
 
-02 and 04 are left out: 02 writes into demos/output/, and 04 repeats the
-studies of acceptance criterion 04.
+02 runs with a temporary output directory as its argument, so that it
+writes nothing into demos/output/.  04 is left out: it repeats the studies
+of acceptance criterion 04.
 """
 
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,17 @@ def test_demo_runs_as_a_script(script, line, capsys):
     except SystemExit as exc:
         assert exc.code == 0
     assert line in capsys.readouterr().out
+
+
+def test_transform_roundtrip_demo_writes_where_told(tmp_path, capsys,
+                                                   monkeypatch):
+    script = DEMOS / "02_transform_roundtrip.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert ("PASS  constant profiles round-trip exactly; curved profiles "
+            "decay at second order") in out
+    plot = tmp_path / "out" / "transform_roundtrip.png"
+    assert ("wrote" in out) == plot.exists()   # only with matplotlib

@@ -25,8 +25,10 @@ from mhbl import (
     make_grid,
     sample_outflow,
 )
+from mhbl import transform
 from mhbl.transform import (
     PhysicalState,
+    _cumtrapz,
     _interp_at_psi,
     _locate_in_eta,
     _spline_inverse,
@@ -193,14 +195,34 @@ def test_batched_spline_matches_scipy_per_row(neta):
     assert np.isnan(got).any() and not np.isnan(got).all()
 
 
-def test_pchip_fallback_replaces_only_rough_rows():
+@pytest.mark.parametrize("shape", [(6, 2), (5, 33), (64, 128)])
+def test_cumtrapz_matches_scipy_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    f = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], (shape[0], 1))
+    x = np.cumsum(rng.uniform(0.01, 2.0, shape[1])) - 0.5   # non-uniform
+    want = cumulative_trapezoid(f, x, axis=1, initial=0.0)
+    assert np.array_equal(_cumtrapz(f, x), want)
+
+
+def test_pchip_fallback_replaces_only_rough_rows(monkeypatch):
     grid = make_grid(4, 17, 8.0, 0.01, 0.02)
     rough = np.where(np.sin(3.0 * grid.eta) > 0, 10.0, 0.06)
     smooth = 1.0 + 0.5 * np.tanh(grid.eta)
     h1_hat = np.stack([smooth, rough, smooth[::-1], rough])
     table = cumulative_trapezoid(1.0 / h1_hat, grid.eta, axis=1, initial=0.0)
     y = np.linspace(0.0, 1.1 * table.max(), 80)
+    refitted = []
+
+    def pchip_row(table_row, eta, y_nodes):
+        refitted.append(table_row)
+        return pchip_row.original(table_row, eta, y_nodes)
+
+    pchip_row.original = transform._pchip_row
+    monkeypatch.setattr(transform, "_pchip_row", pchip_row)
     psi = stream_from_h1(h1_hat, grid, y, delta=0.05)
+    assert len(refitted) == 2
+    for row, i in zip(refitted, (1, 3)):
+        assert np.array_equal(row, table[i])
     for i in range(4):
         spline = CubicSpline(table[i], grid.eta, bc_type="not-a-knot",
                              extrapolate=False)(y)
