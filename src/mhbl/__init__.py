@@ -23,7 +23,8 @@ _EXPORTS = {
                     "trace_check"),
     "errors": ("CFLError", "ConfigError", "DegenerateStateError",
                "GridSizingError", "LinearSolveError", "MhblError",
-               "MissingTimeLevelError", "NondegeneracyError",
+               "MissingTimeLevelError", "NonConvergenceError",
+               "NondegeneracyError",
                "PositivityError", "PreconditionError", "SnapshotFormatError"),
     "fields": ("AdmissibilityReport", "Grid", "OutflowData", "OutflowSpec",
                "Params", "State", "make_grid", "sample_outflow",

@@ -9,9 +9,13 @@ Subcommands:
     check-outflow <config>     residuals of the outflow trace equations
     info <snapshot>            print a snapshot header
 
-Exit codes: 0 success, 2 configuration error, 3 precondition violation,
-4 solver error (admissibility loss, degenerate state, failed linear solve),
-5 non-convergence.  The environment variable MHBL_THREADS caps the worker
+Exit codes, the same for every subcommand (mms included): 0 success,
+2 configuration error (a malformed configuration, an expression that fails
+to evaluate, an unreadable config or snapshot, an unwritable output
+directory), 3 precondition violation, 4 solver error (admissibility loss,
+degenerate state, failed linear solve), 5 non-convergence.  Subcommands
+raise; one wrapper maps the error through EXIT_TABLE to its exit code and
+stderr prefix.  The environment variable MHBL_THREADS caps the worker
 threads of the numerical backend; it must be set before heavy work starts,
 so main() applies it before importing the numerics.
 """
@@ -21,13 +25,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import Callable, List, Optional
+
+from .errors import (ConfigError, MhblError, NonConvergenceError,
+                     PositivityError, PreconditionError, SnapshotFormatError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_SOLVER = 4
 EXIT_NO_CONVERGENCE = 5
+
+#: (error classes, exit code, stderr prefix); the first matching row wins.
+EXIT_TABLE = (
+    ((ConfigError, SnapshotFormatError, OSError), EXIT_CONFIG,
+     "configuration error"),
+    ((PositivityError, PreconditionError), EXIT_PRECONDITION,
+     "precondition violated"),
+    ((NonConvergenceError,), EXIT_NO_CONVERGENCE, "non-convergence"),
+    ((MhblError,), EXIT_SOLVER, "solver error"),
+)
 
 
 def _apply_thread_cap() -> None:
@@ -45,6 +63,18 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
+def _exit_code(command: Callable[..., int], *args) -> int:
+    """Run a subcommand; an error it raises is printed under its EXIT_TABLE
+    prefix and turned into that row's exit code."""
+    try:
+        return command(*args)
+    except (MhblError, OSError) as exc:
+        code, prefix = next((code, prefix) for classes, code, prefix
+                            in EXIT_TABLE if isinstance(exc, classes))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+
+
 def run_simulate(config_text: str) -> int:
     """Execute the full pipeline for one configuration; returns an exit code.
 
@@ -52,32 +82,26 @@ def run_simulate(config_text: str) -> int:
     profiles, check the positivity preconditions (theta_star, theta0, h10
     all >= 2 delta and h10^2/2 <= P(0, x) - 2 delta), transform the initial
     data, run the Picard solve, pull snapshots back to physical variables,
-    and write snapshots, reports and optional plot data.
+    and write snapshots, reports and optional plot data.  An error is
+    printed and mapped to its exit code, as under main().
     """
+    return _exit_code(_simulate, config_text)
+
+
+def _simulate(config_text: str) -> int:
     import numpy as np
 
     from .config import parse_config, serialize_config
     from .diagnostics import residual_transformed
-    from .errors import (ConfigError, MhblError, PositivityError,
-                         PreconditionError)
     from .fields import sample_outflow
     from .picard import picard_solve
     from .snapshots import emit_plot_data, write_snapshot
     from .transform import initial_eta_map, pullback_physical, residual_original
 
-    try:
-        cfg = parse_config(config_text)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    cfg = parse_config(config_text)
     params = cfg.make_params()
     grid = cfg.make_grid()
-    try:
-        outflow = sample_outflow(cfg.outflow_spec(), grid)
-    except PositivityError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    outflow = sample_outflow(cfg.outflow_spec(), grid)
 
     u1_fn, theta_fn, h1_fn = cfg.initial_profiles()
     ny = cfg.getint("initial", "ny")
@@ -99,36 +123,26 @@ def run_simulate(config_text: str) -> int:
     ]
     for name, ok in checks:
         if not ok:
-            print(f"precondition violated: {name}", file=sys.stderr)
-            return EXIT_PRECONDITION
+            raise PreconditionError(name)
 
     out_dir = cfg.get("output", "dir")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
         fh.write(serialize_config(cfg))
 
-    try:
-        v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
-        traj, report = picard_solve(
-            v0, outflow, params, grid,
-            tol=cfg.getfloat("picard", "tol"),
-            max_iter=cfg.getint("picard", "max_iter"),
-            compat_order=cfg.getint("picard", "compat_order"),
-            on_admissibility_loss=cfg.get("picard", "on_admissibility_loss"))
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except MhblError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
+    traj, report = picard_solve(
+        v0, outflow, params, grid,
+        tol=cfg.getfloat("picard", "tol"),
+        max_iter=cfg.getint("picard", "max_iter"),
+        compat_order=cfg.getint("picard", "compat_order"),
+        on_admissibility_loss=cfg.get("picard", "on_admissibility_loss"))
 
     emit_plot_data(report, out_dir)
     if report.aborted:
-        print(f"solver error: {report.message}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise MhblError(report.message)
     if not report.converged:
-        print(f"non-convergence: {report.message}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        raise NonConvergenceError(report.message)
 
     every = cfg.getint("output", "snapshot_every")
     nt = grid.nsteps
@@ -136,21 +150,17 @@ def run_simulate(config_text: str) -> int:
     mid = nt // 2
     triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
     physical = {}
-    try:
-        for k in sorted(set(levels) | set(triple)):
-            # d_t h1 pairs each level with an adjacent one: level 1 for
-            # level 0, the level below otherwise
-            prev = traj.state(1) if k == 0 else traj.state(k - 1)
-            physical[k] = pullback_physical(traj.state(k), outflow, params,
-                                            grid, y, v_hat_prev=prev)
-            if k in levels:
-                write_snapshot(traj.state(k),
-                               os.path.join(out_dir, f"state_{k:05d}.mhbl"))
-                write_snapshot(physical[k],
-                               os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
-    except MhblError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for k in sorted(set(levels) | set(triple)):
+        # d_t h1 pairs each level with an adjacent one: level 1 for level 0,
+        # the level below otherwise
+        prev = traj.state(1) if k == 0 else traj.state(k - 1)
+        physical[k] = pullback_physical(traj.state(k), outflow, params, grid,
+                                        y, v_hat_prev=prev)
+        if k in levels:
+            write_snapshot(traj.state(k),
+                           os.path.join(out_dir, f"state_{k:05d}.mhbl"))
+            write_snapshot(physical[k],
+                           os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
 
     res_t = residual_transformed(traj, outflow, params, grid)
     emit_plot_data(res_t, out_dir)
@@ -237,23 +247,11 @@ def run_check_identities() -> int:
 def run_check_outflow(config_text: str) -> int:
     from .config import parse_config
     from .diagnostics import outflow_consistency
-    from .errors import ConfigError, MhblError, PositivityError
     from .fields import sample_outflow
 
-    try:
-        cfg = parse_config(config_text)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
-        report = outflow_consistency(outflow, cfg.make_params())
-    except PositivityError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except MhblError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    cfg = parse_config(config_text)
+    outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
+    report = outflow_consistency(outflow, cfg.make_params())
     names = ("tangential velocity", "temperature", "tangential field")
     for name, err in zip(names, report.max_norm):
         print(f"{name} trace equation: max residual {err:.6e}")
@@ -261,24 +259,16 @@ def run_check_outflow(config_text: str) -> int:
 
 
 def run_mms(case_name: str, levels: int, mode: str, out: Optional[str]) -> int:
-    from .errors import MhblError
     from .mms import case_library, convergence_study, write_study_csv
 
     lib = case_library()
     if case_name not in lib:
-        print(f"configuration error: unknown case {case_name!r} "
-              f"(have {', '.join(sorted(lib))})", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown case {case_name!r} "
+                          f"(have {', '.join(sorted(lib))})")
     if levels < 3:
-        print("configuration error: need at least 3 levels", file=sys.stderr)
-        return EXIT_CONFIG
-    case = lib[case_name]
+        raise ConfigError("need at least 3 levels")
     resolutions = [(16 * 2 ** i, 32 * 2 ** i) for i in range(levels)]
-    try:
-        result = convergence_study(case, resolutions, mode=mode)
-    except MhblError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = convergence_study(lib[case_name], resolutions, mode=mode)
     for row in result.rows:
         errs = ", ".join(f"{e:.4e}" for e in row.errors)
         print(f"{case_name} {row.nx}x{row.neta} dt={row.dt:.5g}: errors {errs}")
@@ -293,28 +283,14 @@ def run_mms(case_name: str, levels: int, mode: str, out: Optional[str]) -> int:
 
 
 def run_info(path: str) -> int:
-    from .errors import SnapshotFormatError
     from .snapshots import read_snapshot
 
-    try:
-        snap = read_snapshot(path)
-    except (OSError, SnapshotFormatError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    snap = read_snapshot(path)
     print(f"kind: {snap.kind}")
     print(f"grid: nx={snap.nx}, n2={snap.n2}")
     print(f"time: {snap.time:.12g}")
     print(f"fields: {', '.join(snap.fields)}")
     return EXIT_OK
-
-
-def _read_text(path: str) -> Optional[str]:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -326,6 +302,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_sim = sub.add_parser("simulate", help="run the full pipeline")
     p_sim.add_argument("config", help="INI configuration file")
+    p_sim.set_defaults(run=lambda a: run_simulate(Path(a.config).read_text()))
 
     p_mms = sub.add_parser("mms", help="convergence study")
     p_mms.add_argument("case", help="manufactured case name")
@@ -333,30 +310,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_mms.add_argument("--mode", choices=("spatial", "temporal"),
                        default="spatial")
     p_mms.add_argument("--out", help="CSV output path")
+    p_mms.set_defaults(run=lambda a: run_mms(a.case, a.levels, a.mode, a.out))
 
-    sub.add_parser("check-identities", help="verify the coefficient algebra")
+    sub.add_parser("check-identities", help="verify the coefficient algebra"
+                   ).set_defaults(run=lambda a: run_check_identities())
 
     p_out = sub.add_parser("check-outflow", help="outflow trace residuals")
     p_out.add_argument("config", help="INI configuration file")
+    p_out.set_defaults(
+        run=lambda a: run_check_outflow(Path(a.config).read_text()))
 
     p_info = sub.add_parser("info", help="print a snapshot header")
     p_info.add_argument("snapshot", help="snapshot file")
+    p_info.set_defaults(run=lambda a: run_info(a.snapshot))
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        text = _read_text(args.config)
-        return EXIT_CONFIG if text is None else run_simulate(text)
-    if args.command == "mms":
-        return run_mms(args.case, args.levels, args.mode, args.out)
-    if args.command == "check-identities":
-        return run_check_identities()
-    if args.command == "check-outflow":
-        text = _read_text(args.config)
-        return EXIT_CONFIG if text is None else run_check_outflow(text)
-    if args.command == "info":
-        return run_info(args.snapshot)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    return _exit_code(args.run, args)
 
 
 if __name__ == "__main__":

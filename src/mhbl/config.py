@@ -9,7 +9,9 @@ ignored; a silently misspelled tolerance is worse than an error.
 
 Closed-form values are plain Python expressions over numpy functions
 (sin, cos, tan, sinh, cosh, tanh, exp, log, sqrt, abs, pi) in the variables
-t, xi for outflow traces and x, y for initial profiles.
+t, xi for outflow traces and x, y for initial profiles.  Numeric literals are
+floats, and an expression that fails to evaluate (1/0, 2.0**10000) raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ def compile_expression(text: str, variables: tuple) -> Callable:
                   and callable(_SAFE_FUNCS.get(node.func.id)))
         elif isinstance(node, ast.Constant):
             ok = type(node.value) in (int, float)
+            if ok:   # a float power overflows; an int one grows unbounded
+                node.value = float(node.value)
         else:
             ok = isinstance(node, _SAFE_NODES)
         if not ok:
@@ -167,7 +171,10 @@ def compile_expression(text: str, variables: tuple) -> Callable:
 
     def fn(*args):
         local = dict(zip(variables, args))
-        out = eval(code, {"__builtins__": {}}, {**_SAFE_FUNCS, **local})
+        try:
+            out = eval(code, {"__builtins__": {}}, {**_SAFE_FUNCS, **local})
+        except ArithmeticError as exc:
+            raise ConfigError(f"expression {text!r} failed: {exc}") from exc
         reference = None
         for a in args:
             if isinstance(a, np.ndarray):

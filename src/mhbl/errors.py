@@ -35,6 +35,10 @@ class LinearSolveError(MhblError, RuntimeError):
     """A step's implicit system is singular, nearly so, or not finite."""
 
 
+class NonConvergenceError(MhblError):
+    """An iteration stopped at its iteration cap short of its tolerance."""
+
+
 class MissingTimeLevelError(MhblError, ValueError):
     """An operation needed an adjacent time level that was not supplied."""
 

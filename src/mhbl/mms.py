@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import coeffs
-from .errors import GridSizingError, PreconditionError
+from .errors import (GridSizingError, MhblError, NonConvergenceError,
+                     PreconditionError)
 from .fields import (FloatArray, Grid, OutflowData, OutflowSpec, Params,
                      State, admissibility, make_grid, sample_outflow)
 from .picard import picard_solve
@@ -161,7 +162,8 @@ def convergence_study(case: ManufacturedCase,
     mode "spatial" scales dt with deta^2 so the first-order time error stays
     subdominant and the fitted slope reflects the second-order stencils;
     mode "temporal" scales dt with deta and expects slope one.  At least
-    three resolutions are required.
+    three resolutions are required.  A resolution whose Picard solve stops
+    at max_iter raises NonConvergenceError; one that aborts, MhblError.
     """
     if mode not in ("spatial", "temporal"):
         raise GridSizingError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
@@ -177,8 +179,8 @@ def convergence_study(case: ManufacturedCase,
         _, report, errors = solve_case(case, nx, neta, dt, t_end=t_end,
                                        tol=tol, max_iter=max_iter)
         if not report.converged:
-            raise PreconditionError(
-                f"case {case.name!r} at {nx}x{neta}: {report.message}")
+            error = MhblError if report.aborted else NonConvergenceError
+            raise error(f"case {case.name!r} at {nx}x{neta}: {report.message}")
         rows.append(StudyRow(nx=nx, neta=neta, dt=dt,
                              errors=tuple(float(e) for e in errors)))
     errs = np.array([r.errors for r in rows])

@@ -4,11 +4,18 @@ Exit code contract: 0 success, 2 configuration error, 3 precondition
 violation, 4 solver error, 5 non-convergence.
 """
 
+import ast
+import dataclasses
+import inspect
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mhbl import cli, coeffs, config, errors, mms, snapshots
 from mhbl.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -317,3 +324,133 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("MHBL_THREADS", "lots")
     _apply_thread_cap()   # warns, does not raise
+
+
+# --------------------------------------------------------------------------
+# one exit-code policy for every subcommand
+
+@pytest.mark.parametrize("command,overrides", [
+    ("simulate", {"theta0": "1/0"}),
+    ("simulate", {"theta0": "2.0**10000"}),
+    ("simulate", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
+    ("check-outflow", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
+], ids=["divide", "overflow", "outflow-simulate", "outflow-check"])
+def test_expression_that_fails_to_evaluate_exit_2(tmp_path, capsys, command,
+                                                  overrides):
+    path, out_dir = write_config(tmp_path, **overrides)
+    assert main([command, str(path)]) == EXIT_CONFIG
+    expr = overrides.get("theta0", overrides.get("P"))
+    assert f"configuration error: expression {expr!r} failed" in (
+        capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+def test_unusable_output_dir_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out_dir = tmp_path / "afile" / "sub"
+    path = tmp_path / "run.ini"
+    path.write_text(config_text(str(out_dir)))
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(out_dir) in err
+    # the same through python -m mhbl and its sys.exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "mhbl", "simulate", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_CONFIG
+    assert "Traceback" not in done.stderr and str(out_dir) in done.stderr
+
+
+def test_mms_case_leaving_the_admissible_set_exit_3(monkeypatch, capsys):
+    real = mms.manufacture_source
+
+    def tampered(case, *args):
+        # theta and q of -v are negative everywhere
+        flipped = dataclasses.replace(case, v=lambda t, xi, eta: -case.v(
+            t, xi, eta))
+        return real(flipped, *args)
+
+    monkeypatch.setattr(mms, "manufacture_source", tampered)
+    assert main(["mms", "constant", "3"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith(
+        "precondition violated: case 'constant' leaves the admissible set")
+
+
+@pytest.mark.parametrize("case,change,code,prefix", [
+    ("advection", {"max_iter": 1}, EXIT_NO_CONVERGENCE,
+     "non-convergence: case 'advection' at 16x32"),
+    ("constant", {"aborted": True}, EXIT_SOLVER,
+     "solver error: case 'constant' at 16x32: left"),
+], ids=["non-convergence", "aborted"])
+def test_mms_resolution_that_fails_exits_with_its_code(monkeypatch, capsys,
+                                                       case, change, code,
+                                                       prefix):
+    real = mms.solve_case
+
+    def solve(*args, **kwargs):
+        if "max_iter" in change:
+            kwargs["max_iter"] = change["max_iter"]
+        traj, report, errors = real(*args, **kwargs)
+        if change.get("aborted"):
+            report = dataclasses.replace(report, converged=False, aborted=True,
+                                         message="left")
+        return traj, report, errors
+
+    monkeypatch.setattr(mms, "solve_case", solve)
+    assert main(["mms", case, "3"]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+#: the documented codes; any MhblError not named here is a solver error
+DOCUMENTED = {
+    errors.ConfigError: (EXIT_CONFIG, "configuration error"),
+    errors.SnapshotFormatError: (EXIT_CONFIG, "configuration error"),
+    OSError: (EXIT_CONFIG, "configuration error"),
+    errors.PositivityError: (EXIT_PRECONDITION, "precondition violated"),
+    errors.PreconditionError: (EXIT_PRECONDITION, "precondition violated"),
+    errors.NonConvergenceError: (EXIT_NO_CONVERGENCE, "non-convergence"),
+}
+RAISED = [OSError] + [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                      if issubclass(c, errors.MhblError)]
+ENTRY_POINTS = {
+    "simulate": (config, "parse_config"),
+    "check-outflow": (config, "parse_config"),
+    "mms": (mms, "convergence_study"),
+    "check-identities": (coeffs, "eval_advection"),
+    "info": (snapshots, "read_snapshot"),
+}
+
+
+@pytest.mark.parametrize("error", RAISED, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys,
+                                                         monkeypatch, command,
+                                                         error):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(*ENTRY_POINTS[command], failing)
+    path, _ = write_config(tmp_path)
+    argv = {"simulate": [str(path)], "check-outflow": [str(path)],
+            "mms": ["constant", "3"], "info": ["s.mhbl"]}.get(command, [])
+    code, prefix = DOCUMENTED.get(error, (EXIT_SOLVER, "solver error"))
+    assert main([command] + argv) == code
+    assert capsys.readouterr().err == f"{prefix}: injected\n"
+
+
+def test_one_wrapper_maps_errors_to_exit_codes():
+    mapped = {"OSError"} | {name for name, c in inspect.getmembers(errors)
+                            if inspect.isclass(c)
+                            and issubclass(c, errors.MhblError)}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    wrapper = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_exit_code")
+    inside = {id(node) for node in ast.walk(wrapper)}
+    mapping = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ExceptHandler) and node.type is not None
+               and mapped & {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(node.type)}]
+    assert mapping and all(id(node) in inside for node in mapping)

@@ -5,11 +5,20 @@ parse -> serialize -> parse is the identity, snapshots are little-endian
 with a 25-byte header, and writing the same state twice is byte-identical.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import mhbl
 from mhbl import ConfigError, SnapshotFormatError, State, make_grid
 from mhbl.config import (
+    _DEFAULTS,
+    _SCHEMA,
     RunConfig,
     compile_expression,
     parse_config,
@@ -87,6 +96,83 @@ def test_parse_serialize_round_trip_is_identity():
     assert again.values == cfg.values
     # canonical form is a fixpoint
     assert serialize_config(again) == text
+
+
+def numbers(lo, hi):
+    return st.floats(lo, hi).flatmap(
+        lambda v: st.sampled_from([repr(v), f"{v:.6e}"]))
+
+
+def expressions(variables):
+    leaves = st.one_of(st.sampled_from(variables + ("pi",)),
+                       st.integers(0, 99).map(str), numbers(0.0, 10.0))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]),
+                  inner).map(" ".join),
+        st.tuples(st.sampled_from(["sin", "exp", "tanh", "sqrt"]),
+                  inner).map(lambda p: f"{p[0]}({p[1]})"),
+        inner.map(lambda e: f"-({e})")), max_leaves=6)
+
+
+#: a valid value per (section, key) or per kind; [grid] t_end and the
+#: outflow traces depend on other keys and are drawn in config_texts
+VALUES = {
+    ("grid", "nx"): st.integers(4, 512).map(str),
+    ("grid", "neta"): st.integers(8, 512).map(str),
+    ("initial", "ny"): st.integers(4, 4096).map(str),
+    ("picard", "tol"): numbers(0.0, 1.0),
+    ("picard", "max_iter"): st.integers(1, 1000).map(str),
+    ("picard", "compat_order"): st.sampled_from(["0", "1"]),
+    ("picard", "on_admissibility_loss"): st.sampled_from(["abort", "continue"]),
+    ("output", "dir"): st.text("abxyz09_-./", min_size=1, max_size=12),
+    ("output", "snapshot_every"): st.integers(1, 100).map(str),
+    "float": numbers(1e-3, 1e3),
+    "bool": st.sampled_from(["true", "False", "YES", "no", "on", "OFF", "1",
+                             "0"]),
+}
+EXPRESSIONS = {"initial": expressions(("x", "y")),
+               "outflow": expressions(("t", "xi"))}
+CONSTANT_TRACE = numbers(-1e3, 1e3)
+COMMENTS = st.sampled_from(["", "  # note", "\t; why"])
+
+
+@st.composite
+def config_texts(draw):
+    """INI text with a valid value for every _SCHEMA key, in sections of any
+    order; a key with a default may be left out."""
+    dt = draw(st.floats(1e-4, 1.0))
+    mode = draw(st.sampled_from(["constant", "expressions"]))
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, kind in keys.items():
+            if key in _DEFAULTS.get(section, {}) and draw(st.booleans()):
+                continue
+            if key == "mode":
+                value = mode
+            elif key in ("dt", "t_end"):
+                value = repr(dt * draw(st.floats(1.0, 50.0))
+                             if key == "t_end" else dt)
+            elif section == "outflow" and mode == "constant":
+                value = draw(CONSTANT_TRACE)
+            elif kind == "expr":
+                value = draw(EXPRESSIONS[section])
+            else:
+                value = draw(VALUES[section, key] if (section, key) in VALUES
+                             else VALUES[kind])
+            lines.append(f"{key} = {value}{draw(COMMENTS)}")
+        sections.append("\n".join(lines))
+    return "\n\n".join(draw(st.permutations(sections))) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(config_texts())
+def test_parse_serialize_is_idempotent_on_generated_configs(text):
+    cfg = parse_config(text)
+    canonical = serialize_config(cfg)
+    again = parse_config(canonical)
+    assert again.values == cfg.values
+    assert serialize_config(again) == canonical
 
 
 def test_inline_comments_are_stripped():
@@ -169,6 +255,19 @@ def test_expression_broadcasts_scalars_against_arrays():
     out2 = fn2(0.0, np.zeros(5))
     assert out2.shape == (5,)
     np.testing.assert_allclose(out2, np.pi)
+
+
+def test_expression_literals_are_floats():
+    assert type(compile_expression("2**3 // 1", ())()) is float
+    # as ints, 9**9**9 would be computed digit by digit; a child process
+    # with a timeout keeps a regression from hanging the suite
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from mhbl.config import compile_expression\n"
+         "compile_expression('9**9**9', ())()"],
+        env={"PYTHONPATH": str(Path(mhbl.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=30)
+    assert "ConfigError: expression '9**9**9' failed" in done.stderr
 
 
 # ---------------------------------------------------------------------------
