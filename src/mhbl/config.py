@@ -24,7 +24,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridSizingError, PositivityError
 from .fields import Grid, OutflowSpec, Params, make_grid
 
 _SAFE_FUNCS: Dict[str, object] = {
@@ -214,9 +214,13 @@ def parse_config(text: str) -> RunConfig:
             if key not in values[section]:
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
     cfg = RunConfig(values=values)
-    # fail fast on anything malformed, not on first use
-    cfg.make_params()
-    cfg.make_grid()
+    # fail fast on anything malformed, not on first use; a value the
+    # parameter and grid checks refuse is a configuration error
+    try:
+        cfg.make_params()
+        cfg.make_grid()
+    except (GridSizingError, PositivityError) as exc:
+        raise ConfigError(str(exc)) from exc
     cfg.outflow_spec()
     cfg.initial_profiles()
     tol = cfg.getfloat("picard", "tol")

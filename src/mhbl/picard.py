@@ -11,7 +11,7 @@ in the admissible set theta >= delta, delta <= q <= P - delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -158,7 +158,10 @@ class IterationReport:
     distances[n] is the trajectory distance sup_k || v^{n+1} - v^n ||_L2
     after iterate n+1; ratios are successive quotients.  admissible[n] flags
     iterate n (entry 0 is the zeroth approximation).  norm_history tracks
-    sup_k || v^n - vbar ||_{H^1}.
+    sup_k || v^n - vbar ||_{H^1}.  margins[n] is iterate n's admissibility
+    margin: the smallest of theta, q and P - q over all levels, less delta,
+    so it is negative or NaN exactly when the iterate left the admissible
+    set.
     """
 
     converged: bool
@@ -169,35 +172,52 @@ class IterationReport:
     norm_history: List[float]
     aborted: bool = False
     message: str = ""
+    margins: List[float] = field(default_factory=list)
 
 
-def _measure(traj: Trajectory, prev: Optional[Trajectory],
-             background: Background, params: Params, grid: Grid):
-    """One pass over the levels of an iterate.
+class _Measure:
+    """The measurement of one iterate, taken one level at a time.
 
-    Returns (distance, admissible, norm): the trajectory distance
-    sup_k || v(k) - prev(k) ||_L2 (None when prev is None), whether every
-    level lies in the admissible set with margin delta, and the deviation
-    sup_k || v(k) - vbar(k) ||_{H^1}.  A NaN anywhere in a level makes the
-    distance and the norm NaN; in theta or q it also fails admissibility.
+    Called as measure(k, v, old) for every level k in order, with the
+    iterate's level k and the previous iterate's level k (None for the
+    zeroth approximation, which has no previous iterate); it fits
+    solve_linear_problem's measure argument.  result() returns
+    (distance, admissible, norm, margin): the trajectory distance
+    sup_k || v(k) - old(k) ||_L2 (None without old levels), whether every
+    level lies in the admissible set with margin delta, the deviation
+    sup_k || v(k) - vbar(k) ||_{H^1}, and the smallest of min theta, min q
+    and min (P - q) over the levels, less delta.  A NaN anywhere in a level
+    makes the distance and the norm NaN; in theta or q it also fails
+    admissibility and makes the margin NaN.
     """
-    spec = NormSpec(k=1)
-    w = grid.eta_weights()[:, None]
-    dists: List[float] = []
-    norms: List[float] = []
-    ok = True
-    for k, v in enumerate(traj.data):
-        if prev is not None:
-            dists.append(np.sqrt(np.sum((v - prev.data[k]) ** 2 * w) * grid.dxi))
-        ok = ok and admissibility(v[..., 1], v[..., 2],
-                                  background.outflow.P[k][:, None], params,
-                                  params.delta).ok
-        comp = discrete_norm(np.moveaxis(v, -1, 0) - background.components(k),
-                             spec, grid)
-        norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
-    # np.max, not max(): the builtin drops a NaN that is not first
-    dist = None if prev is None else float(np.max(dists))
-    return dist, ok, float(np.max(norms))
+
+    def __init__(self, background: Background, params: Params, grid: Grid):
+        self.background, self.params, self.grid = background, params, grid
+        self.spec = NormSpec(k=1)
+        self.w = grid.eta_weights()[:, None]
+        self.dists: List[float] = []
+        self.norms: List[float] = []
+        self.minima: List[float] = []
+        self.ok = True
+
+    def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
+        if old is not None:
+            self.dists.append(
+                np.sqrt(np.sum((v - old) ** 2 * self.w) * self.grid.dxi))
+        rep = admissibility(v[..., 1], v[..., 2],
+                            self.background.outflow.P[k][:, None], self.params,
+                            self.params.delta)
+        self.ok = self.ok and rep.ok
+        self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
+        comp = discrete_norm(np.moveaxis(v, -1, 0) - self.background.components(k),
+                             self.spec, self.grid)
+        self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
+
+    def result(self):
+        # np.max and np.min, not the builtins: they drop a NaN that is not first
+        dist = float(np.max(self.dists)) if self.dists else None
+        return (dist, self.ok, float(np.max(self.norms)),
+                float(np.min(self.minima)) - self.params.delta)
 
 
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
@@ -209,7 +229,8 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
 
     Preconditions: v0 admissible with margin 2*delta (theta >= 2 delta,
     2 delta <= q <= P - 2 delta at t = 0).  Iterates solve the linear
-    problem against the previous trajectory; the loop stops when the
+    problem against the previous trajectory, overwriting it level by level,
+    so the run holds one trajectory; the loop stops when the
     trajectory distance drops to tol or max_iter is hit.  Admissibility of
     every iterate is recorded; losing it either aborts with a report
     (default) or, with on_admissibility_loss="continue", clamps coefficient
@@ -239,23 +260,31 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     compat = compatibility_derivatives(v0, outflow, params, grid,
                                        order=compat_order)
     traj = build_zeroth_approx(background, compat, grid)
-    prev: Optional[Trajectory] = None
     distances: List[float] = []
     ratios: List[float] = []
     admissible: List[bool] = []
     norms: List[float] = []
+    margins: List[float] = []
     clamp = False
-    # iterate 0 is the zeroth approximation: measured, never solved for
+    # iterate 0 is the zeroth approximation: measured, never solved for.
+    # Each later iterate marches in place over the previous one, measured
+    # level by level against it as it goes.
     for n in range(max_iter + 1):
-        if n > 0:
+        measure = _Measure(background, params, grid)
+        if n == 0:
+            for k, v in enumerate(traj.data):
+                measure(k, v, None)
+        else:
             try:
-                traj = solve_linear_problem(prev, v0, outflow, params, grid,
-                                            source=source, clamp=clamp)
+                traj = solve_linear_problem(traj, v0, outflow, params, grid,
+                                            source=source, clamp=clamp,
+                                            measure=measure)
             except (LinearSolveError, CFLError, DegenerateStateError) as exc:
                 raise type(exc)(f"Picard iterate {n}: {exc}") from exc
-        dist, ok, norm = _measure(traj, prev, background, params, grid)
+        dist, ok, norm, margin = measure.result()
         admissible.append(ok)
         norms.append(norm)
+        margins.append(margin)
         if dist is not None:
             distances.append(dist)
             if len(distances) >= 2 and distances[-2] > 0.0:
@@ -268,11 +297,10 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                     aborted=True,
                     message=f"iterate {n} left the admissible set" if n else
                     "zeroth approximation left the admissible set; "
-                    "shorten t_end or fix the data")
+                    "shorten t_end or fix the data", margins=margins)
             clamp = True
         if n > 0 and distances[-1] <= tol:
             break
-        prev = traj
     converged = distances[-1] <= tol
     message = "" if converged else (
         f"no convergence after {n} iterations; "
@@ -280,4 +308,4 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     return traj, IterationReport(
         converged=converged, iterations=n, distances=distances,
         ratios=ratios, admissible=admissible, norm_history=norms,
-        aborted=False, message=message)
+        aborted=False, message=message, margins=margins)

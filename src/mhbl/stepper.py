@@ -32,7 +32,7 @@ stays block tridiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgtsv
@@ -339,8 +339,11 @@ class Trajectory:
 def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
                          params: Params, grid: Grid,
                          source: Optional[FloatArray] = None,
-                         clamp: bool = False) -> Trajectory:
-    """March the frozen-coefficient problem over [0, t_end].
+                         clamp: bool = False,
+                         measure: Optional[
+                             Callable[[int, FloatArray, FloatArray], None]] = None,
+                         ) -> Trajectory:
+    """March the frozen-coefficient problem over [0, t_end], in place.
 
     v_prev supplies the coefficient states: the step from level k to k+1
     freezes A, B, F, G at v_prev(level k).  source, when given, has shape
@@ -349,21 +352,35 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     boundary rows enforced.  A LinearSolveError, CFLError or
     DegenerateStateError from the step off level k is raised again as the
     same class with "time level k: " before its message.
+
+    v_prev is consumed: once the step off level k is taken, the new level k
+    overwrites slot k of v_prev.data, and the returned Trajectory wraps
+    v_prev.data itself.  Only the new level k and k+1 are held outside it.
+    When a step raises part-way, v_prev.data is left with the new levels
+    below k and the old levels from k on.  measure, when given, is called
+    as measure(k, new, old) for k = 0..nsteps in order, with the new and
+    the old level k, just before slot k is overwritten.
     """
     nt = grid.nsteps
     if v_prev.nlevels != nt + 1:
         raise GridSizingError(
             f"coefficient trajectory has {v_prev.nlevels} levels, grid wants {nt + 1}")
-    data = np.empty((nt + 1, grid.nx, grid.neta, 3))
-    data[0] = apply_bcs(v0, outflow, grid).as_array()
-    for k in range(nt):
-        src = None if source is None else source[k + 1]
-        try:
-            frozen = FrozenCoeffs.from_state(
-                v_prev.data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
-                params, grid, clamp=clamp)
-            data[k + 1] = _step_arrays(data[k], float(grid.times[k]), frozen,
-                                       outflow, params, grid, source=src)
-        except (LinearSolveError, CFLError, DegenerateStateError) as exc:
-            raise type(exc)(f"time level {k}: {exc}") from exc
+    data = v_prev.data
+    level = apply_bcs(v0, outflow, grid).as_array()
+    for k in range(nt + 1):
+        new = None
+        if k < nt:
+            src = None if source is None else source[k + 1]
+            try:
+                frozen = FrozenCoeffs.from_state(
+                    data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
+                    params, grid, clamp=clamp)
+                new = _step_arrays(level, float(grid.times[k]), frozen,
+                                   outflow, params, grid, source=src)
+            except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+                raise type(exc)(f"time level {k}: {exc}") from exc
+        if measure is not None:
+            measure(k, level, data[k])
+        data[k] = level
+        level = new
     return Trajectory(data=data, times=grid.times.copy())

@@ -363,6 +363,23 @@ def test_unusable_output_dir_exit_2(tmp_path, capsys):
     assert "Traceback" not in done.stderr and str(out_dir) in done.stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-outflow"])
+@pytest.mark.parametrize("key,value,message", [
+    ("nx", "2", "nx must be >= 4, got 2"),
+    ("mu", "-1", "parameter mu must be positive, got -1.0"),
+], ids=["nx", "mu"])
+def test_bad_grid_or_physics_value_exit_2(tmp_path, capsys, command, key,
+                                          value, message):
+    # the grid and parameter checks raise GridSizingError and
+    # PositivityError; read from a config, the value is a configuration error
+    path, out_dir = write_config(tmp_path, **{key: value})
+    assert main([command, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_mms_case_leaving_the_admissible_set_exit_3(monkeypatch, capsys):
     real = mms.manufacture_source
 

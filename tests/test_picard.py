@@ -307,7 +307,7 @@ def test_picard_errors_name_the_iterate(error, monkeypatch):
     calls = []
 
     def second_iterate_breaks(v_prev, v0, outflow, params, grid, source=None,
-                              clamp=False):
+                              clamp=False, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             v_prev = Trajectory(data=v_prev.data.copy(), times=v_prev.times)
@@ -319,7 +319,7 @@ def test_picard_errors_name_the_iterate(error, monkeypatch):
                 source = np.zeros_like(v_prev.data)
                 source[3, 1, 4, 2] = np.nan        # enters the step off level 2
         return real(v_prev, v0, outflow, params, grid, source=source,
-                    clamp=clamp)
+                    clamp=clamp, **kwargs)
 
     monkeypatch.setattr(picard, "solve_linear_problem", second_iterate_breaks)
     with pytest.raises(error, match="^Picard iterate 2: time level 2: "):
@@ -371,16 +371,8 @@ def test_max_iter_below_one_rejected_before_any_work(monkeypatch):
 # ---------------------------------------------------------------------------
 # per-iterate measurement
 
-def test_norm_history_matches_stacked_background_reference(monkeypatch):
-    # time-varying outflow: the background differs from level to level, so a
-    # level paired with the wrong background row would show in the norm
-    grid = make_grid(6, 25, 6.0, 0.05, 0.2)
-    data = sample_outflow(time_varying_spec(), grid)
-    phi = cutoff_phi(grid.eta)[None, :]
-    eta = grid.eta[None, :]
-    bump = 0.03 * np.sin(grid.xi)[:, None] * (eta ** 2 * np.exp(-eta))
-    v0 = State(u1=0.1 * phi + bump, theta=phi + 0.5 * (1 - phi) + bump,
-               q=0.5 + bump)
+def record_iterates(monkeypatch):
+    """A list that picard_solve's iterates are copied into, the zeroth first."""
     iterates = []
     real = picard.solve_linear_problem
 
@@ -392,6 +384,20 @@ def test_norm_history_matches_stacked_background_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(picard, "solve_linear_problem", recording)
+    return iterates
+
+
+def test_norm_history_matches_stacked_background_reference(monkeypatch):
+    # time-varying outflow: the background differs from level to level, so a
+    # level paired with the wrong background row would show in the norm
+    grid = make_grid(6, 25, 6.0, 0.05, 0.2)
+    data = sample_outflow(time_varying_spec(), grid)
+    phi = cutoff_phi(grid.eta)[None, :]
+    eta = grid.eta[None, :]
+    bump = 0.03 * np.sin(grid.xi)[:, None] * (eta ** 2 * np.exp(-eta))
+    v0 = State(u1=0.1 * phi + bump, theta=phi + 0.5 * (1 - phi) + bump,
+               q=0.5 + bump)
+    iterates = record_iterates(monkeypatch)
     _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-16, max_iter=3)
     assert len(report.norm_history) == len(iterates) == 4
 
@@ -409,28 +415,65 @@ def test_norm_history_matches_stacked_background_reference(monkeypatch):
     assert report.norm_history[0] > 0.0
 
 
+def measure_levels(levels, old_levels, bg, grid):
+    """Feed levels (and old_levels, or None) to a fresh per-level measure."""
+    measure = picard._Measure(bg, PARAMS, grid)
+    for k, v in enumerate(levels):
+        measure(k, v, None if old_levels is None else old_levels[k])
+    return measure.result()
+
+
 def test_measure_propagates_a_nan_level():
     grid, data = constant_setup()
     bg = build_background(data, grid)
     level = State.constant(grid, 0.0, 1.0, 0.5).as_array()
-    prev = Trajectory(data=np.stack([level] * (grid.nsteps + 1)),
-                      times=grid.times.copy())
-    traj = Trajectory(data=prev.data.copy(), times=prev.times)
-    dist, ok, norm = picard._measure(traj, prev, bg, PARAMS, grid)
+    prev = np.stack([level] * (grid.nsteps + 1))
+    traj = prev.copy()
+    dist, ok, norm, margin = measure_levels(traj, prev, bg, grid)
     assert dist == 0.0 and ok and norm <= 1e-13
     # a NaN level after the first: the builtin max() would drop it
-    traj.data[2] = np.nan
-    dist, ok, norm = picard._measure(traj, prev, bg, PARAMS, grid)
+    traj[2] = np.nan
+    dist, ok, norm, margin = measure_levels(traj, prev, bg, grid)
     assert np.isnan(dist) and np.isnan(norm) and ok is False
-    dist, ok, norm = picard._measure(traj, None, bg, PARAMS, grid)
+    assert np.isnan(margin)
+    dist, ok, norm, margin = measure_levels(traj, None, bg, grid)
     assert dist is None and np.isnan(norm) and ok is False
 
 
-def test_picard_peak_memory_stays_below_three_and_a_half_sources():
+def direct_margin(traj, outflow, delta):
+    """min over levels of theta, q and P - q, less delta, from whole arrays."""
+    theta, q = traj[..., 1], traj[..., 2]
+    return float(min(theta.min(), q.min(),
+                     (outflow.P[:, :, None] - q).min())) - delta
+
+
+def test_margins_recorded_per_iterate(monkeypatch):
+    grid, data, v0 = perturbed_setup()
+    iterates = record_iterates(monkeypatch)
+    _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-9, max_iter=25)
+    assert report.converged
+    assert len(report.margins) == len(iterates) == report.iterations + 1
+    assert all(m > 0.0 for m in report.margins)
+    for got, traj in zip(report.margins, iterates):
+        assert got == direct_margin(traj, data, PARAMS.delta)
+
+    # the zeroth approximation of a declining pressure leaves the set
+    grid, data, v0 = declining_pressure_setup()
+    zeroth = build_zeroth_approx(
+        build_background(data, grid),
+        compatibility_derivatives(v0, data, PARAMS, grid, order=0), grid)
+    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0)
+    assert report.aborted and report.admissible == [False]
+    assert len(report.margins) == 1 and report.margins[0] < 0.0
+    assert report.margins[0] == direct_margin(zeroth.data, data, PARAMS.delta)
+
+
+def test_picard_peak_memory_stays_below_two_sources():
     # the 32x64 level of criterion 04's advection study; the source is built
     # before tracing starts, so the peak counts only what picard_solve holds:
-    # the previous and the current iterate, one step's work arrays (about
-    # 0.7 trajectory at 42 levels) and no stored background
+    # one trajectory, which every iterate overwrites level by level, and one
+    # step's work arrays with the march's one-level carry (together about
+    # 0.8 trajectory at 42 levels); no second iterate, no stored background
     case = mms.case_library()["advection"]
     deta0 = case.eta_max / 31
     dt = case.base_dt * (case.eta_max / 63 / deta0) ** 2
@@ -447,4 +490,4 @@ def test_picard_peak_memory_stays_below_three_and_a_half_sources():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak / source.nbytes < 3.5
+    assert peak / source.nbytes < 2.0

@@ -522,6 +522,46 @@ def test_march_rejects_mismatched_coefficient_trajectory():
         solve_linear_problem(bad, v, outflow, PARAMS, g)
 
 
+def test_march_overwrites_its_coefficient_trajectory_in_place():
+    # each level k of the coefficient trajectory is read by the step off
+    # level k only, so the march stores the new level k in its slot; the
+    # result must equal a march of step_linear over a saved copy
+    g = small_grid()
+    outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
+                               theta_star=0.9)
+    rng = np.random.default_rng(21)
+    base = State.constant(g, 0.0, 1.0, 0.5).as_array()
+    coeff = Trajectory(
+        data=base + 0.02 * rng.normal(size=(g.nsteps + 1,) + base.shape),
+        times=g.times.copy())
+    saved = coeff.data.copy()
+    v0 = State.from_array(base + 0.02 * rng.normal(size=base.shape))
+    state = apply_bcs(v0, outflow, g)
+    ref = [state.as_array()]
+    for k in range(g.nsteps):
+        frozen = FrozenCoeffs.from_state(saved[k], outflow.P[k], outflow.P_t[k],
+                                         outflow.P_xi[k], PARAMS, g)
+        state = step_linear(state, frozen, outflow, PARAMS, g)
+        ref.append(state.as_array())
+    ref = np.stack(ref)
+
+    seen = []
+
+    def measure(k, new, old):
+        # slot k still holds the old level; the slots below it the new ones
+        np.testing.assert_array_equal(coeff.data[k], saved[k])
+        np.testing.assert_array_equal(coeff.data[:k], ref[:k])
+        np.testing.assert_array_equal(old, saved[k])
+        np.testing.assert_array_equal(new, ref[k])
+        seen.append(k)
+
+    traj = solve_linear_problem(coeff, v0, outflow, PARAMS, g, measure=measure)
+    assert np.shares_memory(traj.data, coeff.data)
+    assert seen == list(range(g.nsteps + 1))
+    np.testing.assert_array_equal(traj.data, ref)
+    assert not np.array_equal(saved, ref)
+
+
 def test_frozen_coeffs_numeric_radius_matches_closed_form():
     g = small_grid()
     outflow = constant_outflow(g)
