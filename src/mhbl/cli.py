@@ -88,20 +88,16 @@ def run_simulate(config_text: str) -> int:
     return _exit_code(_simulate, config_text)
 
 
-def _simulate(config_text: str) -> int:
+def _initial_state(cfg, params, grid, outflow):
+    """Evaluate the initial profiles on the physical (x, y) grid, check the
+    positivity preconditions and map the profiles to the (xi, eta) grid.
+
+    Returns the initial transformed state and the y nodes.  The (nx, ny)
+    profiles and eta table die on return, before the Picard solve starts.
+    """
     import numpy as np
 
-    from .config import parse_config, serialize_config
-    from .diagnostics import residual_transformed
-    from .fields import sample_outflow
-    from .picard import picard_solve
-    from .snapshots import emit_plot_data, write_snapshot
-    from .transform import initial_eta_map, pullback_physical, residual_original
-
-    cfg = parse_config(config_text)
-    params = cfg.make_params()
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    from .transform import initial_eta_map
 
     u1_fn, theta_fn, h1_fn = cfg.initial_profiles()
     ny = cfg.getint("initial", "ny")
@@ -125,12 +121,29 @@ def _simulate(config_text: str) -> int:
         if not ok:
             raise PreconditionError(name)
 
+    v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
+    return v0, y
+
+
+def _simulate(config_text: str) -> int:
+    from .config import parse_config, serialize_config
+    from .diagnostics import residual_transformed
+    from .fields import sample_outflow
+    from .picard import picard_solve
+    from .snapshots import emit_plot_data, write_snapshot
+    from .transform import pullback_physical, residual_original
+
+    cfg = parse_config(config_text)
+    params = cfg.make_params()
+    grid = cfg.make_grid()
+    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    v0, y = _initial_state(cfg, params, grid, outflow)
+
     out_dir = cfg.get("output", "dir")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.ini"), "w") as fh:
         fh.write(serialize_config(cfg))
 
-    v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
     traj, report = picard_solve(
         v0, outflow, params, grid,
         tol=cfg.getfloat("picard", "tol"),
@@ -149,23 +162,29 @@ def _simulate(config_text: str) -> int:
     levels = sorted(set(list(range(0, nt + 1, every)) + [nt]))
     mid = nt // 2
     triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
-    physical = {}
+    # one level at a time: pull back, write, and keep the physical state only
+    # while the residual triple is incomplete
+    held, res_o = [], None
     for k in sorted(set(levels) | set(triple)):
         # d_t h1 pairs each level with an adjacent one: level 1 for level 0,
         # the level below otherwise
         prev = traj.state(1) if k == 0 else traj.state(k - 1)
-        physical[k] = pullback_physical(traj.state(k), outflow, params, grid,
-                                        y, v_hat_prev=prev)
+        phys = pullback_physical(traj.state(k), outflow, params, grid, y,
+                                 v_hat_prev=prev)
         if k in levels:
             write_snapshot(traj.state(k),
                            os.path.join(out_dir, f"state_{k:05d}.mhbl"))
-            write_snapshot(physical[k],
-                           os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
+            write_snapshot(phys, os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
+        if k in triple:
+            held.append(phys)
+        del phys
+        if len(held) == 3:
+            res_o = residual_original(held, outflow, params)
+            held.clear()
 
     res_t = residual_transformed(traj, outflow, params, grid)
     emit_plot_data(res_t, out_dir)
-    if triple:
-        res_o = residual_original([physical[j] for j in triple], outflow, params)
+    if res_o is not None:
         emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
     if cfg.getbool("output", "emit_plots"):
         emit_plot_data(traj, out_dir, grid=grid)

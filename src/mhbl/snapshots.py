@@ -69,7 +69,7 @@ def write_snapshot(state: Union[State, PhysicalState], path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, nx, n2, float(state.time), tag))
         for arr in arrays:
-            fh.write(arr.tobytes(order="C"))
+            fh.write(arr)  # through the buffer: no copy of the field
 
 
 def read_snapshot(path: str) -> Snapshot:

@@ -10,6 +10,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,69 @@ def test_simulate_residual_triple_pairs_adjacent_levels(tmp_path, monkeypatch):
     emit_plot_data(residual_original(triple, outflow, params), str(expected_dir))
     assert ((out_dir / "physical_residuals" / "residuals.csv").read_text()
             == (expected_dir / "residuals.csv").read_text())
+
+
+def test_simulate_residual_triple_off_the_snapshot_levels(tmp_path,
+                                                          monkeypatch):
+    # nt = 6 with snapshot_every = 4 writes levels 0, 4 and 6, while the
+    # residual triple is (2, 3, 4): levels 2 and 3 are pulled back only for
+    # the triple, once each, against the level below, and never written
+    calls = {}
+
+    def recording(v_hat, *args, v_hat_prev=None, **kwargs):
+        k = round(v_hat.time / 0.01)  # the configured dt
+        assert k not in calls
+        calls[k] = (v_hat, v_hat_prev)
+        return pullback_physical(v_hat, *args, v_hat_prev=v_hat_prev, **kwargs)
+
+    monkeypatch.setattr(transform, "pullback_physical", recording)
+    path, out_dir = write_config(tmp_path, t_end="0.06", snapshot_every="4",
+                                 h1_0="1.1 - 0.2*exp(-y*y)")
+    assert main(["simulate", str(path)]) == EXIT_OK
+    cfg = parse_config(path.read_text())
+    params, grid = cfg.make_params(), cfg.make_grid()
+    assert grid.nsteps == 6
+    assert {k: round(prev.time / grid.dt) for k, (_, prev) in calls.items()} \
+        == {0: 1, 2: 1, 3: 2, 4: 3, 6: 5}
+    assert sorted(n for n in os.listdir(out_dir) if n.endswith(".mhbl")) == [
+        f"{kind}_{k:05d}.mhbl" for kind in ("physical", "state")
+        for k in (0, 4, 6)]
+    snap = read_snapshot(str(out_dir / "state_00004.mhbl"))
+    assert all(np.array_equal(snap.fields[name], getattr(calls[4][0], name))
+               for name in ("u1", "theta", "q"))
+
+    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
+                    cfg.getint("initial", "ny"))
+    hats = {k: v_hat for k, (v_hat, _) in calls.items()}
+    hats[1] = calls[2][1]  # level 1 is only ever a partner
+    triple = [pullback_physical(hats[k], outflow, params, grid, y,
+                                v_hat_prev=hats[k - 1]) for k in (2, 3, 4)]
+    expected_dir = tmp_path / "expected"
+    emit_plot_data(residual_original(triple, outflow, params), str(expected_dir))
+    assert ((out_dir / "physical_residuals" / "residuals.csv").read_text()
+            == (expected_dir / "residuals.csv").read_text())
+
+
+def test_simulate_peak_memory_does_not_grow_with_levels(tmp_path):
+    # a wide physical grid: one physical level (6 fields of nx x ny) is 32
+    # times a transformed one.  The output stage holds at most the residual
+    # triple and the level being pulled back, so 20 time levels peak within
+    # one physical level of 5; only the trajectory itself grows with them.
+    nx, ny = 64, 256
+    runs = [write_config(tmp_path, name=f"levels_{t_end}.ini", nx=str(nx),
+                         neta="16", ny=str(ny), t_end=t_end)[0].read_text()
+            for t_end in ("0.04", "0.19")]
+    assert cli.run_simulate(runs[0]) == EXIT_OK  # every lazy import done
+    peaks = []
+    for text in runs:
+        tracemalloc.start()
+        try:
+            assert cli.run_simulate(text) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 6 * nx * ny * 8
 
 
 def test_simulate_config_error_exit_2(tmp_path, capsys):
