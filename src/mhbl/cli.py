@@ -79,11 +79,11 @@ def run_simulate(config_text: str) -> int:
     """Execute the full pipeline for one configuration; returns an exit code.
 
     Steps: parse and validate, sample the outflow, evaluate the initial
-    profiles, check the positivity preconditions (theta_star, theta0, h10
-    all >= 2 delta and h10^2/2 <= P(0, x) - 2 delta), transform the initial
-    data, run the Picard solve, pull snapshots back to physical variables,
-    and write snapshots, reports and optional plot data.  An error is
-    printed and mapped to its exit code, as under main().
+    profiles, check the preconditions (all three profiles finite; theta_star,
+    theta0, h10 all >= 2 delta and h10^2/2 <= P(0, x) - 2 delta), transform
+    the initial data, run the Picard solve, pull snapshots back to physical
+    variables, and write snapshots, reports and optional plot data.  An
+    error is printed and mapped to its exit code, as under main().
     """
     return _exit_code(_simulate, config_text)
 
@@ -109,8 +109,9 @@ def _initial_state(cfg, params, grid, outflow):
     h10 = np.asarray(h1_fn(X, Y), dtype=float)
 
     d = params.delta
-    checks = [
-        ("u1_0 finite", bool(np.isfinite(u10).all())),
+    checks = [(f"{name} finite", bool(np.isfinite(a).all()))
+              for name, a in (("u1_0", u10), ("theta0", theta0), ("h1_0", h10))]
+    checks += [
         ("theta_star >= 2 delta", float(outflow.theta_star.min()) >= 2 * d),
         ("theta0 >= 2 delta", float(theta0.min()) >= 2 * d),
         ("h1_0 >= 2 delta", float(h10.min()) >= 2 * d),

@@ -10,8 +10,11 @@ ignored; a silently misspelled tolerance is worse than an error.
 Closed-form values are plain Python expressions over numpy functions
 (sin, cos, tan, sinh, cosh, tanh, exp, log, sqrt, abs, pi) in the variables
 t, xi for outflow traces and x, y for initial profiles.  Numeric literals are
-floats, and an expression that fails to evaluate (1/0, 2.0**10000) raises
-ConfigError.
+floats, each function takes one argument, and an expression that fails to
+evaluate (1/0, 2.0**10000) or whose value is not real ((-1.0)**0.5) raises
+ConfigError.  numpy evaluates without warnings; a NaN or inf result is for
+the caller to refuse (simulate checks every initial profile, OutflowData
+every trace).
 """
 
 from __future__ import annotations
@@ -142,8 +145,9 @@ def compile_expression(text: str, variables: tuple) -> Callable:
     broadcasts its array arguments.
 
     Only arithmetic on numbers, the variables and the safe names is accepted,
-    with calls to the safe functions by name; every node of the syntax tree is
-    checked, so no attribute, subscript, lambda or comprehension gets through.
+    with one-argument calls to the safe functions by name; every node of the
+    syntax tree is checked, so no attribute, subscript, lambda or
+    comprehension gets through, and no function is used as a value.
     """
     try:
         tree = ast.parse(text, "<config>", "eval")
@@ -154,10 +158,15 @@ def compile_expression(text: str, variables: tuple) -> Callable:
         if (isinstance(node, ast.Name) and node.id not in _SAFE_FUNCS
                 and node.id not in variables):
             raise ConfigError(f"expression {text!r} uses unknown name {node.id!r}")
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
     for node in nodes:
         if isinstance(node, ast.Call):
+            # the safe functions are ufuncs: a second argument is their output
             ok = (isinstance(node.func, ast.Name)
-                  and callable(_SAFE_FUNCS.get(node.func.id)))
+                  and callable(_SAFE_FUNCS.get(node.func.id))
+                  and len(node.args) == 1)
+        elif isinstance(node, ast.Name):   # a function only as a callee
+            ok = callable(_SAFE_FUNCS.get(node.id)) == (id(node) in called)
         elif isinstance(node, ast.Constant):
             ok = type(node.value) in (int, float)
             if ok:   # a float power overflows; an int one grows unbounded
@@ -172,9 +181,14 @@ def compile_expression(text: str, variables: tuple) -> Callable:
     def fn(*args):
         local = dict(zip(variables, args))
         try:
-            out = eval(code, {"__builtins__": {}}, {**_SAFE_FUNCS, **local})
-        except ArithmeticError as exc:
+            # no numpy warnings: callers refuse a non-finite value by name
+            with np.errstate(all="ignore"):
+                out = eval(code, {"__builtins__": {}}, {**_SAFE_FUNCS, **local})
+        except (ArithmeticError, TypeError) as exc:   # complex % and // raise
             raise ConfigError(f"expression {text!r} failed: {exc}") from exc
+        # Python takes a negative float to a fractional power as complex
+        if np.iscomplexobj(out):
+            raise ConfigError(f"expression {text!r} failed: result is not real")
         reference = None
         for a in args:
             if isinstance(a, np.ndarray):

@@ -265,7 +265,7 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     admissible: List[bool] = []
     norms: List[float] = []
     margins: List[float] = []
-    clamp = False
+    clamp, aborted, message = False, False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.
     # Each later iterate marches in place over the previous one, measured
     # level by level against it as it goes.
@@ -291,21 +291,19 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                 ratios.append(distances[-1] / distances[-2])
         if not ok:
             if on_admissibility_loss == "abort":
-                return traj, IterationReport(
-                    converged=False, iterations=n, distances=distances,
-                    ratios=ratios, admissible=admissible, norm_history=norms,
-                    aborted=True,
-                    message=f"iterate {n} left the admissible set" if n else
-                    "zeroth approximation left the admissible set; "
-                    "shorten t_end or fix the data", margins=margins)
+                aborted = True
+                message = (f"iterate {n} left the admissible set" if n else
+                           "zeroth approximation left the admissible set; "
+                           "shorten t_end or fix the data")
+                break
             clamp = True
         if n > 0 and distances[-1] <= tol:
             break
-    converged = distances[-1] <= tol
-    message = "" if converged else (
-        f"no convergence after {n} iterations; "
-        f"last distance {distances[-1]:.3e} > tol {tol:g}")
+    converged = not aborted and distances[-1] <= tol
+    if not (converged or aborted):
+        message = (f"no convergence after {n} iterations; "
+                   f"last distance {distances[-1]:.3e} > tol {tol:g}")
     return traj, IterationReport(
         converged=converged, iterations=n, distances=distances,
         ratios=ratios, admissible=admissible, norm_history=norms,
-        aborted=False, message=message, margins=margins)
+        aborted=aborted, message=message, margins=margins)

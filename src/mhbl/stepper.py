@@ -15,8 +15,9 @@ u1 couples only to itself (B is a 1x1 u1 block plus a 2x2 (theta, q) block,
 and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees u1 only through
 F[1:, 0].  So each step makes two pivoted LU solves over all columns at
 once: the scalar u1 system, tridiagonal (LAPACK dgtsv), then the 2x2
-(theta, q) system, block tridiagonal in band storage (LAPACK dgbsv), with the
-u1 couplings moved to its right-hand side.
+(theta, q) system, block tridiagonal (LAPACK dgbsv), with the u1 couplings
+moved to its right-hand side.  Each system's blocks are written straight
+from the named entries, then once into the Fortran band both calls read.
 Explicit advection with centered differences is only weakly stable, so steps
 refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
 advection-dominated regimes need that bound respected.
@@ -79,12 +80,12 @@ class BlockTridiag:
     lower, diag, upper have shape (nbatch, m, k, k) (lower[.,0] and
     upper[.,-1] are ignored); rhs has shape (nbatch, m, k).  The block size
     k is read from the blocks; a step solves k = 1 (u1) and k = 2
-    (theta, q).  solve() makes one LAPACK LU solve with partial pivoting of
-    the systems stacked over all xi columns: dgtsv on the tridiagonal matrix
-    for k = 1, dgbsv on one band matrix for k >= 2.  It raises
-    LinearSolveError on mismatched shapes, on a non-finite entry, or on a
-    pivot |u_ii| <= 1e-13 times the largest |entry| of its xi column, that
-    scale taken from the three block arrays.
+    (theta, q).  solve() writes the systems stacked over all xi columns
+    into one band and makes one LAPACK LU solve with partial pivoting:
+    dgtsv on the band's three diagonals for k = 1, dgbsv on the band itself
+    for k >= 2.  It raises LinearSolveError on mismatched shapes, on a
+    non-finite entry, or on a pivot |u_ii| <= 1e-13 times the largest
+    |entry| of its xi column's part of the band.
     """
 
     lower: FloatArray
@@ -100,38 +101,33 @@ class BlockTridiag:
                 f"(lower {np.shape(self.lower)}, upper {np.shape(self.upper)}), "
                 f"rhs {np.shape(rhs)}; want (nbatch, m, k, k) and (nbatch, m, k)")
         nb, m, k = shape[:3]
-        lower, upper = self.lower[:, 1:], self.upper[:, :-1]
-        # the pivot guard's scale: the largest |entry| of each xi column's
-        # system (lower[:, 0] and upper[:, -1] lie outside it)
-        scale = np.max([np.abs(a).max(axis=(1, 2, 3), initial=0.0)
-                        for a in (self.diag, lower, upper)], axis=0)
+        # band storage with kl = ku = w = 2k - 1, unknowns in (xi column,
+        # eta row, component) order: A[i, j] is ab[j, 2w + i - j], so ab.T is
+        # LAPACK's Fortran band; band rows 0..w-1 are LU workspace, and the
+        # couplings between xi columns are zeros
+        w = 2 * k - 1
+        ab = np.zeros((nb, m, k, 3 * w + 1))
+        r, c = np.indices((k, k))
+        ab[:, :, c, 2 * w + r - c] = self.diag
+        ab[:, :-1, c, 2 * w + k + r - c] = self.lower[:, 1:]
+        ab[:, 1:, c, 2 * w - k + r - c] = self.upper[:, :-1]
+        # the pivot guard's scale: the largest |entry| of each xi column
+        scale = np.abs(ab).max(axis=(1, 2, 3))
         bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
         if bad.any():
             raise LinearSolveError(
                 f"non-finite implicit system in xi column {int(np.argmax(bad))}")
-        # unknowns in (xi column, eta row, component) order
+        ab = ab.reshape(-1, 3 * w + 1)
         if k == 1:
-            # zero couplings where two xi columns meet; the wrapper wants dl
-            # and du of length max(n - 1, 1)
+            # dl, d, du are band rows 3, 2, 1; the wrapper wants dl and du
+            # of length max(n - 1, 1)
             n = nb * m
-            dl = np.array(self.lower[..., 0, 0])
-            du = np.array(self.upper[..., 0, 0])
-            dl[:, 0] = du[:, -1] = 0.0
             _, u_diag, _, x, info = dgtsv(
-                dl.reshape(-1)[min(n - 1, 1):], self.diag[..., 0, 0].reshape(-1),
-                du.reshape(-1)[:max(n - 1, 1)], rhs.reshape(-1))
+                ab[:max(n - 1, 1), 3], ab[:, 2], ab[min(n - 1, 1):, 1],
+                rhs.reshape(-1))
         else:
-            # band storage with kl = ku = w = 2k - 1: A[i, j] is
-            # ab[2w + i - j, j]; rows 0..w-1 are LU workspace
-            w = 2 * k - 1
-            ab = np.zeros((3 * w + 1, nb, m, k))
-            for r in range(k):
-                for c in range(k):
-                    ab[2 * w + r - c, :, :, c] = self.diag[..., r, c]
-                    ab[2 * w + k + r - c, :, :-1, c] = lower[..., r, c]
-                    ab[2 * w - k + r - c, :, 1:, c] = upper[..., r, c]
-            lub, _, x, info = dgbsv(w, w, ab.reshape(3 * w + 1, -1),
-                                    rhs.reshape(-1))
+            lub, _, x, info = dgbsv(w, w, ab.T, rhs.reshape(-1),
+                                    overwrite_ab=True)
             u_diag = lub[2 * w]
         pivot = np.abs(u_diag).reshape(nb, k * m).min(axis=1)
         small = pivot <= 1e-13 * scale
@@ -233,15 +229,21 @@ def _set_boundary_rows(a: FloatArray, outflow: OutflowData, k: int) -> FloatArra
     return a
 
 
-def _eta_weights(F: FloatArray, B: FloatArray, dt: float, deta: float):
+def _eta_weights(F, B, dt: float, deta: float):
     """Blocks (L, D, U) of the implicit eta operator on the interior rows,
-    from one component block of F and B, shape (nx, m, k, k):
-    L = -f - b, D = I/dt + 2 b, U = f - b with f = F/(2 deta), b = B/deta^2."""
-    f, b = F / (2.0 * deta), B / deta ** 2
-    D = 2.0 * b
-    for i in range(F.shape[-1]):
-        D[..., i, i] += 1.0 / dt
-    return -f - b, D, f - b
+    shape (nx, m, k, k), from the k x k named entries of one component block
+    of F and B, each (nx, m): L = -f - b, D = I/dt + 2 b, U = f - b with
+    f = F/(2 deta), b = B/deta^2."""
+    k = len(F)
+    L, D, U = (np.empty(F[0][0].shape + (k, k)) for _ in range(3))
+    for i, j in np.ndindex(k, k):
+        f, b = F[i][j] / (2.0 * deta), B[i][j] / deta ** 2
+        L[..., i, j] = -f - b
+        D[..., i, j] = 2.0 * b
+        if i == j:
+            D[..., i, i] += 1.0 / dt
+        U[..., i, j] = f - b
+    return L, D, U
 
 
 def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
@@ -272,20 +274,17 @@ def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
     out = _set_boundary_rows(np.zeros_like(v), outflow, k_new)
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
-    L, D, U = _eta_weights(fc.f00[:, sl, None, None], fc.b00[:, sl, None, None],
-                           dt, deta)
+    L, D, U = _eta_weights([[fc.f00[:, sl]]], [[fc.b00[:, sl]]], dt, deta)
     rhs = rhs_full[:, sl, :1]
     rhs[:, -1] -= U[:, -1, :, 0] * out[:, -1, :1]
     out[:, sl, :1] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
 
     # (theta, q): u1 enters only through F[1:, 0] (B[1:, 0] = 0), as
     # F[1:, 0] (u1[i+1] - u1[i-1]) / (2 deta), moved to the right-hand side
-    shape = (grid.nx, grid.neta - 2, 2, 2)
     L, D, U = _eta_weights(
-        np.stack([fc.f11[:, sl], fc.f12[:, sl], fc.f21[:, sl], fc.f22[:, sl]],
-                 axis=-1).reshape(shape),
-        np.stack([fc.b11[:, sl], fc.b12[:, sl], fc.b21[:, sl], fc.b22[:, sl]],
-                 axis=-1).reshape(shape), dt, deta)
+        [[fc.f11[:, sl], fc.f12[:, sl]], [fc.f21[:, sl], fc.f22[:, sl]]],
+        [[fc.b11[:, sl], fc.b12[:, sl]], [fc.b21[:, sl], fc.b22[:, sl]]],
+        dt, deta)
     rhs = rhs_full[:, sl, 1:]
     du1 = (out[:, 2:, 0] - out[:, :-2, 0]) / (2.0 * deta)
     rhs[..., 0] -= fc.f10[:, sl] * du1

@@ -271,14 +271,18 @@ def test_simulate_precondition_exit_3(tmp_path, capsys):
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
 
 
-# the expressions themselves warn as numpy evaluates them
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("u1_0", ["sqrt(y - 1.0)", "1.0/y"],
-                         ids=["nan", "inf"])
-def test_simulate_non_finite_u1_0_exit_3(tmp_path, capsys, u1_0):
-    path, out_dir = write_config(tmp_path, u1_0=u1_0)
+@pytest.mark.parametrize("profile,value", [
+    ("u1_0", "sqrt(y - 1.0)"), ("u1_0", "1.0/y"),
+    ("theta0", "sqrt(y - 1.0)"), ("theta0", "1.0 + 1/y"),
+    ("h1_0", "sqrt(y - 1.0)"), ("h1_0", "1.0 + 1/y"),
+], ids=["nan", "inf", "theta0-nan", "theta0-inf", "h1_0-nan", "h1_0-inf"])
+def test_simulate_non_finite_u1_0_exit_3(tmp_path, capsys, profile, value):
+    # +inf passes every ">= 2 delta" check, so each profile is checked for
+    # finiteness first and the error names it; numpy's own warnings as it
+    # evaluates the expression stay silent (RuntimeWarning is an error here)
+    path, out_dir = write_config(tmp_path, **{profile: value})
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
-    assert "precondition violated: u1_0 finite" in capsys.readouterr().err
+    assert f"precondition violated: {profile} finite" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -398,7 +402,11 @@ def test_thread_cap_env(monkeypatch):
     ("simulate", {"theta0": "2.0**10000"}),
     ("simulate", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
     ("check-outflow", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
-], ids=["divide", "overflow", "outflow-simulate", "outflow-check"])
+    # Python takes (-1.0)**0.5 as complex: an array result, then a scalar one
+    ("simulate", {"mode": "expressions", "P": "2.0 + (-1.0)**0.5 + 0*xi"}),
+    ("simulate", {"mode": "expressions", "P": "2.0 + (-1.0)**0.5"}),
+], ids=["divide", "overflow", "outflow-simulate", "outflow-check",
+        "complex-array", "complex-scalar"])
 def test_expression_that_fails_to_evaluate_exit_2(tmp_path, capsys, command,
                                                   overrides):
     path, out_dir = write_config(tmp_path, **overrides)

@@ -12,12 +12,13 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import mhbl
 from mhbl import ConfigError, SnapshotFormatError, State, make_grid
 from mhbl.config import (
     _DEFAULTS,
+    _SAFE_FUNCS,
     _SCHEMA,
     RunConfig,
     compile_expression,
@@ -238,11 +239,65 @@ def test_expression_compile_rejects_non_whitelisted_names():
     "(1.0, 2.0)[0]",                                     # subscript
     "t(1.0)",                                            # call of a variable
     "sin(t, out=t)",                                     # keyword argument
+    "sin(t, xi)",                            # a second argument is the output
+    "sin + t",                                           # function as a value
     "'text'",                                            # non-number constant
 ])
 def test_expression_compile_rejects_non_arithmetic_syntax(text):
     with pytest.raises(ConfigError, match="disallowed syntax"):
         compile_expression(text, ("t", "xi"))
+
+
+FUNCTIONS = [name for name, value in _SAFE_FUNCS.items() if callable(value)]
+
+#: Expression texts built from the accepted nodes only: the variables x and
+#: y, pi and number literals (negative and fractional ones, so that powers
+#: of negative bases come up) under the arithmetic operators and
+#: one-argument calls of the safe functions.
+ACCEPTED = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "pi", "0", "2", "-1.0", "0.5", "1e308"]),
+              st.floats(-10.0, 10.0).map(repr)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "//", "%", "**"]),
+                  inner).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map(
+            lambda t: f"{t[0]}({t[1]})")),
+    max_leaves=8)
+
+#: Wrappers that put one rejected node around an accepted expression.
+REJECTED = st.sampled_from([
+    "({}).real", "({})[0]", "(lambda: {})()", "[{} for x in (1.0, 2.0)][0]",
+    "z + ({})", "__import__ + ({})", "sin + ({})", "sin({}, x)", "x({})",
+])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@example("2.0 + (-1.0)**0.5 + 0*x")   # complex array
+@example("2.0 + (-1.0)**0.5")         # complex scalar
+@given(ACCEPTED)
+def test_accepted_expressions_evaluate_to_real_arrays_or_config_error(text):
+    # an accepted expression yields a float64 array of the broadcast shape,
+    # NaN and inf included, or fails with ConfigError; nothing else escapes,
+    # not even a RuntimeWarning (an error under this suite's settings)
+    fn = compile_expression(text, ("x", "y"))
+    x = np.linspace(-2.0, 2.0, 3)[:, None]
+    y = np.linspace(0.0, 3.0, 4)[None, :]
+    try:
+        out = fn(x, y)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"expression {text!r} failed: ")
+        return
+    assert isinstance(out, np.ndarray)
+    assert out.dtype == np.float64 and out.shape == (3, 4)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(ACCEPTED, REJECTED, ACCEPTED)
+def test_rejected_nodes_fail_at_compile_time(inner, wrapper, outer):
+    text = f"({outer}) + ({wrapper.format(inner)})"
+    with pytest.raises(ConfigError, match="unknown name|disallowed syntax"):
+        compile_expression(text, ("x", "y"))
 
 
 def test_expression_broadcasts_scalars_against_arrays():

@@ -10,7 +10,8 @@ Oracles used here:
   * the step written longhand with the dense coeffs.eval_* matrices and
     np.einsum, which must agree bit for bit with the entry-wise step,
   * source scans that keep the LAPACK band format inside the stepper and
-    the dense coefficient path out of it.
+    the dense coefficient path out of it, and a spy on dgbsv that pins the
+    band's Fortran layout.
 """
 
 import ast
@@ -37,7 +38,7 @@ from mhbl import (
     make_grid,
     sample_outflow,
 )
-from mhbl import coeffs
+from mhbl import coeffs, stepper
 from mhbl.stepper import (
     CFL_CONSTANT,
     BlockTridiag,
@@ -425,9 +426,33 @@ def test_step_matches_dense_formulation_bit_for_bit(nx, neta, seed):
         dense_step(v, dense, outflow, g, 0.0))
 
 
-def test_step_peak_memory_stays_below_33_levels():
+def test_theta_q_band_reaches_dgbsv_without_a_copy(monkeypatch):
+    # the band is written in LAPACK's Fortran order and factored in place,
+    # so the wrapper neither copies it nor returns a second array
+    g = small_grid(nx=6, neta=12)
+    outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
+                               theta_star=0.9)
+    rng = np.random.default_rng(6)
+    coeff, v = random_level(rng, g), random_level(rng, g)
+    frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], outflow.P_t[0],
+                                     outflow.P_xi[0], PARAMS, g)
+    calls, dgbsv = [], stepper.dgbsv
+
+    def spy(kl, ku, ab, b, **kwargs):
+        out = dgbsv(kl, ku, ab, b, **kwargs)
+        calls.append((ab.shape, ab.flags.f_contiguous,
+                      np.shares_memory(out[0], ab)))
+        return out
+
+    monkeypatch.setattr(stepper, "dgbsv", spy)
+    _step_arrays(v, 0.0, frozen, outflow, PARAMS, g)
+    assert calls == [((10, 2 * g.nx * (g.neta - 2)), True, True)]
+
+
+def test_step_peak_memory_stays_below_28_levels():
     # frozen entries, the explicit products, the eta blocks and the band
-    # solve together; the dense 3x3 layout alone took 12 level-sized arrays
+    # solve together; the dense 3x3 layout alone took 12 level-sized arrays,
+    # and a band copied to Fortran order inside the solve took 28.6
     g = make_grid(32, 64, 3.0, 0.01, 0.05)
     outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
                                theta_star=0.9)
@@ -442,7 +467,7 @@ def test_step_peak_memory_stays_below_33_levels():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / v.nbytes < 33.0
+    assert peak / v.nbytes < 28.0
 
 
 def test_cfl_refusal():
