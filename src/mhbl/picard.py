@@ -188,7 +188,8 @@ class _Measure:
     sup_k || v(k) - vbar(k) ||_{H^1}, and the smallest of min theta, min q
     and min (P - q) over the levels, less delta.  A NaN anywhere in a level
     makes the distance and the norm NaN; in theta or q it also fails
-    admissibility and makes the margin NaN.
+    admissibility and makes the margin NaN.  first_violation is
+    (level k, xi column, eta row) of the first node outside the set, or None.
     """
 
     def __init__(self, background: Background, params: Params, grid: Grid):
@@ -198,7 +199,7 @@ class _Measure:
         self.dists: List[float] = []
         self.norms: List[float] = []
         self.minima: List[float] = []
-        self.ok = True
+        self.first_violation: Optional[tuple] = None
 
     def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
         if old is not None:
@@ -207,7 +208,8 @@ class _Measure:
         rep = admissibility(v[..., 1], v[..., 2],
                             self.background.outflow.P[k][:, None], self.params,
                             self.params.delta)
-        self.ok = self.ok and rep.ok
+        if self.first_violation is None and not rep.ok:
+            self.first_violation = (k,) + rep.first_violation
         self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
         comp = discrete_norm(np.moveaxis(v, -1, 0) - self.background.components(k),
                              self.spec, self.grid)
@@ -216,7 +218,7 @@ class _Measure:
     def result(self):
         # np.max and np.min, not the builtins: they drop a NaN that is not first
         dist = float(np.max(self.dists)) if self.dists else None
-        return (dist, self.ok, float(np.max(self.norms)),
+        return (dist, self.first_violation is None, float(np.max(self.norms)),
                 float(np.min(self.minima)) - self.params.delta)
 
 
@@ -292,9 +294,11 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
         if not ok:
             if on_admissibility_loss == "abort":
                 aborted = True
-                message = (f"iterate {n} left the admissible set" if n else
-                           "zeroth approximation left the admissible set; "
-                           "shorten t_end or fix the data")
+                k, i, j = measure.first_violation
+                where = f"at time level {k}, xi column {i}, eta row {j}"
+                message = (f"iterate {n} left the admissible set {where}" if n
+                           else "zeroth approximation left the admissible set "
+                           f"(shorten t_end or fix the data) {where}")
                 break
             clamp = True
         if n > 0 and distances[-1] <= tol:

@@ -18,6 +18,10 @@ once: the scalar u1 system, tridiagonal (LAPACK dgtsv), then the 2x2
 (theta, q) system, block tridiagonal (LAPACK dgbsv), with the u1 couplings
 moved to its right-hand side.  Each system's blocks are written straight
 from the named entries, then once into the Fortran band both calls read.
+Both routines, and the dgtsv of transform's spline inverse, come from
+scipy's f2py LAPACK module, loaded from its file: importing scipy.linalg
+instead would load some 330 more modules (its array-API layer, numpy.f2py
+and more) for the same two functions.
 Explicit advection with centered differences is only weakly stable, so steps
 refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
 advection-dominated regimes need that bound respected.
@@ -32,11 +36,13 @@ stays block tridiagonal.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
 
 from . import _heap, coeffs
 from .errors import CFLError, DegenerateStateError, GridSizingError, LinearSolveError
@@ -44,6 +50,26 @@ from .fields import FloatArray, Grid, OutflowData, Params, State
 from .stencils import bounded_diff, periodic_diff
 
 _heap.steady()  # every solve runs through this module
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file; the functions are the
+    very objects scipy.linalg.lapack exports.  find_spec("scipy") imports
+    nothing, and an extension module always sits as a file in its package."""
+    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no scipy LAPACK extension _flapack in {linalg}")
+
+
+_flapack = _load_flapack()
+dgbsv, dgtsv = _flapack.dgbsv, _flapack.dgtsv
 
 #: dt must not exceed CFL_CONSTANT * dxi / (spectral radius of A0).
 CFL_CONSTANT = 0.5
@@ -111,8 +137,9 @@ class BlockTridiag:
         ab[:, :, c, 2 * w + r - c] = self.diag
         ab[:, :-1, c, 2 * w + k + r - c] = self.lower[:, 1:]
         ab[:, 1:, c, 2 * w - k + r - c] = self.upper[:, :-1]
-        # the pivot guard's scale: the largest |entry| of each xi column
-        scale = np.abs(ab).max(axis=(1, 2, 3))
+        # the pivot guard's scale: the largest |entry| of each xi column,
+        # without an |ab| copy; the band holds zeros, so min <= 0 <= max
+        scale = np.maximum(-ab.min(axis=(1, 2, 3)), ab.max(axis=(1, 2, 3)))
         bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
         if bad.any():
             raise LinearSolveError(

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import GridSizingError, MissingTimeLevelError, NondegeneracyError
+from .errors import (GridSizingError, LinearSolveError, MissingTimeLevelError,
+                     NondegeneracyError)
 from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
 from .stencils import bounded_diff, periodic_diff
-from .stepper import apply_derivative
+from .stepper import apply_derivative, dgtsv
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,13 @@ def _spline_inverse(table: FloatArray, eta: FloatArray,
     band[1, :, -1] = dx[:, -2]
     rhs[:, -1] = (sq1 * slope[:, -2]
                   + (2.0 * d + dx[:, -1]) * dx[:, -2] * slope[:, -1]) / d
-    s = solve_banded((1, 1), band.reshape(3, nx * n), rhs.reshape(nx * n),
-                     overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).reshape(nx, n)
+    # the LAPACK call of scipy's solve_banded((1, 1), ...), in place
+    ab = band.reshape(3, nx * n)
+    _, _, _, s, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.reshape(nx * n),
+                             True, True, True, True)
+    if info != 0:
+        raise LinearSolveError(f"spline inverse: dgtsv returned info = {info}")
+    s = s.reshape(nx, n)
 
     # Hermite power-basis coefficients of each piece, highest power first
     t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -345,17 +346,44 @@ def sample_physical(rng, nx=6, ny=7, time=0.5):
                          y_nodes=np.linspace(0.0, 3.0, ny), time=time)
 
 
-def test_transformed_snapshot_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(11)
-    st = sample_state(rng)
-    path = tmp_path / "state.snap"
-    write_snapshot(st, str(path))
+#: bit patterns of +0.0, -0.0, +inf, -inf, quiet NaNs of both signs, a quiet
+#: NaN with a payload, a signalling NaN, the smallest subnormal and the
+#: largest finite double
+SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF8DEADBEEF0001, 0x7FF0000000000001, 0x0000000000000001,
+                0x7FEFFFFFFFFFFFFF)
+DOUBLE_BITS = st.one_of(st.sampled_from(SPECIAL_BITS),
+                        st.integers(0, 2 ** 64 - 1))
+
+
+@st.composite
+def snapshot_bits(draw):
+    """(u1, theta, q) as uint64 bit patterns of one random (nx, neta) shape,
+    and the bits of the time."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 9)))
+    fields = tuple(draw(hnp.arrays(np.uint64, shape, elements=DOUBLE_BITS))
+                   for _ in range(3))
+    return fields, draw(DOUBLE_BITS)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(snapshot_bits())
+@example(((np.array([SPECIAL_BITS[:5], SPECIAL_BITS[5:]], dtype=np.uint64),)
+          * 3, 0x3FD0000000000000))
+def test_transformed_snapshot_round_trip_bit_exact(tmp_path_factory, case):
+    # every double survives, bit for bit: NaN payloads, signs and -0.0 too
+    fields, time_bits = case
+    state = State(*(f.view(np.float64) for f in fields),
+                  time=np.uint64(time_bits).view(np.float64))
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    write_snapshot(state, str(path))
     snap = read_snapshot(str(path))
     assert snap.kind == "transformed"
-    assert (snap.nx, snap.n2) == (6, 9)
-    assert snap.time == 0.25
-    for name in ("u1", "theta", "q"):
-        assert snap.fields[name].tobytes() == getattr(st, name).tobytes()
+    assert (snap.nx, snap.n2) == fields[0].shape
+    assert np.float64(snap.time).view(np.uint64) == time_bits
+    for name, bits in zip(("u1", "theta", "q"), fields):
+        assert np.array_equal(snap.fields[name].view(np.uint64), bits)
 
 
 def test_physical_snapshot_round_trip_bit_exact(tmp_path):

@@ -1,5 +1,6 @@
 """What a process loads: the command line loads no numerics before it caps
-the backend's threads, and the package loads only the scipy it calls.
+the backend's threads, and of scipy the package loads only its f2py LAPACK
+module, from its file.
 
 Each check runs in a fresh interpreter, since this one has long loaded
 numpy and scipy.
@@ -43,8 +44,17 @@ def test_submodules_leave_unused_scipy_unloaded():
         "    if m.name != '__main__':\n"
         "        importlib.import_module('mhbl.' + m.name)\n"
         "print(*sorted(n for n in ('scipy.integrate', 'scipy.interpolate',\n"
-        "      'scipy.optimize', 'scipy.linalg') if n in sys.modules))")
-    assert loaded == ["scipy.linalg"]
+        "      'scipy.optimize', 'scipy.linalg', 'numpy.f2py')\n"
+        "      if n in sys.modules))")
+    assert loaded == []
+
+
+def test_stepper_lapack_routines_are_scipys_own():
+    same = run_fresh(
+        "import mhbl.stepper as stepper\n"
+        "from scipy.linalg import lapack\n"
+        "print(stepper.dgbsv is lapack.dgbsv, stepper.dgtsv is lapack.dgtsv)")
+    assert same == ["True", "True"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -348,6 +348,54 @@ def test_admissibility_loss_aborts_by_default():
     assert "admissible" in report.message
 
 
+def first_outside(traj, outflow, delta):
+    """(level, xi column, eta row) of the first node outside the admissible
+    set, levels first and then row-major, from whole arrays."""
+    theta, q = traj[..., 1], traj[..., 2]
+    bad = ~((theta >= delta) & (q >= delta)
+            & (outflow.P[:, :, None] - q >= delta))
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def test_admissibility_loss_names_the_first_node_outside(monkeypatch):
+    # the zeroth approximation of a declining pressure
+    grid, data, v0 = declining_pressure_setup()
+    zeroth = build_zeroth_approx(
+        build_background(data, grid),
+        compatibility_derivatives(v0, data, PARAMS, grid, order=0), grid)
+    k, i, j = first_outside(zeroth.data, data, PARAMS.delta)
+    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0)
+    assert report.aborted and "left the admissible set" in report.message
+    assert report.message.endswith(
+        f"at time level {k}, xi column {i}, eta row {j}")
+
+    # iterate 2 is measured with q = P at level 3, xi column 2, eta row 5,
+    # and theta < 0 at level 4, xi column 0, eta row 1: the level comes first
+    grid, data, v0 = perturbed_setup()
+    real = picard.solve_linear_problem
+    calls = []
+
+    def second_iterate_leaves(*args, measure, **kwargs):
+        calls.append(1)
+
+        def spoiled(k, v, old):
+            if len(calls) == 2 and k in (3, 4):
+                v = v.copy()
+                if k == 3:
+                    v[2, 5, 2] = data.P[3, 2]
+                else:
+                    v[0, 1, 1] = -1.0
+            measure(k, v, old)
+        return real(*args, measure=spoiled, **kwargs)
+
+    monkeypatch.setattr(picard, "solve_linear_problem", second_iterate_leaves)
+    _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-16, max_iter=5)
+    assert report.aborted and report.iterations == 2
+    assert report.admissible == [True, True, False]
+    assert report.message == ("iterate 2 left the admissible set "
+                              "at time level 3, xi column 2, eta row 5")
+
+
 def test_admissibility_loss_continue_mode_flags_and_runs():
     grid, data, v0 = declining_pressure_setup()
     traj, report = picard_solve(v0, data, PARAMS, grid, compat_order=0,

@@ -17,6 +17,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from mhbl import (
     GridSizingError,
+    LinearSolveError,
     MissingTimeLevelError,
     NondegeneracyError,
     OutflowSpec,
@@ -193,6 +194,20 @@ def test_batched_spline_matches_scipy_per_row(neta):
                            extrapolate=False)(y)
         np.testing.assert_array_equal(got[i], want)
     assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_spline_inverse_reports_a_failed_band_solve(monkeypatch):
+    # LAPACK's info is checked, as scipy's solve_banded checked it
+    real = transform.dgtsv
+
+    def singular(*args):
+        *out, _ = real(*args)
+        return (*out, 7)
+
+    monkeypatch.setattr(transform, "dgtsv", singular)
+    table = np.cumsum(np.ones((2, 8)), axis=1)
+    with pytest.raises(LinearSolveError, match="info = 7"):
+        _spline_inverse(table, np.arange(8.0), np.linspace(1.0, 8.0, 5))
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (5, 33), (64, 128)])
