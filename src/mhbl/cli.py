@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 from .errors import (ConfigError, MhblError, NonConvergenceError,
@@ -132,7 +133,8 @@ def _simulate(config_text: str) -> int:
     from .fields import sample_outflow
     from .picard import picard_solve
     from .snapshots import emit_plot_data, write_snapshot
-    from .transform import pullback_physical, residual_original
+    from .transform import (RESIDUAL_MIDDLE, RESIDUAL_OUTER, pullback_physical,
+                            residual_original)
 
     cfg = parse_config(config_text)
     params = cfg.make_params()
@@ -163,8 +165,8 @@ def _simulate(config_text: str) -> int:
     levels = sorted(set(list(range(0, nt + 1, every)) + [nt]))
     mid = nt // 2
     triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
-    # one level at a time: pull back, write, and keep the physical state only
-    # while the residual triple is incomplete
+    # one level at a time: pull back, write, and keep of a triple level only
+    # the fields residual_original reads, while the triple is incomplete
     held, res_o = [], None
     for k in sorted(set(levels) | set(triple)):
         # d_t h1 pairs each level with an adjacent one: level 1 for level 0,
@@ -177,7 +179,8 @@ def _simulate(config_text: str) -> int:
                            os.path.join(out_dir, f"state_{k:05d}.mhbl"))
             write_snapshot(phys, os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
         if k in triple:
-            held.append(phys)
+            reads = RESIDUAL_MIDDLE if k == mid else RESIDUAL_OUTER
+            held.append(SimpleNamespace(**{n: getattr(phys, n) for n in reads}))
         del phys
         if len(held) == 3:
             res_o = residual_original(held, outflow, params)

@@ -4,8 +4,9 @@ The solver works on a rectangle (xi, eta) in T x [0, eta_max], xi periodic
 with period 2*pi, eta the stream-function coordinate normal to the wall.
 The evolved unknown is v = (u1, theta, q) with q = h1^2 / 2, where h1 is the
 tangential magnetic field.  All containers here are immutable value objects:
-arrays are copied on construction and frozen, and mutation happens only by
-constructing new instances.
+their arrays are read-only (copied on construction unless already frozen and
+owned, see _frozen), and mutation happens only by constructing new
+instances.
 """
 
 from __future__ import annotations
@@ -23,7 +24,17 @@ DENOM_GUARD = 1e-12
 
 
 def _frozen(a: object, dtype=np.float64) -> FloatArray:
-    """Copy to a C-contiguous float array and make it read-only."""
+    """A read-only, C-contiguous array of dtype holding the values of a.
+
+    An ndarray that already is all of that and owns its data (base is None)
+    is adopted as it is: whoever made it read-only hands it over, as the
+    pullback and the snapshot reader do with the arrays they made.  Every
+    other input, a writable array or a view included, is copied, so later
+    writes to the caller's array do not reach the container.
+    """
+    if (type(a) is np.ndarray and a.dtype == dtype and a.base is None
+            and not a.flags.writeable and a.flags.c_contiguous):
+        return a
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out

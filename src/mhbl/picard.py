@@ -161,7 +161,8 @@ class IterationReport:
     sup_k || v^n - vbar ||_{H^1}.  margins[n] is iterate n's admissibility
     margin: the smallest of theta, q and P - q over all levels, less delta,
     so it is negative or NaN exactly when the iterate left the admissible
-    set.
+    set.  min_Q[n] is iterate n's smallest Q = P + (1 - 2a) q over all
+    levels, which stays positive on admissible iterates.
     """
 
     converged: bool
@@ -173,6 +174,7 @@ class IterationReport:
     aborted: bool = False
     message: str = ""
     margins: List[float] = field(default_factory=list)
+    min_Q: List[float] = field(default_factory=list)
 
 
 class _Measure:
@@ -186,7 +188,8 @@ class _Measure:
     sup_k || v(k) - old(k) ||_L2 (None without old levels), whether every
     level lies in the admissible set with margin delta, the deviation
     sup_k || v(k) - vbar(k) ||_{H^1}, and the smallest of min theta, min q
-    and min (P - q) over the levels, less delta.  A NaN anywhere in a level
+    and min (P - q) over the levels, less delta.  min_Q() is the smallest
+    Q = P + (1 - 2a) q over the levels.  A NaN anywhere in a level
     makes the distance and the norm NaN; in theta or q it also fails
     admissibility and makes the margin NaN.  first_violation is
     (level k, xi column, eta row) of the first node outside the set, or None.
@@ -199,6 +202,7 @@ class _Measure:
         self.dists: List[float] = []
         self.norms: List[float] = []
         self.minima: List[float] = []
+        self.Q_minima: List[float] = []
         self.first_violation: Optional[tuple] = None
 
     def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
@@ -211,6 +215,7 @@ class _Measure:
         if self.first_violation is None and not rep.ok:
             self.first_violation = (k,) + rep.first_violation
         self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
+        self.Q_minima.append(rep.min_Q)
         comp = discrete_norm(np.moveaxis(v, -1, 0) - self.background.components(k),
                              self.spec, self.grid)
         self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
@@ -220,6 +225,9 @@ class _Measure:
         dist = float(np.max(self.dists)) if self.dists else None
         return (dist, self.first_violation is None, float(np.max(self.norms)),
                 float(np.min(self.minima)) - self.params.delta)
+
+    def min_Q(self) -> float:
+        return float(np.min(self.Q_minima))
 
 
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
@@ -267,6 +275,7 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     admissible: List[bool] = []
     norms: List[float] = []
     margins: List[float] = []
+    min_Q: List[float] = []
     clamp, aborted, message = False, False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.
     # Each later iterate marches in place over the previous one, measured
@@ -287,6 +296,7 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
         admissible.append(ok)
         norms.append(norm)
         margins.append(margin)
+        min_Q.append(measure.min_Q())
         if dist is not None:
             distances.append(dist)
             if len(distances) >= 2 and distances[-2] > 0.0:
@@ -310,4 +320,4 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     return traj, IterationReport(
         converged=converged, iterations=n, distances=distances,
         ratios=ratios, admissible=admissible, norm_history=norms,
-        aborted=aborted, message=message, margins=margins)
+        aborted=aborted, message=message, margins=margins, min_Q=min_Q)

@@ -13,7 +13,7 @@ Snapshot layout (little endian throughout):
     then the fields in that order, f64, eta (or y) index fastest.
 
 Writing the same state twice produces byte-identical files; reading returns
-exactly the written arrays.
+exactly the written arrays, read-only.
 """
 
 from __future__ import annotations
@@ -73,36 +73,47 @@ def write_snapshot(state: Union[State, PhysicalState], path: str) -> None:
 
 
 def read_snapshot(path: str) -> Snapshot:
-    """Decode a snapshot; malformed input raises SnapshotFormatError."""
+    """Decode a snapshot; malformed input raises SnapshotFormatError.
+
+    The file size is checked against the header before any field is read,
+    and each field is read straight into its own array, which is returned
+    read-only, so State(**snap.fields) and PhysicalState(**snap.fields)
+    adopt the arrays without a copy.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise SnapshotFormatError(
-            f"truncated header: {len(raw)} bytes < {_HEADER.size}")
-    magic, version, nx, n2, time, tag = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r} at offset 0")
-    if version != VERSION:
-        raise SnapshotFormatError(
-            f"unsupported snapshot version {version} (expected {VERSION})")
-    if tag == TAG_TRANSFORMED:
-        names = _TRANSFORMED_FIELDS
-    elif tag == TAG_PHYSICAL:
-        names = _PHYSICAL_FIELDS
-    else:
-        raise SnapshotFormatError(f"unknown field-set tag {tag} at offset 24")
-    per_field = 8 * nx * n2
-    expected = _HEADER.size + per_field * len(names)
-    if len(raw) != expected:
-        raise SnapshotFormatError(
-            f"payload length {len(raw)} != expected {expected} "
-            f"(truncation at offset {min(len(raw), expected)})")
-    fields: Dict[str, FloatArray] = {}
-    off = _HEADER.size
-    for name in names:
-        flat = np.frombuffer(raw, dtype="<f8", count=nx * n2, offset=off)
-        fields[name] = flat.reshape(nx, n2).copy()
-        off += per_field
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise SnapshotFormatError(
+                f"truncated header: {size} bytes < {_HEADER.size}")
+        magic, version, nx, n2, time, tag = _HEADER.unpack(
+            fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise SnapshotFormatError(f"bad magic {magic!r} at offset 0")
+        if version != VERSION:
+            raise SnapshotFormatError(
+                f"unsupported snapshot version {version} (expected {VERSION})")
+        if tag == TAG_TRANSFORMED:
+            names = _TRANSFORMED_FIELDS
+        elif tag == TAG_PHYSICAL:
+            names = _PHYSICAL_FIELDS
+        else:
+            raise SnapshotFormatError(f"unknown field-set tag {tag} at offset 24")
+        per_field = 8 * nx * n2
+        expected = _HEADER.size + per_field * len(names)
+        if size != expected:
+            raise SnapshotFormatError(
+                f"payload length {size} != expected {expected} "
+                f"(truncation at offset {min(size, expected)})")
+        fields: Dict[str, FloatArray] = {}
+        for i, name in enumerate(names):
+            arr = np.empty((nx, n2), dtype="<f8")
+            got = fh.readinto(arr)
+            if got != per_field:  # the file shrank while being read
+                raise SnapshotFormatError(
+                    f"truncation at offset {_HEADER.size + i * per_field + got}"
+                    f" (expected {expected} bytes)")
+            arr.setflags(write=False)
+            fields[name] = arr
     return Snapshot(tag=tag, nx=nx, n2=n2, time=time, fields=fields)
 
 

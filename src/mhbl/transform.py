@@ -43,7 +43,9 @@ class PhysicalState:
 
     rho and theta are positive and h1 >= delta on states produced by the
     pullback of admissible solver output; u2 and h2 are derived from the
-    stream function, not evolved.
+    stream function, not evolved.  The fields are read-only: the ones
+    pullback_physical makes are adopted without a copy, anything else is
+    copied (fields._frozen).
     """
 
     rho: FloatArray
@@ -275,17 +277,13 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     h1_prev = np.sqrt(2.0 * v_hat_prev.q)
     psi = stream_from_h1(h1_hat, grid, y_nodes, params.delta)
     eta_nodes = grid.eta
+    h1 = bounded_diff(psi, y_nodes[1] - y_nodes[0], 1, 1)
+    h2 = -periodic_diff(psi, grid.dxi, 0, 1)
     at_psi = _locate_in_eta(eta_nodes, psi)
+    del psi
 
     u1 = _interp_at_psi(v_hat.u1, eta_nodes, at_psi)
     theta = _interp_at_psi(v_hat.theta, eta_nodes, at_psi)
-
-    h1 = bounded_diff(psi, y_nodes[1] - y_nodes[0], 1, 1)
-    h2 = -periodic_diff(psi, grid.dxi, 0, 1)
-
-    k = outflow.time_index(v_hat.time)
-    P = outflow.P[k][:, None]
-    rho = (2.0 * P - h1 ** 2) / (2.0 * params.R * theta)
 
     # closed-form stream-function derivatives, evaluated on the eta grid and
     # composed with psi
@@ -293,15 +291,36 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     I_t = _cumtrapz(dth1 / h1_hat ** 2, eta_nodes)
     dxh1 = apply_derivative(h1_hat, grid, axis="xi", order=1)
     I_x = _cumtrapz(dxh1 / h1_hat ** 2, eta_nodes)
-    h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, at_psi)
-    dt_psi = h1_at_psi * _interp_at_psi(I_t, eta_nodes, at_psi)
-    dx_psi = h1_at_psi * _interp_at_psi(I_x, eta_nodes, at_psi)
     deta_h1 = apply_derivative(h1_hat, grid, axis="eta", order=1)
-    dyy_psi = _interp_at_psi(h1_hat * deta_h1, eta_nodes, at_psi)
+    h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, at_psi)
 
-    u2 = -(dt_psi + u1 * dx_psi - params.nu * dyy_psi) / h1_at_psi
-    return PhysicalState(rho=rho, u1=u1, u2=u2, theta=theta, h1=h1, h2=h2,
-                         y_nodes=y_nodes, time=v_hat.time)
+    # u2 = -(dt_psi + u1 dx_psi - nu dyy_psi) / h1_at_psi, formed in one
+    # buffer; each product and sum has the operands of that expression, in
+    # swapped order where commutative, so the result is the same bit for bit
+    u2 = _interp_at_psi(I_x, eta_nodes, at_psi)
+    u2 *= h1_at_psi  # dx_psi
+    u2 *= u1
+    dt_psi = _interp_at_psi(I_t, eta_nodes, at_psi)
+    dt_psi *= h1_at_psi
+    u2 += dt_psi
+    del dt_psi
+    dyy_psi = _interp_at_psi(h1_hat * deta_h1, eta_nodes, at_psi)
+    del at_psi
+    dyy_psi *= params.nu
+    u2 -= dyy_psi
+    del dyy_psi
+    np.negative(u2, out=u2)
+    u2 /= h1_at_psi
+    del h1_at_psi
+
+    k = outflow.time_index(v_hat.time)
+    P = outflow.P[k][:, None]
+    rho = (2.0 * P - h1 ** 2) / (2.0 * params.R * theta)
+
+    made = dict(rho=rho, u1=u1, u2=u2, theta=theta, h1=h1, h2=h2)
+    for a in made.values():  # fresh arrays: PhysicalState adopts them
+        a.setflags(write=False)
+    return PhysicalState(**made, y_nodes=y_nodes, time=v_hat.time)
 
 
 def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
@@ -316,6 +335,12 @@ def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
     return float(np.max(np.abs(div))), float(np.max(np.abs(press)))
 
 
+#: the attributes residual_original reads of the outer states of its triple,
+#: and of the middle one
+RESIDUAL_OUTER = ("time", "u1", "theta", "h1")
+RESIDUAL_MIDDLE = RESIDUAL_OUTER + ("u2", "h2", "y_nodes")
+
+
 def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
                       params: Params) -> "PhysicalResidualReport":
     """Discrete residuals of the original system on three consecutive states.
@@ -327,6 +352,11 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
 
       0: tangential momentum      1: temperature      2: tangential field
       3: velocity divergence      4: magnetic divergence
+
+    Of the outer states only time, u1, theta and h1 are read
+    (RESIDUAL_OUTER), of the middle one also u2, h2 and y_nodes
+    (RESIDUAL_MIDDLE), so any objects with those attributes will do; rho is
+    never read.
     """
     if len(states) != 3:
         raise MissingTimeLevelError("residual_original needs three states")
@@ -354,6 +384,13 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
         # operations, so equal to it bit for bit
         return (getattr(sp, name) - getattr(sm, name)) / (2.0 * dt1)
 
+    max_norm, l2_norm = np.empty(5), np.empty(5)
+
+    def reduce(i: int, r: FloatArray) -> None:
+        inner = r[:, 1:-1]
+        max_norm[i] = np.max(np.abs(inner))
+        l2_norm[i] = np.sqrt(np.sum(inner ** 2) * dx * dy)
+
     u1, u2, th, h1, h2 = s0.u1, s0.u2, s0.theta, s0.h1, s0.h2
     k = outflow.time_index(s0.time)
     P = outflow.P[k][:, None]
@@ -365,37 +402,35 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
     q = 0.5 * h1 ** 2
     Pmq = P - q
     Q = P + (1.0 - 2.0 * a) * q
-    mat_u = u1 * ddx(u1) + u2 * ddy(u1)
-    mat_th = u1 * ddx(th) + u2 * ddy(th)
-    mat_h = u1 * ddx(h1) + u2 * ddy(h1)
-    tang_h = h1 * ddx(h1) + h2 * ddy(h1)
     tang_u = h1 * ddx(u1) + h2 * ddy(u1)
     mat_P = P_t + P_x * u1
     dissip = kappa * ddy2(th) + mu * ddy(u1) ** 2 + nu * ddy(h1) ** 2
 
-    def equations():
-        # one (nx, ny) residual at a time, each reduced before the next forms
-        yield (ddt("u1") + mat_u - R * th / Pmq * tang_h + R * P_x * th / Pmq
-               - mu * R * th / Pmq * ddy2(u1))
-        yield (ddt("theta") + mat_th + a * th * h1 / Q * tang_u
-               - a * mat_P * th / Q
-               - a * th * (P + q) / (Q * Pmq) * dissip
-               + a * nu * th * h1 / Q * ddy2(h1))
-        yield (ddt("h1") + mat_h - Pmq / Q * tang_u
-               - (1.0 - a) * mat_P * h1 / Q
-               - nu * Pmq / Q * ddy2(h1)
-               + a * h1 / Q * dissip)
-        yield (ddx(u1) + ddy(u2)
-               - (1.0 - a) * h1 / Q * (tang_u + nu * ddy2(h1))
-               + (1.0 - a) * mat_P / Q
-               - a / Q * dissip)
-        yield ddx(h1) + ddy(h2)
-
-    max_norm, l2_norm = np.empty(5), np.empty(5)
-    for i, r in enumerate(equations()):
-        inner = r[:, 1:-1]
-        max_norm[i] = np.max(np.abs(inner))
-        l2_norm[i] = np.sqrt(np.sum(inner ** 2) * dx * dy)
+    # one (nx, ny) residual at a time, reduced and dropped before the next
+    # forms; a term that one equation uses (the material derivatives mat_*
+    # and tang_h) is formed inside it, a shared one dropped after its last
+    reduce(0, ddt("u1") + (u1 * ddx(u1) + u2 * ddy(u1))  # mat_u
+           - R * th / Pmq * (h1 * ddx(h1) + h2 * ddy(h1))  # tang_h
+           + R * P_x * th / Pmq
+           - mu * R * th / Pmq * ddy2(u1))
+    reduce(1, ddt("theta") + (u1 * ddx(th) + u2 * ddy(th))  # mat_th
+           + a * th * h1 / Q * tang_u
+           - a * mat_P * th / Q
+           - a * th * (P + q) / (Q * Pmq) * dissip
+           + a * nu * th * h1 / Q * ddy2(h1))
+    del q
+    reduce(2, ddt("h1") + (u1 * ddx(h1) + u2 * ddy(h1))  # mat_h
+           - Pmq / Q * tang_u
+           - (1.0 - a) * mat_P * h1 / Q
+           - nu * Pmq / Q * ddy2(h1)
+           + a * h1 / Q * dissip)
+    del Pmq
+    reduce(3, ddx(u1) + ddy(u2)
+           - (1.0 - a) * h1 / Q * (tang_u + nu * ddy2(h1))
+           + (1.0 - a) * mat_P / Q
+           - a / Q * dissip)
+    del Q, tang_u, mat_P, dissip
+    reduce(4, ddx(h1) + ddy(h2))
     return PhysicalResidualReport(max_norm=max_norm, l2_norm=l2_norm,
                                   time=s0.time)
 

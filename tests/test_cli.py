@@ -10,11 +10,11 @@ import inspect
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from mhbl import cli, coeffs, config, errors, mms, snapshots
 from mhbl.cli import (
@@ -232,13 +232,26 @@ def test_simulate_peak_memory_does_not_grow_with_levels(tmp_path):
     assert cli.run_simulate(runs[0]) == EXIT_OK  # every lazy import done
     peaks = []
     for text in runs:
-        tracemalloc.start()
-        try:
-            assert cli.run_simulate(text) == EXIT_OK
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(cli.run_simulate, text)
+        assert code == EXIT_OK
+        peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < 6 * nx * ny * 8
+
+
+def test_simulate_peak_stays_below_5_physical_levels(tmp_path):
+    # the grid above at 5 time levels.  The pullback hands its fresh arrays
+    # to PhysicalState without a copy, the residual triple keeps only the
+    # fields residual_original reads (3 of each outer level, 5 of the
+    # middle one) and the residual drops each term after its last use:
+    # 4.15 levels, against 6.08 when every field was copied, whole triple
+    # levels were held and all residual terms lived at once
+    nx, ny = 64, 256
+    text = write_config(tmp_path, nx=str(nx), neta="16", ny=str(ny),
+                        t_end="0.04")[0].read_text()
+    assert cli.run_simulate(text) == EXIT_OK  # every lazy import done
+    code, peak = traced_peak(cli.run_simulate, text)
+    assert code == EXIT_OK
+    assert peak / (6 * nx * ny * 8) < 5.0
 
 
 def test_simulate_config_error_exit_2(tmp_path, capsys):

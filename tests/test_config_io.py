@@ -398,6 +398,23 @@ def test_physical_snapshot_round_trip_bit_exact(tmp_path):
         assert snap.fields[name].tobytes() == getattr(ps, name).tobytes()
 
 
+def test_snapshot_fields_are_read_only_and_adopted(tmp_path):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "s.snap"
+    write_snapshot(sample_state(rng), str(path))
+    snap = read_snapshot(str(path))
+    for f in snap.fields.values():
+        assert not f.flags.writeable and f.base is None
+    st = State(**snap.fields, time=snap.time)
+    assert all(getattr(st, n) is snap.fields[n] for n in ("u1", "theta", "q"))
+
+    write_snapshot(sample_physical(rng), str(path))
+    snap = read_snapshot(str(path))
+    ps = PhysicalState(**snap.fields, y_nodes=np.arange(snap.n2, dtype=float),
+                       time=snap.time)
+    assert all(getattr(ps, n) is f for n, f in snap.fields.items())
+
+
 def test_snapshot_writes_are_deterministic(tmp_path):
     rng = np.random.default_rng(13)
     st = sample_state(rng)
@@ -442,6 +459,23 @@ def test_snapshot_rejects_corruption(tmp_path):
     with pytest.raises(SnapshotFormatError, match="truncated"):
         read_snapshot(str(path))
     path.write_bytes(bytes(raw[:-8]))                              # payload cut
+    with pytest.raises(SnapshotFormatError, match="truncation"):
+        read_snapshot(str(path))
+
+
+def test_snapshot_cut_after_the_size_check_is_truncation(tmp_path,
+                                                         monkeypatch):
+    # a file that shrinks between the size check and the field reads must
+    # not hand back uninitialized memory as a field
+    import os
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(17)
+    path = tmp_path / "c.snap"
+    write_snapshot(sample_state(rng), str(path))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full))
     with pytest.raises(SnapshotFormatError, match="truncation"):
         read_snapshot(str(path))
 

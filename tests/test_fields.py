@@ -198,6 +198,63 @@ def test_state_round_trip_and_immutability():
     assert np.all(c.q == 0.5)
 
 
+def test_state_adopts_frozen_owned_arrays():
+    # a read-only, C-contiguous float64 array that owns its data is handed
+    # over as it is: no copy
+    u1, theta, q = (np.full((4, 8), c) for c in (0.1, 1.0, 0.5))
+    for a in (u1, theta, q):
+        a.setflags(write=False)
+    s = State(u1=u1, theta=theta, q=q)
+    assert s.u1 is u1 and s.theta is theta and s.q is q
+
+
+def _writable(base):
+    return base
+
+
+def _view(base):
+    v = base[:, :]
+    v.setflags(write=False)
+    return v
+
+
+def _strided(base):
+    v = base[:, ::2]
+    v.setflags(write=False)
+    return v
+
+
+def _float32(base):
+    a = base.astype(np.float32)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("make", [_writable, _view, _strided, _float32])
+@pytest.mark.parametrize("cls", ["State", "PhysicalState"])
+def test_containers_copy_every_other_array(make, cls):
+    # writable, non-owning, non-contiguous or non-float64 input is copied:
+    # writing to the caller's array afterwards leaves the container as it was
+    from mhbl.transform import PhysicalState
+
+    base = np.arange(64.0).reshape(4, 16) / 64.0
+    given = make(base)
+    want = np.array(given, dtype=np.float64)
+    if cls == "State":
+        c = State(u1=given, theta=np.ones_like(want), q=np.ones_like(want))
+    else:
+        ones = np.ones_like(want)
+        c = PhysicalState(rho=ones, u1=given, u2=ones, theta=ones, h1=ones,
+                          h2=ones, y_nodes=np.arange(want.shape[1], dtype=float))
+    assert c.u1 is not given and not c.u1.flags.writeable
+    assert c.u1.flags.c_contiguous and c.u1.dtype == np.float64
+    for a in (base, given):
+        if a.base is None:  # an owner can always make itself writable again
+            a.setflags(write=True)
+            a[...] = -1.0
+    np.testing.assert_array_equal(c.u1, want)
+
+
 def test_state_shape_validation():
     with pytest.raises(GridSizingError):
         State(u1=np.zeros((4, 8)), theta=np.zeros((4, 9)), q=np.zeros((4, 8)))

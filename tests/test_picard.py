@@ -8,10 +8,9 @@ linear solver preserves constants exactly, so the iteration must converge
 in one step with distance at rounding level.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from mhbl import (
     CFLError,
@@ -516,6 +515,25 @@ def test_margins_recorded_per_iterate(monkeypatch):
     assert report.margins[0] == direct_margin(zeroth.data, data, PARAMS.delta)
 
 
+def test_min_Q_recorded_per_iterate(monkeypatch):
+    # min_Q[n] is the smallest Q = P + (1 - 2a) q of iterate n over all
+    # levels; the last one is that of the returned trajectory
+    grid, data, v0 = perturbed_setup()
+    iterates = record_iterates(monkeypatch)
+    traj, report = picard_solve(v0, data, PARAMS, grid, tol=1e-9, max_iter=25)
+    assert report.converged
+    assert len(report.min_Q) == len(iterates) == report.iterations + 1
+
+    def direct(levels):
+        return float(np.min([(data.P[k][:, None]
+                              + (1.0 - 2.0 * PARAMS.a) * v[..., 2]).min()
+                             for k, v in enumerate(levels)]))
+
+    assert report.min_Q[-1] == direct(traj.data)
+    for got, levels in zip(report.min_Q, iterates):
+        assert got == direct(levels) > 0.0
+
+
 def test_picard_peak_memory_stays_below_two_sources():
     # the 32x64 level of criterion 04's advection study; the source is built
     # before tracing starts, so the peak counts only what picard_solve holds:
@@ -530,12 +548,8 @@ def test_picard_peak_memory_stays_below_two_sources():
     outflow = sample_outflow(case.outflow_spec, grid)
     source = mms.manufacture_source(case, outflow, case.params, grid)
     v0 = mms.exact_state(case, grid, 0.0)
-    tracemalloc.start()
-    try:
-        _, report = picard_solve(v0, outflow, case.params, grid, tol=1e-10,
-                                 max_iter=40, source=source)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, report), peak = traced_peak(picard_solve, v0, outflow, case.params,
+                                    grid, tol=1e-10, max_iter=40,
+                                    source=source)
     assert report.converged
     assert peak / source.nbytes < 2.0

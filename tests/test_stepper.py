@@ -18,13 +18,13 @@ import ast
 import dataclasses
 import pathlib
 import re
-import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import traced_peak
 
 import mhbl
 from mhbl import (
@@ -460,14 +460,13 @@ def test_step_peak_memory_stays_below_23_levels():
     rng = np.random.default_rng(4)
     coeff, v = random_level(rng, g), random_level(rng, g)
     P_t, P_xi = rng.normal(size=g.nx), rng.normal(size=g.nx)
-    tracemalloc.start()
-    try:
+
+    def step():
         frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], P_t, P_xi,
                                          PARAMS, g)
         _step_arrays(v, 0.0, frozen, outflow, PARAMS, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(step)
     assert peak / v.nbytes < 23.0
 
 

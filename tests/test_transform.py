@@ -28,6 +28,8 @@ from mhbl import (
 )
 from mhbl import transform
 from mhbl.transform import (
+    RESIDUAL_MIDDLE,
+    RESIDUAL_OUTER,
     PhysicalState,
     _cumtrapz,
     _interp_at_psi,
@@ -321,6 +323,41 @@ def test_pullback_constraints_hold_for_generic_state():
     assert press <= 1e-12
 
 
+def generic_levels(grid, times):
+    xi = grid.xi[:, None]
+    eta = grid.eta[None, :]
+    return [State(u1=0.2 * np.sin(xi + t) * eta * np.exp(-eta),
+                  theta=1.0 + 0.1 * np.cos(xi - t) * np.exp(-eta),
+                  q=0.5 + 0.1 * np.sin(xi + 3 * t) * np.exp(-(eta - 1.0) ** 2),
+                  time=t) for t in times]
+
+
+def test_pullback_fields_are_adopted_and_share_nothing(monkeypatch):
+    grid = make_grid(16, 48, 6.0, 0.01, 0.05)
+    data = outflow_on(grid, P=1.5)
+    y = np.linspace(0.0, 4.0, 49)
+    v_prev, v = generic_levels(grid, (0.0, grid.dt))
+    adopted = {}
+    real = transform._frozen
+
+    def spy(a, *args):
+        out = real(a, *args)
+        adopted[id(out)] = out is a
+        return out
+
+    monkeypatch.setattr(transform, "_frozen", spy)
+    ps = pullback_physical(v, data, PARAMS, grid, y, v_hat_prev=v_prev)
+    names = ("rho", "u1", "u2", "theta", "h1", "h2")
+    fields = [getattr(ps, n) for n in names]
+    for name, f in zip(names, fields):
+        assert adopted[id(f)], f"{name} was copied"
+        assert not f.flags.writeable and f.base is None
+    held = [y, v.u1, v.theta, v.q, v_prev.u1, v_prev.theta, v_prev.q]
+    for i, f in enumerate(fields):
+        assert not any(np.shares_memory(f, a) for a in held + fields[i + 1:])
+    assert not np.shares_memory(ps.y_nodes, y)
+
+
 def test_round_trip_second_order_for_tanh_profile():
     # physical -> hatted -> psi -> physical, L_inf error drops ~4x per halving
     def run(ny):
@@ -396,3 +433,24 @@ def test_residual_original_flags_wrong_field():
                                     y_nodes=y, time=base.time))
     rep = residual_original(states, data, PARAMS)
     assert rep.max_norm[4] == pytest.approx(0.1, rel=1e-10)
+
+
+def test_residual_original_reads_only_the_listed_fields():
+    # what the cli holds of a residual triple: time, u1, theta and h1 of the
+    # outer levels, and also u2, h2 and y_nodes of the middle one
+    from types import SimpleNamespace
+
+    grid = make_grid(16, 48, 6.0, 0.01, 0.05)
+    data = outflow_on(grid, P=1.5)
+    y = np.linspace(0.0, 4.0, 49)
+    levels = generic_levels(grid, [k * grid.dt for k in range(4)])
+    full = [pullback_physical(levels[k], data, PARAMS, grid, y,
+                              v_hat_prev=levels[k - 1]) for k in (1, 2, 3)]
+    held = [SimpleNamespace(**{n: getattr(ps, n) for n in reads})
+            for ps, reads in zip(full, (RESIDUAL_OUTER, RESIDUAL_MIDDLE,
+                                        RESIDUAL_OUTER))]
+    want = residual_original(full, data, PARAMS)
+    got = residual_original(held, data, PARAMS)
+    assert got.time == want.time
+    assert got.max_norm.tobytes() == want.max_norm.tobytes()
+    assert got.l2_norm.tobytes() == want.l2_norm.tobytes()
