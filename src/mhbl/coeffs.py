@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateStateError
-from .fields import DENOM_GUARD, FloatArray, Params
+from .fields import DENOM_GUARD, FloatArray, Params, pressure_factors
 
 
 def _split(v: FloatArray):
@@ -55,8 +55,7 @@ def _at(bad: FloatArray) -> str:
 def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
     """Common strictly-positive factors; raises if any falls below the guard."""
     P = np.asarray(P, dtype=float)
-    Pmq = P - q
-    Q = P + (1.0 - 2.0 * params.a) * q
+    Pmq, Q = pressure_factors(P, q, params.a)
     for name, arr in (("theta", theta), ("q", q), ("P - q", Pmq), ("Q", Q)):
         if not (np.min(arr) >= DENOM_GUARD):  # also catches NaN
             raise DegenerateStateError(

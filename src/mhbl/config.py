@@ -1,10 +1,11 @@
 """Run configuration: INI-style text with fixed sections and keys.
 
 Sections: [physics] (mu, kappa, nu, R, cV, delta), [grid] (nx, neta,
-eta_max, dt, t_end), [outflow] (mode plus constants or expressions in t and
-xi), [initial] (expressions in x and y plus the y grid), [picard] (tol,
-max_iter, compat_order, on_admissibility_loss), [output] (dir,
-snapshot_every, emit_plots).  Unknown sections or keys are rejected, not
+eta_max, dt, t_end), [outflow] (mode = constant with five numbers, or
+mode = expressions with five expressions in t and xi), [initial]
+(expressions in x and y plus the y grid), [picard] (tol, max_iter,
+compat_order, on_admissibility_loss), [output] (dir, snapshot_every,
+emit_plots).  Unknown sections or keys are rejected, not
 ignored; a silently misspelled tolerance is worse than an error.
 
 Closed-form values are plain Python expressions over numpy functions
@@ -116,23 +117,17 @@ class RunConfig:
                          self.getfloat("grid", "t_end"))
 
     def outflow_spec(self) -> OutflowSpec:
+        """The [outflow] traces: numbers, or expressions compiled in t, xi."""
         mode = self.get("outflow", "mode")
-        if mode == "constant":
-            return OutflowSpec.constant(
-                U=self.getfloat("outflow", "U"),
-                Theta=self.getfloat("outflow", "Theta"),
-                Hfield=self.getfloat("outflow", "H"),
-                P=self.getfloat("outflow", "P"),
-                theta_star=self.getfloat("outflow", "theta_star"))
-        if mode == "expressions":
-            def trace(key: str) -> Callable:
-                fn2 = compile_expression(self.get("outflow", key), ("t", "xi"))
-                return fn2
-            return OutflowSpec(mode="functions", U=trace("U"),
-                               Theta=trace("Theta"), Hfield=trace("H"),
-                               P=trace("P"), theta_star=trace("theta_star"))
-        raise ConfigError(f"[outflow] mode must be 'constant' or "
-                          f"'expressions', got {mode!r}")
+        if mode not in ("constant", "expressions"):
+            raise ConfigError(f"[outflow] mode must be 'constant' or "
+                              f"'expressions', got {mode!r}")
+
+        def trace(key: str):
+            if mode == "constant":
+                return self.getfloat("outflow", key)
+            return compile_expression(self.get("outflow", key), ("t", "xi"))
+        return OutflowSpec(*map(trace, ("U", "Theta", "H", "P", "theta_star")))
 
     def initial_profiles(self):
         """Return callables (u1_0, theta0, h1_0) of (x, y) arrays."""

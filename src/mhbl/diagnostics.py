@@ -16,7 +16,7 @@ import numpy as np
 from . import coeffs
 from .errors import DegenerateStateError, GridSizingError, MissingTimeLevelError
 from .fields import (DENOM_GUARD, FloatArray, Grid, OutflowData, Params, State,
-                     _frozen)
+                     _frozen, pressure_factors)
 from .stencils import bounded_diff, periodic_diff
 from .stepper import Trajectory, apply_derivative
 
@@ -170,20 +170,22 @@ def outflow_consistency(outflow: OutflowData, params: Params) -> OutflowConsiste
       r2 = H_t + U H_x - (P - q) H U_x / Q - (1 - a) (P_t + P_x U) H / Q.
 
     Time derivatives are centered (one-sided at the ends) and xi derivatives
-    periodic centered; constant traces give exact zeros.
+    periodic centered; constant traces give exact zeros.  P - q or Q below
+    DENOM_GUARD raises DegenerateStateError at its first (time level, xi node).
     """
     U, Th, H, P = outflow.U, outflow.Theta, outflow.Hfield, outflow.P
     if outflow.times.size < 2:
         raise MissingTimeLevelError("outflow consistency needs >= 2 time levels")
     dt = float(outflow.times[1] - outflow.times[0])
     dxi = 2.0 * np.pi / outflow.xi.size
-    q = 0.5 * H ** 2
-    Pmq = P - q
-    Q = P + (1.0 - 2.0 * params.a) * q
-    if not (np.min(Pmq) >= DENOM_GUARD and np.min(Q) >= DENOM_GUARD):
+    Pmq, Q = pressure_factors(P, outflow.far[..., 2], params.a)
+    bad = (Pmq < DENOM_GUARD) | (Q < DENOM_GUARD)
+    if bad.any():
+        at = tuple(int(j) for j in np.argwhere(bad)[0])
         raise DegenerateStateError(
             f"outflow state degenerate: min (P - H^2/2) = {float(np.min(Pmq)):.3e}, "
-            f"min Q = {float(np.min(Q)):.3e}")
+            f"min Q = {float(np.min(Q)):.3e}; first below the {DENOM_GUARD:g} "
+            f"guard at (time level, xi node) = {at}")
     a, R = params.a, params.R
 
     def ddt(f):

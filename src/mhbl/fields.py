@@ -1,4 +1,5 @@
-"""Core value types: physical parameters, grids, outflow traces, states.
+"""Core value types: physical parameters, grids, outflow traces, states, and
+pressure_factors, the one formula for P - q and Q = P + (1 - 2a) q.
 
 The solver works on a rectangle (xi, eta) in T x [0, eta_max], xi periodic
 with period 2*pi, eta the stream-function coordinate normal to the wall.
@@ -11,6 +12,7 @@ instances.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -141,30 +143,28 @@ class OutflowSpec:
     """Recipe for the far-field traces U, Theta, H, total pressure P and the
     wall temperature theta_star, each a function of (t, xi).
 
-    mode "constant" carries five numbers; mode "functions" carries callables
-    f(t, xi_array) -> array, periodic in xi.  Optional analytic derivatives
-    P_t, P_xi override the finite-difference sampling of the pressure
-    gradient terms.
+    Each trace is a real number, constant in t and xi, or a callable
+    f(t, xi_array) -> array, periodic in xi; the two kinds mix freely.
+    Anything else raises PositivityError.
     """
 
-    mode: str
     U: Union[float, TraceFn]
     Theta: Union[float, TraceFn]
     Hfield: Union[float, TraceFn]
     P: Union[float, TraceFn]
     theta_star: Union[float, TraceFn]
-    P_t: Optional[TraceFn] = None
-    P_xi: Optional[TraceFn] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("constant", "functions"):
-            raise PositivityError(f"unknown outflow mode {self.mode!r}")
+        for name, val in vars(self).items():
+            if not (callable(val) or isinstance(val, numbers.Real)):
+                raise PositivityError(f"outflow trace {name} must be a real "
+                                      f"number or a callable, got {val!r}")
 
     @staticmethod
     def constant(U: float = 0.0, Theta: float = 1.0, Hfield: float = 1.0,
                  P: float = 1.0, theta_star: float = 1.0) -> "OutflowSpec":
-        return OutflowSpec("constant", float(U), float(Theta), float(Hfield),
-                           float(P), float(theta_star))
+        return OutflowSpec(float(U), float(Theta), float(Hfield), float(P),
+                           float(theta_star))
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,8 @@ class OutflowData:
     All arrays have shape (nsteps+1, nx).  The seven traces are finite, and
     Theta, Hfield, P and theta_star are strictly positive everywhere sampled.
     P_t and P_xi hold the pressure derivatives used by the zero-order
-    coefficients.
+    coefficients.  far is the far-field state (U, Theta, H^2/2) on every
+    level, shape (nsteps+1, nx, 3): the one place H^2/2 is formed.
     """
 
     U: FloatArray
@@ -186,29 +187,29 @@ class OutflowData:
     P_xi: FloatArray
     times: FloatArray
     xi: FloatArray
+    far: FloatArray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("U", "Theta", "Hfield", "P", "theta_star", "P_t", "P_xi",
                      "times", "xi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        shape = self.U.shape
-        for name in ("Theta", "Hfield", "P", "theta_star", "P_t", "P_xi"):
-            if getattr(self, name).shape != shape:
-                raise PositivityError(f"outflow field {name} has shape "
-                                      f"{getattr(self, name).shape}, expected {shape}")
         for name in ("U", "Theta", "Hfield", "P", "theta_star", "P_t", "P_xi"):
             arr = getattr(self, name)
+            if arr.shape != self.U.shape:
+                raise PositivityError(f"outflow field {name} has shape "
+                                      f"{arr.shape}, expected {self.U.shape}")
             bad = ~np.isfinite(arr)
             if bad.any():
                 at = tuple(int(j) for j in np.argwhere(bad)[0])
                 raise PositivityError(
                     f"outflow trace {name} is not finite: {arr[bad][0]} at "
                     f"(time level, xi node) = {at}")
-        for name in ("Theta", "Hfield", "P", "theta_star"):
-            arr = getattr(self, name)
-            if not np.all(arr > 0.0):
+            if name not in ("U", "P_t", "P_xi") and not np.all(arr > 0.0):
                 raise PositivityError(f"outflow trace {name} must be positive "
                                       f"everywhere; min = {arr.min()}")
+        far = np.stack([self.U, self.Theta, 0.5 * self.Hfield ** 2], axis=-1)
+        far.setflags(write=False)
+        object.__setattr__(self, "far", far)
 
     def time_index(self, t: float) -> int:
         """Index of the sampled time level matching t (must be on the grid)."""
@@ -221,8 +222,8 @@ class OutflowData:
         return k
 
     def vinf(self, k: int) -> FloatArray:
-        """Far-field state (U, Theta, H^2/2) at time level k, shape (nx, 3)."""
-        return np.stack([self.U[k], self.Theta[k], 0.5 * self.Hfield[k] ** 2], axis=-1)
+        """far[k]: the far-field state (U, Theta, H^2/2) at level k, (nx, 3)."""
+        return self.far[k]
 
 
 def _sample_trace(fn: Union[float, TraceFn], times: FloatArray,
@@ -240,32 +241,19 @@ def _sample_trace(fn: Union[float, TraceFn], times: FloatArray,
 def sample_outflow(spec: OutflowSpec, grid: Grid) -> OutflowData:
     """Sample the outflow recipe on the space-time grid.
 
-    The pressure derivatives P_t, P_xi come from the analytic callables when
-    the spec provides them, otherwise from finite differences of the sampled
-    P (centered periodic in xi; centered in t with one-sided ends).  Constant
-    mode therefore yields exactly zero derivatives.
+    The pressure derivatives P_t, P_xi follow P: exact zeros when P is a
+    number, otherwise finite differences of the sampled P (centered periodic
+    in xi; centered in t with one-sided ends).
     """
     times, xi = grid.times, grid.xi
-    U = _sample_trace(spec.U, times, xi)
-    Theta = _sample_trace(spec.Theta, times, xi)
-    Hfield = _sample_trace(spec.Hfield, times, xi)
-    P = _sample_trace(spec.P, times, xi)
-    theta_star = _sample_trace(spec.theta_star, times, xi)
-    if spec.P_t is not None:
-        P_t = _sample_trace(spec.P_t, times, xi)
-    elif spec.mode == "constant":
-        P_t = np.zeros_like(P)
-    else:
+    traces = {n: _sample_trace(fn, times, xi) for n, fn in vars(spec).items()}
+    P = traces["P"]
+    if callable(spec.P):
         P_t = bounded_diff(P, grid.dt, 0, 1)
-    if spec.P_xi is not None:
-        P_xi = _sample_trace(spec.P_xi, times, xi)
-    elif spec.mode == "constant":
-        P_xi = np.zeros_like(P)
-    else:
         P_xi = periodic_diff(P, grid.dxi, 1, 1)
-    return OutflowData(U=U, Theta=Theta, Hfield=Hfield, P=P,
-                       theta_star=theta_star, P_t=P_t, P_xi=P_xi,
-                       times=times, xi=xi)
+    else:
+        P_t, P_xi = np.zeros_like(P), np.zeros_like(P)
+    return OutflowData(**traces, P_t=P_t, P_xi=P_xi, times=times, xi=xi)
 
 
 @dataclass(frozen=True)
@@ -327,6 +315,12 @@ class AdmissibilityReport:
     first_violation: Optional[tuple] = None
 
 
+def pressure_factors(P, q, a: float):
+    """(P - q, Q = P + (1 - 2a) q): the two factors through which the total
+    pressure P enters the system, positive on admissible states."""
+    return P - q, P + (1.0 - 2.0 * a) * q
+
+
 def admissibility(theta: FloatArray, q: FloatArray, P: FloatArray,
                   params: Params, margin: float) -> AdmissibilityReport:
     """Check theta >= margin, q >= margin and P - q >= margin nodewise.
@@ -336,7 +330,7 @@ def admissibility(theta: FloatArray, q: FloatArray, P: FloatArray,
     carries the minima actually attained so callers can see the margin, not
     just a flag.
     """
-    P_minus_q = P - q
+    P_minus_q, Q = pressure_factors(P, q, params.a)
     good = (theta >= margin) & (q >= margin) & (P_minus_q >= margin)
     ok = bool(good.all())
     first = None
@@ -348,7 +342,7 @@ def admissibility(theta: FloatArray, q: FloatArray, P: FloatArray,
         min_theta=float(theta.min()),
         min_q=float(q.min()),
         min_P_minus_q=float(P_minus_q.min()),
-        min_Q=float((P + (1.0 - 2.0 * params.a) * q).min()),
+        min_Q=float(Q.min()),
         first_violation=first,
     )
 

@@ -23,7 +23,8 @@ from .errors import (CFLError, DegenerateStateError, GridSizingError,
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
-from .stepper import Trajectory, apply_derivative, solve_linear_problem, wall_q
+from .stepper import (Trajectory, _set_boundary_rows, apply_derivative,
+                      solve_linear_problem)
 
 
 def cutoff_phi(eta) -> FloatArray:
@@ -60,7 +61,7 @@ class Background:
         out = np.empty((3, o.U.shape[1], phi.shape[1]))
         out[0] = o.U[k][:, None] * phi
         out[1] = o.Theta[k][:, None] * phi + o.theta_star[k][:, None] * (1.0 - phi)
-        out[2] = 0.5 * o.Hfield[k][:, None] ** 2
+        out[2] = o.vinf(k)[:, 2, None]
         return out
 
 
@@ -92,10 +93,8 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
         v0_1 = -A(v0) d_xi v0 - f(v0, d_eta v0) - g(v0) + B(v0) d_eta^2 v0,
 
     with the discrete operators of the stepper.  The wall and far rows are
-    overwritten with the time derivatives of the boundary data (zero for u1,
-    d_tau theta_star for theta, the Neumann closure for q, and d_tau of the
-    outflow state at the far edge), which is what the continuous
-    compatibility conditions prescribe there.
+    the stepper's boundary rows for the time derivatives of the boundary
+    data, as the continuous compatibility conditions prescribe.
     """
     if order not in (0, 1):
         raise GridSizingError(f"compatibility order must be 0 or 1, got {order}")
@@ -108,15 +107,10 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
         v1 = -coeffs.operator(arr, dxv, dev, d2ev, outflow.P[0][:, None],
                               outflow.P_t[0][:, None],
                               outflow.P_xi[0][:, None], params)
-        # boundary rows follow the data, not the interior stencils
-        dth_star = _ddt0(outflow.theta_star, grid.dt)
-        v1[:, 0, 0] = 0.0
-        v1[:, 0, 1] = dth_star
-        v1[:, 0, 2] = wall_q(v1[:, 1, 2], v1[:, 2, 2])
-        v1[:, -1, 0] = _ddt0(outflow.U, grid.dt)
-        v1[:, -1, 1] = _ddt0(outflow.Theta, grid.dt)
-        v1[:, -1, 2] = _ddt0(0.5 * outflow.Hfield ** 2, grid.dt)
-        out.append(v1)
+        # boundary rows follow the data, not the interior stencils; they are
+        # linear in it, so d_tau of the data obeys the same rows
+        out.append(_set_boundary_rows(v1, _ddt0(outflow.theta_star, grid.dt),
+                                      _ddt0(outflow.far, grid.dt)))
     return CompatibilitySet(v0_list=out)
 
 

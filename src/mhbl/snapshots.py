@@ -57,7 +57,8 @@ class Snapshot:
 
 
 def write_snapshot(state: Union[State, PhysicalState], path: str) -> None:
-    """Serialize a transformed or physical state."""
+    """Serialize a transformed or physical state; fields that do not share
+    one 2-d shape raise SnapshotFormatError before path is opened."""
     if isinstance(state, State):
         tag, names = TAG_TRANSFORMED, _TRANSFORMED_FIELDS
     elif isinstance(state, PhysicalState):
@@ -65,6 +66,10 @@ def write_snapshot(state: Union[State, PhysicalState], path: str) -> None:
     else:
         raise SnapshotFormatError(f"cannot snapshot a {type(state).__name__}")
     arrays = [np.ascontiguousarray(getattr(state, n), dtype="<f8") for n in names]
+    shapes = {n: arr.shape for n, arr in zip(names, arrays)}
+    if len(set(shapes.values())) != 1 or arrays[0].ndim != 2:
+        raise SnapshotFormatError(f"cannot snapshot fields of shapes {shapes}:"
+                                  " the header holds one 2-d shape (nx, n2)")
     nx, n2 = arrays[0].shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, nx, n2, float(state.time), tag))

@@ -242,17 +242,19 @@ def apply_bcs(v: State, outflow: OutflowData, grid: Grid) -> State:
     Wall (eta = 0): u1 = 0, theta = theta_star, q0 = wall_q(q1, q2) (zero
     Neumann).  Far (eta = eta_max): v = (U, Theta, H^2/2).
     """
-    a = _set_boundary_rows(v.as_array(), outflow, outflow.time_index(v.time))
+    k = outflow.time_index(v.time)
+    a = _set_boundary_rows(v.as_array(), outflow.theta_star[k], outflow.vinf(k))
     return State.from_array(a, time=v.time)
 
 
-def _set_boundary_rows(a: FloatArray, outflow: OutflowData, k: int) -> FloatArray:
-    """Overwrite the wall and far rows of a state array (nx, neta, 3) with
-    time level k's boundary conditions, as apply_bcs states them; returns a."""
+def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
+                       far: FloatArray) -> FloatArray:
+    """Write apply_bcs's wall and far rows into a (nx, neta, 3) state array
+    a, for wall temperature theta_wall (nx,) and far state far (nx, 3)."""
     a[:, 0, 0] = 0.0
-    a[:, 0, 1] = outflow.theta_star[k]
+    a[:, 0, 1] = theta_wall
     a[:, 0, 2] = wall_q(a[:, 1, 2], a[:, 2, 2])
-    a[:, -1] = outflow.vinf(k)
+    a[:, -1] = far
     return a
 
 
@@ -298,7 +300,8 @@ def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
     # The boundary rows are set first, as the folds and the u1 couplings read
     # them; the wall q follows once the interior is solved.
     sl = slice(1, -1)
-    out = _set_boundary_rows(np.zeros_like(v), outflow, k_new)
+    out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[k_new],
+                             outflow.vinf(k_new))
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
     L, D, U = _eta_weights([[fc.f00[:, sl]]], [[fc.b00[:, sl]]], dt, deta)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import (GridSizingError, LinearSolveError, MissingTimeLevelError,
                      NondegeneracyError)
-from .fields import FloatArray, Grid, OutflowData, Params, State, _frozen
+from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
+                     pressure_factors)
 from .stencils import bounded_diff, periodic_diff
 from .stepper import apply_derivative, dgtsv
 
@@ -45,7 +46,8 @@ class PhysicalState:
     pullback of admissible solver output; u2 and h2 are derived from the
     stream function, not evolved.  The fields are read-only: the ones
     pullback_physical makes are adopted without a copy, anything else is
-    copied (fields._frozen).
+    copied (fields._frozen).  The six fields share one 2-d shape (nx, ny)
+    and y_nodes holds ny entries, or GridSizingError is raised.
     """
 
     rho: FloatArray
@@ -58,8 +60,14 @@ class PhysicalState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rho", "u1", "u2", "theta", "h1", "h2", "y_nodes"):
+        names = ("rho", "u1", "u2", "theta", "h1", "h2", "y_nodes")
+        for name in names:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        shape, shapes = self.u1.shape, [getattr(self, n).shape for n in names]
+        if len(shape) != 2 or shapes != [shape] * 6 + [shape[1:]]:
+            raise GridSizingError(
+                "physical fields must share one 2-d shape (nx, ny), and y_nodes"
+                f" hold ny entries; got {dict(zip(names, shapes))}")
 
 
 def _check_uniform(y_nodes: FloatArray) -> None:
@@ -400,8 +408,7 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
     mu, kappa, nu = params.mu, params.kappa, params.nu
 
     q = 0.5 * h1 ** 2
-    Pmq = P - q
-    Q = P + (1.0 - 2.0 * a) * q
+    Pmq, Q = pressure_factors(P, q, a)
     tang_u = h1 * ddx(u1) + h2 * ddy(u1)
     mat_P = P_t + P_x * u1
     dissip = kappa * ddy2(th) + mu * ddy(u1) ** 2 + nu * ddy(h1) ** 2

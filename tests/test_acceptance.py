@@ -333,7 +333,7 @@ def test_criterion_09_outflow_consistency():
     exact_zero = bool(np.all(rep_c.fields == 0.0))
 
     defect = 0.3
-    spec = OutflowSpec(mode="functions", U=0.0,
+    spec = OutflowSpec(U=0.0,
                        Theta=lambda t, xi: 1.2 + defect * t + 0.0 * xi,
                        Hfield=1.1, P=2.0, theta_star=0.9)
     rep_d = outflow_consistency(sample_outflow(spec, grid), params)

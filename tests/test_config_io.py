@@ -79,7 +79,8 @@ def test_parse_builds_typed_inputs_and_fills_defaults():
     grid = cfg.make_grid()
     assert (grid.nx, grid.neta) == (16, 32)
     spec = cfg.outflow_spec()
-    assert spec.mode == "constant"
+    assert (spec.U, spec.Theta, spec.Hfield, spec.P, spec.theta_star) \
+        == (0.0, 1.0, 1.0, 1.5, 1.0)
     u1_0, theta0, h1_0 = cfg.initial_profiles()
     y = np.linspace(0.0, 2.0, 5)
     np.testing.assert_allclose(h1_0(0.0, y), 1.0 + 0.5 * np.tanh(y))
@@ -217,7 +218,8 @@ def test_expressions_mode_outflow():
                .replace("P = 1.5", "P = 1.5 + 0.1*sin(xi)*exp(-t)")
     cfg = parse_config(text)
     spec = cfg.outflow_spec()
-    assert spec.mode == "functions"
+    assert all(callable(getattr(spec, name))
+               for name in ("U", "Theta", "Hfield", "P", "theta_star"))
     xi = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     np.testing.assert_allclose(spec.P(0.0, xi), 1.5 + 0.1 * np.sin(xi))
 
@@ -396,6 +398,22 @@ def test_physical_snapshot_round_trip_bit_exact(tmp_path):
     assert set(snap.fields) == {"rho", "u1", "u2", "theta", "h1", "h2"}
     for name in snap.fields:
         assert snap.fields[name].tobytes() == getattr(ps, name).tobytes()
+
+
+@pytest.mark.parametrize("shapes", [
+    {"u1": (3, 2)},
+    dict.fromkeys(("rho", "u1", "u2", "theta", "h1", "h2"), (6,)),
+])
+def test_snapshot_refuses_fields_off_one_shape(tmp_path, shapes):
+    # a (3, 2) u1 beside (2, 3) fields once wrote a file that read back with
+    # u1 reshaped to (2, 3); 1-d fields died in a bare ValueError
+    ps = sample_physical(np.random.default_rng(3), nx=2, ny=3)
+    for name, shape in shapes.items():   # past PhysicalState's own check
+        object.__setattr__(ps, name, np.zeros(shape))
+    path = tmp_path / "bad.snap"
+    with pytest.raises(SnapshotFormatError, match="one 2-d shape"):
+        write_snapshot(ps, str(path))
+    assert not path.exists()
 
 
 def test_snapshot_fields_are_read_only_and_adopted(tmp_path):

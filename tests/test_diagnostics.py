@@ -10,6 +10,8 @@ Exact discrete facts used as oracles:
     linear in t.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ def test_defected_outflow_residual_matches_injected_defect():
     # Theta = 2 + 0.3 t with everything else constant leaves only the exact
     # time derivative in the temperature channel
     grid = make_grid(12, 16, 4.0, 0.01, 0.06)
-    spec = OutflowSpec(mode="functions", U=0.0,
+    spec = OutflowSpec(U=0.0,
                        Theta=lambda t, xi: 2.0 + 0.3 * t + 0.0 * xi,
                        Hfield=1.0, P=1.5, theta_star=1.0)
     data = sample_outflow(spec, grid)
@@ -235,10 +237,16 @@ def test_defected_outflow_residual_matches_injected_defect():
 
 def test_degenerate_outflow_rejected():
     grid = make_grid(8, 16, 4.0, 0.01, 0.05)
-    data = sample_outflow(OutflowSpec.constant(
-        U=0.0, Theta=1.0, Hfield=1.5, P=1.0, theta_star=1.0), grid)
-    with pytest.raises(DegenerateStateError):
-        outflow_consistency(data, PARAMS)   # P - H^2/2 = -0.125
+    for P, where in (
+            (1.0, "(0, 0)"),   # P - H^2/2 = -0.125 everywhere
+            # P - H^2/2 = 0.075 - 10 t + 0.05 cos(xi): positive at t = 0; at
+            # t = 0.01 first negative where cos(xi) < 1/2, at xi node 2 of 8
+            (lambda t, xi: 1.2 - 10.0 * t + 0.05 * np.cos(xi), "(1, 2)")):
+        data = sample_outflow(OutflowSpec(U=0.0, Theta=1.0, Hfield=1.5, P=P,
+                                          theta_star=1.0), grid)
+        with pytest.raises(DegenerateStateError,
+                           match=re.escape(f"(time level, xi node) = {where}")):
+            outflow_consistency(data, PARAMS)
 
 
 # ---------------------------------------------------------------------------

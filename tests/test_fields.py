@@ -106,7 +106,6 @@ def test_constant_outflow_exact_zero_derivatives():
 def test_sampled_pressure_gradients_match_difference_oracle():
     g = make_grid(32, 16, 4.0, 0.05, 0.5)
     spec = OutflowSpec(
-        mode="functions",
         U=lambda t, xi: 0.0 * xi,
         Theta=lambda t, xi: 1.0 + 0.0 * xi,
         Hfield=lambda t, xi: 1.0 + 0.0 * xi,
@@ -126,26 +125,37 @@ def test_sampled_pressure_gradients_match_difference_oracle():
                                    rtol=0, atol=1e-12)
 
 
-def test_analytic_pressure_gradients_override_differences():
+def test_callable_pressure_gets_its_differences_beside_numeric_traces():
+    # a callable P is differenced whatever the other traces are; a spec flag
+    # once let numeric company turn its derivatives into silent zeros
     g = make_grid(16, 16, 4.0, 0.1, 0.5)
-    spec = OutflowSpec(
-        mode="functions",
-        U=0.0, Theta=1.0, Hfield=1.0,
-        P=lambda t, xi: 1.5 + 0.2 * np.cos(xi),
-        theta_star=1.0,
-        P_t=lambda t, xi: 0.0 * xi,
-        P_xi=lambda t, xi: -0.2 * np.sin(xi),
-    )
+    spec = OutflowSpec(U=0.0, Theta=1.0, Hfield=1.0,
+                       P=lambda t, xi: 1.5 + 0.2 * np.cos(xi) + 0.1 * t,
+                       theta_star=1.0)
     data = sample_outflow(spec, g)
-    np.testing.assert_allclose(data.P_xi[0], -0.2 * np.sin(g.xi), atol=1e-15)
+    oracle_xi = (np.roll(data.P, -1, axis=1) - np.roll(data.P, 1, axis=1)) \
+        / (2.0 * g.dxi)
+    np.testing.assert_array_equal(data.P_xi, oracle_xi)
+    assert np.max(np.abs(data.P_xi)) > 0.19
+    np.testing.assert_allclose(data.P_t, 0.1, rtol=0, atol=1e-12)
+
+
+def test_numeric_pressure_gives_exact_zero_derivatives():
+    # differencing the sampled 0.1 would leave 1.4e-16 at the time ends
+    g = make_grid(8, 16, 4.0, 0.1, 1.0)
+    spec = OutflowSpec(U=lambda t, xi: 0.1 * np.sin(xi - t), Theta=1.0,
+                       Hfield=0.2, P=0.1, theta_star=1.0)
+    data = sample_outflow(spec, g)
+    assert np.all(data.P == 0.1)
     assert np.all(data.P_t == 0.0)
+    assert np.all(data.P_xi == 0.0)
 
 
 def test_outflow_requires_positive_traces():
     g = make_grid(8, 16, 4.0, 0.1, 1.0)
     spec = OutflowSpec.constant(P=2.0)
     bad = OutflowSpec(
-        mode="functions", U=0.0,
+        U=0.0,
         Theta=lambda t, xi: np.cos(xi),   # dips negative
         Hfield=1.0, P=2.0, theta_star=1.0)
     sample_outflow(spec, g)  # fine
@@ -156,15 +166,17 @@ def test_outflow_requires_positive_traces():
 def test_outflow_rejects_non_finite_traces_by_name():
     # a NaN trace used to reach check-outflow as "max residual nan", exit 0
     g = make_grid(8, 16, 4.0, 0.1, 1.0)
-    bad = OutflowSpec(mode="functions", U=lambda t, xi: np.full_like(xi, np.nan),
+    bad = OutflowSpec(U=lambda t, xi: np.full_like(xi, np.nan),
                       Theta=1.0, Hfield=1.0, P=2.0, theta_star=1.0)
     with pytest.raises(PositivityError, match=r"outflow trace U is not finite"):
         sample_outflow(bad, g)
 
 
-def test_outflow_mode_validated():
-    with pytest.raises(PositivityError):
-        OutflowSpec("wavy", 0.0, 1.0, 1.0, 1.0, 1.0)
+def test_outflow_trace_must_be_a_number_or_a_callable():
+    for trace in ("wavy", None, np.ones(4)):
+        with pytest.raises(PositivityError, match="trace Hfield must be a "
+                                                  "real number or a callable"):
+            OutflowSpec(0.0, 1.0, trace, 1.0, 1.0)
 
 
 def test_time_index_tolerance_and_missing_level():
@@ -253,6 +265,22 @@ def test_containers_copy_every_other_array(make, cls):
             a.setflags(write=True)
             a[...] = -1.0
     np.testing.assert_array_equal(c.u1, want)
+
+
+@pytest.mark.parametrize("bad", [
+    {"u1": np.ones((3, 2))},
+    dict.fromkeys(("rho", "u1", "u2", "theta", "h1", "h2"), np.ones(6)),
+    {"y_nodes": np.arange(4.0)},
+])
+def test_physical_state_shape_validation(bad):
+    # a mismatched field once made a snapshot that read back reshaped
+    from mhbl.transform import PhysicalState
+
+    f = np.ones((2, 3))
+    good = dict(rho=f, u1=f, u2=f, theta=f, h1=f, h2=f, y_nodes=np.arange(3.0))
+    PhysicalState(**good)
+    with pytest.raises(GridSizingError):
+        PhysicalState(**{**good, **bad})
 
 
 def test_state_shape_validation():

@@ -110,7 +110,7 @@ def test_background_tracks_time_varying_traces():
 
 
 def time_varying_spec():
-    return OutflowSpec(mode="functions", U=0.1,
+    return OutflowSpec(U=0.1,
                        Theta=lambda t, xi: 1.0 + t + 0.0 * xi,
                        Hfield=1.0, P=3.0, theta_star=0.5)
 
@@ -179,7 +179,7 @@ def test_compatibility_matches_equation_on_interior():
 
 def test_compatibility_wall_theta_tracks_trace_derivative():
     grid = make_grid(6, 16, 4.0, 0.05, 0.2)
-    spec = OutflowSpec(mode="functions", U=0.0, Theta=1.0, Hfield=1.0, P=1.5,
+    spec = OutflowSpec(U=0.0, Theta=1.0, Hfield=1.0, P=1.5,
                        theta_star=lambda t, xi: 0.7 + 0.3 * t + 0.0 * xi)
     data = sample_outflow(spec, grid)
     v0 = State.constant(grid, 0.0, 1.0, 0.5)
@@ -329,7 +329,7 @@ def declining_pressure_setup():
     # P(t) = 1 - 6t crosses q + delta = 0.6 at t = 0.0583: the zeroth
     # approximation (constant q = 0.55) must leave the admissible set
     grid = make_grid(8, 24, 4.0, 0.01, 0.08)
-    spec = OutflowSpec(mode="functions", U=0.0, Theta=1.0,
+    spec = OutflowSpec(U=0.0, Theta=1.0,
                        Hfield=np.sqrt(1.1), P=lambda t, xi: 1.0 - 6.0 * t + 0.0 * xi,
                        theta_star=1.0)
     data = sample_outflow(spec, grid)

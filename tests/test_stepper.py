@@ -725,3 +725,13 @@ def test_lapack_is_imported_only_by_the_stepper():
                 namers.add(path.name)
     assert importers == set()
     assert namers == {"stepper.py"}
+
+
+def test_wall_closure_is_named_only_by_the_stepper():
+    # the wall q closure is a boundary row, and the stepper's one
+    # boundary-row writer owns it; every other module writes the rows
+    # through that writer
+    namers = {path.name for path in SRC.glob("*.py")
+              if {"wall_q", "WALL_Q_WEIGHTS"} & set(
+                  _names(ast.parse(path.read_text())))}
+    assert namers == {"stepper.py"}
