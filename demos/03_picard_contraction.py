@@ -44,10 +44,12 @@ def report(label, rep, elapsed):
           f"sweeps ({elapsed:.2f} s)")
     print(f"  {'n':>3s} {'distance d_n':>14s} {'ratio d_n/d_n-1':>16s} "
           f"{'admissible':>11s}")
-    for n, d in enumerate(rep.distances):
-        ratio = "" if n == 0 else f"{rep.ratios[n - 1]:16.4f}"
-        adm = rep.admissible[n + 1] if n + 1 < len(rep.admissible) else True
-        print(f"  {n:>3d} {d:>14.3e} {ratio:>16s} {str(adm):>11s}")
+    # d_n is the distance from sweep n + 1 to sweep n
+    for n, (prev, rec) in enumerate(zip(rep.iterates, rep.iterates[1:])):
+        ratio = (f"{rec.distance / prev.distance:16.4f}"
+                 if n and prev.distance > 0.0 else "")
+        print(f"  {n:>3d} {rec.distance:>14.3e} {ratio:>16s} "
+              f"{str(rec.admissible):>11s}")
 
 
 def main():

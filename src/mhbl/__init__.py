@@ -35,7 +35,7 @@ _EXPORTS = {
     "mms": ("ManufacturedCase", "StudyResult", "case_library",
             "convergence_study", "manufacture_source", "solve_case",
             "write_study_csv"),
-    "picard": ("Background", "CompatibilitySet", "IterationReport",
+    "picard": ("Background", "IterateRecord", "IterationReport",
                "build_background", "build_zeroth_approx",
                "compatibility_derivatives", "cutoff_phi", "picard_solve"),
     "snapshots": ("Snapshot", "emit_plot_data", "read_snapshot",

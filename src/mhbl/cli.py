@@ -98,26 +98,30 @@ def _initial_state(cfg, params, grid, outflow):
     """
     import numpy as np
 
+    from .fields import pressure_factors
     from .transform import initial_eta_map
 
     u1_fn, theta_fn, h1_fn = cfg.initial_profiles()
     ny = cfg.getint("initial", "ny")
     y = np.linspace(0.0, cfg.getfloat("initial", "y_max"), ny)
-    x = grid.xi
-    X, Y = np.meshgrid(x, y, indexing="ij")
+    X, Y = np.meshgrid(grid.xi, y, indexing="ij")
     u10 = np.asarray(u1_fn(X, Y), dtype=float)
     theta0 = np.asarray(theta_fn(X, Y), dtype=float)
     h10 = np.asarray(h1_fn(X, Y), dtype=float)
 
     d = params.delta
+    # each xi column's largest q = h1^2/2 decides once h1 > 0 (checked first);
+    # a huge h1 gives q = inf (Q = 0 * inf at a = 1/2): refused, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_minus_q, _ = pressure_factors(outflow.P[0], 0.5 * h10.max(axis=1) ** 2,
+                                        params.a)
     checks = [(f"{name} finite", bool(np.isfinite(a).all()))
               for name, a in (("u1_0", u10), ("theta0", theta0), ("h1_0", h10))]
     checks += [
         ("theta_star >= 2 delta", float(outflow.theta_star.min()) >= 2 * d),
         ("theta0 >= 2 delta", float(theta0.min()) >= 2 * d),
         ("h1_0 >= 2 delta", float(h10.min()) >= 2 * d),
-        ("h1_0^2/2 <= P(0, x) - 2 delta",
-         float((outflow.P[0][:, None] - 0.5 * h10 ** 2).min()) >= 2 * d),
+        ("h1_0^2/2 <= P(0, x) - 2 delta", float(P_minus_q.min()) >= 2 * d),
     ]
     for name, ok in checks:
         if not ok:
@@ -155,10 +159,9 @@ def _simulate(config_text: str) -> int:
         on_admissibility_loss=cfg.get("picard", "on_admissibility_loss"))
 
     emit_plot_data(report, out_dir)
-    if report.aborted:
-        raise MhblError(report.message)
-    if not report.converged:
-        raise NonConvergenceError(report.message)
+    error = report.error()
+    if error is not None:
+        raise error
 
     every = cfg.getint("output", "snapshot_every")
     nt = grid.nsteps

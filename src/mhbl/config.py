@@ -117,7 +117,8 @@ class RunConfig:
                          self.getfloat("grid", "t_end"))
 
     def outflow_spec(self) -> OutflowSpec:
-        """The [outflow] traces: numbers, or expressions compiled in t, xi."""
+        """The [outflow] traces: numbers, or expressions compiled in t, xi;
+        one that names neither t nor xi is evaluated once, to its number."""
         mode = self.get("outflow", "mode")
         if mode not in ("constant", "expressions"):
             raise ConfigError(f"[outflow] mode must be 'constant' or "
@@ -126,7 +127,11 @@ class RunConfig:
         def trace(key: str):
             if mode == "constant":
                 return self.getfloat("outflow", key)
-            return compile_expression(self.get("outflow", key), ("t", "xi"))
+            text = self.get("outflow", key)
+            fn = compile_expression(text, ("t", "xi"))
+            names = {node.id for node in ast.walk(ast.parse(text, mode="eval"))
+                     if isinstance(node, ast.Name)}
+            return fn if names & {"t", "xi"} else float(fn(0.0, 0.0))
         return OutflowSpec(*map(trace, ("U", "Theta", "H", "P", "theta_star")))
 
     def initial_profiles(self):

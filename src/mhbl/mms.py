@@ -39,14 +39,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import coeffs
-from .errors import (GridSizingError, MhblError, NonConvergenceError,
-                     PreconditionError)
+from .errors import GridSizingError, PreconditionError
 from .fields import (FloatArray, Grid, OutflowData, OutflowSpec, Params,
                      State, admissibility, make_grid, sample_outflow)
 from .picard import picard_solve
 
 #: signature of the exact-field callables: (t, xi_col (nx,1), eta_row (1,neta))
 FieldFn = Callable[[float, FloatArray, FloatArray], FloatArray]
+PICARD_TOL, PICARD_MAX_ITER = 1e-10, 40
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ def manufacture_source(case: ManufacturedCase, outflow: OutflowData,
 
 
 def solve_case(case: ManufacturedCase, nx: int, neta: int, dt: float,
-               t_end: Optional[float] = None, tol: float = 1e-10,
-               max_iter: int = 40):
+               t_end: Optional[float] = None):
     """Run the solver against a case; returns (trajectory, report, errors).
 
     errors are the weighted L2 norms of (computed - exact) per component at
@@ -115,8 +114,8 @@ def solve_case(case: ManufacturedCase, nx: int, neta: int, dt: float,
     outflow = sample_outflow(case.outflow_spec, grid)
     source = manufacture_source(case, outflow, case.params, grid)
     v0 = exact_state(case, grid, 0.0)
-    traj, report = picard_solve(v0, outflow, case.params, grid, tol=tol,
-                                max_iter=max_iter, source=source)
+    traj, report = picard_solve(v0, outflow, case.params, grid, tol=PICARD_TOL,
+                                max_iter=PICARD_MAX_ITER, source=source)
     vex = exact_state(case, grid, float(grid.times[-1])).as_array()
     diff = traj.data[-1] - vex
     w = grid.eta_weights()
@@ -153,34 +152,29 @@ class StudyResult:
 def convergence_study(case: ManufacturedCase,
                       resolutions: Sequence[Tuple[int, int]],
                       mode: str = "spatial",
-                      dt0: Optional[float] = None,
-                      t_end: Optional[float] = None,
-                      tol: float = 1e-10,
-                      max_iter: int = 40) -> StudyResult:
+                      t_end: Optional[float] = None) -> StudyResult:
     """Refine (dxi, deta, dt) together and fit the observed order.
 
     mode "spatial" scales dt with deta^2 so the first-order time error stays
     subdominant and the fitted slope reflects the second-order stencils;
     mode "temporal" scales dt with deta and expects slope one.  At least
-    three resolutions are required.  A resolution whose Picard solve stops
-    at max_iter raises NonConvergenceError; one that aborts, MhblError.
+    three resolutions are required; the first runs at the case's base_dt.
+    A failed solve raises its report's error, naming case and resolution.
     """
     if mode not in ("spatial", "temporal"):
         raise GridSizingError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
     if len(resolutions) < 3:
         raise GridSizingError("a convergence study needs at least 3 resolutions")
-    dt0 = case.base_dt if dt0 is None else dt0
     deta0 = case.eta_max / (resolutions[0][1] - 1)
     rows: List[StudyRow] = []
     for nx, neta in resolutions:
         deta = case.eta_max / (neta - 1)
         power = 2 if mode == "spatial" else 1
-        dt = dt0 * (deta / deta0) ** power
-        _, report, errors = solve_case(case, nx, neta, dt, t_end=t_end,
-                                       tol=tol, max_iter=max_iter)
-        if not report.converged:
-            error = MhblError if report.aborted else NonConvergenceError
-            raise error(f"case {case.name!r} at {nx}x{neta}: {report.message}")
+        dt = case.base_dt * (deta / deta0) ** power
+        _, report, errors = solve_case(case, nx, neta, dt, t_end=t_end)
+        error = report.error()
+        if error is not None:
+            raise type(error)(f"case {case.name!r} at {nx}x{neta}: {error}")
         rows.append(StudyRow(nx=nx, neta=neta, dt=dt,
                              errors=tuple(float(e) for e in errors)))
     errs = np.array([r.errors for r in rows])

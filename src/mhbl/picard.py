@@ -11,15 +11,16 @@ in the admissible set theta >= delta, delta <= q <= P - delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import coeffs
 from .diagnostics import NormSpec, discrete_norm
 from .errors import (CFLError, DegenerateStateError, GridSizingError,
-                     LinearSolveError, PreconditionError)
+                     LinearSolveError, MhblError, NonConvergenceError,
+                     PreconditionError)
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
@@ -69,26 +70,12 @@ def build_background(outflow: OutflowData, grid: Grid) -> Background:
     return Background(outflow=outflow, phi=cutoff_phi(grid.eta))
 
 
-@dataclass(frozen=True)
-class CompatibilitySet:
-    """Initial time derivatives v0_j = d_tau^j v(0) for j = 0..order.
-
-    v0_list[j] has shape (nx, neta, 3); entry 0 is the initial data itself
-    and entry 1, when present, is read off the equation at t = 0.
-    """
-
-    v0_list: List[FloatArray]
-
-    @property
-    def order(self) -> int:
-        return len(self.v0_list) - 1
-
-
 def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
-                              grid: Grid, order: int = 1) -> CompatibilitySet:
-    """Compute v0_j for j <= order (only orders 0 and 1 are supported).
+                              grid: Grid, order: int = 1) -> List[FloatArray]:
+    """The initial time derivatives [v0_0, .., v0_order], v0_j = d_tau^j v(0),
+    each of shape (nx, neta, 3); only orders 0 and 1 are supported.
 
-    The first derivative comes from the equation itself,
+    v0_0 is the initial data; v0_1 comes from the equation itself,
 
         v0_1 = -A(v0) d_xi v0 - f(v0, d_eta v0) - g(v0) + B(v0) d_eta^2 v0,
 
@@ -111,7 +98,7 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
         # linear in it, so d_tau of the data obeys the same rows
         out.append(_set_boundary_rows(v1, _ddt0(outflow.theta_star, grid.dt),
                                       _ddt0(outflow.far, grid.dt)))
-    return CompatibilitySet(v0_list=out)
+    return out
 
 
 def _ddt0(trace: FloatArray, dt: float) -> FloatArray:
@@ -120,14 +107,14 @@ def _ddt0(trace: FloatArray, dt: float) -> FloatArray:
     return bounded_diff(trace[:3], dt, 0, 1)[0]
 
 
-def build_zeroth_approx(background: Background, compat: CompatibilitySet,
+def build_zeroth_approx(background: Background, compat: List[FloatArray],
                         grid: Grid) -> Trajectory:
     """Zeroth Picard iterate: the background plus the Taylor correction
 
         v0(tau) = vbar(tau) + sum_j tau^j / j! (v0_j - d_tau^j vbar(0)),
 
-    so that d_tau^j v0(0) = v0_j for j <= order while the far-field behavior
-    of vbar is kept.  d_tau vbar(0) is a one-sided difference of the first
+    over compat = [v0_0, .., v0_order], so that d_tau^j v0(0) = v0_j for
+    j <= order while the far-field behavior of vbar is kept.  d_tau vbar(0) is a one-sided difference of the first
     background levels.
     """
     nt = grid.nsteps
@@ -135,69 +122,92 @@ def build_zeroth_approx(background: Background, compat: CompatibilitySet,
     for k in range(nt + 1):
         data[k] = np.moveaxis(background.components(k), 0, -1)
     # read d_tau^j vbar(0) off the first levels before they are corrected
-    dvbar0 = [data[0].copy()]
-    if compat.order >= 1:
-        dvbar0.append(_ddt0(data[:3], grid.dt))
+    dvbar0 = [data[0].copy(), _ddt0(data[:3], grid.dt)][:len(compat)]
     for k in range(nt + 1):
         tau = grid.times[k]
-        for j in range(compat.order + 1):
-            data[k] += tau ** j / math.factorial(j) * (compat.v0_list[j] - dvbar0[j])
+        for j, (v0_j, dvbar0_j) in enumerate(zip(compat, dvbar0)):
+            data[k] += tau ** j / math.factorial(j) * (v0_j - dvbar0_j)
     return Trajectory(data=data, times=grid.times.copy())
 
 
 @dataclass(frozen=True)
-class IterationReport:
-    """Convergence record of one Picard run.
+class IterateRecord:
+    """What was measured on Picard iterate n, over all its time levels:
+    distance is sup_k || v^n(k) - v^{n-1}(k) ||_L2 (None for n = 0);
+    admissible says whether every level lies in the admissible set with
+    margin delta, and first_violation is (time level, xi column, eta row)
+    of the first node outside it, or None; norm is the deviation
+    sup_k || v^n(k) - vbar(k) ||_{H^1}; margin is the smallest of theta, q
+    and P - q, less delta, negative or NaN exactly off the set; min_Q is
+    the smallest Q = P + (1 - 2a) q, positive on admissible iterates.
+    """
 
-    distances[n] is the trajectory distance sup_k || v^{n+1} - v^n ||_L2
-    after iterate n+1; ratios are successive quotients.  admissible[n] flags
-    iterate n (entry 0 is the zeroth approximation).  norm_history tracks
-    sup_k || v^n - vbar ||_{H^1}.  margins[n] is iterate n's admissibility
-    margin: the smallest of theta, q and P - q over all levels, less delta,
-    so it is negative or NaN exactly when the iterate left the admissible
-    set.  min_Q[n] is iterate n's smallest Q = P + (1 - 2a) q over all
-    levels, which stays positive on admissible iterates.
+    distance: Optional[float]
+    admissible: bool
+    norm: float
+    margin: float
+    min_Q: float
+    first_violation: Optional[Tuple[int, int, int]]
+
+
+def _per_iterate(name: str, first: int = 0) -> property:
+    """A read-only list of one IterateRecord field, from iterate first on."""
+    return property(lambda report: [getattr(rec, name)
+                                    for rec in report.iterates[first:]])
+
+
+@dataclass(frozen=True)
+class IterationReport:
+    """Convergence record of one Picard run: one IterateRecord per iterate,
+    the zeroth approximation first.  The lists are views of the records;
+    distances starts at iterate 1, and ratios are the successive quotients
+    of the distances, with none after a zero distance.
     """
 
     converged: bool
-    iterations: int
-    distances: List[float]
-    ratios: List[float]
-    admissible: List[bool]
-    norm_history: List[float]
+    iterates: List[IterateRecord]
     aborted: bool = False
     message: str = ""
-    margins: List[float] = field(default_factory=list)
-    min_Q: List[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates) - 1
+
+    distances = _per_iterate("distance", first=1)
+    admissible = _per_iterate("admissible")
+    norm_history = _per_iterate("norm")
+    margins = _per_iterate("margin")
+    min_Q = _per_iterate("min_Q")
+
+    @property
+    def ratios(self) -> List[float]:
+        d = self.distances
+        return [b / a for a, b in zip(d, d[1:]) if a > 0.0]
+
+    def error(self) -> Optional[MhblError]:
+        """The error to raise for this run, or None if it converged: MhblError
+        (a solver error) for an abort, NonConvergenceError at max_iter."""
+        if self.converged:
+            return None
+        return (MhblError if self.aborted else NonConvergenceError)(self.message)
 
 
 class _Measure:
-    """The measurement of one iterate, taken one level at a time.
-
-    Called as measure(k, v, old) for every level k in order, with the
-    iterate's level k and the previous iterate's level k (None for the
-    zeroth approximation, which has no previous iterate); it fits
-    solve_linear_problem's measure argument.  result() returns
-    (distance, admissible, norm, margin): the trajectory distance
-    sup_k || v(k) - old(k) ||_L2 (None without old levels), whether every
-    level lies in the admissible set with margin delta, the deviation
-    sup_k || v(k) - vbar(k) ||_{H^1}, and the smallest of min theta, min q
-    and min (P - q) over the levels, less delta.  min_Q() is the smallest
-    Q = P + (1 - 2a) q over the levels.  A NaN anywhere in a level
-    makes the distance and the norm NaN; in theta or q it also fails
-    admissibility and makes the margin NaN.  first_violation is
-    (level k, xi column, eta row) of the first node outside the set, or None.
+    """The measurement of one iterate, taken one level at a time: called as
+    measure(k, v, old) for every level k in order, with the iterate's and
+    the previous iterate's level k (old is None for the zeroth
+    approximation), as solve_linear_problem's measure argument; result()
+    returns the IterateRecord.  A NaN anywhere in a level makes the distance
+    and the norm NaN; in theta or q it also fails admissibility and makes
+    the margin NaN.
     """
 
     def __init__(self, background: Background, params: Params, grid: Grid):
         self.background, self.params, self.grid = background, params, grid
         self.spec = NormSpec(k=1)
         self.w = grid.eta_weights()[:, None]
-        self.dists: List[float] = []
-        self.norms: List[float] = []
-        self.minima: List[float] = []
-        self.Q_minima: List[float] = []
-        self.first_violation: Optional[tuple] = None
+        self.dists, self.norms, self.minima, self.Q_minima = [], [], [], []
+        self.violation: Optional[Tuple[int, int, int]] = None
 
     def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
         if old is not None:
@@ -206,22 +216,23 @@ class _Measure:
         rep = admissibility(v[..., 1], v[..., 2],
                             self.background.outflow.P[k][:, None], self.params,
                             self.params.delta)
-        if self.first_violation is None and not rep.ok:
-            self.first_violation = (k,) + rep.first_violation
+        if self.violation is None and not rep.ok:
+            self.violation = (k,) + rep.first_violation
         self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
         self.Q_minima.append(rep.min_Q)
         comp = discrete_norm(np.moveaxis(v, -1, 0) - self.background.components(k),
                              self.spec, self.grid)
         self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
 
-    def result(self):
+    def result(self) -> IterateRecord:
         # np.max and np.min, not the builtins: they drop a NaN that is not first
-        dist = float(np.max(self.dists)) if self.dists else None
-        return (dist, self.first_violation is None, float(np.max(self.norms)),
-                float(np.min(self.minima)) - self.params.delta)
-
-    def min_Q(self) -> float:
-        return float(np.min(self.Q_minima))
+        return IterateRecord(
+            distance=float(np.max(self.dists)) if self.dists else None,
+            admissible=self.violation is None,
+            norm=float(np.max(self.norms)),
+            margin=float(np.min(self.minima)) - self.params.delta,
+            min_Q=float(np.min(self.Q_minima)),
+            first_violation=self.violation)
 
 
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
@@ -235,11 +246,11 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     2 delta <= q <= P - 2 delta at t = 0).  Iterates solve the linear
     problem against the previous trajectory, overwriting it level by level,
     so the run holds one trajectory; the loop stops when the
-    trajectory distance drops to tol or max_iter is hit.  Admissibility of
-    every iterate is recorded; losing it either aborts with a report
-    (default) or, with on_admissibility_loss="continue", clamps coefficient
-    evaluations and keeps going with the iterate flagged.  A
-    LinearSolveError, CFLError or DegenerateStateError from iterate n is
+    trajectory distance drops to tol (finite, >= 0) or max_iter is hit.
+    Each iterate is measured into one IterateRecord; losing admissibility
+    either aborts with a report (default) or, with
+    on_admissibility_loss="continue", clamps coefficient evaluations and
+    keeps going with the iterate flagged.  A LinearSolveError, CFLError or DegenerateStateError from iterate n is
     raised again as the same class with "Picard iterate n: " before its
     message.
 
@@ -247,6 +258,8 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     """
     if max_iter < 1:
         raise GridSizingError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise GridSizingError(f"tol must be finite and >= 0, got {tol!r}")
     if on_admissibility_loss not in ("abort", "continue"):
         raise GridSizingError(
             f"on_admissibility_loss must be 'abort' or 'continue', "
@@ -264,12 +277,7 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     compat = compatibility_derivatives(v0, outflow, params, grid,
                                        order=compat_order)
     traj = build_zeroth_approx(background, compat, grid)
-    distances: List[float] = []
-    ratios: List[float] = []
-    admissible: List[bool] = []
-    norms: List[float] = []
-    margins: List[float] = []
-    min_Q: List[float] = []
+    records: List[IterateRecord] = []
     clamp, aborted, message = False, False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.
     # Each later iterate marches in place over the previous one, measured
@@ -286,32 +294,22 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                                             measure=measure)
             except (LinearSolveError, CFLError, DegenerateStateError) as exc:
                 raise type(exc)(f"Picard iterate {n}: {exc}") from exc
-        dist, ok, norm, margin = measure.result()
-        admissible.append(ok)
-        norms.append(norm)
-        margins.append(margin)
-        min_Q.append(measure.min_Q())
-        if dist is not None:
-            distances.append(dist)
-            if len(distances) >= 2 and distances[-2] > 0.0:
-                ratios.append(distances[-1] / distances[-2])
-        if not ok:
+        rec = measure.result()
+        records.append(rec)
+        if not rec.admissible:
             if on_admissibility_loss == "abort":
                 aborted = True
-                k, i, j = measure.first_violation
+                k, i, j = rec.first_violation
                 where = f"at time level {k}, xi column {i}, eta row {j}"
                 message = (f"iterate {n} left the admissible set {where}" if n
                            else "zeroth approximation left the admissible set "
                            f"(shorten t_end or fix the data) {where}")
                 break
             clamp = True
-        if n > 0 and distances[-1] <= tol:
+        if n > 0 and rec.distance <= tol:
             break
-    converged = not aborted and distances[-1] <= tol
+    converged = not aborted and rec.distance <= tol
     if not (converged or aborted):
         message = (f"no convergence after {n} iterations; "
-                   f"last distance {distances[-1]:.3e} > tol {tol:g}")
-    return traj, IterationReport(
-        converged=converged, iterations=n, distances=distances,
-        ratios=ratios, admissible=admissible, norm_history=norms,
-        aborted=aborted, message=message, margins=margins, min_Q=min_Q)
+                   f"last distance {rec.distance:.3e} > tol {tol:g}")
+    return traj, IterationReport(converged, records, aborted, message)

@@ -165,10 +165,10 @@ def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
     if isinstance(obj, IterationReport):
         path = os.path.join(out_dir, "iterations.csv")
         rows = []
-        for n, d in enumerate(obj.distances, start=1):
-            ratio = obj.ratios[n - 2] if n >= 2 and n - 2 < len(obj.ratios) else ""
-            adm = obj.admissible[n] if n < len(obj.admissible) else ""
-            rows.append([n, f"{d:.12e}", ratio, adm])
+        for n, (prev, rec) in enumerate(zip(obj.iterates, obj.iterates[1:]), 1):
+            ratio = (rec.distance / prev.distance
+                     if n >= 2 and prev.distance > 0.0 else "")
+            rows.append([n, f"{rec.distance:.12e}", ratio, rec.admissible])
         _write_csv(path, ["iteration", "distance", "ratio", "admissible"], rows)
         written.append(path)
         return written

@@ -236,7 +236,7 @@ class FrozenCoeffs:
             v, dv, P, P_t_row[:, None], P_xi_row[:, None], params))
 
 
-def apply_bcs(v: State, outflow: OutflowData, grid: Grid) -> State:
+def apply_bcs(v: State, outflow: OutflowData) -> State:
     """Enforce the boundary rows at the state's own time level.
 
     Wall (eta = 0): u1 = 0, theta = theta_star, q0 = wall_q(q1, q2) (zero
@@ -395,7 +395,7 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
         raise GridSizingError(
             f"coefficient trajectory has {v_prev.nlevels} levels, grid wants {nt + 1}")
     data = v_prev.data
-    level = apply_bcs(v0, outflow, grid).as_array()
+    level = apply_bcs(v0, outflow).as_array()
     for k in range(nt + 1):
         new = None
         if k < nt:

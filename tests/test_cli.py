@@ -282,6 +282,11 @@ def test_simulate_precondition_exit_3(tmp_path, capsys):
     # q = h1^2/2 too close to P
     path, _ = write_config(tmp_path, name="close.ini", h1_0="1.98 + 0.0*y")
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert "h1_0^2/2 <= P(0, x) - 2 delta" in capsys.readouterr().err
+    # q = h1^2/2 overflows: refused by the same check, with no RuntimeWarning
+    path, _ = write_config(tmp_path, name="huge.ini", h1_0="1e200 + 0.0*y")
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert "h1_0^2/2 <= P(0, x) - 2 delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("profile,value", [
@@ -490,10 +495,10 @@ def test_mms_resolution_that_fails_exits_with_its_code(monkeypatch, capsys,
                                                        case, change, code,
                                                        prefix):
     real = mms.solve_case
+    if "max_iter" in change:
+        monkeypatch.setattr(mms, "PICARD_MAX_ITER", change["max_iter"])
 
     def solve(*args, **kwargs):
-        if "max_iter" in change:
-            kwargs["max_iter"] = change["max_iter"]
         traj, report, errors = real(*args, **kwargs)
         if change.get("aborted"):
             report = dataclasses.replace(report, converged=False, aborted=True,

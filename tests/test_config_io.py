@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 
 import mhbl
-from mhbl import ConfigError, SnapshotFormatError, State, make_grid
+from mhbl import (ConfigError, SnapshotFormatError, State, make_grid,
+                  sample_outflow)
 from mhbl.config import (
     _DEFAULTS,
     _SAFE_FUNCS,
@@ -26,7 +27,7 @@ from mhbl.config import (
     parse_config,
     serialize_config,
 )
-from mhbl.picard import IterationReport
+from mhbl.picard import IterateRecord, IterationReport
 from mhbl.snapshots import (
     _HEADER,
     emit_plot_data,
@@ -218,10 +219,32 @@ def test_expressions_mode_outflow():
                .replace("P = 1.5", "P = 1.5 + 0.1*sin(xi)*exp(-t)")
     cfg = parse_config(text)
     spec = cfg.outflow_spec()
-    assert all(callable(getattr(spec, name))
-               for name in ("U", "Theta", "Hfield", "P", "theta_star"))
+    # an expression naming neither t nor xi is its number
+    assert [spec.U, spec.Theta, spec.Hfield, spec.theta_star] == [0.0, 1.0,
+                                                                1.0, 1.0]
+    assert callable(spec.P)
     xi = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     np.testing.assert_allclose(spec.P(0.0, xi), 1.5 + 0.1 * np.sin(xi))
+
+
+def test_constant_outflow_expression_gets_exact_zero_derivatives():
+    # differencing the samples of P = 0.1 + 2.0 left rounding noise in P_t
+    # at the one-sided ends, where the number 2.1 gives exact zeros
+    text = GOOD.replace("mode = constant", "mode = expressions") \
+               .replace("P = 1.5", "P = 0.1 + 2.0")
+    cfg = parse_config(text)
+    spec = cfg.outflow_spec()
+    assert type(spec.P) is float and spec.P == 2.1
+    data = sample_outflow(spec, cfg.make_grid())
+    assert not data.P_t.any() and not data.P_xi.any()
+    np.testing.assert_array_equal(data.P, 2.1)
+    # an expression in t or xi stays a callable, and is differenced
+    spec = parse_config(text.replace("0.1 + 2.0", "2.1 - t")).outflow_spec()
+    assert callable(spec.P)
+    spec = parse_config(text.replace("0.1 + 2.0",
+                                     "2.1 + 0.1*cos(xi)")).outflow_spec()
+    assert callable(spec.P)
+    assert sample_outflow(spec, cfg.make_grid()).P_xi.any()
 
 
 def test_expression_compile_rejects_non_whitelisted_names():
@@ -523,11 +546,10 @@ def test_trajectory_plot_files(tmp_path):
 
 
 def test_iteration_report_plot_file(tmp_path):
-    rep = IterationReport(converged=True, iterations=3,
-                          distances=[0.1, 0.04, 0.01],
-                          ratios=[0.4, 0.25],
-                          admissible=[True, True, True, True],
-                          norm_history=[0.0, 0.1, 0.1, 0.1])
+    rep = IterationReport(converged=True, iterates=[
+        IterateRecord(distance=d, admissible=True, norm=0.1, margin=0.2,
+                      min_Q=1.0, first_violation=None)
+        for d in (None, 0.1, 0.04, 0.01)])
     files = emit_plot_data(rep, str(tmp_path))
     text = (tmp_path / "iterations.csv").read_text().splitlines()
     assert text[0] == "iteration,distance,ratio,admissible"

@@ -8,6 +8,10 @@ linear solver preserves constants exactly, so the iteration must converge
 in one step with distance at rounding level.
 """
 
+import ast
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -18,6 +22,8 @@ from mhbl import (
     Grid,
     GridSizingError,
     LinearSolveError,
+    MhblError,
+    NonConvergenceError,
     OutflowSpec,
     Params,
     PreconditionError,
@@ -26,6 +32,8 @@ from mhbl import (
     sample_outflow,
 )
 from mhbl.picard import (
+    IterateRecord,
+    IterationReport,
     build_background,
     build_zeroth_approx,
     compatibility_derivatives,
@@ -34,9 +42,11 @@ from mhbl.picard import (
 )
 from mhbl import coeffs, mms, picard
 from mhbl.diagnostics import NormSpec, discrete_norm
+from mhbl.snapshots import emit_plot_data
 from mhbl.stepper import Trajectory, apply_derivative
 
 PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
+SRC = Path(picard.__file__).parent
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +133,8 @@ def test_compatibility_order_zero_and_validation():
     data = sample_outflow(OutflowSpec.constant(), grid)
     v0 = State.constant(grid, 0.1, 1.0, 0.5)
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=0)
-    assert cs.order == 0
-    np.testing.assert_allclose(cs.v0_list[0], v0.as_array(), atol=0)
+    assert len(cs) == 1
+    np.testing.assert_allclose(cs[0], v0.as_array(), atol=0)
     with pytest.raises(GridSizingError):
         compatibility_derivatives(v0, data, PARAMS, grid, order=2)
 
@@ -135,8 +145,8 @@ def test_compatibility_vanishes_on_constant_state():
         U=0.1, Theta=1.0, Hfield=1.0, P=1.5, theta_star=1.0), grid)
     v0 = State.constant(grid, 0.1, 1.0, 0.5)
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
-    assert cs.order == 1
-    np.testing.assert_allclose(cs.v0_list[1], 0.0, rtol=0, atol=1e-14)
+    assert len(cs) == 2
+    np.testing.assert_allclose(cs[1], 0.0, rtol=0, atol=1e-14)
 
 
 def test_compatibility_matches_equation_on_interior():
@@ -164,7 +174,7 @@ def test_compatibility_matches_equation_on_interior():
     expected = -f - g + np.einsum("xeij,xej->xei", B, d2ev_exact)
 
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
-    v1 = cs.v0_list[1]
+    v1 = cs[1]
     np.testing.assert_allclose(v1[:, 1:-1], expected[:, 1:-1],
                                rtol=1e-12, atol=1e-13)
     # boundary rows follow the data: u1 wall rest, theta wall trace, q fold
@@ -185,7 +195,7 @@ def test_compatibility_wall_theta_tracks_trace_derivative():
     v0 = State.constant(grid, 0.0, 1.0, 0.5)
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
     # linear trace: the one-sided second-order difference is exact
-    np.testing.assert_allclose(cs.v0_list[1][:, 0, 1], 0.3, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cs[1][:, 0, 1], 0.3, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +221,7 @@ def test_zeroth_approx_matches_initial_data_and_slope():
     # exactly v0 + tau * v1
     for k in (1, grid.nsteps):
         np.testing.assert_allclose(
-            traj.data[k], v0.as_array() + grid.times[k] * cs.v0_list[1],
+            traj.data[k], v0.as_array() + grid.times[k] * cs[1],
             rtol=0, atol=1e-13)
 
 
@@ -415,6 +425,115 @@ def test_max_iter_below_one_rejected_before_any_work(monkeypatch):
                          grid, max_iter=bad)
 
 
+def test_tol_negative_or_not_finite_rejected_before_any_work(monkeypatch):
+    # such a tol used to run all max_iter iterates and report non-convergence
+    grid, data = constant_setup()
+    monkeypatch.setattr(picard, "build_background", None)   # never reached
+    for bad in (-1e-8, float("nan"), float("inf")):
+        with pytest.raises(GridSizingError, match="tol"):
+            picard_solve(State.constant(grid, 0.0, 1.0, 0.5), data, PARAMS,
+                         grid, tol=bad)
+
+
+# ---------------------------------------------------------------------------
+# the report: one record per iterate
+
+def record(distance, admissible=True, norm=0.5, margin=0.1, min_Q=1.0):
+    return IterateRecord(distance=distance, admissible=admissible, norm=norm,
+                         margin=margin, min_Q=min_Q,
+                         first_violation=None if admissible else (1, 2, 3))
+
+
+def test_report_lists_are_views_of_the_records():
+    recs = [record(None, norm=0.9, margin=0.3, min_Q=1.5), record(0.2),
+            record(0.05, admissible=False, margin=-0.01), record(0.0),
+            record(0.0)]
+    rep = IterationReport(converged=True, iterates=recs)
+    assert rep.iterations == 4
+    assert rep.distances == [0.2, 0.05, 0.0, 0.0]
+    # no quotient after a zero distance
+    assert rep.ratios == [0.05 / 0.2, 0.0 / 0.05]
+    assert rep.admissible == [True, True, False, True, True]
+    assert rep.norm_history == [0.9, 0.5, 0.5, 0.5, 0.5]
+    assert rep.margins == [0.3, 0.1, -0.01, 0.1, 0.1]
+    assert rep.min_Q == [1.5, 1.0, 1.0, 1.0, 1.0]
+    zeroth_only = IterationReport(converged=False, iterates=recs[:1],
+                                  aborted=True)
+    assert zeroth_only.iterations == 0
+    assert zeroth_only.distances == [] and zeroth_only.ratios == []
+
+
+def test_report_error_states_the_failure_policy():
+    recs = [record(None), record(1e-3)]
+    assert IterationReport(True, recs).error() is None
+    aborted = IterationReport(False, recs, aborted=True, message="left")
+    err = aborted.error()
+    assert type(err) is MhblError and str(err) == "left"
+    capped = IterationReport(False, recs, message="no convergence")
+    err = capped.error()
+    assert type(err) is NonConvergenceError and str(err) == "no convergence"
+
+
+def test_nonconvergence_error_is_built_only_by_the_report():
+    # cli and mms raise what IterationReport.error() returns; outside
+    # picard.py only cli's exit table names the class
+    namers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        table = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                 and [getattr(t, "id", None) for t in top.targets]
+                 == ["EXIT_TABLE"] for node in ast.walk(top)}
+        if any(isinstance(node, ast.Name) and node.id == "NonConvergenceError"
+               and id(node) not in table for node in ast.walk(tree)):
+            namers.add(path.name)
+    assert namers == {"picard.py"}
+
+
+def iteration_rows(report, tmp_path):
+    emit_plot_data(report, str(tmp_path))
+    with open(tmp_path / "iterations.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_iterations_csv_row_n_pairs_records_n_minus_1_and_n(tmp_path,
+                                                           monkeypatch):
+    grid, data, v0 = perturbed_setup()
+    _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-9, max_iter=25)
+    assert report.converged and report.iterations >= 3
+    rows = iteration_rows(report, tmp_path)
+    assert rows[0] == ["iteration", "distance", "ratio", "admissible"]
+    assert len(rows) == len(report.iterates)
+    recs = report.iterates
+    for n, row in enumerate(rows[1:], start=1):
+        ratio = "" if n == 1 else repr(recs[n].distance / recs[n - 1].distance)
+        assert row == [str(n), f"{recs[n].distance:.12e}", ratio, "True"]
+    assert [float(row[2]) for row in rows[2:]] == report.ratios
+
+    # aborted at iterate 2: its row is the last and reads False
+    real = picard.solve_linear_problem
+    calls = []
+
+    def second_iterate_leaves(*args, measure, **kwargs):
+        calls.append(1)
+
+        def spoiled(k, v, old):
+            if len(calls) == 2 and k == 3:
+                v = v.copy()
+                v[2, 5, 2] = data.P[3, 2]
+            measure(k, v, old)
+        return real(*args, measure=spoiled, **kwargs)
+
+    monkeypatch.setattr(picard, "solve_linear_problem", second_iterate_leaves)
+    _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-16, max_iter=5)
+    assert report.aborted and report.iterations == 2
+    rows = iteration_rows(report, tmp_path)
+    recs = report.iterates
+    assert rows[1:] == [
+        ["1", f"{recs[1].distance:.12e}", "", "True"],
+        ["2", f"{recs[2].distance:.12e}",
+         repr(recs[2].distance / recs[1].distance), "False"]]
+
+
 # ---------------------------------------------------------------------------
 # per-iterate measurement
 
@@ -476,15 +595,18 @@ def test_measure_propagates_a_nan_level():
     level = State.constant(grid, 0.0, 1.0, 0.5).as_array()
     prev = np.stack([level] * (grid.nsteps + 1))
     traj = prev.copy()
-    dist, ok, norm, margin = measure_levels(traj, prev, bg, grid)
-    assert dist == 0.0 and ok and norm <= 1e-13
+    rec = measure_levels(traj, prev, bg, grid)
+    assert rec.distance == 0.0 and rec.admissible and rec.norm <= 1e-13
+    assert rec.first_violation is None
     # a NaN level after the first: the builtin max() would drop it
     traj[2] = np.nan
-    dist, ok, norm, margin = measure_levels(traj, prev, bg, grid)
-    assert np.isnan(dist) and np.isnan(norm) and ok is False
-    assert np.isnan(margin)
-    dist, ok, norm, margin = measure_levels(traj, None, bg, grid)
-    assert dist is None and np.isnan(norm) and ok is False
+    rec = measure_levels(traj, prev, bg, grid)
+    assert np.isnan(rec.distance) and np.isnan(rec.norm)
+    assert rec.admissible is False and rec.first_violation == (2, 0, 0)
+    assert np.isnan(rec.margin) and np.isnan(rec.min_Q)
+    rec = measure_levels(traj, None, bg, grid)
+    assert rec.distance is None and np.isnan(rec.norm)
+    assert rec.admissible is False
 
 
 def direct_margin(traj, outflow, delta):

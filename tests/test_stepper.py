@@ -364,7 +364,7 @@ def test_step_matches_coupled_block_system():
                                coupled_step(v, dense, outflow, g, source),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(
-        got, apply_bcs(State.from_array(got, time=g.dt), outflow, g).as_array())
+        got, apply_bcs(State.from_array(got, time=g.dt), outflow).as_array())
 
 
 def dense_step(v, dense, outflow, g, source):
@@ -377,8 +377,8 @@ def dense_step(v, dense, outflow, g, source):
             + np.einsum("xeij,xej->xei", G, v))
     rhs_full = v / dt - expl + source
     F, B = F[:, sl], B[:, sl]
-    out = apply_bcs(State.from_array(np.zeros_like(v), time=dt), outflow,
-                    g).as_array()
+    out = apply_bcs(State.from_array(np.zeros_like(v), time=dt),
+                    outflow).as_array()
     f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
     U = f - b
     rhs = rhs_full[:, sl, :1].copy()
@@ -489,14 +489,14 @@ def test_apply_bcs_enforces_rows_and_is_idempotent():
                                theta_star=0.9)
     rng = np.random.default_rng(8)
     v = State.from_array(rng.uniform(0.3, 0.6, size=(g.nx, g.neta, 3)))
-    b = apply_bcs(v, outflow, g)
+    b = apply_bcs(v, outflow)
     np.testing.assert_array_equal(b.u1[:, 0], 0.0)
     np.testing.assert_allclose(b.theta[:, 0], 0.9)
     np.testing.assert_allclose(b.q[:, 0], (4 * b.q[:, 1] - b.q[:, 2]) / 3)
     np.testing.assert_allclose(b.u1[:, -1], 0.2)
     np.testing.assert_allclose(b.theta[:, -1], 1.1)
     np.testing.assert_allclose(b.q[:, -1], 0.5 * 1.2 ** 2)
-    bb = apply_bcs(b, outflow, g)
+    bb = apply_bcs(b, outflow)
     np.testing.assert_array_equal(b.as_array(), bb.as_array())
     # interior untouched
     np.testing.assert_array_equal(b.as_array()[:, 1:-1], v.as_array()[:, 1:-1])
@@ -533,7 +533,7 @@ def test_march_levels_satisfy_bcs_exactly():
         g, State.constant(g, 0.0, 1.0, 0.5)), v0, outflow, PARAMS, g)
     for k in range(traj.nlevels):
         s = traj.state(k)
-        fixed = apply_bcs(s, outflow, g)
+        fixed = apply_bcs(s, outflow)
         np.testing.assert_array_equal(s.as_array(), fixed.as_array())
 
 
@@ -561,7 +561,7 @@ def test_march_overwrites_its_coefficient_trajectory_in_place():
         times=g.times.copy())
     saved = coeff.data.copy()
     v0 = State.from_array(base + 0.02 * rng.normal(size=base.shape))
-    state = apply_bcs(v0, outflow, g)
+    state = apply_bcs(v0, outflow)
     ref = [state.as_array()]
     for k in range(g.nsteps):
         frozen = FrozenCoeffs.from_state(saved[k], outflow.P[k], outflow.P_t[k],

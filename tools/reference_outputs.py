@@ -6,6 +6,9 @@ Runs the code of the checkout this script sits in (its src/ goes first on
 the import path) and writes into out_dir:
 
     demo/                 mhbl simulate of configs/demo.ini
+    report_demo.txt       that run's IterationReport: every list, one per
+                          line, as float.hex (admissible as True/False),
+                          then its scalar fields
     wide/                 the same physics at nx=256, neta=32, ny=512
     mms_advection.txt     criterion 04's advection study: per resolution
                           the errors, then the fitted orders, as float.hex
@@ -36,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from mhbl import cli, mms  # noqa: E402
+from mhbl import cli, mms, picard  # noqa: E402
 from mhbl.config import parse_config  # noqa: E402
 from mhbl.diagnostics import outflow_consistency  # noqa: E402
 from mhbl.fields import sample_outflow  # noqa: E402
@@ -45,6 +48,8 @@ from mhbl.fields import sample_outflow  # noqa: E402
 WIDE = {"nx": 256, "neta": 32, "ny": 512}
 #: criterion 04's resolutions
 MMS_RESOLUTIONS = ((16, 32), (32, 64), (64, 128))
+REPORT_LISTS = ("distances", "ratios", "admissible", "norm_history", "margins",
+                "min_Q")
 TRAVELLING = {"mode": "expressions", "U": "0.1*sin(xi - t)",
               "Theta": "1.0 + 0.1*cos(xi - t)", "H": "1.5 + 0.05*sin(xi - t)",
               "P": "1.5 + 0.1*cos(xi - t)", "theta_star": "1.0"}
@@ -67,6 +72,34 @@ def _simulate(text: str, name: str) -> None:
         raise SystemExit(f"simulate {name} exited {code}")
 
 
+@contextlib.contextmanager
+def _recording_reports():
+    """Collect the IterationReport of every picard_solve that cli runs."""
+    reports, real = [], picard.picard_solve
+
+    def recording(*args, **kwargs):
+        traj, report = real(*args, **kwargs)
+        reports.append(report)
+        return traj, report
+
+    picard.picard_solve = recording
+    try:
+        yield reports
+    finally:
+        picard.picard_solve = real
+
+
+def _write_report(report, path: str) -> None:
+    with open(path, "w") as fh:
+        for name in REPORT_LISTS:
+            values = getattr(report, name)
+            words = (str(v) if name == "admissible" else float(v).hex()
+                     for v in values)
+            fh.write(" ".join([name, *words]) + "\n")
+        for name in ("converged", "iterations", "aborted", "message"):
+            fh.write(f"{name} {getattr(report, name)!r}\n")
+
+
 def _outflow_fields(text: str, path: str) -> None:
     cfg = parse_config(text)
     outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
@@ -81,7 +114,9 @@ def main(argv) -> int:
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
 
-    _simulate(demo, "demo")
+    with _recording_reports() as reports:
+        _simulate(demo, "demo")
+    _write_report(reports[0], "report_demo.txt")
     wide = demo
     for key, value in WIDE.items():
         wide = _set_key(wide, key, str(value))
