@@ -155,8 +155,7 @@ def _simulate(config_text: str) -> int:
         v0, outflow, params, grid,
         tol=cfg.getfloat("picard", "tol"),
         max_iter=cfg.getint("picard", "max_iter"),
-        compat_order=cfg.getint("picard", "compat_order"),
-        on_admissibility_loss=cfg.get("picard", "on_admissibility_loss"))
+        compat_order=cfg.getint("picard", "compat_order"))
 
     emit_plot_data(report, out_dir)
     error = report.error()

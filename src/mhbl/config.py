@@ -242,9 +242,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[picard] tol must be finite and >= 0, got {tol!r}")
     if cfg.getint("picard", "compat_order") not in (0, 1):
         raise ConfigError("[picard] compat_order must be 0 or 1")
-    if cfg.get("picard", "on_admissibility_loss") not in ("abort", "continue"):
-        raise ConfigError("[picard] on_admissibility_loss must be "
-                          "'abort' or 'continue'")
+    # the estimates behind the iteration hold only inside the admissible
+    # set, so an iterate that leaves it always ends the run
+    loss = cfg.get("picard", "on_admissibility_loss")
+    if loss != "abort":
+        raise ConfigError(f"[picard] on_admissibility_loss must be 'abort', "
+                          f"got {loss!r}")
     cfg.getbool("output", "emit_plots")
     for section, key, least in (("initial", "ny", 4), ("picard", "max_iter", 1),
                                 ("output", "snapshot_every", 1)):

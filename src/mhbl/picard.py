@@ -238,7 +238,6 @@ class _Measure:
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                  tol: float = 1e-8, max_iter: int = 30,
                  compat_order: int = 1,
-                 on_admissibility_loss: str = "abort",
                  source: Optional[FloatArray] = None):
     """Run the frozen-coefficient iteration to tolerance.
 
@@ -247,12 +246,12 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     problem against the previous trajectory, overwriting it level by level,
     so the run holds one trajectory; the loop stops when the
     trajectory distance drops to tol (finite, >= 0) or max_iter is hit.
-    Each iterate is measured into one IterateRecord; losing admissibility
-    either aborts with a report (default) or, with
-    on_admissibility_loss="continue", clamps coefficient evaluations and
-    keeps going with the iterate flagged.  A LinearSolveError, CFLError or DegenerateStateError from iterate n is
-    raised again as the same class with "Picard iterate n: " before its
-    message.
+    Each iterate is measured into one IterateRecord; the first iterate that
+    leaves the admissible set ends the loop with an aborted report naming
+    its first node outside the set, as the estimates behind the iteration
+    hold only inside it.  A LinearSolveError, CFLError or
+    DegenerateStateError from iterate n is raised again as the same class
+    with "Picard iterate n: " before its message.
 
     Returns (trajectory, IterationReport).
     """
@@ -260,10 +259,6 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
         raise GridSizingError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise GridSizingError(f"tol must be finite and >= 0, got {tol!r}")
-    if on_admissibility_loss not in ("abort", "continue"):
-        raise GridSizingError(
-            f"on_admissibility_loss must be 'abort' or 'continue', "
-            f"got {on_admissibility_loss!r}")
     d = params.delta
     rep = admissibility(v0.theta, v0.q, outflow.P[0][:, None], params, 2.0 * d)
     if not rep.ok:
@@ -278,7 +273,7 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                                        order=compat_order)
     traj = build_zeroth_approx(background, compat, grid)
     records: List[IterateRecord] = []
-    clamp, aborted, message = False, False, ""
+    aborted, message = False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.
     # Each later iterate marches in place over the previous one, measured
     # level by level against it as it goes.
@@ -290,22 +285,19 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
         else:
             try:
                 traj = solve_linear_problem(traj, v0, outflow, params, grid,
-                                            source=source, clamp=clamp,
-                                            measure=measure)
+                                            source=source, measure=measure)
             except (LinearSolveError, CFLError, DegenerateStateError) as exc:
                 raise type(exc)(f"Picard iterate {n}: {exc}") from exc
         rec = measure.result()
         records.append(rec)
         if not rec.admissible:
-            if on_admissibility_loss == "abort":
-                aborted = True
-                k, i, j = rec.first_violation
-                where = f"at time level {k}, xi column {i}, eta row {j}"
-                message = (f"iterate {n} left the admissible set {where}" if n
-                           else "zeroth approximation left the admissible set "
-                           f"(shorten t_end or fix the data) {where}")
-                break
-            clamp = True
+            aborted = True
+            k, i, j = rec.first_violation
+            where = f"at time level {k}, xi column {i}, eta row {j}"
+            message = (f"iterate {n} left the admissible set {where}" if n
+                       else "zeroth approximation left the admissible set "
+                       f"(shorten t_end or fix the data) {where}")
+            break
         if n > 0 and rec.distance <= tol:
             break
     converged = not aborted and rec.distance <= tol

@@ -14,10 +14,16 @@ in all.  The implicit operator is block lower-triangular in the components:
 u1 couples only to itself (B is a 1x1 u1 block plus a 2x2 (theta, q) block,
 and F's u1 row is (c_vis dq, 0, 0)), while (theta, q) sees u1 only through
 F[1:, 0].  So each step makes two pivoted LU solves over all columns at
-once: the scalar u1 system, tridiagonal (LAPACK dgtsv), then the 2x2
-(theta, q) system, block tridiagonal (LAPACK dgbsv), with the u1 couplings
-moved to its right-hand side.  Each system's blocks are written straight
-from the named entries, then once into the Fortran band both calls read.
+once, each through its own named solver that writes the system once,
+straight from the named entries, into the layout its LAPACK routine reads:
+solve_u1 puts the scalar u1 system's three diagonals into dgtsv, then
+solve_theta_q puts the 2x2 (theta, q) system into dgbsv's band, with the u1
+couplings moved to its right-hand side.  Both share one guard
+(_guarded_solve): a non-finite system or a pivot too small for its xi
+column raises LinearSolveError naming the eta row and xi column.
+BlockTridiag is the generic (nbatch, m, k, k) block solver the tests take
+as the reference; the march builds none, except one column's dense matrix
+to name a singular u1 row.
 Both routines, and the dgtsv of transform's spline inverse, come from
 scipy's f2py LAPACK module, loaded from its file: importing scipy.linalg
 instead would load some 330 more modules (its array-API layer, numpy.f2py
@@ -99,19 +105,73 @@ def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> Fl
     raise GridSizingError(f"axis must be 'xi' or 'eta', got {axis!r}")
 
 
+def _guarded_solve(scale: FloatArray, rhs: FloatArray, k: int,
+                   lapack: Callable[[], tuple],
+                   column: Callable[[int], FloatArray]) -> FloatArray:
+    """One LAPACK solve of nb stacked xi-column systems under the guard every
+    implicit solve shares; returns the solution as LAPACK gives it.
+
+    scale (nb,) is the largest |entry| of each xi column's system and rhs
+    holds the nb columns' right-hand sides; a non-finite value in either
+    raises before the call.  lapack() makes the call and returns
+    (x, u_diag, info), u_diag being the diagonal of the LU factor U.  A
+    positive info, or a pivot |u_ii| <= 1e-13 * scale of its column, raises
+    naming the eta row and xi column; column(col) gives xi column col's
+    dense (k m, k m) matrix for that message only.
+    """
+    nb = len(scale)
+    bad = ~(np.isfinite(scale) & np.isfinite(rhs).reshape(nb, -1).all(axis=1))
+    if bad.any():
+        raise LinearSolveError(
+            f"non-finite implicit system in xi column {int(np.argmax(bad))}")
+    x, u_diag, info = lapack()
+    pivot = np.abs(u_diag).reshape(nb, -1).min(axis=1)
+    small = pivot <= 1e-13 * scale
+    if info == 0 and not small.any():
+        return x
+    col = (info - 1) // (u_diag.size // nb) if info > 0 else int(np.argmax(small))
+    # pivoting moves a zero pivot away from the row that caused it, so
+    # name the row where the column's left null vector is largest
+    row = int(np.argmax(np.abs(np.linalg.svd(column(col))[0][:, -1]))) // k
+    raise LinearSolveError(
+        f"singular implicit system at eta row {row}, xi column {col} "
+        f"(min |pivot| = {pivot[col]:.3e}, max |entry| = {scale[col]:.3e})")
+
+
+def _band_scale(ab: FloatArray) -> FloatArray:
+    """The largest |entry| of each xi column's part of a band (nb, ...),
+    without an |ab| copy; the band holds zeros, so min <= 0 <= max."""
+    axes = tuple(range(1, ab.ndim))
+    return np.maximum(-ab.min(axis=axes), ab.max(axis=axes))
+
+
+def _band_dense(ab: FloatArray, w: int) -> FloatArray:
+    """The dense (n, n) matrix of a C-ordered band ab (n, 3 w + 1),
+    A[i, j] = ab[j, 2 w + i - j], as _theta_q_band writes it; for the
+    error path."""
+    n = len(ab)
+    i, j = np.indices((n, n))
+    near = np.abs(i - j) <= w
+    out = np.zeros((n, n))
+    out[near] = ab[j[near], 2 * w + i[near] - j[near]]
+    return out
+
+
 @dataclass
 class BlockTridiag:
     """Batched block-tridiagonal system with k x k blocks.
 
     lower, diag, upper have shape (nbatch, m, k, k) (lower[.,0] and
     upper[.,-1] are ignored); rhs has shape (nbatch, m, k).  The block size
-    k is read from the blocks; a step solves k = 1 (u1) and k = 2
-    (theta, q).  solve() writes the systems stacked over all xi columns
-    into one band and makes one LAPACK LU solve with partial pivoting:
-    dgtsv on the band's three diagonals for k = 1, dgbsv on the band itself
-    for k >= 2.  It raises LinearSolveError on mismatched shapes, on a
-    non-finite entry, or on a pivot |u_ii| <= 1e-13 times the largest
-    |entry| of its xi column's part of the band.
+    k is read from the blocks.  solve() writes the systems stacked over all
+    xi columns into one band and makes one LAPACK LU solve with partial
+    pivoting: dgtsv on the band's three diagonals for k = 1, dgbsv on the
+    band itself for k >= 2.  It raises LinearSolveError on mismatched
+    shapes, and through _guarded_solve on a non-finite entry or a pivot
+    |u_ii| <= 1e-13 times the largest |entry| of its xi column's part of
+    the band.  The march solves through solve_u1 and solve_theta_q, which
+    write the same band straight from the named entries; this generic
+    form is the reference they are tested against.
     """
 
     lower: FloatArray
@@ -137,38 +197,27 @@ class BlockTridiag:
         ab[:, :, c, 2 * w + r - c] = self.diag
         ab[:, :-1, c, 2 * w + k + r - c] = self.lower[:, 1:]
         ab[:, 1:, c, 2 * w - k + r - c] = self.upper[:, :-1]
-        # the pivot guard's scale: the largest |entry| of each xi column,
-        # without an |ab| copy; the band holds zeros, so min <= 0 <= max
-        scale = np.maximum(-ab.min(axis=(1, 2, 3)), ab.max(axis=(1, 2, 3)))
-        bad = ~(np.isfinite(scale) & np.isfinite(rhs).all(axis=(1, 2)))
-        if bad.any():
-            raise LinearSolveError(
-                f"non-finite implicit system in xi column {int(np.argmax(bad))}")
+        scale = _band_scale(ab)
         ab = ab.reshape(-1, 3 * w + 1)
-        if k == 1:
-            # dl, d, du are band rows 3, 2, 1; the wrapper wants dl and du
-            # of length max(n - 1, 1)
-            n = nb * m
-            _, u_diag, _, x, info = dgtsv(
-                ab[:max(n - 1, 1), 3], ab[:, 2], ab[min(n - 1, 1):, 1],
-                rhs.reshape(-1))
-        else:
+
+        def lapack():
+            if k == 1:
+                # dl, d, du are band rows 3, 2, 1; the wrapper wants dl and
+                # du of length max(n - 1, 1)
+                n = nb * m
+                _, u_diag, _, x, info = dgtsv(
+                    ab[:max(n - 1, 1), 3], ab[:, 2], ab[min(n - 1, 1):, 1],
+                    rhs.reshape(-1))
+                return x, u_diag, info
             lub, _, x, info = dgbsv(w, w, ab.T, rhs.reshape(-1),
                                     overwrite_ab=True)
-            u_diag = lub[2 * w]
-        pivot = np.abs(u_diag).reshape(nb, k * m).min(axis=1)
-        small = pivot <= 1e-13 * scale
-        if info == 0 and not small.any():
-            return x.reshape(nb, m, k)
-        col = (info - 1) // (k * m) if info > 0 else int(np.argmax(small))
-        # pivoting moves a zero pivot away from the row that caused it, so
-        # name the row where the column's left null vector is largest
-        one = BlockTridiag(self.lower[col:col + 1], self.diag[col:col + 1],
-                           self.upper[col:col + 1]).dense()[0]
-        row = int(np.argmax(np.abs(np.linalg.svd(one)[0][:, -1]))) // k
-        raise LinearSolveError(
-            f"singular implicit system at eta row {row}, xi column {col} "
-            f"(min |pivot| = {pivot[col]:.3e}, max |entry| = {scale[col]:.3e})")
+            return x, lub[2 * w], info
+
+        def column(col):
+            return BlockTridiag(self.lower[col:col + 1], self.diag[col:col + 1],
+                                self.upper[col:col + 1]).dense()[0]
+
+        return _guarded_solve(scale, rhs, k, lapack, column).reshape(nb, m, k)
 
     def dense(self) -> FloatArray:
         """Assemble the dense (nbatch, k m, k m) matrices; for small-system checks."""
@@ -180,6 +229,114 @@ class BlockTridiag:
         out[:, j[1:], :, j[:-1]] = self.lower[:, 1:].swapaxes(0, 1)
         out[:, j[:-1], :, j[1:]] = self.upper[:, :-1].swapaxes(0, 1)
         return out.reshape(nb, k * m, k * m)
+
+
+def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
+             far: FloatArray, dt: float, deta: float) -> FloatArray:
+    """Solve the scalar u1 system of every xi column in one dgtsv call.
+
+    f00, b00 and rhs are (nx, m) on the interior eta rows, nx m >= 2, and
+    far (nx,) is the far row's u1 (the wall u1 is 0).  The rows are
+    L u[j-1] + D u[j] + U u[j+1] = rhs[j] with f = f00 / (2 deta),
+    b = b00 / deta^2, L = -f - b, D = 2 b + 1/dt and U = f - b; the far row
+    is folded into a contiguous copy of rhs, which dgtsv overwrites with the
+    solution.  Returns the (nx, m) solution; raises LinearSolveError as
+    _guarded_solve.
+    """
+    f, b = f00 / (2.0 * deta), b00 / deta ** 2
+    L = -f - b
+    D = 2.0 * b
+    D += 1.0 / dt
+    U = f - b
+    rhs = rhs.copy()
+    rhs[:, -1] -= U[:, -1] * far
+    # no coupling crosses an xi column, so with these zeros the flattened L
+    # and U are dgtsv's sub- and superdiagonal
+    L[:, 0] = 0.0
+    U[:, -1] = 0.0
+    scale = np.max(np.abs([L, D, U]), axis=(0, 2))
+
+    def lapack():
+        _, u_diag, _, x, info = dgtsv(L.ravel()[1:], D.ravel(),
+                                      U.ravel()[:-1], rhs.ravel(),
+                                      overwrite_b=True)
+        return x, u_diag, info
+
+    def column(col):
+        return BlockTridiag(*(a[col:col + 1, :, None, None]
+                              for a in (L, D, U))).dense()[0]
+
+    return _guarded_solve(scale, rhs, 1, lapack, column).reshape(D.shape)
+
+
+def _theta_q_band(F, B, dt: float, deta: float):
+    """The (theta, q) system's band, with the wall q closure folded in.
+
+    F and B are the entries ((x11, x12), (x21, x22)), each (nx, m) on the
+    interior eta rows.  Block entry (i, j) of the rows is L = -f - b,
+    D = 2 b (+ 1/dt for i = j), U = f - b with f = F[i][j] / (2 deta) and
+    b = B[i][j] / deta^2.  Returns the C-ordered band ab (nx, m, 2, 10)
+    with kl = ku = 3 and unknowns in (xi column, eta row, component) order:
+    A[I, J] is ab[J, 6 + I - J], so its transpose is LAPACK's Fortran band,
+    slots 0..2 are LU workspace and the couplings between xi columns are
+    zeros.  Also returns the wall row's theta couplings L[:, 0, :, 0]
+    (nx, 2) and the far row's blocks U[:, -1] (nx, 2, 2), for the folds
+    of the right-hand side.
+    """
+    nx, m = F[0][0].shape
+    ab = np.zeros((nx, m, 2, 10))
+    wall = np.empty((nx, 2))
+    far = np.empty((nx, 2, 2))
+    for i, j in np.ndindex(2, 2):
+        f, b = F[i][j] / (2.0 * deta), B[i][j] / deta ** 2
+        L = -f - b
+        D = 2.0 * b
+        if i == j:
+            D += 1.0 / dt
+        U = f - b
+        if j == 0:
+            wall[:, i] = L[:, 0]
+        else:
+            # q0 = wall_q(q1, q2) couples the first row to rows 1 and 2
+            D[:, 0] += WALL_Q_WEIGHTS[0] * L[:, 0]
+            U[:, 0] += WALL_Q_WEIGHTS[1] * L[:, 0]
+        far[:, i, j] = U[:, -1]
+        ab[:, 1:, j, 4 + i - j] = U[:, :-1]
+        ab[:, :, j, 6 + i - j] = D
+        ab[:, :-1, j, 8 + i - j] = L[:, 1:]
+    return ab, wall, far
+
+
+def solve_theta_q(F, B, rhs: FloatArray, wall: FloatArray, far: FloatArray,
+                  dt: float, deta: float) -> FloatArray:
+    """Solve the 2x2 (theta, q) system of every xi column in one dgbsv call.
+
+    F, B are as for _theta_q_band, rhs is (nx, m, 2) on the interior eta
+    rows, wall (nx,) the wall theta and far (nx, 2) the far (theta, q).
+    The wall theta and the far row are folded into a contiguous copy of
+    rhs, which dgbsv overwrites with the solution, and the wall q closure
+    into the band, which dgbsv factors in place.  Returns the (nx, m, 2)
+    solution; raises LinearSolveError as _guarded_solve.
+    """
+    ab, wall_L, far_U = _theta_q_band(F, B, dt, deta)
+    rhs = rhs.copy()
+    rhs[:, 0] -= wall_L * wall[:, None]
+    rhs[:, -1] -= (far_U @ far[:, :, None])[..., 0]
+    scale = _band_scale(ab)
+
+    def lapack():
+        lub, _, x, info = dgbsv(3, 3, ab.reshape(-1, 10).T, rhs.reshape(-1),
+                                overwrite_ab=True, overwrite_b=True)
+        return x, lub[6], info
+
+    def column(col):
+        # the band is factored by now: write xi column col's again
+        one = _theta_q_band([[e[col:col + 1] for e in row] for row in F],
+                            [[e[col:col + 1] for e in row] for row in B],
+                            dt, deta)[0]
+        return _band_dense(one.reshape(-1, 10), 3)
+
+    return _guarded_solve(scale, rhs, 2, lapack, column).reshape(rhs.shape)
 
 
 @dataclass
@@ -215,22 +372,15 @@ class FrozenCoeffs:
 
     @staticmethod
     def from_state(v: FloatArray, P_row: FloatArray, P_t_row: FloatArray,
-                   P_xi_row: FloatArray, params: Params, grid: Grid,
-                   clamp: bool = False) -> "FrozenCoeffs":
+                   P_xi_row: FloatArray, params: Params,
+                   grid: Grid) -> "FrozenCoeffs":
         """Evaluate the entries at a previous-iterate level v (nx, neta, 3).
 
         P_row etc. are the outflow pressure rows (nx,) at the same time
-        level.  With clamp=True, theta and q are pushed back inside the
-        admissible set before evaluation; this keeps a diverging iteration
-        alive for diagnosis but the results are flagged unreliable upstream.
+        level.
         """
         v = np.asarray(v, dtype=float)
         P = P_row[:, None]
-        if clamp:
-            d = params.delta
-            v = v.copy()
-            v[..., 1] = np.maximum(v[..., 1], d)
-            v[..., 2] = np.clip(v[..., 2], d, P - d)
         dv = apply_derivative(v, grid, axis="eta", order=1)
         return FrozenCoeffs(**coeffs.frozen_entries(
             v, dv, P, P_t_row[:, None], P_xi_row[:, None], params))
@@ -258,35 +408,20 @@ def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
     return a
 
 
-def _eta_weights(F, B, dt: float, deta: float):
-    """Blocks (L, D, U) of the implicit eta operator on the interior rows,
-    shape (nx, m, k, k), from the k x k named entries of one component block
-    of F and B, each (nx, m): L = -f - b, D = I/dt + 2 b, U = f - b with
-    f = F/(2 deta), b = B/deta^2."""
-    k = len(F)
-    L, D, U = (np.empty(F[0][0].shape + (k, k)) for _ in range(3))
-    for i, j in np.ndindex(k, k):
-        f, b = F[i][j] / (2.0 * deta), B[i][j] / deta ** 2
-        L[..., i, j] = -f - b
-        D[..., i, j] = 2.0 * b
-        if i == j:
-            D[..., i, i] += 1.0 / dt
-        U[..., i, j] = f - b
-    return L, D, U
-
-
-def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
+def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
                  outflow: OutflowData, params: Params, grid: Grid,
                  source: Optional[FloatArray] = None) -> FloatArray:
-    """Advance raw state arrays (nx, neta, 3) one step; returns new arrays."""
+    """Advance raw state arrays (nx, neta, 3) one step, to time level k;
+    returns new arrays."""
     dt, dxi, deta = grid.dt, grid.dxi, grid.deta
     radius = float(np.max(fc.adv_radius))
     if radius > 0.0 and dt > CFL_CONSTANT * dxi / radius:
+        i, j = np.unravel_index(np.argmax(fc.adv_radius), fc.adv_radius.shape)
         raise CFLError(
             f"dt = {dt:g} exceeds the advection bound "
-            f"{CFL_CONSTANT * dxi / radius:g} (spectral radius {radius:g})")
+            f"{CFL_CONSTANT * dxi / radius:g} (spectral radius {radius:g} "
+            f"at xi column {i}, eta row {j})")
 
-    k_new = outflow.time_index(time + dt)
     # explicit A d_xi v + G v from the nine nonzero products, each row summed
     # in column order
     dx = apply_derivative(v, grid, axis="xi", order=1)
@@ -300,32 +435,23 @@ def _step_arrays(v: FloatArray, time: float, fc: FrozenCoeffs,
     # The boundary rows are set first, as the folds and the u1 couplings read
     # them; the wall q follows once the interior is solved.
     sl = slice(1, -1)
-    out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[k_new],
-                             outflow.vinf(k_new))
+    out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[k],
+                             outflow.vinf(k))
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
-    L, D, U = _eta_weights([[fc.f00[:, sl]]], [[fc.b00[:, sl]]], dt, deta)
-    rhs = rhs_full[:, sl, :1]
-    rhs[:, -1] -= U[:, -1, :, 0] * out[:, -1, :1]
-    out[:, sl, :1] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
+    out[:, sl, 0] = solve_u1(fc.f00[:, sl], fc.b00[:, sl], rhs_full[:, sl, 0],
+                             out[:, -1, 0], dt, deta)
 
     # (theta, q): u1 enters only through F[1:, 0] (B[1:, 0] = 0), as
     # F[1:, 0] (u1[i+1] - u1[i-1]) / (2 deta), moved to the right-hand side
-    L, D, U = _eta_weights(
-        [[fc.f11[:, sl], fc.f12[:, sl]], [fc.f21[:, sl], fc.f22[:, sl]]],
-        [[fc.b11[:, sl], fc.b12[:, sl]], [fc.b21[:, sl], fc.b22[:, sl]]],
-        dt, deta)
     rhs = rhs_full[:, sl, 1:]
     du1 = (out[:, 2:, 0] - out[:, :-2, 0]) / (2.0 * deta)
     rhs[..., 0] -= fc.f10[:, sl] * du1
     rhs[..., 1] -= fc.f20[:, sl] * du1
-    # fold the wall row: theta0 = theta_star, q0 = wall_q(q1, q2)
-    rhs[:, 0] -= L[:, 0, :, 0] * out[:, 0, 1:2]
-    D[:, 0, :, 1] += WALL_Q_WEIGHTS[0] * L[:, 0, :, 1]
-    U[:, 0, :, 1] += WALL_Q_WEIGHTS[1] * L[:, 0, :, 1]
-    # fold the far row: known Dirichlet data
-    rhs[:, -1] -= (U[:, -1] @ out[:, -1, 1:, None])[..., 0]
-    out[:, sl, 1:] = BlockTridiag(lower=L, diag=D, upper=U).solve(rhs)
+    out[:, sl, 1:] = solve_theta_q(
+        [[fc.f11[:, sl], fc.f12[:, sl]], [fc.f21[:, sl], fc.f22[:, sl]]],
+        [[fc.b11[:, sl], fc.b12[:, sl]], [fc.b21[:, sl], fc.b22[:, sl]]],
+        rhs, out[:, 0, 1], out[:, -1, 1:], dt, deta)
     out[:, 0, 2] = wall_q(out[:, 1, 2], out[:, 2, 2])
     return out
 
@@ -339,8 +465,8 @@ def step_linear(v: State, frozen: FrozenCoeffs, outflow: OutflowData,
     with shape (nx, neta, 3).  The map is affine in v for fixed coefficients
     and boundary data.  Raises CFLError instead of running an unstable step.
     """
-    new = _step_arrays(v.as_array(), v.time, frozen, outflow, params, grid,
-                       source=source)
+    new = _step_arrays(v.as_array(), outflow.time_index(v.time + grid.dt),
+                       frozen, outflow, params, grid, source=source)
     return State.from_array(new, time=v.time + grid.dt)
 
 
@@ -361,14 +487,10 @@ class Trajectory:
     def state(self, k: int) -> State:
         return State.from_array(self.data[k], time=float(self.times[k]))
 
-    def final(self) -> State:
-        return self.state(self.nlevels - 1)
-
 
 def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
                          params: Params, grid: Grid,
                          source: Optional[FloatArray] = None,
-                         clamp: bool = False,
                          measure: Optional[
                              Callable[[int, FloatArray, FloatArray], None]] = None,
                          ) -> Trajectory:
@@ -403,9 +525,9 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
             try:
                 frozen = FrozenCoeffs.from_state(
                     data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
-                    params, grid, clamp=clamp)
-                new = _step_arrays(level, float(grid.times[k]), frozen,
-                                   outflow, params, grid, source=src)
+                    params, grid)
+                new = _step_arrays(level, k + 1, frozen, outflow, params,
+                                   grid, source=src)
             except (LinearSolveError, CFLError, DegenerateStateError) as exc:
                 raise type(exc)(f"time level {k}: {exc}") from exc
         if measure is not None:

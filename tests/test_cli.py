@@ -310,26 +310,43 @@ def test_simulate_nonconvergence_exit_5(tmp_path, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+DECLINING_PRESSURE = dict(
+    mode="expressions", U="0.0 + 0.0*xi", Theta="1.0 + 0.0*xi",
+    H="sqrt(1.1) + 0.0*xi", P="1.0 - 6.0*t + 0.0*xi",
+    theta_star="1.0 + 0.0*xi", u1_0="0.0*y", theta0="1.0 + 0.0*y",
+    h1_0="sqrt(1.1) + 0.0*y", t_end="0.08", compat_order="0")
+
+
 def test_simulate_admissibility_loss_exit_4(tmp_path, capsys):
     # declining pressure pushes P - q below delta inside the horizon
-    path, _ = write_config(
-        tmp_path, mode="expressions",
-        U="0.0 + 0.0*xi", Theta="1.0 + 0.0*xi", H="sqrt(1.1) + 0.0*xi",
-        P="1.0 - 6.0*t + 0.0*xi", theta_star="1.0 + 0.0*xi",
-        u1_0="0.0*y", theta0="1.0 + 0.0*y", h1_0="sqrt(1.1) + 0.0*y",
-        t_end="0.08", compat_order="0")
+    path, _ = write_config(tmp_path, **DECLINING_PRESSURE)
     assert main(["simulate", str(path)]) == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
+
+
+def test_simulate_refuses_to_continue_past_admissibility_loss(tmp_path,
+                                                              capsys):
+    # under "continue" this config used to print "converged in 6
+    # iterations" and exit 0 with every iterate outside the admissible set;
+    # that policy is gone, and asking for it is a configuration error
+    path, out_dir = write_config(tmp_path, loss="continue",
+                                 **DECLINING_PRESSURE)
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "converged" not in captured.out
+    assert ("configuration error: [picard] on_admissibility_loss must be "
+            "'abort', got 'continue'" in captured.err)
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("error", [LinearSolveError, DegenerateStateError])
 def test_simulate_solver_failure_mid_march_exit_4(tmp_path, capsys,
                                                   monkeypatch, error):
     # a failed step solve is a solver error, not a non-convergence
-    def failing(self, rhs):
+    def failing(*args):
         raise error("injected")
 
-    monkeypatch.setattr(stepper.BlockTridiag, "solve", failing)
+    monkeypatch.setattr(stepper, "solve_theta_q", failing)
     path, _ = write_config(tmp_path)
     assert main(["simulate", str(path)]) == EXIT_SOLVER
     assert ("solver error: Picard iterate 1: time level 0: injected"

@@ -127,7 +127,7 @@ VALUES = {
     ("picard", "tol"): numbers(0.0, 1.0),
     ("picard", "max_iter"): st.integers(1, 1000).map(str),
     ("picard", "compat_order"): st.sampled_from(["0", "1"]),
-    ("picard", "on_admissibility_loss"): st.sampled_from(["abort", "continue"]),
+    ("picard", "on_admissibility_loss"): st.just("abort"),
     ("output", "dir"): st.text("abxyz09_-./", min_size=1, max_size=12),
     ("output", "snapshot_every"): st.integers(1, 100).map(str),
     "float": numbers(1e-3, 1e3),
@@ -206,9 +206,13 @@ def test_missing_required_section_and_key():
 
 
 def test_picard_and_output_values_validated():
-    bad = GOOD + "\n[picard]\non_admissibility_loss = explode\n"
-    with pytest.raises(ConfigError, match="on_admissibility_loss"):
-        parse_config(bad)
+    # abort is the one policy: "continue" marched on with clamped
+    # coefficients and reported convergence outside the admissible set
+    for value in ("explode", "continue"):
+        bad = GOOD + f"\n[picard]\non_admissibility_loss = {value}\n"
+        with pytest.raises(ConfigError, match="on_admissibility_loss must be "
+                                              f"'abort', got '{value}'"):
+            parse_config(bad)
     bad = GOOD + "\n[output]\nemit_plots = maybe\n"
     with pytest.raises(ConfigError, match="boolean"):
         parse_config(bad)

@@ -10,6 +10,7 @@ in one step with distance at rounding level.
 
 import ast
 import csv
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from mhbl.picard import (
 from mhbl import coeffs, mms, picard
 from mhbl.diagnostics import NormSpec, discrete_norm
 from mhbl.snapshots import emit_plot_data
-from mhbl.stepper import Trajectory, apply_derivative
+from mhbl.stepper import FrozenCoeffs, Trajectory, apply_derivative
 
 PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
 SRC = Path(picard.__file__).parent
@@ -271,9 +272,6 @@ def test_margin_precondition_enforced():
     v0 = State.constant(grid, 0.0, 1.0, 1.42)   # P - q < 2 delta
     with pytest.raises(PreconditionError):
         picard_solve(v0, data, PARAMS, grid)
-    with pytest.raises(GridSizingError):
-        picard_solve(State.constant(grid, 0.0, 1.0, 0.5), data, PARAMS, grid,
-                     on_admissibility_loss="explode")
 
 
 def perturbed_setup(t_end=0.05, dt=0.005):
@@ -316,7 +314,7 @@ def test_picard_errors_name_the_iterate(error, monkeypatch):
     calls = []
 
     def second_iterate_breaks(v_prev, v0, outflow, params, grid, source=None,
-                              clamp=False, **kwargs):
+                              **kwargs):
         calls.append(1)
         if len(calls) == 2:
             v_prev = Trajectory(data=v_prev.data.copy(), times=v_prev.times)
@@ -328,7 +326,7 @@ def test_picard_errors_name_the_iterate(error, monkeypatch):
                 source = np.zeros_like(v_prev.data)
                 source[3, 1, 4, 2] = np.nan        # enters the step off level 2
         return real(v_prev, v0, outflow, params, grid, source=source,
-                    clamp=clamp, **kwargs)
+                    **kwargs)
 
     monkeypatch.setattr(picard, "solve_linear_problem", second_iterate_breaks)
     with pytest.raises(error, match="^Picard iterate 2: time level 2: "):
@@ -405,15 +403,22 @@ def test_admissibility_loss_names_the_first_node_outside(monkeypatch):
                               "at time level 3, xi column 2, eta row 5")
 
 
-def test_admissibility_loss_continue_mode_flags_and_runs():
+def test_admissibility_loss_always_aborts():
+    # the estimates hold only inside the admissible set, so there is no
+    # policy that marches on with clamped coefficients: the zeroth
+    # approximation leaves the set and the solve stops there, unsolved
+    for name in (picard_solve, picard.solve_linear_problem,
+                 FrozenCoeffs.from_state):
+        params = inspect.signature(name).parameters
+        assert {"on_admissibility_loss", "clamp"}.isdisjoint(params)
     grid, data, v0 = declining_pressure_setup()
-    traj, report = picard_solve(v0, data, PARAMS, grid, compat_order=0,
-                                on_admissibility_loss="continue", max_iter=3,
-                                tol=1e-12)
-    assert not report.aborted
-    assert report.admissible[0] is False
-    assert report.iterations >= 1
-    assert np.all(np.isfinite(traj.data))
+    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0,
+                             max_iter=3, tol=1e-12)
+    assert report.aborted and not report.converged
+    assert report.admissible == [False]
+    assert isinstance(report.error(), MhblError)
+    assert report.message.startswith(
+        "zeroth approximation left the admissible set")
 
 
 def test_max_iter_below_one_rejected_before_any_work(monkeypatch):

@@ -5,6 +5,8 @@ Oracles used here:
     and the exact discrete derivative of sin on the periodic axis,
   * a dense np.linalg.solve of the assembled block-tridiagonal matrix, for
     any block size and for a whole step as the coupled 3x3 system,
+  * the generic BlockTridiag solve, which the step's named solvers
+    (solve_u1, solve_theta_q) must equal bit for bit, folds included,
   * a scalar implicit-Euler heat march written out longhand,
   * the exact one-step update of pure explicit advection,
   * the step written longhand with the dense coeffs.eval_* matrices and
@@ -16,6 +18,7 @@ Oracles used here:
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -205,6 +208,127 @@ def test_block_solve_rejects_nan(where):
 
 
 # ---------------------------------------------------------------------------
+# the march's named solvers against the generic block solver
+
+def eta_blocks(F, B, dt, deta):
+    """L, D, U (nx, m, k, k) from k x k entries, the expressions and order
+    the named solvers keep: f = F/(2 deta), b = B/deta^2, L = -f - b,
+    D = 2 b then + 1/dt on the diagonal, U = f - b."""
+    k = len(F)
+    L, D, U = (np.empty(F[0][0].shape + (k, k)) for _ in range(3))
+    for i, j in np.ndindex(k, k):
+        f, b = F[i][j] / (2.0 * deta), B[i][j] / deta ** 2
+        L[..., i, j] = -f - b
+        D[..., i, j] = 2.0 * b
+        if i == j:
+            D[..., i, i] += 1.0 / dt
+        U[..., i, j] = f - b
+    return L, D, U
+
+
+def random_entries(rng, nx, m, k):
+    """k x k entry grids (nx, m): F of either sign, B with a positive
+    diagonal, as the frozen diffusion has."""
+    F = [[rng.normal(size=(nx, m)) for _ in range(k)] for _ in range(k)]
+    B = [[rng.uniform(0.5, 1.5, (nx, m)) if i == j
+          else 0.3 * rng.normal(size=(nx, m)) for j in range(k)]
+         for i in range(k)]
+    return F, B
+
+
+SOLVER_SHAPES = [(2, 1), (1, 4), (3, 2), (4, 6), (16, 30)]
+
+
+@pytest.mark.parametrize("nx,m", SOLVER_SHAPES)
+def test_solve_u1_equals_the_block_solver(nx, m):
+    dt, deta = 0.01, 0.1
+    rng = np.random.default_rng(nx * 100 + m)
+    [[f00]], [[b00]] = random_entries(rng, nx, m, 1)
+    rhs, far = rng.normal(size=(nx, m)), rng.normal(size=nx)
+    L, D, U = eta_blocks([[f00]], [[b00]], dt, deta)
+    want_rhs = rhs[..., None].copy()
+    want_rhs[:, -1] -= U[:, -1, :, 0] * far[:, None]
+    want = BlockTridiag(lower=L, diag=D, upper=U).solve(want_rhs)
+    saved = rhs.copy()
+    got = stepper.solve_u1(f00, b00, rhs, far, dt, deta)
+    np.testing.assert_array_equal(got, want[..., 0])
+    np.testing.assert_array_equal(rhs, saved)     # folds go into a copy
+
+
+@pytest.mark.parametrize("nx,m", SOLVER_SHAPES)
+def test_solve_theta_q_equals_the_block_solver(nx, m):
+    dt, deta = 0.01, 0.1
+    rng = np.random.default_rng(nx * 100 + m)
+    F, B = random_entries(rng, nx, m, 2)
+    rhs = rng.normal(size=(nx, m, 2))
+    wall, far = rng.normal(size=nx), rng.normal(size=(nx, 2))
+    # the wall theta and the far row fold into the right-hand side, the wall
+    # q closure q0 = (4 q1 - q2) / 3 into rows 1 and 2
+    L, D, U = eta_blocks(F, B, dt, deta)
+    want_rhs = rhs.copy()
+    want_rhs[:, 0] -= L[:, 0, :, 0] * wall[:, None]
+    D[:, 0, :, 1] += 4.0 / 3.0 * L[:, 0, :, 1]
+    U[:, 0, :, 1] -= 1.0 / 3.0 * L[:, 0, :, 1]
+    want_rhs[:, -1] -= (U[:, -1] @ far[:, :, None])[..., 0]
+    want = BlockTridiag(lower=L, diag=D, upper=U).solve(want_rhs)
+    saved = rhs.copy()
+    got = stepper.solve_theta_q(F, B, rhs, wall, far, dt, deta)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(rhs, saved)     # folds go into a copy
+
+
+def u1_system(nx=4, m=8, seed=9):
+    rng = np.random.default_rng(seed)
+    [[f00]], [[b00]] = random_entries(rng, nx, m, 1)
+    return f00, b00, rng.normal(size=(nx, m)), rng.normal(size=nx)
+
+
+def theta_q_system(nx=4, m=8, seed=9):
+    rng = np.random.default_rng(seed)
+    F, B = random_entries(rng, nx, m, 2)
+    return (F, B, rng.normal(size=(nx, m, 2)), rng.normal(size=nx),
+            rng.normal(size=(nx, 2)))
+
+
+@pytest.mark.parametrize("where", ["entry", "rhs"])
+def test_named_solvers_reject_nan(where):
+    f00, b00, rhs, far = u1_system()
+    (f00 if where == "entry" else rhs)[1, 6] = np.nan
+    with pytest.raises(LinearSolveError, match="^non-finite .* xi column 1$"):
+        stepper.solve_u1(f00, b00, rhs, far, 0.01, 0.1)
+    F, B, rhs, wall, far = theta_q_system()
+    (B[1][0] if where == "entry" else rhs[..., 1])[2, 3] = np.nan
+    with pytest.raises(LinearSolveError, match="^non-finite .* xi column 2$"):
+        stepper.solve_theta_q(F, B, rhs, wall, far, 0.01, 0.1)
+
+
+@pytest.mark.parametrize("col,row", [(2, 7), (1, 0)])
+def test_solve_u1_names_a_singular_row(col, row):
+    # with dt = 1/2, deta = 1 and b00 = -1, D = 2 b + 1/dt is exactly 0;
+    # f00 = 2 (last row) or -2 (first row) zeroes the one off-diagonal entry
+    # inside the matrix too, so that whole row vanishes
+    f00, b00, rhs, far = u1_system()
+    f00[col, row], b00[col, row] = (2.0 if row else -2.0), -1.0
+    with pytest.raises(LinearSolveError,
+                       match=f"^singular implicit system at eta row {row}, "
+                             f"xi column {col} "):
+        stepper.solve_u1(f00, b00, rhs, far, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("col,row,r", [(2, 7, 1), (3, 7, 0), (1, 0, 0)])
+def test_solve_theta_q_names_a_singular_row(col, row, r):
+    # component r's equation at that row vanishes: its diagonal entry as in
+    # the u1 case, its off-diagonal entries (and so the wall q fold) zero
+    F, B, rhs, wall, far = theta_q_system()
+    F[r][r][col, row], B[r][r][col, row] = (2.0 if row else -2.0), -1.0
+    F[r][1 - r][col, row] = B[r][1 - r][col, row] = 0.0
+    with pytest.raises(LinearSolveError,
+                       match=f"^singular implicit system at eta row {row}, "
+                             f"xi column {col} "):
+        stepper.solve_theta_q(F, B, rhs, wall, far, 0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # IMEX step against scalar oracles
 
 def constant_outflow(grid, U=0.0, Theta=1.0, H=1.0, P=1.5, theta_star=1.0):
@@ -358,7 +482,7 @@ def test_step_matches_coupled_block_system():
     frozen = FrozenCoeffs.from_state(v, outflow.P[0], P_t, P_xi, PARAMS, g)
     assert np.min(np.abs([frozen.f10[:, 1:-1], frozen.f20[:, 1:-1]])) > 0.0
     source = rng.normal(size=v.shape)
-    got = _step_arrays(v, 0.0, frozen, outflow, PARAMS, g, source=source)
+    got = _step_arrays(v, 1, frozen, outflow, PARAMS, g, source=source)
     dense = dense_coeffs(v, outflow, P_t, P_xi, g)
     np.testing.assert_allclose(got[:, 1:-1],
                                coupled_step(v, dense, outflow, g, source),
@@ -419,10 +543,10 @@ def test_step_matches_dense_formulation_bit_for_bit(nx, neta, seed):
     frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], P_t, P_xi, PARAMS, g)
     dense = dense_coeffs(coeff, outflow, P_t, P_xi, g)
     np.testing.assert_array_equal(
-        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g, source=source),
+        _step_arrays(v, 1, frozen, outflow, PARAMS, g, source=source),
         dense_step(v, dense, outflow, g, source))
     np.testing.assert_array_equal(
-        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g),
+        _step_arrays(v, 1, frozen, outflow, PARAMS, g),
         dense_step(v, dense, outflow, g, 0.0))
 
 
@@ -445,15 +569,16 @@ def test_theta_q_band_reaches_dgbsv_without_a_copy(monkeypatch):
         return out
 
     monkeypatch.setattr(stepper, "dgbsv", spy)
-    _step_arrays(v, 0.0, frozen, outflow, PARAMS, g)
+    _step_arrays(v, 1, frozen, outflow, PARAMS, g)
     assert calls == [((10, 2 * g.nx * (g.neta - 2)), True, True)]
 
 
-def test_step_peak_memory_stays_below_23_levels():
-    # frozen entries, the explicit products, the eta blocks and the band
-    # solve together (22.2 levels); the dense 3x3 layout alone took 12
-    # level-sized arrays, a band copied to Fortran order inside the solve
-    # took 28.6, and an |band| copy for the pivot scale 27.0
+def test_step_peak_memory_stays_below_20_levels():
+    # frozen entries, the explicit products and the band written straight
+    # from them, solved in place (19.3 levels); the (nx, m, k, k) eta blocks
+    # beside the band took 22.2, the dense 3x3 layout alone 12 level-sized
+    # arrays, a band copied to Fortran order inside the solve 28.6, and an
+    # |band| copy for the pivot scale 27.0
     g = make_grid(32, 64, 3.0, 0.01, 0.05)
     outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
                                theta_star=0.9)
@@ -464,10 +589,10 @@ def test_step_peak_memory_stays_below_23_levels():
     def step():
         frozen = FrozenCoeffs.from_state(coeff, outflow.P[0], P_t, P_xi,
                                          PARAMS, g)
-        _step_arrays(v, 0.0, frozen, outflow, PARAMS, g)
+        _step_arrays(v, 1, frozen, outflow, PARAMS, g)
 
     _, peak = traced_peak(step)
-    assert peak / v.nbytes < 23.0
+    assert peak / v.nbytes < 20.0
 
 
 def test_cfl_refusal():
@@ -477,6 +602,17 @@ def test_cfl_refusal():
     v = State.constant(g, 0.0, 1.0, 0.5)
     assert g.dt > CFL_CONSTANT * g.dxi / 1.0
     with pytest.raises(CFLError):
+        step_linear(v, frozen, outflow, PARAMS, g)
+
+
+def test_cfl_refusal_names_the_fastest_node():
+    g = small_grid(nx=8, dt=0.5, t_end=0.5)
+    outflow = constant_outflow(g)
+    frozen = diag_coeffs(g, c0=0.1)          # within the bound everywhere
+    frozen.adv_radius[5, 7] = 3.0            # but one node
+    v = State.constant(g, 0.0, 1.0, 0.5)
+    with pytest.raises(CFLError, match=r"spectral radius 3 at xi column 5, "
+                                       r"eta row 7\)$"):
         step_linear(v, frozen, outflow, PARAMS, g)
 
 
@@ -604,39 +740,49 @@ def test_frozen_coeffs_entries_are_contiguous_grid_arrays():
     g = small_grid()
     outflow = constant_outflow(g)
     v = State.constant(g, 0.3, 1.2, 0.4).as_array()
-    for clamp in (False, True):
-        fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
-                                     outflow.P_xi[0], PARAMS, g, clamp=clamp)
-        for field in dataclasses.fields(FrozenCoeffs):
-            value = getattr(fc, field.name)
-            assert value.shape == (g.nx, g.neta), field.name
-            assert value.flags.c_contiguous, field.name
+    fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
+                                 outflow.P_xi[0], PARAMS, g)
+    for field in dataclasses.fields(FrozenCoeffs):
+        value = getattr(fc, field.name)
+        assert value.shape == (g.nx, g.neta), field.name
+        assert value.flags.c_contiguous, field.name
 
 
-def test_frozen_coeffs_clamp_does_not_hide_nan():
-    # clamping pushes theta and q back inside the admissible set, but NaN
-    # survives np.maximum and np.clip and must reach the degeneracy guard
+@pytest.mark.parametrize("node,value,needle", [
+    ((2, 3, 1), np.nan, "theta = nan"),
+    ((4, 5, 2), np.nan, "q = nan"),
+], ids=["theta", "q"])
+def test_frozen_coeffs_reject_nan_state(node, value, needle):
+    # a NaN theta or q must reach the degeneracy guard and name its node
     g = small_grid()
     outflow = constant_outflow(g, P=1.5)
     v = State.constant(g, 0.0, 1.0, 0.5).as_array().copy()
-    v[2, 3, 1] = np.nan
-    with pytest.raises(DegenerateStateError):
-        FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
-                                outflow.P_xi[0], PARAMS, g, clamp=True)
-
-
-def test_frozen_coeffs_clamp_recovers_inadmissible_state():
-    g = small_grid()
-    outflow = constant_outflow(g, P=1.5)
-    v = State.constant(g, 0.0, 1.0, 0.5).as_array().copy()
-    v[2, 3, 1] = -0.4   # negative temperature
-    v[4, 5, 2] = 2.0    # q beyond P
-    with pytest.raises(Exception):
+    v[node] = value
+    x, j = node[:2]
+    with pytest.raises(DegenerateStateError,
+                       match=f"^{needle} .* at eta row {j}, xi column {x}$"):
         FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                 outflow.P_xi[0], PARAMS, g)
-    fc = FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
-                                 outflow.P_xi[0], PARAMS, g, clamp=True)
-    assert all(np.all(np.isfinite(e)) for e in dataclasses.astuple(fc))
+
+
+@pytest.mark.parametrize("node,value,needle", [
+    ((2, 3, 1), -0.4, "theta = -4.000e-01"),   # negative temperature
+    ((4, 5, 2), 2.0, "P - q = -5.000e-01"),    # q beyond P
+], ids=["theta", "P-q"])
+def test_frozen_coeffs_refuse_inadmissible_state(node, value, needle):
+    # coefficients are frozen only from states inside the set; there is no
+    # clamp that would push a state back in and freeze another scheme
+    assert "clamp" not in inspect.signature(FrozenCoeffs.from_state).parameters
+    g = small_grid()
+    outflow = constant_outflow(g, P=1.5)
+    v = State.constant(g, 0.0, 1.0, 0.5).as_array().copy()
+    v[node] = value
+    x, j = node[:2]
+    with pytest.raises(DegenerateStateError,
+                       match=f"^{re.escape(needle)} .* at eta row {j}, "
+                             f"xi column {x}$"):
+        FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
+                                outflow.P_xi[0], PARAMS, g)
 
 
 @pytest.mark.parametrize("error", [DegenerateStateError, CFLError,
@@ -685,8 +831,16 @@ def _names(tree):
 def test_stepper_keeps_the_dense_coefficient_path_out_of_the_march():
     # the march reads the nonzero entries only; the dense 3x3 matrices serve
     # the identity checks and the tests
-    names = _names(ast.parse((SRC / "stepper.py").read_text()))
+    tree = ast.parse((SRC / "stepper.py").read_text())
+    names = _names(tree)
     assert [n for n in names if n == "einsum" or n.startswith("eval_")] == []
+    # the step writes each implicit system straight from the entries into
+    # its named solver; the generic (nbatch, m, k, k) blocks stay out of it
+    [step] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_step_arrays"]
+    assert {"BlockTridiag", "_eta_weights"}.isdisjoint(_names(step))
+    assert {"solve_u1", "solve_theta_q"} <= set(_names(step))
+    assert "_eta_weights" not in names
 
 
 def test_production_code_takes_the_operator_off_the_dense_matrices():
