@@ -30,8 +30,7 @@ _EXPORTS = {
                "NondegeneracyError",
                "PositivityError", "PreconditionError", "SnapshotFormatError"),
     "fields": ("AdmissibilityReport", "Grid", "OutflowData", "OutflowSpec",
-               "Params", "State", "make_grid", "sample_outflow",
-               "validate_admissibility"),
+               "Params", "State", "make_grid", "sample_outflow"),
     "mms": ("ManufacturedCase", "StudyResult", "case_library",
             "convergence_study", "manufacture_source", "solve_case",
             "write_study_csv"),
@@ -40,8 +39,8 @@ _EXPORTS = {
                "compatibility_derivatives", "cutoff_phi", "picard_solve"),
     "snapshots": ("Snapshot", "emit_plot_data", "read_snapshot",
                   "write_snapshot"),
-    "stepper": ("BlockTridiag", "FrozenCoeffs", "Trajectory", "apply_bcs",
-                "apply_derivative", "solve_linear_problem", "step_linear"),
+    "stepper": ("BlockTridiag", "FrozenCoeffs", "Trajectory",
+                "apply_derivative", "solve_linear_problem"),
     "transform": ("PhysicalState", "check_physical_constraints",
                   "initial_eta_map", "pullback_physical", "residual_original",
                   "stream_from_h1"),

@@ -253,8 +253,10 @@ def parse_config(text: str) -> RunConfig:
                                 ("output", "snapshot_every", 1)):
         if cfg.getint(section, key) < least:
             raise ConfigError(f"[{section}] {key} must be at least {least}")
-    if cfg.getfloat("initial", "y_max") <= 0:
-        raise ConfigError("[initial] y_max must be positive")
+    y_max = cfg.getfloat("initial", "y_max")
+    if not (np.isfinite(y_max) and y_max > 0.0):
+        raise ConfigError(
+            f"[initial] y_max must be finite and positive, got {y_max!r}")
     return cfg
 
 

@@ -18,7 +18,7 @@ from .errors import DegenerateStateError, GridSizingError, MissingTimeLevelError
 from .fields import (DENOM_GUARD, FloatArray, Grid, OutflowData, Params, State,
                      _frozen, pressure_factors)
 from .stencils import bounded_diff, periodic_diff
-from .stepper import Trajectory, apply_derivative
+from .stepper import Trajectory, _operator_at, apply_derivative
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,7 @@ def residual_transformed(traj: Trajectory, outflow: OutflowData,
     for k in klist:
         v = traj.data[k]
         ddt = bounded_diff(traj.data[k - 1:k + 2], grid.dt, 0, 1)[1]
-        dxv = apply_derivative(v, grid, axis="xi", order=1)
-        dev = apply_derivative(v, grid, axis="eta", order=1)
-        d2ev = apply_derivative(v, grid, axis="eta", order=2)
-        r = ddt + coeffs.operator(v, dxv, dev, d2ev, outflow.P[k][:, None],
-                                  outflow.P_t[k][:, None],
-                                  outflow.P_xi[k][:, None], params)
+        r = ddt + _operator_at(v, k, outflow, params, grid)
         if source is not None:
             r = r - source[k]
         inner = r[:, 1:-1, :]

@@ -74,7 +74,9 @@ class Grid:
 
     nx nodes in xi (periodic, spacing 2*pi/nx, no duplicated endpoint) and
     neta nodes in eta including both boundaries (spacing eta_max/(neta-1)).
-    Time levels are k*dt for k = 0..nsteps with nsteps = round(t_end/dt).
+    eta_max, dt and t_end must be finite and positive, and t_end a whole
+    number of steps (t_end/dt within 1e-9 relative of an integer); time
+    levels are k*dt for k = 0..nsteps with nsteps = round(t_end/dt).
     """
 
     nx: int
@@ -88,14 +90,20 @@ class Grid:
             raise GridSizingError(f"nx must be >= 4, got {self.nx}")
         if self.neta < 8:
             raise GridSizingError(f"neta must be >= 8, got {self.neta}")
-        if self.eta_max <= 0.0:
-            raise GridSizingError(f"eta_max must be positive, got {self.eta_max}")
-        if self.dt <= 0.0:
-            raise GridSizingError(f"dt must be positive, got {self.dt}")
+        for name in ("eta_max", "dt", "t_end"):
+            val = getattr(self, name)
+            if not (np.isfinite(val) and val > 0.0):
+                raise GridSizingError(
+                    f"{name} must be finite and positive, got {val}")
         if self.t_end < self.dt:
             raise GridSizingError(
                 f"t_end must be at least one step: t_end={self.t_end}, dt={self.dt}"
             )
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise GridSizingError(
+                f"t_end must be a whole number of steps: t_end={self.t_end}, "
+                f"dt={self.dt} give {steps:.12g} steps")
 
     @property
     def dxi(self) -> float:
@@ -345,15 +353,3 @@ def admissibility(theta: FloatArray, q: FloatArray, P: FloatArray,
         min_Q=float(Q.min()),
         first_violation=first,
     )
-
-
-def validate_admissibility(v: State, outflow: OutflowData,
-                           params: Params) -> AdmissibilityReport:
-    """Check the admissible-set inequalities with margin delta for one state.
-
-    P is taken at the outflow time level matching v.time and broadcast over
-    eta.
-    """
-    k = outflow.time_index(v.time)
-    return admissibility(v.theta, v.q, outflow.P[k][:, None], params,
-                         params.delta)

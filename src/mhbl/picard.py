@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import coeffs
 from .diagnostics import NormSpec, discrete_norm
 from .errors import (CFLError, DegenerateStateError, GridSizingError,
                      LinearSolveError, MhblError, NonConvergenceError,
@@ -24,7 +23,7 @@ from .errors import (CFLError, DegenerateStateError, GridSizingError,
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
-from .stepper import (Trajectory, _set_boundary_rows, apply_derivative,
+from .stepper import (Trajectory, _operator_at, _set_boundary_rows,
                       solve_linear_problem)
 
 
@@ -88,12 +87,7 @@ def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
     arr = v0.as_array()
     out = [arr]
     if order == 1:
-        dxv = apply_derivative(arr, grid, axis="xi", order=1)
-        dev = apply_derivative(arr, grid, axis="eta", order=1)
-        d2ev = apply_derivative(arr, grid, axis="eta", order=2)
-        v1 = -coeffs.operator(arr, dxv, dev, d2ev, outflow.P[0][:, None],
-                              outflow.P_t[0][:, None],
-                              outflow.P_xi[0][:, None], params)
+        v1 = -_operator_at(arr, 0, outflow, params, grid)
         # boundary rows follow the data, not the interior stencils; they are
         # linear in it, so d_tau of the data obeys the same rows
         out.append(_set_boundary_rows(v1, _ddt0(outflow.theta_star, grid.dt),

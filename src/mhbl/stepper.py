@@ -105,6 +105,19 @@ def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> Fl
     raise GridSizingError(f"axis must be 'xi' or 'eta', got {axis!r}")
 
 
+def _operator_at(v: FloatArray, k: int, outflow: OutflowData, params: Params,
+                 grid: Grid) -> FloatArray:
+    """coeffs.operator of a level array v (nx, neta, 3) at time level k,
+    with the discrete derivatives of apply_derivative and the outflow
+    pressure rows of level k."""
+    dxv = apply_derivative(v, grid, axis="xi", order=1)
+    dev = apply_derivative(v, grid, axis="eta", order=1)
+    d2ev = apply_derivative(v, grid, axis="eta", order=2)
+    return coeffs.operator(v, dxv, dev, d2ev, outflow.P[k][:, None],
+                           outflow.P_t[k][:, None], outflow.P_xi[k][:, None],
+                           params)
+
+
 def _guarded_solve(scale: FloatArray, rhs: FloatArray, k: int,
                    lapack: Callable[[], tuple],
                    column: Callable[[int], FloatArray]) -> FloatArray:
@@ -386,21 +399,14 @@ class FrozenCoeffs:
             v, dv, P, P_t_row[:, None], P_xi_row[:, None], params))
 
 
-def apply_bcs(v: State, outflow: OutflowData) -> State:
-    """Enforce the boundary rows at the state's own time level.
-
-    Wall (eta = 0): u1 = 0, theta = theta_star, q0 = wall_q(q1, q2) (zero
-    Neumann).  Far (eta = eta_max): v = (U, Theta, H^2/2).
-    """
-    k = outflow.time_index(v.time)
-    a = _set_boundary_rows(v.as_array(), outflow.theta_star[k], outflow.vinf(k))
-    return State.from_array(a, time=v.time)
-
-
 def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
                        far: FloatArray) -> FloatArray:
-    """Write apply_bcs's wall and far rows into a (nx, neta, 3) state array
-    a, for wall temperature theta_wall (nx,) and far state far (nx, 3)."""
+    """Write the boundary rows into a (nx, neta, 3) state array a, in place,
+    for wall temperature theta_wall (nx,) and far state far (nx, 3).
+
+    Wall (eta = 0): u1 = 0, theta = theta_wall, q0 = wall_q(q1, q2) (zero
+    Neumann).  Far (eta = eta_max): v = far, the outflow (U, Theta, H^2/2).
+    """
     a[:, 0, 0] = 0.0
     a[:, 0, 1] = theta_wall
     a[:, 0, 2] = wall_q(a[:, 1, 2], a[:, 2, 2])
@@ -411,8 +417,13 @@ def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
 def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
                  outflow: OutflowData, params: Params, grid: Grid,
                  source: Optional[FloatArray] = None) -> FloatArray:
-    """Advance raw state arrays (nx, neta, 3) one step, to time level k;
-    returns new arrays."""
+    """One IMEX step of the frozen-coefficient system: advance a state
+    array v (nx, neta, 3) to time level k; returns a new array.
+
+    source, when given, is the extra right-hand side at level k, shaped
+    like v.  The map is affine in v for fixed coefficients and boundary
+    data.  Raises CFLError instead of running an unstable step.
+    """
     dt, dxi, deta = grid.dt, grid.dxi, grid.deta
     radius = float(np.max(fc.adv_radius))
     if radius > 0.0 and dt > CFL_CONSTANT * dxi / radius:
@@ -456,20 +467,6 @@ def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
     return out
 
 
-def step_linear(v: State, frozen: FrozenCoeffs, outflow: OutflowData,
-                params: Params, grid: Grid,
-                source: Optional[FloatArray] = None) -> State:
-    """One IMEX step of the frozen-coefficient system.
-
-    source, when given, is the extra right-hand side at the new time level
-    with shape (nx, neta, 3).  The map is affine in v for fixed coefficients
-    and boundary data.  Raises CFLError instead of running an unstable step.
-    """
-    new = _step_arrays(v.as_array(), outflow.time_index(v.time + grid.dt),
-                       frozen, outflow, params, grid, source=source)
-    return State.from_array(new, time=v.time + grid.dt)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A state trajectory sampled at every grid time level.
@@ -499,8 +496,9 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     v_prev supplies the coefficient states: the step from level k to k+1
     freezes A, B, F, G at v_prev(level k).  source, when given, has shape
     (nsteps+1, nx, neta, 3) and enters each step at its new time level.
-    Every returned level satisfies apply_bcs exactly; level 0 is v0 with the
-    boundary rows enforced.  A LinearSolveError, CFLError or
+    Every returned level satisfies the boundary rows of its own outflow
+    level exactly (_set_boundary_rows); level 0 is v0 with outflow level 0's
+    rows enforced.  A LinearSolveError, CFLError or
     DegenerateStateError from the step off level k is raised again as the
     same class with "time level k: " before its message.
 
@@ -517,7 +515,8 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
         raise GridSizingError(
             f"coefficient trajectory has {v_prev.nlevels} levels, grid wants {nt + 1}")
     data = v_prev.data
-    level = apply_bcs(v0, outflow).as_array()
+    level = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
+                               outflow.vinf(0))
     for k in range(nt + 1):
         new = None
         if k < nt:

@@ -487,6 +487,29 @@ def test_bad_grid_or_physics_value_exit_2(tmp_path, capsys, command, key,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"dt": "nan"}, "dt must be finite and positive, got nan"),
+    ({"t_end": "inf"}, "t_end must be finite and positive, got inf"),
+    ({"eta_max": "nan"}, "eta_max must be finite and positive, got nan"),
+    ({"eta_max": "inf"}, "eta_max must be finite and positive, got inf"),
+    ({"y_max": "nan"}, "[initial] y_max must be finite and positive, got nan"),
+    ({"y_max": "inf"}, "[initial] y_max must be finite and positive, got inf"),
+    ({"dt": "0.02", "t_end": "0.05"}, "t_end must be a whole number of "
+                                      "steps: t_end=0.05, dt=0.02 give 2.5 "
+                                      "steps"),
+], ids=["dt-nan", "t_end-inf", "eta_max-nan", "eta_max-inf", "y_max-nan",
+        "y_max-inf", "t_end-partial-step"])
+def test_non_finite_or_partial_step_grid_exit_2(tmp_path, capsys, overrides,
+                                                message):
+    # NaN passes a `<= 0` check and inf overflows the step count; a t_end
+    # between two steps would silently end the run at the nearer one
+    path, out_dir = write_config(tmp_path, **overrides)
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_mms_case_leaving_the_admissible_set_exit_3(monkeypatch, capsys):
     real = mms.manufacture_source
 

@@ -155,7 +155,7 @@ def config_texts(draw):
             if key == "mode":
                 value = mode
             elif key in ("dt", "t_end"):
-                value = repr(dt * draw(st.floats(1.0, 50.0))
+                value = repr(dt * draw(st.integers(1, 50))
                              if key == "t_end" else dt)
             elif section == "outflow" and mode == "constant":
                 value = draw(CONSTANT_TRACE)

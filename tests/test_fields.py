@@ -15,7 +15,6 @@ from mhbl import (
     State,
     make_grid,
     sample_outflow,
-    validate_admissibility,
 )
 from mhbl.fields import admissibility
 
@@ -86,6 +85,33 @@ def test_grid_trapezoid_weights():
 def test_grid_rejects_degenerate(args):
     with pytest.raises(GridSizingError):
         make_grid(*args)
+
+
+@pytest.mark.parametrize("args,match", [
+    ((8, 16, np.nan, 0.1, 1.0), r"^eta_max must be finite and positive, got nan$"),
+    ((8, 16, np.inf, 0.1, 1.0), r"^eta_max must be finite and positive, got inf$"),
+    ((8, 16, 4.0, np.nan, 1.0), r"^dt must be finite and positive, got nan$"),
+    ((8, 16, 4.0, 0.1, np.inf), r"^t_end must be finite and positive, got inf$"),
+    ((8, 16, 4.0, 0.1, np.nan), r"^t_end must be finite and positive, got nan$"),
+    ((8, 16, 4.0, 0.02, 0.05), r"^t_end must be a whole number of steps: "
+                               r"t_end=0\.05, dt=0\.02 give 2\.5 steps$"),
+    ((8, 16, 4.0, 0.02, 0.07), r"^t_end must be a whole number of steps: "
+                               r"t_end=0\.07, dt=0\.02 give 3\.5 steps$"),
+], ids=["eta_max-nan", "eta_max-inf", "dt-nan", "t_end-inf", "t_end-nan",
+        "t_end-2.5-steps", "t_end-3.5-steps"])
+def test_grid_refuses_non_finite_values_and_partial_steps(args, match):
+    with pytest.raises(GridSizingError, match=match):
+        make_grid(*args)
+
+
+@pytest.mark.parametrize("dt,t_end,nsteps", [
+    (0.1, 0.3, 3),            # t_end / dt = 2.9999999999999996
+    (0.01, 0.03, 3),
+    (0.2 / 7, 0.2, 7),
+    (1e-4, 1.0, 10000),
+])
+def test_grid_accepts_whole_steps_up_to_rounding(dt, t_end, nsteps):
+    assert make_grid(8, 16, 4.0, dt, t_end).nsteps == nsteps
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +327,8 @@ def _setup(theta=1.0, q=0.5, P=1.5):
 
 def test_admissibility_accepts_interior_state():
     g, data, s = _setup()
-    rep = validate_admissibility(s, data, Params(delta=0.05))
+    rep = admissibility(s.theta, s.q, data.P[0][:, None], Params(delta=0.05),
+                        0.05)
     assert rep.ok
     assert rep.first_violation is None
     assert rep.min_theta == pytest.approx(1.0)
@@ -313,7 +340,8 @@ def test_admissibility_accepts_interior_state():
 @pytest.mark.parametrize("theta,q", [(0.01, 0.5), (1.0, 0.01), (1.0, 1.46)])
 def test_admissibility_flags_violations(theta, q):
     g, data, s = _setup(theta=theta, q=q)
-    rep = validate_admissibility(s, data, Params(delta=0.05))
+    rep = admissibility(s.theta, s.q, data.P[0][:, None], Params(delta=0.05),
+                        0.05)
     assert not rep.ok
     assert rep.first_violation == (0, 0)
 
@@ -321,8 +349,9 @@ def test_admissibility_flags_violations(theta, q):
 def test_admissibility_margin_is_delta_not_zero():
     # q = 0.06 is positive but inside the delta = 0.1 margin
     g, data, s = _setup(q=0.06)
-    assert not validate_admissibility(s, data, Params(delta=0.1)).ok
-    assert validate_admissibility(s, data, Params(delta=0.05)).ok
+    P = data.P[0][:, None]
+    assert not admissibility(s.theta, s.q, P, Params(delta=0.1), 0.1).ok
+    assert admissibility(s.theta, s.q, P, Params(delta=0.05), 0.05).ok
 
 
 def test_admissibility_over_a_trajectory_reports_first_index_and_nan():

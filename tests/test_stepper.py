@@ -47,11 +47,10 @@ from mhbl.stepper import (
     BlockTridiag,
     FrozenCoeffs,
     Trajectory,
+    _set_boundary_rows,
     _step_arrays,
-    apply_bcs,
     apply_derivative,
     solve_linear_problem,
-    step_linear,
 )
 
 PARAMS = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.0, cV=1.0, delta=0.05)
@@ -365,14 +364,15 @@ def test_step_matches_scalar_heat_march():
     M = np.eye(m) / g.dt + b0 * K
     u_oracle = w[1:-1].copy()
 
-    for _ in range(g.nsteps):
-        v = step_linear(v, frozen, outflow, PARAMS, g)
+    v = v.as_array()
+    for k in range(g.nsteps):
+        v = _step_arrays(v, k + 1, frozen, outflow, PARAMS, g)
         u_oracle = np.linalg.solve(M, u_oracle / g.dt)
-        np.testing.assert_allclose(v.u1[:, 1:-1],
+        np.testing.assert_allclose(v[:, 1:-1, 0],
                                    np.broadcast_to(u_oracle, (g.nx, m)),
                                    rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(v.theta, 1.0, atol=1e-13)
-    np.testing.assert_allclose(v.q, 0.5, atol=1e-13)
+    np.testing.assert_allclose(v[..., 1], 1.0, atol=1e-13)
+    np.testing.assert_allclose(v[..., 2], 0.5, atol=1e-13)
 
 
 def test_heat_step_follows_exact_modal_decay():
@@ -388,13 +388,15 @@ def test_heat_step_follows_exact_modal_decay():
     lam_h = (2.0 - 2.0 * np.cos(np.pi * g.deta / g.eta_max)) / g.deta ** 2
     rho = 1.0 / (1.0 + g.dt * lam_h)
     factor = 1.0
-    for _ in range(g.nsteps):
-        v = step_linear(v, frozen, outflow, PARAMS, g)
+    v = v.as_array()
+    for k in range(g.nsteps):
+        v = _step_arrays(v, k + 1, frozen, outflow, PARAMS, g)
+        u1 = v[..., 0]
         factor *= rho
         np.testing.assert_allclose(
-            v.u1, np.broadcast_to(factor * w, v.u1.shape),
+            u1, np.broadcast_to(factor * w, u1.shape),
             rtol=1e-12, atol=1e-13)
-        assert v.u1.min() >= -1e-13      # no undershoot: maximum principle
+        assert u1.min() >= -1e-13        # no undershoot: maximum principle
     # ten steps of the slowest mode lose about twenty percent
     assert 0.75 < factor < 0.85
 
@@ -408,13 +410,13 @@ def test_step_matches_explicit_advection_update():
     w = np.sin(np.pi * g.eta / g.eta_max)
     u = w[None, :] * np.sin(g.xi)[:, None]
     v = State(u1=u, theta=np.ones_like(u), q=np.full_like(u, 0.5), time=0.0)
-    out = step_linear(v, frozen, outflow, PARAMS, g)
+    out = _step_arrays(v.as_array(), 1, frozen, outflow, PARAMS, g)
     sym = np.sin(g.dxi) / g.dxi
     want = w[None, :] * (np.sin(g.xi) - c0 * g.dt * sym * np.cos(g.xi))[:, None]
-    np.testing.assert_allclose(out.u1[:, 1:-1], want[:, 1:-1],
+    np.testing.assert_allclose(out[:, 1:-1, 0], want[:, 1:-1],
                                rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(out.theta, 1.0, atol=1e-14)
-    np.testing.assert_allclose(out.q, 0.5, atol=1e-14)
+    np.testing.assert_allclose(out[..., 1], 1.0, atol=1e-14)
+    np.testing.assert_allclose(out[..., 2], 0.5, atol=1e-14)
 
 
 def test_step_is_affine_in_the_state():
@@ -427,11 +429,10 @@ def test_step_is_affine_in_the_state():
                                      PARAMS, g)
     rng = np.random.default_rng(5)
     w = 0.01 * rng.normal(size=(g.nx, g.neta, 3))
-    s0 = step_linear(base, frozen, outflow, PARAMS, g).as_array()
-    s1 = step_linear(State.from_array(base.as_array() + w), frozen, outflow,
-                     PARAMS, g).as_array()
-    s2 = step_linear(State.from_array(base.as_array() + 2 * w), frozen,
-                     outflow, PARAMS, g).as_array()
+    b = base.as_array()
+    s0 = _step_arrays(b, 1, frozen, outflow, PARAMS, g)
+    s1 = _step_arrays(b + w, 1, frozen, outflow, PARAMS, g)
+    s2 = _step_arrays(b + 2 * w, 1, frozen, outflow, PARAMS, g)
     np.testing.assert_allclose(s1 - s0, s2 - s1, rtol=0, atol=1e-12)
 
 
@@ -488,7 +489,8 @@ def test_step_matches_coupled_block_system():
                                coupled_step(v, dense, outflow, g, source),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(
-        got, apply_bcs(State.from_array(got, time=g.dt), outflow).as_array())
+        got, _set_boundary_rows(got.copy(), outflow.theta_star[1],
+                                outflow.vinf(1)))
 
 
 def dense_step(v, dense, outflow, g, source):
@@ -501,8 +503,8 @@ def dense_step(v, dense, outflow, g, source):
             + np.einsum("xeij,xej->xei", G, v))
     rhs_full = v / dt - expl + source
     F, B = F[:, sl], B[:, sl]
-    out = apply_bcs(State.from_array(np.zeros_like(v), time=dt),
-                    outflow).as_array()
+    out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[1],
+                             outflow.vinf(1))
     f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
     U = f - b
     rhs = rhs_full[:, sl, :1].copy()
@@ -602,7 +604,7 @@ def test_cfl_refusal():
     v = State.constant(g, 0.0, 1.0, 0.5)
     assert g.dt > CFL_CONSTANT * g.dxi / 1.0
     with pytest.raises(CFLError):
-        step_linear(v, frozen, outflow, PARAMS, g)
+        _step_arrays(v.as_array(), 1, frozen, outflow, PARAMS, g)
 
 
 def test_cfl_refusal_names_the_fastest_node():
@@ -613,26 +615,32 @@ def test_cfl_refusal_names_the_fastest_node():
     v = State.constant(g, 0.0, 1.0, 0.5)
     with pytest.raises(CFLError, match=r"spectral radius 3 at xi column 5, "
                                        r"eta row 7\)$"):
-        step_linear(v, frozen, outflow, PARAMS, g)
+        _step_arrays(v.as_array(), 1, frozen, outflow, PARAMS, g)
 
 
 # ---------------------------------------------------------------------------
 # boundary conditions
 
-def test_apply_bcs_enforces_rows_and_is_idempotent():
+def test_boundary_rows_are_enforced_and_idempotent():
     g = small_grid()
     outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
                                theta_star=0.9)
     rng = np.random.default_rng(8)
     v = State.from_array(rng.uniform(0.3, 0.6, size=(g.nx, g.neta, 3)))
-    b = apply_bcs(v, outflow)
+
+    def set_rows(s):
+        return State.from_array(
+            _set_boundary_rows(s.as_array(), outflow.theta_star[0],
+                               outflow.vinf(0)), time=s.time)
+
+    b = set_rows(v)
     np.testing.assert_array_equal(b.u1[:, 0], 0.0)
     np.testing.assert_allclose(b.theta[:, 0], 0.9)
     np.testing.assert_allclose(b.q[:, 0], (4 * b.q[:, 1] - b.q[:, 2]) / 3)
     np.testing.assert_allclose(b.u1[:, -1], 0.2)
     np.testing.assert_allclose(b.theta[:, -1], 1.1)
     np.testing.assert_allclose(b.q[:, -1], 0.5 * 1.2 ** 2)
-    bb = apply_bcs(b, outflow)
+    bb = set_rows(b)
     np.testing.assert_array_equal(b.as_array(), bb.as_array())
     # interior untouched
     np.testing.assert_array_equal(b.as_array()[:, 1:-1], v.as_array()[:, 1:-1])
@@ -668,9 +676,10 @@ def test_march_levels_satisfy_bcs_exactly():
     traj = solve_linear_problem(constant_trajectory(
         g, State.constant(g, 0.0, 1.0, 0.5)), v0, outflow, PARAMS, g)
     for k in range(traj.nlevels):
-        s = traj.state(k)
-        fixed = apply_bcs(s, outflow)
-        np.testing.assert_array_equal(s.as_array(), fixed.as_array())
+        s = traj.data[k]
+        fixed = _set_boundary_rows(s.copy(), outflow.theta_star[k],
+                                   outflow.vinf(k))
+        np.testing.assert_array_equal(s, fixed)
 
 
 def test_march_rejects_mismatched_coefficient_trajectory():
@@ -686,7 +695,7 @@ def test_march_rejects_mismatched_coefficient_trajectory():
 def test_march_overwrites_its_coefficient_trajectory_in_place():
     # each level k of the coefficient trajectory is read by the step off
     # level k only, so the march stores the new level k in its slot; the
-    # result must equal a march of step_linear over a saved copy
+    # result must equal a march of _step_arrays over a saved copy
     g = small_grid()
     outflow = constant_outflow(g, U=0.2, Theta=1.1, H=1.2, P=2.0,
                                theta_star=0.9)
@@ -697,13 +706,14 @@ def test_march_overwrites_its_coefficient_trajectory_in_place():
         times=g.times.copy())
     saved = coeff.data.copy()
     v0 = State.from_array(base + 0.02 * rng.normal(size=base.shape))
-    state = apply_bcs(v0, outflow)
-    ref = [state.as_array()]
+    state = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
+                               outflow.vinf(0))
+    ref = [state]
     for k in range(g.nsteps):
         frozen = FrozenCoeffs.from_state(saved[k], outflow.P[k], outflow.P_t[k],
                                          outflow.P_xi[k], PARAMS, g)
-        state = step_linear(state, frozen, outflow, PARAMS, g)
-        ref.append(state.as_array())
+        state = _step_arrays(state, k + 1, frozen, outflow, PARAMS, g)
+        ref.append(state)
     ref = np.stack(ref)
 
     seen = []
