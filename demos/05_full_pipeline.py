@@ -75,7 +75,7 @@ def main():
 
     trans = [n for n in names if "physical" not in n]
     final = read_snapshot(os.path.join(out1, trans[-1]))
-    q_inf = outflow.vinf(grid.nsteps)[:, 2, None]
+    q_inf = outflow.far[grid.nsteps][:, 2, None]
     lhs, rhs = trace_check(np.abs(final.fields["q"] - q_inf), grid)
     print(f"wall trace inequality            {lhs:.4f} <= {rhs:.4f} "
           f"on the final magnetic-pressure defect")

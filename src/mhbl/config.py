@@ -1,11 +1,10 @@
 """Run configuration: INI-style text with fixed sections and keys.
 
 Sections: [physics] (mu, kappa, nu, R, cV, delta), [grid] (nx, neta,
-eta_max, dt, t_end), [outflow] (mode = constant with five numbers, or
-mode = expressions with five expressions in t and xi), [initial]
-(expressions in x and y plus the y grid), [picard] (tol, max_iter,
-compat_order, on_admissibility_loss), [output] (dir, snapshot_every,
-emit_plots).  Unknown sections or keys are rejected, not
+eta_max, dt, t_end), [outflow] (U, Theta, H, P, theta_star: expressions in
+t and xi, a number being one), [initial] (expressions in x and y plus the
+y grid), [picard] (tol, max_iter, compat_order), [output] (dir,
+snapshot_every, emit_plots).  Unknown sections or keys are rejected, not
 ignored; a silently misspelled tolerance is worse than an error.
 
 Closed-form values are plain Python expressions over numpy functions
@@ -48,20 +47,18 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
                 "cV": "float", "delta": "float"},
     "grid": {"nx": "int", "neta": "int", "eta_max": "float", "dt": "float",
              "t_end": "float"},
-    "outflow": {"mode": "str", "U": "expr", "Theta": "expr", "H": "expr",
-                "P": "expr", "theta_star": "expr"},
+    "outflow": {"U": "expr", "Theta": "expr", "H": "expr", "P": "expr",
+                "theta_star": "expr"},
     "initial": {"u1_0": "expr", "theta0": "expr", "h1_0": "expr",
                 "y_max": "float", "ny": "int"},
-    "picard": {"tol": "float", "max_iter": "int", "compat_order": "int",
-               "on_admissibility_loss": "str"},
+    "picard": {"tol": "float", "max_iter": "int", "compat_order": "int"},
     "output": {"dir": "str", "snapshot_every": "int", "emit_plots": "bool"},
 }
 
 _DEFAULTS: Dict[str, Dict[str, str]] = {
     "physics": {"mu": "1.0", "kappa": "1.0", "nu": "1.0", "R": "1.0",
                 "cV": "1.0", "delta": "0.05"},
-    "picard": {"tol": "1e-8", "max_iter": "30", "compat_order": "1",
-               "on_admissibility_loss": "abort"},
+    "picard": {"tol": "1e-8", "max_iter": "30", "compat_order": "1"},
     "output": {"dir": "out", "snapshot_every": "1", "emit_plots": "false"},
 }
 
@@ -117,21 +114,18 @@ class RunConfig:
                          self.getfloat("grid", "t_end"))
 
     def outflow_spec(self) -> OutflowSpec:
-        """The [outflow] traces: numbers, or expressions compiled in t, xi;
-        one that names neither t nor xi is evaluated once, to its number."""
-        mode = self.get("outflow", "mode")
-        if mode not in ("constant", "expressions"):
-            raise ConfigError(f"[outflow] mode must be 'constant' or "
-                              f"'expressions', got {mode!r}")
-
+        """The [outflow] traces, each compiled in t, xi; one that names
+        neither t nor xi is evaluated once, to its number.  A ConfigError
+        from compiling or evaluating a trace names its key."""
         def trace(key: str):
-            if mode == "constant":
-                return self.getfloat("outflow", key)
             text = self.get("outflow", key)
-            fn = compile_expression(text, ("t", "xi"))
-            names = {node.id for node in ast.walk(ast.parse(text, mode="eval"))
-                     if isinstance(node, ast.Name)}
-            return fn if names & {"t", "xi"} else float(fn(0.0, 0.0))
+            try:
+                fn = compile_expression(text, ("t", "xi"))
+                names = {node.id for node in ast.walk(ast.parse(text))
+                         if isinstance(node, ast.Name)}
+                return fn if names & {"t", "xi"} else float(fn(0.0, 0.0))
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} (in [outflow] {key})") from exc
         return OutflowSpec(*map(trace, ("U", "Theta", "H", "P", "theta_star")))
 
     def initial_profiles(self):
@@ -242,12 +236,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[picard] tol must be finite and >= 0, got {tol!r}")
     if cfg.getint("picard", "compat_order") not in (0, 1):
         raise ConfigError("[picard] compat_order must be 0 or 1")
-    # the estimates behind the iteration hold only inside the admissible
-    # set, so an iterate that leaves it always ends the run
-    loss = cfg.get("picard", "on_admissibility_loss")
-    if loss != "abort":
-        raise ConfigError(f"[picard] on_admissibility_loss must be 'abort', "
-                          f"got {loss!r}")
     cfg.getbool("output", "emit_plots")
     for section, key, least in (("initial", "ny", 4), ("picard", "max_iter", 1),
                                 ("output", "snapshot_every", 1)):

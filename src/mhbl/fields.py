@@ -229,10 +229,6 @@ class OutflowData:
                 f"{self.times[-1]}], step {dt})")
         return k
 
-    def vinf(self, k: int) -> FloatArray:
-        """far[k]: the far-field state (U, Theta, H^2/2) at level k, (nx, 3)."""
-        return self.far[k]
-
 
 def _sample_trace(fn: Union[float, TraceFn], times: FloatArray,
                   xi: FloatArray) -> FloatArray:

@@ -61,7 +61,7 @@ class Background:
         out = np.empty((3, o.U.shape[1], phi.shape[1]))
         out[0] = o.U[k][:, None] * phi
         out[1] = o.Theta[k][:, None] * phi + o.theta_star[k][:, None] * (1.0 - phi)
-        out[2] = o.vinf(k)[:, 2, None]
+        out[2] = o.far[k][:, 2, None]
         return out
 
 

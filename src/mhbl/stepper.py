@@ -244,23 +244,27 @@ class BlockTridiag:
         return out.reshape(nb, k * m, k * m)
 
 
+def _eta_rows(F: FloatArray, B: FloatArray, deta: float):
+    """The centred eta-row entries of F d_eta - B d_eta^2: L = -f - b,
+    D = 2 b and U = f - b with f = F / (2 deta) and b = B / deta^2, each a
+    new array; a diagonal block adds its 1/dt to D."""
+    f, b = F / (2.0 * deta), B / deta ** 2
+    return -f - b, 2.0 * b, f - b
+
+
 def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
              far: FloatArray, dt: float, deta: float) -> FloatArray:
     """Solve the scalar u1 system of every xi column in one dgtsv call.
 
     f00, b00 and rhs are (nx, m) on the interior eta rows, nx m >= 2, and
     far (nx,) is the far row's u1 (the wall u1 is 0).  The rows are
-    L u[j-1] + D u[j] + U u[j+1] = rhs[j] with f = f00 / (2 deta),
-    b = b00 / deta^2, L = -f - b, D = 2 b + 1/dt and U = f - b; the far row
-    is folded into a contiguous copy of rhs, which dgtsv overwrites with the
-    solution.  Returns the (nx, m) solution; raises LinearSolveError as
-    _guarded_solve.
+    L u[j-1] + D u[j] + U u[j+1] = rhs[j] with L, D, U the _eta_rows of
+    f00, b00 and 1/dt added to D; the far row is folded into a contiguous
+    copy of rhs, which dgtsv overwrites with the solution.  Returns the
+    (nx, m) solution; raises LinearSolveError as _guarded_solve.
     """
-    f, b = f00 / (2.0 * deta), b00 / deta ** 2
-    L = -f - b
-    D = 2.0 * b
+    L, D, U = _eta_rows(f00, b00, deta)
     D += 1.0 / dt
-    U = f - b
     rhs = rhs.copy()
     rhs[:, -1] -= U[:, -1] * far
     # no coupling crosses an xi column, so with these zeros the flattened L
@@ -286,9 +290,8 @@ def _theta_q_band(F, B, dt: float, deta: float):
     """The (theta, q) system's band, with the wall q closure folded in.
 
     F and B are the entries ((x11, x12), (x21, x22)), each (nx, m) on the
-    interior eta rows.  Block entry (i, j) of the rows is L = -f - b,
-    D = 2 b (+ 1/dt for i = j), U = f - b with f = F[i][j] / (2 deta) and
-    b = B[i][j] / deta^2.  Returns the C-ordered band ab (nx, m, 2, 10)
+    interior eta rows.  Block entry (i, j) of the rows is L, D, U, the
+    _eta_rows of F[i][j], B[i][j], with 1/dt added to D for i = j.  Returns the C-ordered band ab (nx, m, 2, 10)
     with kl = ku = 3 and unknowns in (xi column, eta row, component) order:
     A[I, J] is ab[J, 6 + I - J], so its transpose is LAPACK's Fortran band,
     slots 0..2 are LU workspace and the couplings between xi columns are
@@ -301,12 +304,9 @@ def _theta_q_band(F, B, dt: float, deta: float):
     wall = np.empty((nx, 2))
     far = np.empty((nx, 2, 2))
     for i, j in np.ndindex(2, 2):
-        f, b = F[i][j] / (2.0 * deta), B[i][j] / deta ** 2
-        L = -f - b
-        D = 2.0 * b
+        L, D, U = _eta_rows(F[i][j], B[i][j], deta)
         if i == j:
             D += 1.0 / dt
-        U = f - b
         if j == 0:
             wall[:, i] = L[:, 0]
         else:
@@ -447,7 +447,7 @@ def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
     # them; the wall q follows once the interior is solved.
     sl = slice(1, -1)
     out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[k],
-                             outflow.vinf(k))
+                             outflow.far[k])
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
     out[:, sl, 0] = solve_u1(fc.f00[:, sl], fc.b00[:, sl], rhs_full[:, sl, 0],
@@ -516,7 +516,7 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
             f"coefficient trajectory has {v_prev.nlevels} levels, grid wants {nt + 1}")
     data = v_prev.data
     level = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
-                               outflow.vinf(0))
+                               outflow.far[0])
     for k in range(nt + 1):
         new = None
         if k < nt:

@@ -39,14 +39,13 @@ def config_text(out_dir, **overrides):
         "mu": "0.1", "kappa": "0.1", "nu": "0.1",
         "nx": "8", "neta": "24", "eta_max": "4.0",
         "dt": "0.01", "t_end": "0.03",
-        "mode": "constant", "U": "0.2", "Theta": "1.2", "H": "1.1",
+        "U": "0.2", "Theta": "1.2", "H": "1.1",
         "P": "2.0", "theta_star": "0.8",
         "u1_0": "0.2*(1 - exp(-y*y)) + 0.04*sin(x)*y*y*exp(-y)",
         "theta0": "0.8 + 0.4*(1 - exp(-y*y)) + 0.04*sin(x)*y*y*exp(-y)",
         "h1_0": "1.1 + 0.0*y",
         "y_max": "6.0", "ny": "49",
         "tol": "1e-9", "max_iter": "25", "compat_order": "1",
-        "loss": "abort",
         "snapshot_every": "1", "emit_plots": "false",
     }
     base.update(overrides)
@@ -67,7 +66,6 @@ dt = {base['dt']}
 t_end = {base['t_end']}
 
 [outflow]
-mode = {base['mode']}
 U = {base['U']}
 Theta = {base['Theta']}
 H = {base['H']}
@@ -85,7 +83,6 @@ ny = {base['ny']}
 tol = {base['tol']}
 max_iter = {base['max_iter']}
 compat_order = {base['compat_order']}
-on_admissibility_loss = {base['loss']}
 
 [output]
 dir = {out_dir}
@@ -311,7 +308,7 @@ def test_simulate_nonconvergence_exit_5(tmp_path, capsys):
 
 
 DECLINING_PRESSURE = dict(
-    mode="expressions", U="0.0 + 0.0*xi", Theta="1.0 + 0.0*xi",
+    U="0.0 + 0.0*xi", Theta="1.0 + 0.0*xi",
     H="sqrt(1.1) + 0.0*xi", P="1.0 - 6.0*t + 0.0*xi",
     theta_star="1.0 + 0.0*xi", u1_0="0.0*y", theta0="1.0 + 0.0*y",
     h1_0="sqrt(1.1) + 0.0*y", t_end="0.08", compat_order="0")
@@ -324,18 +321,51 @@ def test_simulate_admissibility_loss_exit_4(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def add_line(path, section, line):
+    """Write line into the config at path, first in its [section]."""
+    text = path.read_text()
+    path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+
+
 def test_simulate_refuses_to_continue_past_admissibility_loss(tmp_path,
                                                               capsys):
     # under "continue" this config used to print "converged in 6
     # iterations" and exit 0 with every iterate outside the admissible set;
-    # that policy is gone, and asking for it is a configuration error
-    path, out_dir = write_config(tmp_path, loss="continue",
-                                 **DECLINING_PRESSURE)
+    # that policy is gone, and so is the key that asked for it
+    path, out_dir = write_config(tmp_path, **DECLINING_PRESSURE)
+    add_line(path, "picard", "on_admissibility_loss = continue")
     assert main(["simulate", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "converged" not in captured.out
-    assert ("configuration error: [picard] on_admissibility_loss must be "
-            "'abort', got 'continue'" in captured.err)
+    assert ("configuration error: unknown key 'on_admissibility_loss' in "
+            "section [picard]" in captured.err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("section,line", [
+    ("outflow", "mode = constant"),
+    ("picard", "on_admissibility_loss = abort"),
+], ids=["mode", "on_admissibility_loss"])
+def test_config_holding_a_removed_key_exit_2(tmp_path, capsys, section, line):
+    # every outflow trace is an expression, and abort the one policy, so
+    # neither key has a value left to choose
+    path, out_dir = write_config(tmp_path)
+    add_line(path, section, line)
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (f"configuration error: unknown key "
+                                       f"{key!r} in section [{section}]\n")
+    assert not out_dir.exists()
+
+
+def test_non_finite_outflow_number_exit_2(tmp_path, capsys):
+    # nan is no number of the expression grammar: refused as it is parsed,
+    # naming its key, not at sampling, where it exited 3
+    path, out_dir = write_config(tmp_path, P="nan")
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: expression 'nan' uses unknown name 'nan' "
+        "(in [outflow] P)\n")
     assert not out_dir.exists()
 
 
@@ -435,11 +465,11 @@ def test_thread_cap_env(monkeypatch):
 @pytest.mark.parametrize("command,overrides", [
     ("simulate", {"theta0": "1/0"}),
     ("simulate", {"theta0": "2.0**10000"}),
-    ("simulate", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
-    ("check-outflow", {"mode": "expressions", "P": "1.5 + 0*(1/0)"}),
+    ("simulate", {"P": "1.5 + 0*(1/0)"}),
+    ("check-outflow", {"P": "1.5 + 0*(1/0)"}),
     # Python takes (-1.0)**0.5 as complex: an array result, then a scalar one
-    ("simulate", {"mode": "expressions", "P": "2.0 + (-1.0)**0.5 + 0*xi"}),
-    ("simulate", {"mode": "expressions", "P": "2.0 + (-1.0)**0.5"}),
+    ("simulate", {"P": "2.0 + (-1.0)**0.5 + 0*xi"}),
+    ("simulate", {"P": "2.0 + (-1.0)**0.5"}),
 ], ids=["divide", "overflow", "outflow-simulate", "outflow-check",
         "complex-array", "complex-scalar"])
 def test_expression_that_fails_to_evaluate_exit_2(tmp_path, capsys, command,

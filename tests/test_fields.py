@@ -126,7 +126,7 @@ def test_constant_outflow_exact_zero_derivatives():
     assert np.all(data.P == 2.0)
     assert np.all(data.P_t == 0.0)
     assert np.all(data.P_xi == 0.0)
-    np.testing.assert_allclose(data.vinf(0), np.broadcast_to([0.3, 1.2, 0.5], (8, 3)))
+    np.testing.assert_allclose(data.far[0], np.broadcast_to([0.3, 1.2, 0.5], (8, 3)))
 
 
 def test_sampled_pressure_gradients_match_difference_oracle():

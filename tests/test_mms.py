@@ -61,7 +61,7 @@ def test_cases_satisfy_boundary_conditions(name):
         np.testing.assert_allclose(case.v_eta(t, xi, eta)[:, 0, 2], 0.0,
                                    atol=1e-15)
         # far edge: the outflow state
-        np.testing.assert_allclose(arr[:, -1], outflow.vinf(k), rtol=0,
+        np.testing.assert_allclose(arr[:, -1], outflow.far[k], rtol=0,
                                    atol=1e-12)
 
 

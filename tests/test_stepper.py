@@ -463,7 +463,7 @@ def coupled_step(v, dense, outflow, g, source):
     rhs[:, 0] -= L[:, 0, :, 1] * outflow.theta_star[k_new][:, None]
     D[:, 0, :, 2] += 4.0 / 3.0 * L[:, 0, :, 2]
     U[:, 0, :, 2] -= 1.0 / 3.0 * L[:, 0, :, 2]
-    rhs[:, -1] -= (U[:, -1] @ outflow.vinf(k_new)[..., None])[..., 0]
+    rhs[:, -1] -= (U[:, -1] @ outflow.far[k_new][..., None])[..., 0]
     dense = BlockTridiag(lower=L, diag=D, upper=U).dense()
     return np.stack([np.linalg.solve(dense[x], rhs[x].reshape(-1))
                      for x in range(g.nx)]).reshape(rhs.shape)
@@ -490,7 +490,7 @@ def test_step_matches_coupled_block_system():
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(
         got, _set_boundary_rows(got.copy(), outflow.theta_star[1],
-                                outflow.vinf(1)))
+                                outflow.far[1]))
 
 
 def dense_step(v, dense, outflow, g, source):
@@ -504,7 +504,7 @@ def dense_step(v, dense, outflow, g, source):
     rhs_full = v / dt - expl + source
     F, B = F[:, sl], B[:, sl]
     out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[1],
-                             outflow.vinf(1))
+                             outflow.far[1])
     f, b = F[..., :1, :1] / (2.0 * deta), B[..., :1, :1] / deta ** 2
     U = f - b
     rhs = rhs_full[:, sl, :1].copy()
@@ -631,7 +631,7 @@ def test_boundary_rows_are_enforced_and_idempotent():
     def set_rows(s):
         return State.from_array(
             _set_boundary_rows(s.as_array(), outflow.theta_star[0],
-                               outflow.vinf(0)), time=s.time)
+                               outflow.far[0]), time=s.time)
 
     b = set_rows(v)
     np.testing.assert_array_equal(b.u1[:, 0], 0.0)
@@ -678,7 +678,7 @@ def test_march_levels_satisfy_bcs_exactly():
     for k in range(traj.nlevels):
         s = traj.data[k]
         fixed = _set_boundary_rows(s.copy(), outflow.theta_star[k],
-                                   outflow.vinf(k))
+                                   outflow.far[k])
         np.testing.assert_array_equal(s, fixed)
 
 
@@ -707,7 +707,7 @@ def test_march_overwrites_its_coefficient_trajectory_in_place():
     saved = coeff.data.copy()
     v0 = State.from_array(base + 0.02 * rng.normal(size=base.shape))
     state = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
-                               outflow.vinf(0))
+                               outflow.far[0])
     ref = [state]
     for k in range(g.nsteps):
         frozen = FrozenCoeffs.from_state(saved[k], outflow.P[k], outflow.P_t[k],
