@@ -35,12 +35,20 @@ from .errors import DegenerateStateError
 from .fields import DENOM_GUARD, FloatArray, Params, pressure_factors
 
 
-def _split(v: FloatArray):
+def _components(v: FloatArray) -> FloatArray:
+    """v (..., 3) with its component axis moved to the front, as a view."""
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 3:
+    if v.shape[-1:] != (3,):
         raise DegenerateStateError(f"state vector must have last axis 3, got {v.shape}")
-    # contiguous copies: arithmetic on the strided views is slower
-    return v[..., 0].copy(), v[..., 1].copy(), v[..., 2].copy()
+    return v.transpose(v.ndim - 1, *range(v.ndim - 1))
+
+
+def _split(v: FloatArray):
+    """The three component planes of v (..., 3), each contiguous: views when
+    the component axis of v is its slowest in memory (a level taken as
+    planes.transpose(1, 2, 0)), else from one component-major copy, as
+    arithmetic on the strided views is slower."""
+    return tuple(np.ascontiguousarray(_components(v)))
 
 
 def _at(bad: FloatArray) -> str:
@@ -53,7 +61,9 @@ def _at(bad: FloatArray) -> str:
 
 
 def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
-    """Common strictly-positive factors; raises if any falls below the guard."""
+    """The pressure factors (P + q, P - q, Q, Q (P - q)), each formed once
+    (P enters the entries only through them); raises if theta, q, P - q
+    or Q falls below the guard."""
     P = np.asarray(P, dtype=float)
     Pmq, Q = pressure_factors(P, q, params.a)
     for name, arr in (("theta", theta), ("q", q), ("P - q", Pmq), ("Q", Q)):
@@ -61,7 +71,7 @@ def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
             raise DegenerateStateError(
                 f"{name} = {float(np.min(arr)):.3e} fell below the "
                 f"{DENOM_GUARD:g} degeneracy guard{_at(~(arr >= DENOM_GUARD))}")
-    return P, Pmq, Q
+    return P + q, Pmq, Q, Q * Pmq
 
 
 def _alloc(shape) -> FloatArray:
@@ -88,30 +98,31 @@ def _radius(u1, theta, q, Q, params: Params) -> FloatArray:
     return np.abs(u1) + np.sqrt(2.0 * params.R * theta * q / Q)
 
 
-def _diffusion_entries(theta, q, P, Pmq, Q, params: Params) -> dict:
+def _diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params: Params) -> dict:
     """Nonzeros of B(v): a 1x1 u1 block and a 2x2 (theta, q) block."""
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     tq = 2.0 * q
     return {"b00": tq * mu * R * theta / Pmq,
-            "b11": tq * kappa * a * theta * (P + q) / (Q * Pmq),
+            "b11": tq * kappa * a * theta * Ppq / QPmq,
             "b12": tq * (-nu * a * theta / Q),
             "b21": tq * (-2.0 * kappa * a * q / Q),
             "b22": tq * nu * Pmq / Q}
 
 
-def _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params: Params) -> dict:
+def _gradient_entries(theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq,
+                      params: Params) -> dict:
     """Nonzeros of F(v, d_eta v); F's u1 row is (c_vis dq, 0, 0)."""
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     c_vis = nu - mu * R * theta / Pmq
     return {"f00": c_vis * dq,
-            "f10": -2.0 * mu * a * theta * q * (P + q) / (Q * Pmq) * du1,
-            "f11": -kappa * a * theta * (P + q) / (Q * Pmq) * dq,
-            "f12": nu * dtheta - nu * a * theta * (P + q) / (Q * Pmq) * dq,
+            "f10": -2.0 * mu * a * theta * q * Ppq / QPmq * du1,
+            "f11": -kappa * a * theta * Ppq / QPmq * dq,
+            "f12": nu * dtheta - nu * a * theta * Ppq / QPmq * dq,
             "f20": 4.0 * mu * a * q ** 2 / Q * du1,
             "f21": 2.0 * kappa * a * q / Q * dq,
-            "f22": nu * (P + q) / Q * dq}
+            "f22": nu * Ppq / Q * dq}
 
 
 def _pressure_entries(u1, Pmq, Q, P_t, P_xi, params: Params) -> dict:
@@ -124,20 +135,20 @@ def _pressure_entries(u1, Pmq, Q, P_t, P_xi, params: Params) -> dict:
             "g22": -2.0 * (1.0 - a) * material_P / Q}
 
 
-def _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q, P_t, P_xi,
-                       params: Params):
+def _lower_order_terms(u1, theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq, P_t,
+                       P_xi, params: Params):
     """Closed forms of f(v, d_eta v) and g(v), three components each; they
     equal F d_eta v and G v to rounding (check-identities verifies it)."""
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
     c_vis = nu - mu * R * theta / Pmq
-    c_mid = a * theta * (P + q) / (Q * Pmq)      # theta row prefactor
+    c_mid = a * theta * Ppq / QPmq               # theta row prefactor
     quad = (2.0 * mu * q * du1 ** 2 + kappa * dq * dtheta + nu * dq ** 2)
     f = (c_vis * dq * du1,
          nu * dq * dtheta - c_mid * quad,
          (a / Q) * (4.0 * mu * q ** 2 * du1 ** 2
                     + 2.0 * kappa * q * dq * dtheta
-                    + (nu * (P + q) / a) * dq ** 2))
+                    + (nu * Ppq / a) * dq ** 2))
     material_P = P_t + P_xi * u1
     g = (R * P_xi * theta / Pmq,
          -a * material_P * theta / Q,
@@ -156,15 +167,17 @@ def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     """
     u1, theta, q = _split(v)
     du1, dtheta, dq = _split(dv)
-    P, Pmq, Q = _denominators(theta, q, P, params)
+    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
     bad = ~np.isfinite(u1)
     if bad.any():
         raise DegenerateStateError(
             f"u1 = {float(u1[bad][0])} is not finite{_at(bad)}")
-    return {"u1": u1,
+    # u1 may be a view of v's planes: its own copy frees theta and q
+    return {"u1": u1.copy(),
             **_advection_entries(theta, q, Pmq, Q, params),
-            **_diffusion_entries(theta, q, P, Pmq, Q, params),
-            **_gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params),
+            **_diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params),
+            **_gradient_entries(theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq,
+                                params),
             **_pressure_entries(u1, Pmq, Q, P_t, P_xi, params),
             "adv_radius": _radius(u1, theta, q, Q, params)}
 
@@ -172,8 +185,8 @@ def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
 def eval_advection(v: FloatArray, P, params: Params) -> FloatArray:
     """Advection matrix A(v); eigenvalues are u1 and u1 +- sqrt(2 R theta q / Q)."""
     u1, theta, q = _split(v)
-    P, Pmq, Q = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, P.shape)
+    Ppq, Pmq, Q, _ = _denominators(theta, q, P, params)
+    shape = np.broadcast_shapes(u1.shape, Ppq.shape)
     return _dense(shape, {"a00": u1, "a11": u1, "a22": u1,
                           **_advection_entries(theta, q, Pmq, Q, params)})
 
@@ -181,16 +194,16 @@ def eval_advection(v: FloatArray, P, params: Params) -> FloatArray:
 def advection_radius(v: FloatArray, P, params: Params) -> FloatArray:
     """Spectral radius |u1| + sqrt(2 R theta q / Q) of A(v), elementwise."""
     u1, theta, q = _split(v)
-    P, Pmq, Q = _denominators(theta, q, P, params)
+    Q = _denominators(theta, q, P, params)[2]
     return _radius(u1, theta, q, Q, params)
 
 
 def eval_diffusion(v: FloatArray, P, params: Params) -> FloatArray:
     """Diffusion matrix B(v): 1x1 block for u1 plus a 2x2 block in (theta, q)."""
     u1, theta, q = _split(v)
-    P, Pmq, Q = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, P.shape)
-    return _dense(shape, _diffusion_entries(theta, q, P, Pmq, Q, params))
+    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
+    shape = np.broadcast_shapes(u1.shape, Ppq.shape)
+    return _dense(shape, _diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params))
 
 
 def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
@@ -204,14 +217,14 @@ def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
     """
     u1, theta, q = _split(v)
     du1, dtheta, dq = _split(dv)
-    P, Pmq, Q = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, du1.shape, P.shape)
-    fc, gc = _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q,
-                                P_t, P_xi, params)
+    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
+    shape = np.broadcast_shapes(u1.shape, du1.shape, Ppq.shape)
+    fc, gc = _lower_order_terms(u1, theta, q, du1, dtheta, dq, Ppq, Pmq, Q,
+                                QPmq, P_t, P_xi, params)
     f, g = np.zeros(shape + (3,)), np.zeros(shape + (3,))
     for i in range(3):
         f[..., i], g[..., i] = fc[i], gc[i]
-    F = _gradient_entries(theta, q, du1, dtheta, dq, P, Pmq, Q, params)
+    F = _gradient_entries(theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq, params)
     G = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
     return f, _dense(shape, F), g, _dense(shape, G)
 
@@ -224,17 +237,20 @@ def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,
     dxv, dev and d2ev are d_xi v, d_eta v and d_eta^2 v in v's (..., 3)
     layout; P, P_t and P_xi broadcast against v[..., 0] as elsewhere here.
     The products run over the nonzero entries only, in the column order of
-    the dense matrix-vector products, so they round as those do.
+    the dense matrix-vector products, so they round as those do.  The four
+    inputs are broadcast into one component-major copy, whose contiguous
+    planes the products read.
     """
-    u1, theta, q = _split(v)
-    du1, dtheta, dq = _split(dev)
-    P, Pmq, Q = _denominators(theta, q, P, params)
+    parts = [_components(a) for a in (v, dxv, dev, d2ev)]
+    planes = np.empty((4, 3) + np.broadcast_shapes(*(p.shape[1:] for p in parts)))
+    for dst, src in zip(planes, parts):
+        dst[...] = src
+    (u1, theta, q), (x0, x1, x2), (du1, dtheta, dq), (d0, d1, d2) = planes
+    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
     A = _advection_entries(theta, q, Pmq, Q, params)
-    B = _diffusion_entries(theta, q, P, Pmq, Q, params)
-    f, g = _lower_order_terms(u1, theta, q, du1, dtheta, dq, P, Pmq, Q,
-                              P_t, P_xi, params)
-    x0, x1, x2 = np.moveaxis(np.asarray(dxv, dtype=float), -1, 0)
-    d0, d1, d2 = np.moveaxis(np.asarray(d2ev, dtype=float), -1, 0)
+    B = _diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params)
+    f, g = _lower_order_terms(u1, theta, q, du1, dtheta, dq, Ppq, Pmq, Q,
+                              QPmq, P_t, P_xi, params)
     adv = (u1 * x0 + A["a02"] * x2, A["a10"] * x0 + u1 * x1,
            A["a20"] * x0 + u1 * x2)
     dif = (B["b00"] * d0, B["b11"] * d1 + B["b12"] * d2,
@@ -252,18 +268,18 @@ def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):
     SB = diag(2 mu theta^2 q, 2 kappa theta q, nu theta^2).
     """
     u1, theta, q = _split(v)
-    du1, dtheta, dq = _split(np.asarray(dv, dtype=float))
-    P, Pmq, Q = _denominators(theta, q, P, params)
+    du1, dtheta, dq = _split(dv)
+    Ppq, Pmq, Q, _ = _denominators(theta, q, P, params)
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
-    shape = np.broadcast_shapes(u1.shape, du1.shape, P.shape)
+    shape = np.broadcast_shapes(u1.shape, du1.shape, Ppq.shape)
 
     S = _alloc(shape)
     S[..., 0, 0] = theta * Pmq / R
     S[..., 1, 1] = Pmq / a
     S[..., 1, 2] = theta
     S[..., 2, 1] = theta
-    S[..., 2, 2] = theta ** 2 * (P + q) / (2.0 * q * Pmq)
+    S[..., 2, 2] = theta ** 2 * Ppq / (2.0 * q * Pmq)
 
     SA = _alloc(shape)
     SA[..., 0, 0] = theta * Pmq * u1 / R
@@ -272,7 +288,7 @@ def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):
     SA[..., 1, 2] = theta * u1
     SA[..., 2, 0] = -(theta ** 2)
     SA[..., 2, 1] = theta * u1
-    SA[..., 2, 2] = theta ** 2 * (P + q) * u1 / (2.0 * q * Pmq)
+    SA[..., 2, 2] = theta ** 2 * Ppq * u1 / (2.0 * q * Pmq)
 
     SB = _alloc(shape)
     SB[..., 0, 0] = 2.0 * mu * theta ** 2 * q
@@ -284,6 +300,6 @@ def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):
     SF[..., 1, 0] = -2.0 * mu * theta * q * du1
     SF[..., 1, 1] = -kappa * theta * dq
     SF[..., 1, 2] = (nu * Pmq / a) * dtheta
-    SF[..., 2, 2] = nu * theta * (dtheta + theta * (P + q) / (2.0 * q * Pmq) * dq)
+    SF[..., 2, 2] = nu * theta * (dtheta + theta * Ppq / (2.0 * q * Pmq) * dq)
 
     return S, SA, SB, SF

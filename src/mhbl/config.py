@@ -115,15 +115,23 @@ class RunConfig:
 
     def outflow_spec(self) -> OutflowSpec:
         """The [outflow] traces, each compiled in t, xi; one that names
-        neither t nor xi is evaluated once, to its number.  A ConfigError
-        from compiling or evaluating a trace names its key."""
+        neither t nor xi is evaluated once, to its number, which must be
+        finite.  A ConfigError from compiling or evaluating a trace names
+        its key."""
         def trace(key: str):
             text = self.get("outflow", key)
             try:
                 fn = compile_expression(text, ("t", "xi"))
                 names = {node.id for node in ast.walk(ast.parse(text))
                          if isinstance(node, ast.Name)}
-                return fn if names & {"t", "xi"} else float(fn(0.0, 0.0))
+                if names & {"t", "xi"}:
+                    return fn
+                value = float(fn(0.0, 0.0))
+                if not np.isfinite(value):
+                    # 1e400 is an exact inf, and 1e300*1e300 overflows to one
+                    raise ConfigError(
+                        f"expression {text!r} is not finite: {value}")
+                return value
             except ConfigError as exc:
                 raise ConfigError(f"{exc} (in [outflow] {key})") from exc
         return OutflowSpec(*map(trace, ("U", "Theta", "H", "P", "theta_star")))

@@ -50,8 +50,9 @@ def _derivative_power(f: FloatArray, grid: Grid, a1: int, a2: int,
 
 def _l2_sq(f: FloatArray, grid: Grid):
     """Squared L2 norm over the last two axes (xi, eta) of f."""
-    w = grid.eta_weights()
-    return np.sum(f ** 2 * w, axis=(-2, -1)) * grid.dxi
+    sq = f ** 2
+    sq *= grid.eta_weights()
+    return np.sum(sq, axis=(-2, -1)) * grid.dxi
 
 
 def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid):

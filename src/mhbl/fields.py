@@ -104,6 +104,10 @@ class Grid:
             raise GridSizingError(
                 f"t_end must be a whole number of steps: t_end={self.t_end}, "
                 f"dt={self.dt} give {steps:.12g} steps")
+        w = np.full(self.neta, self.deta)
+        w[0] = 0.5 * self.deta
+        w[-1] = 0.5 * self.deta
+        object.__setattr__(self, "_eta_weights", _frozen(w))
 
     @property
     def dxi(self) -> float:
@@ -130,11 +134,9 @@ class Grid:
         return np.arange(self.nsteps + 1) * self.dt
 
     def eta_weights(self) -> FloatArray:
-        """Trapezoid quadrature weights in eta (the xi weight is just dxi)."""
-        w = np.full(self.neta, self.deta)
-        w[0] = 0.5 * self.deta
-        w[-1] = 0.5 * self.deta
-        return w
+        """Trapezoid quadrature weights in eta (the xi weight is just dxi),
+        made once per grid and read-only."""
+        return self._eta_weights
 
 
 def make_grid(nx: int, neta: int, eta_max: float, dt: float, t_end: float) -> Grid:

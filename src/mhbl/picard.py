@@ -23,7 +23,7 @@ from .errors import (CFLError, DegenerateStateError, GridSizingError,
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
-from .stepper import (Trajectory, _operator_at, _set_boundary_rows,
+from .stepper import (Trajectory, _operator_at, _planes, _set_boundary_rows,
                       solve_linear_problem)
 
 
@@ -59,8 +59,9 @@ class Background:
         stacked on axis 0: shape (3, nx, neta)."""
         o, phi = self.outflow, self.phi[None, :]
         out = np.empty((3, o.U.shape[1], phi.shape[1]))
-        out[0] = o.U[k][:, None] * phi
-        out[1] = o.Theta[k][:, None] * phi + o.theta_star[k][:, None] * (1.0 - phi)
+        np.multiply(o.U[k][:, None], phi, out=out[0])
+        np.multiply(o.Theta[k][:, None], phi, out=out[1])
+        out[1] += o.theta_star[k][:, None] * (1.0 - phi)
         out[2] = o.far[k][:, 2, None]
         return out
 
@@ -205,17 +206,24 @@ class _Measure:
 
     def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
         if old is not None:
-            self.dists.append(
-                np.sqrt(np.sum((v - old) ** 2 * self.w) * self.grid.dxi))
-        rep = admissibility(v[..., 1], v[..., 2],
+            # (v - old) ** 2 * w in place, summed over the interleaved level
+            d = v - old
+            d **= 2
+            d *= self.w
+            self.dists.append(np.sqrt(np.sum(d) * self.grid.dxi))
+            del d
+        # the admissibility check reads the theta and q planes, then the
+        # planes become v - vbar in place
+        planes = _planes(v)
+        rep = admissibility(planes[1], planes[2],
                             self.background.outflow.P[k][:, None], self.params,
                             self.params.delta)
         if self.violation is None and not rep.ok:
             self.violation = (k,) + rep.first_violation
         self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
         self.Q_minima.append(rep.min_Q)
-        comp = discrete_norm(np.moveaxis(v, -1, 0) - self.background.components(k),
-                             self.spec, self.grid)
+        planes -= self.background.components(k)
+        comp = discrete_norm(planes, self.spec, self.grid)
         self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
 
     def result(self) -> IterateRecord:

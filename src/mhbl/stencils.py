@@ -10,7 +10,10 @@ primitives:
 Both act along any axis of any array, so trailing axes (state components)
 and leading axes (time levels) ride along, and both are exact on
 polynomials of degree <= 2.  Each formula is written out once with a fixed
-order of operations, which keeps results reproducible bit for bit.
+order of operations, which keeps results reproducible bit for bit.  Every
+output entry is computed on its own, into an array with f's memory layout,
+so the bits do not depend on that layout: a derivative of contiguous
+component planes equals the same derivative of the interleaved level.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ def periodic_diff(f: FloatArray, h: float, axis: int, order: int) -> FloatArray:
     _check_order(order)
     f = np.asarray(f, dtype=float)
     out = np.empty_like(f)
-    g = np.moveaxis(f, axis, 0)
-    o = np.moveaxis(out, axis, 0)
+    # swapaxes, not moveaxis: the same elementwise operations at a tenth of
+    # the call cost; the order of the other axes does not matter to them
+    g, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
     # the interior through slices, then the two wrap rows; the operations
     # run in the order of (f[i+1] - f[i-1]) / (2h) and
     # ((f[i+1] - 2 f[i]) + f[i-1]) / h^2
@@ -68,8 +72,7 @@ def bounded_diff(f: FloatArray, h: float, axis: int, order: int) -> FloatArray:
         raise GridSizingError(
             f"order-{order} difference needs at least {2 * order} nodes, got {n}")
     out = np.empty_like(f)
-    g = np.moveaxis(f, axis, 0)
-    o = np.moveaxis(out, axis, 0)
+    g, o = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
     if order == 1:
         if n == 2:
             o[0] = o[1] = (g[1] - g[0]) / h

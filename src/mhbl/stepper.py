@@ -105,6 +105,14 @@ def apply_derivative(f: FloatArray, grid: Grid, axis: str, order: int = 1) -> Fl
     raise GridSizingError(f"axis must be 'xi' or 'eta', got {axis!r}")
 
 
+def _planes(v: FloatArray) -> FloatArray:
+    """The three (nx, neta) component planes of a level v (nx, neta, 3), as
+    one contiguous (3, nx, neta) copy.  Each level is read this way once by
+    the freeze, the step and the measure: arithmetic on the planes gives
+    the bits of the same arithmetic on v's strided views, faster."""
+    return np.asarray(v, dtype=float).transpose(2, 0, 1).copy()
+
+
 def _operator_at(v: FloatArray, k: int, outflow: OutflowData, params: Params,
                  grid: Grid) -> FloatArray:
     """coeffs.operator of a level array v (nx, neta, 3) at time level k,
@@ -153,7 +161,8 @@ def _guarded_solve(scale: FloatArray, rhs: FloatArray, k: int,
 
 def _band_scale(ab: FloatArray) -> FloatArray:
     """The largest |entry| of each xi column's part of a band (nb, ...),
-    without an |ab| copy; the band holds zeros, so min <= 0 <= max."""
+    without an |ab| copy; the band holds zeros, so min <= 0 <= max (and
+    the maximum is |entry|'s to the bit, in any order)."""
     axes = tuple(range(1, ab.ndim))
     return np.maximum(-ab.min(axis=axes), ab.max(axis=axes))
 
@@ -244,12 +253,16 @@ class BlockTridiag:
         return out.reshape(nb, k * m, k * m)
 
 
-def _eta_rows(F: FloatArray, B: FloatArray, deta: float):
+def _eta_rows(F: FloatArray, B: FloatArray, deta: float) -> FloatArray:
     """The centred eta-row entries of F d_eta - B d_eta^2: L = -f - b,
-    D = 2 b and U = f - b with f = F / (2 deta) and b = B / deta^2, each a
-    new array; a diagonal block adds its 1/dt to D."""
+    D = 2 b and U = f - b with f = F / (2 deta) and b = B / deta^2, as one
+    new (3, ...) stack (L, D, U); a diagonal block adds its 1/dt to D."""
     f, b = F / (2.0 * deta), B / deta ** 2
-    return -f - b, 2.0 * b, f - b
+    rows = np.empty((3,) + f.shape)
+    np.subtract(-f, b, out=rows[0])
+    np.multiply(2.0, b, out=rows[1])
+    np.subtract(f, b, out=rows[2])
+    return rows
 
 
 def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
@@ -263,7 +276,8 @@ def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
     copy of rhs, which dgtsv overwrites with the solution.  Returns the
     (nx, m) solution; raises LinearSolveError as _guarded_solve.
     """
-    L, D, U = _eta_rows(f00, b00, deta)
+    rows = _eta_rows(f00, b00, deta)
+    L, D, U = rows
     D += 1.0 / dt
     rhs = rhs.copy()
     rhs[:, -1] -= U[:, -1] * far
@@ -271,7 +285,7 @@ def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
     # and U are dgtsv's sub- and superdiagonal
     L[:, 0] = 0.0
     U[:, -1] = 0.0
-    scale = np.max(np.abs([L, D, U]), axis=(0, 2))
+    scale = _band_scale(rows.swapaxes(0, 1))
 
     def lapack():
         _, u_diag, _, x, info = dgtsv(L.ravel()[1:], D.ravel(),
@@ -392,11 +406,12 @@ class FrozenCoeffs:
         P_row etc. are the outflow pressure rows (nx,) at the same time
         level.
         """
-        v = np.asarray(v, dtype=float)
-        P = P_row[:, None]
+        # v as a view of its planes: the derivative keeps that layout, and
+        # frozen_entries reads both without a copy
+        v = _planes(v).transpose(1, 2, 0)
         dv = apply_derivative(v, grid, axis="eta", order=1)
         return FrozenCoeffs(**coeffs.frozen_entries(
-            v, dv, P, P_t_row[:, None], P_xi_row[:, None], params))
+            v, dv, P_row[:, None], P_t_row[:, None], P_xi_row[:, None], params))
 
 
 def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
@@ -433,38 +448,49 @@ def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
             f"{CFL_CONSTANT * dxi / radius:g} (spectral radius {radius:g} "
             f"at xi column {i}, eta row {j})")
 
-    # explicit A d_xi v + G v from the nine nonzero products, each row summed
-    # in column order
-    dx = apply_derivative(v, grid, axis="xi", order=1)
-    rhs_full = v / dt
-    rhs_full[..., 0] -= fc.u1 * dx[..., 0] + fc.a02 * dx[..., 2] + fc.g01 * v[..., 1]
-    rhs_full[..., 1] -= fc.a10 * dx[..., 0] + fc.u1 * dx[..., 1] + fc.g11 * v[..., 1]
-    rhs_full[..., 2] -= fc.a20 * dx[..., 0] + fc.u1 * dx[..., 2] + fc.g22 * v[..., 2]
+    # The right-hand side v / dt - (A d_xi v + G v) is built in place on one
+    # copy of v's component planes from the nine nonzero products, each row
+    # summed in column order; a row reads only planes not yet divided.
+    rhs = _planes(v)
+    dx = apply_derivative(rhs.transpose(1, 2, 0), grid, axis="xi").transpose(2, 0, 1)
+    r0, r1, r2 = rhs
+    row = fc.u1 * dx[0] + fc.a02 * dx[2] + fc.g01 * r1
+    r0 /= dt
+    r0 -= row
+    row = fc.a10 * dx[0] + fc.u1 * dx[1] + fc.g11 * r1
+    r1 /= dt
+    r1 -= row
+    row = fc.a20 * dx[0] + fc.u1 * dx[2] + fc.g22 * r2
+    r2 /= dt
+    r2 -= row
+    del dx, row
     if source is not None:
-        rhs_full += source
+        rhs += source.transpose(2, 0, 1)
 
-    # The boundary rows are set first, as the folds and the u1 couplings read
-    # them; the wall q follows once the interior is solved.
+    # The solves read the Dirichlet data from the outflow, and the u1
+    # couplings read u1's two boundary rows, so those are written first;
+    # _set_boundary_rows writes every boundary row once the interior is
+    # solved, so each entry of out is written before it is read.
     sl = slice(1, -1)
-    out = _set_boundary_rows(np.zeros_like(v), outflow.theta_star[k],
-                             outflow.far[k])
+    theta_wall, far = outflow.theta_star[k], outflow.far[k]
+    out = np.empty_like(v)
+    u1 = out[:, :, 0]
+    u1[:, 0], u1[:, -1] = 0.0, far[:, 0]
 
     # u1: a scalar system; the wall u1 is 0, the far u1 is Dirichlet data
-    out[:, sl, 0] = solve_u1(fc.f00[:, sl], fc.b00[:, sl], rhs_full[:, sl, 0],
-                             out[:, -1, 0], dt, deta)
+    u1[:, sl] = solve_u1(fc.f00[:, sl], fc.b00[:, sl], rhs[0, :, sl],
+                         far[:, 0], dt, deta)
 
     # (theta, q): u1 enters only through F[1:, 0] (B[1:, 0] = 0), as
     # F[1:, 0] (u1[i+1] - u1[i-1]) / (2 deta), moved to the right-hand side
-    rhs = rhs_full[:, sl, 1:]
-    du1 = (out[:, 2:, 0] - out[:, :-2, 0]) / (2.0 * deta)
-    rhs[..., 0] -= fc.f10[:, sl] * du1
-    rhs[..., 1] -= fc.f20[:, sl] * du1
+    du1 = (u1[:, 2:] - u1[:, :-2]) / (2.0 * deta)
+    rhs[1, :, sl] -= fc.f10[:, sl] * du1
+    rhs[2, :, sl] -= fc.f20[:, sl] * du1
     out[:, sl, 1:] = solve_theta_q(
         [[fc.f11[:, sl], fc.f12[:, sl]], [fc.f21[:, sl], fc.f22[:, sl]]],
         [[fc.b11[:, sl], fc.b12[:, sl]], [fc.b21[:, sl], fc.b22[:, sl]]],
-        rhs, out[:, 0, 1], out[:, -1, 1:], dt, deta)
-    out[:, 0, 2] = wall_q(out[:, 1, 2], out[:, 2, 2])
-    return out
+        rhs[1:, :, sl].transpose(1, 2, 0), theta_wall, far[:, 1:], dt, deta)
+    return _set_boundary_rows(out, theta_wall, far)
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,19 @@ def test_non_finite_outflow_number_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["1e400", "1e300*1e300"])
+def test_overflowing_outflow_number_exit_2(tmp_path, capsys, text):
+    # a literal past the float range, or a product that overflows, is an
+    # exact inf: refused as its key's error, not at sampling, where it
+    # exited 3 without naming the key
+    path, out_dir = write_config(tmp_path, P=text)
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: expression {text!r} is not finite: inf "
+        "(in [outflow] P)\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("error", [LinearSolveError, DegenerateStateError])
 def test_simulate_solver_failure_mid_march_exit_4(tmp_path, capsys,
                                                   monkeypatch, error):

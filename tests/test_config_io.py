@@ -5,6 +5,7 @@ parse -> serialize -> parse is the identity, snapshots are little-endian
 with a 25-byte header, and writing the same state twice is byte-identical.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,8 +133,21 @@ VALUES = {
     "bool": st.sampled_from(["true", "False", "YES", "no", "on", "OFF", "1",
                              "0"]),
 }
+
+
+def _outflow_value(text: str) -> bool:
+    """Whether the parser takes text as an outflow trace: it names t or xi,
+    or it evaluates to a finite number."""
+    if {"t", "xi"} & set(re.findall(r"\w+", text)):
+        return True
+    try:
+        return bool(np.isfinite(compile_expression(text, ("t", "xi"))(0.0, 0.0)))
+    except ConfigError:
+        return False
+
+
 EXPRESSIONS = {"initial": expressions(("x", "y")),
-               "outflow": expressions(("t", "xi"))}
+               "outflow": expressions(("t", "xi")).filter(_outflow_value)}
 CONSTANT_TRACE = numbers(-1e3, 1e3)
 COMMENTS = st.sampled_from(["", "  # note", "\t; why"])
 

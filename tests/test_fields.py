@@ -75,6 +75,19 @@ def test_grid_trapezoid_weights():
     assert (w * g.eta).sum() == pytest.approx(0.5 * 4.0 ** 2, rel=1e-14)
 
 
+def test_grid_weights_are_made_once_and_read_only():
+    # every norm term reads them: one array per grid, which no caller can
+    # change under the others
+    g = make_grid(8, 16, 4.0, 0.1, 1.0)
+    w = g.eta_weights()
+    assert g.eta_weights() is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        w *= 2.0
+    assert w[0] == 0.5 * g.deta
+
+
 @pytest.mark.parametrize("args", [
     (3, 16, 4.0, 0.1, 1.0),      # nx too small
     (8, 7, 4.0, 0.1, 1.0),       # neta too small

@@ -12,6 +12,9 @@ the import path) and writes into out_dir:
     wide/                 the same physics at nx=256, neta=32, ny=512
     mms_advection.txt     criterion 04's advection study: per resolution
                           the errors, then the fitted orders, as float.hex
+    report_mms.txt        that study's IterationReports: per resolution a
+                          line "resolution nx neta", then the report as in
+                          report_demo.txt
     outflow_demo.npy      outflow_consistency(...).fields of the demo's
                           outflow, and of travelling traces in
     outflow_travelling.npy  U, Theta, H, P and theta_star
@@ -75,31 +78,31 @@ def _simulate(text: str, name: str) -> None:
 
 
 @contextlib.contextmanager
-def _recording_reports():
-    """Collect the IterationReport of every picard_solve that cli runs."""
-    reports, real = [], picard.picard_solve
+def _recording_reports(module):
+    """Collect the IterationReport of every picard_solve that module runs
+    through its attribute picard_solve."""
+    reports, real = [], module.picard_solve
 
     def recording(*args, **kwargs):
         traj, report = real(*args, **kwargs)
         reports.append(report)
         return traj, report
 
-    picard.picard_solve = recording
+    module.picard_solve = recording
     try:
         yield reports
     finally:
-        picard.picard_solve = real
+        module.picard_solve = real
 
 
-def _write_report(report, path: str) -> None:
-    with open(path, "w") as fh:
-        for name in REPORT_LISTS:
-            values = getattr(report, name)
-            words = (str(v) if name == "admissible" else float(v).hex()
-                     for v in values)
-            fh.write(" ".join([name, *words]) + "\n")
-        for name in ("converged", "iterations", "aborted", "message"):
-            fh.write(f"{name} {getattr(report, name)!r}\n")
+def _write_report(report, fh) -> None:
+    for name in REPORT_LISTS:
+        values = getattr(report, name)
+        words = (str(v) if name == "admissible" else float(v).hex()
+                 for v in values)
+        fh.write(" ".join([name, *words]) + "\n")
+    for name in ("converged", "iterations", "aborted", "message"):
+        fh.write(f"{name} {getattr(report, name)!r}\n")
 
 
 def _outflow_fields(text: str, path: str) -> None:
@@ -116,16 +119,22 @@ def main(argv) -> int:
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
 
-    with _recording_reports() as reports:
+    with _recording_reports(picard) as reports:
         _simulate(demo, "demo")
-    _write_report(reports[0], "report_demo.txt")
+    with open("report_demo.txt", "w") as fh:
+        _write_report(reports[0], fh)
     wide = demo
     for key, value in WIDE.items():
         wide = _set_key(wide, key, str(value))
     _simulate(wide, "wide")
 
-    result = mms.convergence_study(mms.case_library()["advection"],
-                                   MMS_RESOLUTIONS, mode="spatial")
+    with _recording_reports(mms) as reports:
+        result = mms.convergence_study(mms.case_library()["advection"],
+                                       MMS_RESOLUTIONS, mode="spatial")
+    with open("report_mms.txt", "w") as fh:
+        for (nx, neta), report in zip(MMS_RESOLUTIONS, reports, strict=True):
+            fh.write(f"resolution {nx} {neta}\n")
+            _write_report(report, fh)
     with open("mms_advection.txt", "w") as fh:
         for row in result.rows:
             fh.write(f"{row.nx} {row.neta} {row.dt.hex()} "
