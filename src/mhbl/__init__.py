@@ -18,8 +18,7 @@ rough pullback row.
 import importlib
 
 _EXPORTS = {
-    "coeffs": ("advection_radius", "eval_advection", "eval_diffusion",
-               "eval_lower_order", "eval_symmetrizer"),
+    "coeffs": ("matrices",),
     "diagnostics": ("NormSpec", "OutflowConsistencyReport", "ResidualReport",
                     "discrete_norm", "energy_functional",
                     "outflow_consistency", "residual_transformed",

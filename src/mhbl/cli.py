@@ -230,11 +230,10 @@ def run_check_identities() -> int:
         v = np.stack([rng.uniform(-2.0, 2.0, size=n), theta, q], axis=-1)
         dv = rng.uniform(-2.0, 2.0, size=(n, 3))
         P_t, P_xi = rng.uniform(-1.0, 1.0, size=2)
-        A = coeffs.eval_advection(v, P, params)
-        B = coeffs.eval_diffusion(v, P, params)
-        f, F, g, G = coeffs.eval_lower_order(v, dv, P, P_t, P_xi, params)
-        S, SA, SB, SF = coeffs.eval_symmetrizer(v, dv, P, params)
-        # written out here, independently of eval_symmetrizer's closed form
+        m = coeffs.matrices(v, dv, P, P_t, P_xi, params)
+        A, B, F, G, f, g = (m[k] for k in ("A", "B", "F", "G", "f", "g"))
+        S, SA, SB, SF = (m[k] for k in ("S", "SA", "SB", "SF"))
+        # written out here, independently of the closed form SB
         diag = np.stack([2.0 * mu * theta ** 2 * q, 2.0 * kappa * theta * q,
                          nu * theta ** 2], axis=-1)[..., None] * np.eye(3)
 

@@ -11,17 +11,17 @@ with total pressure P(t, xi) entering through the denominators
 The lower-order terms factor as f = F(v, d_eta v) d_eta v and g = G(v) v,
 which is what the frozen-coefficient iteration solves with.  A symmetrizer
 S(v) makes S A symmetric and S B = diag(2 mu theta^2 q, 2 kappa theta q,
-nu theta^2) positive definite; eval_symmetrizer returns the closed forms of
-S, S A, S B and S F so tests can verify the products independently.
+nu theta^2) positive definite.
 
 Only 21 of the 36 entries of A, B, F and G are nonzero: A 6 (its diagonal is
 u1), B 5, F 7 and G 3.  Each is written once, in the per-matrix entry
 functions below, keyed by its slot ("a02" is A[..., 0, 2]), and f and g have
 one closed form each.  frozen_entries returns the entries from one
 denominator pass for the time stepper, and operator builds the spatial
-operator from them in one pass as well.  eval_advection, eval_diffusion and
-eval_lower_order place the same entries into dense matrices: a view for the
-identity checks and the test oracles, which no solver path uses.
+operator from them in one pass as well.  matrices is the one dense view:
+from one denominator pass it places the same entries, and the closed forms
+of S, S A, S B and S F, into (..., 3, 3) matrices, for the identity checks,
+the energy functional and the test oracles; no solver path uses it.
 
 All functions broadcast: v has shape (..., 3), P broadcasts against
 v[..., 0], and matrices come back with shape (..., 3, 3).
@@ -74,15 +74,12 @@ def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
     return P + q, Pmq, Q, Q * Pmq
 
 
-def _alloc(shape) -> FloatArray:
-    return np.zeros(shape + (3, 3))
-
-
 def _dense(shape, entries: dict) -> FloatArray:
-    """Zero (..., 3, 3) matrices with the named entries in their slots."""
-    M = _alloc(shape)
+    """Zero (..., 3, 3) matrices with the named entries in their slots, a
+    name ending in its row and column ("a02" and "sa02" fill [..., 0, 2])."""
+    M = np.zeros(shape + (3, 3))
     for name, value in entries.items():
-        M[..., int(name[1]), int(name[2])] = value
+        M[..., int(name[-2]), int(name[-1])] = value
     return M
 
 
@@ -182,53 +179,6 @@ def frozen_entries(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
             "adv_radius": _radius(u1, theta, q, Q, params)}
 
 
-def eval_advection(v: FloatArray, P, params: Params) -> FloatArray:
-    """Advection matrix A(v); eigenvalues are u1 and u1 +- sqrt(2 R theta q / Q)."""
-    u1, theta, q = _split(v)
-    Ppq, Pmq, Q, _ = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, Ppq.shape)
-    return _dense(shape, {"a00": u1, "a11": u1, "a22": u1,
-                          **_advection_entries(theta, q, Pmq, Q, params)})
-
-
-def advection_radius(v: FloatArray, P, params: Params) -> FloatArray:
-    """Spectral radius |u1| + sqrt(2 R theta q / Q) of A(v), elementwise."""
-    u1, theta, q = _split(v)
-    Q = _denominators(theta, q, P, params)[2]
-    return _radius(u1, theta, q, Q, params)
-
-
-def eval_diffusion(v: FloatArray, P, params: Params) -> FloatArray:
-    """Diffusion matrix B(v): 1x1 block for u1 plus a 2x2 block in (theta, q)."""
-    u1, theta, q = _split(v)
-    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, Ppq.shape)
-    return _dense(shape, _diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params))
-
-
-def eval_lower_order(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
-                     params: Params):
-    """Lower-order terms: returns (f, F, g, G).
-
-    f(v, d_eta v) collects the quadratic gradient terms and g(v) the pressure
-    forcing; F and G are the factorizations with f = F d_eta v and g = G v
-    (entrywise products of the returned matrices with the vectors).  dv is
-    d_eta v with the same (..., 3) layout.
-    """
-    u1, theta, q = _split(v)
-    du1, dtheta, dq = _split(dv)
-    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
-    shape = np.broadcast_shapes(u1.shape, du1.shape, Ppq.shape)
-    fc, gc = _lower_order_terms(u1, theta, q, du1, dtheta, dq, Ppq, Pmq, Q,
-                                QPmq, P_t, P_xi, params)
-    f, g = np.zeros(shape + (3,)), np.zeros(shape + (3,))
-    for i in range(3):
-        f[..., i], g[..., i] = fc[i], gc[i]
-    F = _gradient_entries(theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq, params)
-    G = _pressure_entries(u1, Pmq, Q, P_t, P_xi, params)
-    return f, _dense(shape, F), g, _dense(shape, G)
-
-
 def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,
              d2ev: FloatArray, P, P_t, P_xi, params: Params) -> FloatArray:
     """The spatial operator of the system, A(v) d_xi v + f(v, d_eta v) + g(v)
@@ -259,47 +209,59 @@ def operator(v: FloatArray, dxv: FloatArray, dev: FloatArray,
                     axis=-1)
 
 
-def eval_symmetrizer(v: FloatArray, dv: FloatArray, P, params: Params):
-    """Symmetrizer closed forms: returns (S, SA, SB, SF).
+def matrices(v: FloatArray, dv: FloatArray, P, P_t, P_xi,
+             params: Params) -> dict:
+    """The coefficient algebra at v as dense matrices, from one denominator
+    pass: a view for the identity checks, the energy functional and the
+    test oracles, which no solver path uses.
 
-    S is symmetric positive definite on admissible states.  SA, SB and SF are
-    the closed forms of the products S A, S B and S F; they are computed
-    directly (not by multiplying), so tests can check S @ A == SA etc.
-    SB = diag(2 mu theta^2 q, 2 kappa theta q, nu theta^2).
+    Returns a dict of A, B, F, G and the symmetrizer S with the closed
+    forms SA, SB and SF of the products S A, S B and S F, each (..., 3, 3),
+    and the closed forms f and g, each (..., 3); dv is d_eta v in v's
+    layout.  A, B, F and G hold frozen_entries' values in their slots.
+    SA, SB and SF are written directly, not by multiplying, so checks of
+    S @ A == SA and the like compare independent codings.  S is symmetric
+    positive definite on admissible states, and SB = diag(2 mu theta^2 q,
+    2 kappa theta q, nu theta^2).
     """
     u1, theta, q = _split(v)
     du1, dtheta, dq = _split(dv)
-    Ppq, Pmq, Q, _ = _denominators(theta, q, P, params)
+    Ppq, Pmq, Q, QPmq = _denominators(theta, q, P, params)
+    shape = np.broadcast_shapes(u1.shape, du1.shape, Ppq.shape)
     a = params.a
     mu, kappa, nu, R = params.mu, params.kappa, params.nu, params.R
-    shape = np.broadcast_shapes(u1.shape, du1.shape, Ppq.shape)
-
-    S = _alloc(shape)
-    S[..., 0, 0] = theta * Pmq / R
-    S[..., 1, 1] = Pmq / a
-    S[..., 1, 2] = theta
-    S[..., 2, 1] = theta
-    S[..., 2, 2] = theta ** 2 * Ppq / (2.0 * q * Pmq)
-
-    SA = _alloc(shape)
-    SA[..., 0, 0] = theta * Pmq * u1 / R
-    SA[..., 0, 2] = -(theta ** 2)
-    SA[..., 1, 1] = Pmq * u1 / a
-    SA[..., 1, 2] = theta * u1
-    SA[..., 2, 0] = -(theta ** 2)
-    SA[..., 2, 1] = theta * u1
-    SA[..., 2, 2] = theta ** 2 * Ppq * u1 / (2.0 * q * Pmq)
-
-    SB = _alloc(shape)
-    SB[..., 0, 0] = 2.0 * mu * theta ** 2 * q
-    SB[..., 1, 1] = 2.0 * kappa * theta * q
-    SB[..., 2, 2] = nu * theta ** 2
-
-    SF = _alloc(shape)
-    SF[..., 0, 0] = (nu * Pmq / R - mu * theta) * theta * dq
-    SF[..., 1, 0] = -2.0 * mu * theta * q * du1
-    SF[..., 1, 1] = -kappa * theta * dq
-    SF[..., 1, 2] = (nu * Pmq / a) * dtheta
-    SF[..., 2, 2] = nu * theta * (dtheta + theta * Ppq / (2.0 * q * Pmq) * dq)
-
-    return S, SA, SB, SF
+    slots = {
+        "A": {"a00": u1, "a11": u1, "a22": u1,
+              **_advection_entries(theta, q, Pmq, Q, params)},
+        "B": _diffusion_entries(theta, q, Ppq, Pmq, Q, QPmq, params),
+        "F": _gradient_entries(theta, q, du1, dtheta, dq, Ppq, Pmq, Q, QPmq,
+                               params),
+        "G": _pressure_entries(u1, Pmq, Q, P_t, P_xi, params),
+        "S": {"s00": theta * Pmq / R,
+              "s11": Pmq / a,
+              "s12": theta,
+              "s21": theta,
+              "s22": theta ** 2 * Ppq / (2.0 * q * Pmq)},
+        "SA": {"sa00": theta * Pmq * u1 / R,
+               "sa02": -(theta ** 2),
+               "sa11": Pmq * u1 / a,
+               "sa12": theta * u1,
+               "sa20": -(theta ** 2),
+               "sa21": theta * u1,
+               "sa22": theta ** 2 * Ppq * u1 / (2.0 * q * Pmq)},
+        "SB": {"sb00": 2.0 * mu * theta ** 2 * q,
+               "sb11": 2.0 * kappa * theta * q,
+               "sb22": nu * theta ** 2},
+        "SF": {"sf00": (nu * Pmq / R - mu * theta) * theta * dq,
+               "sf10": -2.0 * mu * theta * q * du1,
+               "sf11": -kappa * theta * dq,
+               "sf12": (nu * Pmq / a) * dtheta,
+               "sf22": nu * theta * (dtheta + theta * Ppq / (2.0 * q * Pmq)
+                                     * dq)}}
+    out = {name: _dense(shape, entries) for name, entries in slots.items()}
+    f, g = _lower_order_terms(u1, theta, q, du1, dtheta, dq, Ppq, Pmq, Q,
+                              QPmq, P_t, P_xi, params)
+    for name, parts in (("f", f), ("g", g)):
+        out[name] = np.stack([np.broadcast_to(c, shape) for c in parts],
+                             axis=-1)
+    return out

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizingError, PositivityError
 from .fields import Grid, OutflowSpec, Params, make_grid
+from .stencils import usable_spacing
 
 _SAFE_FUNCS: Dict[str, object] = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -253,6 +254,11 @@ def parse_config(text: str) -> RunConfig:
     if not (np.isfinite(y_max) and y_max > 0.0):
         raise ConfigError(
             f"[initial] y_max must be finite and positive, got {y_max!r}")
+    h = y_max / (cfg.getint("initial", "ny") - 1)
+    if not usable_spacing(h):
+        raise ConfigError(
+            f"[initial] y_max must give a y spacing h with h*h and 1/(h*h) "
+            f"finite and nonzero, got y_max={y_max!r}, h={h:.3g}")
     return cfg
 
 

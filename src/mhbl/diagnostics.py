@@ -86,7 +86,7 @@ def energy_functional(v: State, vbar: FloatArray, v_frozen: State,
     w = v.as_array() - np.asarray(vbar, dtype=float)
     frozen = v_frozen.as_array()
     zero = np.zeros_like(frozen)
-    S, _, _, _ = coeffs.eval_symmetrizer(frozen, zero, P_row[:, None], params)
+    S = coeffs.matrices(frozen, zero, P_row[:, None], 0.0, 0.0, params)["S"]
     wq = grid.eta_weights()
     total = 0.0
     for a1, a2 in _multi_indices(spec.k):

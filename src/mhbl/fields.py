@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import GridSizingError, MissingTimeLevelError, PositivityError
-from .stencils import FloatArray, bounded_diff, periodic_diff
+from .stencils import FloatArray, bounded_diff, periodic_diff, usable_spacing
 
 #: Hard floor used by coefficient evaluations before dividing.
 DENOM_GUARD = 1e-12
@@ -74,7 +74,8 @@ class Grid:
 
     nx nodes in xi (periodic, spacing 2*pi/nx, no duplicated endpoint) and
     neta nodes in eta including both boundaries (spacing eta_max/(neta-1)).
-    eta_max, dt and t_end must be finite and positive, and t_end a whole
+    eta_max, dt and t_end must be finite and positive, the eta spacing
+    usable by the stencils (stencils.usable_spacing), and t_end a whole
     number of steps (t_end/dt within 1e-9 relative of an integer); time
     levels are k*dt for k = 0..nsteps with nsteps = round(t_end/dt).
     """
@@ -95,6 +96,11 @@ class Grid:
             if not (np.isfinite(val) and val > 0.0):
                 raise GridSizingError(
                     f"{name} must be finite and positive, got {val}")
+        if not usable_spacing(self.deta):
+            raise GridSizingError(
+                f"eta_max must give an eta spacing h with h*h and 1/(h*h) "
+                f"finite and nonzero, got eta_max={self.eta_max}, "
+                f"h={self.deta:.3g}")
         if self.t_end < self.dt:
             raise GridSizingError(
                 f"t_end must be at least one step: t_end={self.t_end}, dt={self.dt}"

@@ -26,6 +26,14 @@ from .errors import GridSizingError
 FloatArray = NDArray[np.float64]
 
 
+def usable_spacing(h: float) -> bool:
+    """Whether h * h and 1 / (h * h) are both finite and nonzero, as the
+    order-2 stencils of spacing h need; checked in Python floats, which
+    neither warn nor raise on the way."""
+    h2 = float(h) * float(h)
+    return 0.0 < h2 < np.inf and 1.0 / h2 < np.inf
+
+
 def _check_order(order: int) -> None:
     if order not in (1, 2):
         raise GridSizingError(f"derivative order must be 1 or 2, got {order}")

@@ -22,8 +22,8 @@ couplings moved to its right-hand side.  Both share one guard
 (_guarded_solve): a non-finite system or a pivot too small for its xi
 column raises LinearSolveError naming the eta row and xi column.
 BlockTridiag is the generic (nbatch, m, k, k) block solver the tests take
-as the reference; the march builds none, except one column's dense matrix
-to name a singular u1 row.
+as the reference; no solver path builds one, and the error path of each
+named solver names a singular row from its own band (_band_dense).
 Both routines, and the dgtsv of transform's spline inverse, come from
 scipy's f2py LAPACK module, loaded from its file: importing scipy.linalg
 instead would load some 330 more modules (its array-API layer, numpy.f2py
@@ -170,7 +170,7 @@ def _band_scale(ab: FloatArray) -> FloatArray:
 def _band_dense(ab: FloatArray, w: int) -> FloatArray:
     """The dense (n, n) matrix of a C-ordered band ab (n, 3 w + 1),
     A[i, j] = ab[j, 2 w + i - j], as _theta_q_band writes it; for the
-    error path."""
+    error paths of solve_u1 and solve_theta_q."""
     n = len(ab)
     i, j = np.indices((n, n))
     near = np.abs(i - j) <= w
@@ -294,8 +294,11 @@ def solve_u1(f00: FloatArray, b00: FloatArray, rhs: FloatArray,
         return x, u_diag, info
 
     def column(col):
-        return BlockTridiag(*(a[col:col + 1, :, None, None]
-                              for a in (L, D, U))).dense()[0]
+        ab = np.zeros((len(D[col]), 4))
+        ab[1:, 1] = U[col, :-1]
+        ab[:, 2] = D[col]
+        ab[:-1, 3] = L[col, 1:]
+        return _band_dense(ab, 1)
 
     return _guarded_solve(scale, rhs, 1, lapack, column).reshape(D.shape)
 

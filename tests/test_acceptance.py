@@ -84,10 +84,9 @@ def test_criterion_01_identity_suite():
         dv = rng.uniform(-2.0, 2.0, size=(n, 3))
         P_t, P_xi = rng.uniform(-1.0, 1.0, size=2)
 
-        A = coeffs.eval_advection(v, P, params)
-        B = coeffs.eval_diffusion(v, P, params)
-        f, F, g, G = coeffs.eval_lower_order(v, dv, P, P_t, P_xi, params)
-        S, SA, SB, SF = coeffs.eval_symmetrizer(v, dv, P, params)
+        m = coeffs.matrices(v, dv, P, P_t, P_xi, params)
+        A, B, f, F, g, G = (m[k] for k in ("A", "B", "f", "F", "g", "G"))
+        S, SA, SB, SF = (m[k] for k in ("S", "SA", "SB", "SF"))
 
         np.linalg.cholesky(S)                     # S SPD at every sample
         diag_closed = np.zeros_like(SB)

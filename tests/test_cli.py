@@ -540,12 +540,25 @@ def test_bad_grid_or_physics_value_exit_2(tmp_path, capsys, command, key,
     ({"dt": "0.02", "t_end": "0.05"}, "t_end must be a whole number of "
                                       "steps: t_end=0.05, dt=0.02 give 2.5 "
                                       "steps"),
+    ({"eta_max": "1e300"}, "eta_max must give an eta spacing h with h*h and "
+                           "1/(h*h) finite and nonzero, got eta_max=1e+300, "
+                           "h=4.35e+298"),
+    ({"eta_max": "1e-300"}, "eta_max must give an eta spacing h with h*h and "
+                            "1/(h*h) finite and nonzero, got eta_max=1e-300, "
+                            "h=4.35e-302"),
+    ({"y_max": "1e-300"}, "[initial] y_max must give a y spacing h with h*h "
+                          "and 1/(h*h) finite and nonzero, got y_max=1e-300, "
+                          "h=2.08e-302"),
 ], ids=["dt-nan", "t_end-inf", "eta_max-nan", "eta_max-inf", "y_max-nan",
-        "y_max-inf", "t_end-partial-step"])
+        "y_max-inf", "t_end-partial-step", "eta_max-huge", "eta_max-tiny",
+        "y_max-tiny"])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_or_partial_step_grid_exit_2(tmp_path, capsys, overrides,
                                                 message):
     # NaN passes a `<= 0` check and inf overflows the step count; a t_end
-    # between two steps would silently end the run at the nearer one
+    # between two steps would silently end the run at the nearer one; a
+    # spacing whose square overflows or underflows breaks the second
+    # differences (a traceback, numpy warnings or NaN residuals before)
     path, out_dir = write_config(tmp_path, **overrides)
     assert main(["simulate", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -608,7 +621,7 @@ ENTRY_POINTS = {
     "simulate": (config, "parse_config"),
     "check-outflow": (config, "parse_config"),
     "mms": (mms, "convergence_study"),
-    "check-identities": (coeffs, "eval_advection"),
+    "check-identities": (coeffs, "matrices"),
     "info": (snapshots, "read_snapshot"),
 }
 

@@ -13,15 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from mhbl import DegenerateStateError, Params
-from mhbl.coeffs import (
-    advection_radius,
-    eval_advection,
-    eval_diffusion,
-    eval_lower_order,
-    eval_symmetrizer,
-    frozen_entries,
-    operator,
-)
+from mhbl.coeffs import frozen_entries, matrices, operator
 from mhbl.fields import make_grid, sample_outflow
 from mhbl.mms import case_library
 
@@ -32,11 +24,17 @@ P0 = 1.0
 PARAMS1 = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.0, cV=1.0, delta=0.05)
 
 
+def dense(v, P, params, dv=(0.0, 0.0, 0.0), P_t=0.0, P_xi=0.0):
+    """matrices at v; the pressure derivatives and d_eta v default to zero,
+    which A, B and S do not read."""
+    return matrices(v, dv, P, P_t, P_xi, params)
+
+
 # ---------------------------------------------------------------------------
 # frozen hand values
 
 def test_advection_matrix_hand_value():
-    A = eval_advection(V0, P0, PARAMS1)
+    A = dense(V0, P0, PARAMS1)["A"]
     expected = np.array([
         [0.0, 0.0, -2.0],
         [0.5, 0.0, 0.0],
@@ -47,13 +45,14 @@ def test_advection_matrix_hand_value():
 
 def test_advection_eigenvalues_hand_value():
     # eigenvalues u1 and u1 +- sqrt(2 R theta q / Q) = 0, +-1 at V0
-    lam = np.sort(np.linalg.eigvals(eval_advection(V0, P0, PARAMS1)).real)
+    lam = np.sort(np.linalg.eigvals(dense(V0, P0, PARAMS1)["A"]).real)
     np.testing.assert_allclose(lam, [-1.0, 0.0, 1.0], atol=1e-14)
-    assert advection_radius(V0, P0, PARAMS1) == pytest.approx(1.0, abs=1e-15)
+    radius = frozen_entries(V0, np.zeros(3), P0, 0.0, 0.0, PARAMS1)["adv_radius"]
+    assert radius == pytest.approx(1.0, abs=1e-15)
 
 
 def test_diffusion_matrix_hand_value():
-    B = eval_diffusion(V0, P0, PARAMS1)
+    B = dense(V0, P0, PARAMS1)["B"]
     expected = np.array([
         [2.0, 0.0, 0.0],
         [0.0, 1.5, -0.5],
@@ -63,7 +62,8 @@ def test_diffusion_matrix_hand_value():
 
 
 def test_symmetrizer_hand_value():
-    S, _, SB, _ = eval_symmetrizer(V0, np.zeros(3), P0, PARAMS1)
+    m = dense(V0, P0, PARAMS1)
+    S, SB = m["S"], m["SB"]
     expected = np.array([
         [0.5, 0.0, 0.0],
         [0.0, 1.0, 1.0],
@@ -77,10 +77,9 @@ def test_symmetrizer_hand_value():
 def test_symmetrizer_product_oracle_at_reference_point():
     # multiply the independently coded factors and compare entry by entry
     dv = np.array([0.3, -0.2, 0.1])
-    A = eval_advection(V0, P0, PARAMS1)
-    B = eval_diffusion(V0, P0, PARAMS1)
-    f, F, g, G = eval_lower_order(V0, dv, P0, 0.0, 0.0, PARAMS1)
-    S, SA, SB, SF = eval_symmetrizer(V0, dv, P0, PARAMS1)
+    m = dense(V0, P0, PARAMS1, dv)
+    A, B, f, F, g, G = (m[k] for k in ("A", "B", "f", "F", "g", "G"))
+    S, SA, SB, SF = (m[k] for k in ("S", "SA", "SB", "SF"))
     np.testing.assert_allclose(S @ A, SA, atol=1e-14)
     np.testing.assert_allclose(S @ B, SB, atol=1e-14)
     np.testing.assert_allclose(S @ F, SF, atol=1e-14)
@@ -116,10 +115,9 @@ def test_identity_suite_random_samples():
     rng = np.random.default_rng(2024)
     for _ in range(8):   # 8 parameter draws x 250 states = 2000 samples
         v, dv, P, P_t, P_xi, params = random_admissible(rng, 250)
-        A = eval_advection(v, P, params)
-        B = eval_diffusion(v, P, params)
-        f, F, g, G = eval_lower_order(v, dv, P, P_t, P_xi, params)
-        S, SA, SB, SF = eval_symmetrizer(v, dv, P, params)
+        m = matrices(v, dv, P, P_t, P_xi, params)
+        A, B, f, F, g, G = (m[k] for k in ("A", "B", "f", "F", "g", "G"))
+        S, SA, SB, SF = (m[k] for k in ("S", "SA", "SB", "SF"))
 
         assert rel_err(S, np.swapaxes(S, -1, -2)) == 0.0
         np.linalg.cholesky(S)   # positive definite on the admissible set
@@ -173,12 +171,10 @@ def test_dense_matrices_are_the_named_entries_in_their_slots(case):
     entries = frozen_entries(v, dv, P, P_t, P_xi, params)
     assert set(entries) == {n for names in NONZERO.values() for n in names} | {
         "adv_radius"}
-    _, F, _, G = eval_lower_order(v, dv, P, P_t, P_xi, params)
-    dense = {"A": eval_advection(v, P, params), "B": eval_diffusion(v, P, params),
-             "F": F, "G": G}
+    m = matrices(v, dv, P, P_t, P_xi, params)
     slots = 0
     for matrix, names in NONZERO.items():
-        M = dense[matrix].copy()
+        M = m[matrix].copy()
         for name in names:
             at = [(i, i) for i in range(3)] if name == "u1" else [
                 (int(name[1]), int(name[2]))]
@@ -188,18 +184,15 @@ def test_dense_matrices_are_the_named_entries_in_their_slots(case):
                 slots += 1
         assert np.all(M == 0.0)   # the structural zeros are exact
     assert slots == 21
-    assert np.array_equal(entries["adv_radius"], advection_radius(v, P, params))
     for value in entries.values():
         assert value.shape == v.shape[:-1] and value.flags.c_contiguous
 
 
 def dense_operator(v, dxv, dev, d2ev, P, P_t, P_xi, params):
     """A d_xi v + f + g - B d_eta^2 v through the dense matrices."""
-    A = eval_advection(v, P, params)
-    B = eval_diffusion(v, P, params)
-    f, _, g, _ = eval_lower_order(v, dev, P, P_t, P_xi, params)
-    return (np.einsum("...ij,...j->...i", A, dxv) + f + g
-            - np.einsum("...ij,...j->...i", B, d2ev))
+    m = matrices(v, dev, P, P_t, P_xi, params)
+    return (np.einsum("...ij,...j->...i", m["A"], dxv) + m["f"] + m["g"]
+            - np.einsum("...ij,...j->...i", m["B"], d2ev))
 
 
 @pytest.mark.parametrize("nx,neta", [(8, 33), (64, 128)])
@@ -236,10 +229,9 @@ def test_operator_matches_dense_formulation_on_random_samples():
 @given(admissible_grids())
 def test_symmetrizer_identities_property(case):
     v, dv, P, P_t, P_xi, params = case
-    A = eval_advection(v, P, params)
-    B = eval_diffusion(v, P, params)
-    _, F, _, _ = eval_lower_order(v, dv, P, P_t, P_xi, params)
-    S, SA, SB, SF = eval_symmetrizer(v, dv, P, params)
+    m = matrices(v, dv, P, P_t, P_xi, params)
+    A, B, F = m["A"], m["B"], m["F"]
+    S, SA, SB, SF = (m[k] for k in ("S", "SA", "SB", "SF"))
     assert rel_err(S @ A, SA) < 1e-12
     assert rel_err(S @ B, SB) < 1e-12
     assert rel_err(S @ F, SF) < 1e-12
@@ -252,20 +244,20 @@ def test_u1_is_decoupled_in_the_implicit_eta_operator():
     for _ in range(4):
         v, dv, P, P_t, P_xi, params = random_admissible(rng, 250)
         assert np.all(P_t != 0.0) and np.all(P_xi != 0.0)
-        B = eval_diffusion(v, P, params)
-        _, F, _, _ = eval_lower_order(v, dv, P, P_t, P_xi, params)
+        m = matrices(v, dv, P, P_t, P_xi, params)
+        B, F = m["B"], m["F"]
         assert np.all(B[..., 0, 1:] == 0.0)
         assert np.all(B[..., 1:, 0] == 0.0)
         assert np.all(F[..., 0, 1:] == 0.0)
         assert np.all(F[..., 1:, 0] != 0.0)
 
 
-def test_advection_radius_matches_eigenvalue_oracle():
+def test_adv_radius_matches_eigenvalue_oracle():
     rng = np.random.default_rng(11)
     v, dv, P, P_t, P_xi, params = random_admissible(rng, 300)
-    A = eval_advection(v, P, params)
+    A = matrices(v, dv, P, P_t, P_xi, params)["A"]
     lam = np.max(np.abs(np.linalg.eigvals(A)), axis=-1)
-    closed = advection_radius(v, P, params)
+    closed = frozen_entries(v, dv, P, P_t, P_xi, params)["adv_radius"]
     np.testing.assert_allclose(closed, lam, rtol=1e-12, atol=1e-12)
 
 
@@ -276,12 +268,12 @@ def test_broadcasting_over_grids():
                   rng.uniform(0.5, 1.5, (4, 6)),
                   rng.uniform(0.2, 0.4, (4, 6))], axis=-1)
     P = rng.uniform(1.0, 2.0, (4, 1))
-    A = eval_advection(v, P, PARAMS1)
+    A = dense(v, P, PARAMS1)["A"]
     assert A.shape == (4, 6, 3, 3)
     for i in range(4):
         for j in range(6):
             np.testing.assert_allclose(
-                A[i, j], eval_advection(v[i, j], P[i, 0], PARAMS1), atol=1e-15)
+                A[i, j], dense(v[i, j], P[i, 0], PARAMS1)["A"], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +289,7 @@ def test_broadcasting_over_grids():
 ])
 def test_degenerate_states_raise(v, P):
     with pytest.raises(DegenerateStateError):
-        eval_advection(v, P, PARAMS1)
-    with pytest.raises(DegenerateStateError):
-        eval_diffusion(v, P, PARAMS1)
-    with pytest.raises(DegenerateStateError):
-        eval_lower_order(v, np.zeros(3), P, 0.0, 0.0, PARAMS1)
-    with pytest.raises(DegenerateStateError):
-        eval_symmetrizer(v, np.zeros(3), P, PARAMS1)
+        dense(v, P, PARAMS1)
     with pytest.raises(DegenerateStateError):
         operator(v, np.zeros(3), np.zeros(3), np.zeros(3), P, 0.0, 0.0, PARAMS1)
 
@@ -316,7 +302,7 @@ def test_degeneracy_error_names_the_first_node():
     with pytest.raises(DegenerateStateError,
                        match=r"^theta = -1\.000e\+00 fell below .* guard at "
                              r"eta row 3, xi column 2$"):
-        eval_advection(v, np.full((4, 1), 1.0), PARAMS1)
+        dense(v, np.full((4, 1), 1.0), PARAMS1)
 
 
 def test_degenerate_Q_raises():
@@ -324,9 +310,9 @@ def test_degenerate_Q_raises():
     params = Params(mu=1, kappa=1, nu=1, R=3.0, cV=1.0)   # a = 0.75
     v = np.array([0.0, 1.0, 2.0])
     with pytest.raises(DegenerateStateError):
-        eval_advection(v, 2.0 + 1e-15, params)
+        dense(v, 2.0 + 1e-15, params)
 
 
 def test_bad_state_shape_raises():
     with pytest.raises(DegenerateStateError):
-        eval_advection(np.zeros(4), 1.0, PARAMS1)
+        dense(np.zeros(4), 1.0, PARAMS1)

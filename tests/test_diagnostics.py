@@ -129,9 +129,8 @@ def test_energy_zero_iff_zero_and_matches_longhand():
     assert got > 0.0
 
     # longhand: loop over multi-indices and nodes
-    S, _, _, _ = coeffs.eval_symmetrizer(frozen.as_array(),
-                                         np.zeros((6, 12, 3)),
-                                         P_row[:, None], PARAMS)
+    S = coeffs.matrices(frozen.as_array(), np.zeros((6, 12, 3)),
+                        P_row[:, None], 0.0, 0.0, PARAMS)["S"]
     w = v.as_array() - vbar
     weights = grid.eta_weights()
     total = 0.0

@@ -169,10 +169,9 @@ def test_compatibility_matches_equation_on_interior():
     d2ev_exact[..., 0] = 2 * 0.01
     d2ev_exact[..., 1] = 2 * 0.02
     d2ev_exact[..., 2] = 2 * 0.005
-    B = coeffs.eval_diffusion(arr, P, PARAMS)
-    f, _, g, _ = coeffs.eval_lower_order(arr, dev, P, data.P_t[0][:, None],
-                                         data.P_xi[0][:, None], PARAMS)
-    expected = -f - g + np.einsum("xeij,xej->xei", B, d2ev_exact)
+    m = coeffs.matrices(arr, dev, P, data.P_t[0][:, None],
+                        data.P_xi[0][:, None], PARAMS)
+    expected = -m["f"] - m["g"] + np.einsum("xeij,xej->xei", m["B"], d2ev_exact)
 
     cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
     v1 = cs[1]

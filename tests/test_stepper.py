@@ -438,13 +438,11 @@ def test_step_is_affine_in_the_state():
 
 def dense_coeffs(v, outflow, P_t, P_xi, g, k=0):
     """A, B, F, G at a coefficient level v as dense (nx, neta, 3, 3) matrices
-    from coeffs.eval_*, the layout the stepper does not use."""
-    P = outflow.P[k][:, None]
+    from coeffs.matrices, the layout the stepper does not use."""
     dv = apply_derivative(v, g, axis="eta", order=1)
-    _, F, _, G = coeffs.eval_lower_order(v, dv, P, P_t[:, None], P_xi[:, None],
-                                         PARAMS)
-    return (coeffs.eval_advection(v, P, PARAMS),
-            coeffs.eval_diffusion(v, P, PARAMS), F, G)
+    m = coeffs.matrices(v, dv, outflow.P[k][:, None], P_t[:, None],
+                        P_xi[:, None], PARAMS)
+    return m["A"], m["B"], m["F"], m["G"]
 
 
 def coupled_step(v, dense, outflow, g, source):
@@ -843,28 +841,37 @@ def test_stepper_keeps_the_dense_coefficient_path_out_of_the_march():
     # the identity checks and the tests
     tree = ast.parse((SRC / "stepper.py").read_text())
     names = _names(tree)
-    assert [n for n in names if n == "einsum" or n.startswith("eval_")] == []
+    assert [n for n in names if n in ("einsum", "matrices")] == []
     # the step writes each implicit system straight from the entries into
-    # its named solver; the generic (nbatch, m, k, k) blocks stay out of it
-    [step] = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "_step_arrays"]
-    assert {"BlockTridiag", "_eta_weights"}.isdisjoint(_names(step))
-    assert {"solve_u1", "solve_theta_q"} <= set(_names(step))
+    # its named solver; the generic (nbatch, m, k, k) blocks stay out of it,
+    # and out of the solvers' error paths
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert {"BlockTridiag", "_eta_weights"}.isdisjoint(
+        _names(functions["_step_arrays"]))
+    assert {"solve_u1", "solve_theta_q"} <= set(
+        _names(functions["_step_arrays"]))
+    for name in ("solve_u1", "solve_theta_q"):
+        assert "BlockTridiag" not in _names(functions[name]), name
     assert "_eta_weights" not in names
 
 
 def test_production_code_takes_the_operator_off_the_dense_matrices():
-    # sources, compatibility derivatives, residuals and the Picard solve go
-    # through coeffs.operator, which reads the named entries; the dense
-    # eval_* matrices are left to the identity checks and the tests
-    dense = {"eval_advection", "eval_diffusion", "eval_lower_order"}
-    for name in ("mms.py", "diagnostics.py", "picard.py"):
-        tree = ast.parse((SRC / name).read_text())
-        assert dense.isdisjoint(_names(tree)), name
-    tree = ast.parse((SRC / "coeffs.py").read_text())
-    [op] = [node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "operator"]
-    assert (dense | {"einsum"}).isdisjoint(_names(op))
+    # sources, compatibility derivatives and residuals go through
+    # coeffs.operator, which reads the named entries; the dense view
+    # coeffs.matrices is left to the identity checks, the energy functional
+    # (which reads S) and the tests
+    def names_in(module, function):
+        [node] = [node for node in ast.parse((SRC / module).read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == function]
+        return _names(node)
+
+    for module, function in (("mms.py", "manufacture_source"),
+                             ("picard.py", "compatibility_derivatives"),
+                             ("diagnostics.py", "residual_transformed"),
+                             ("coeffs.py", "operator")):
+        assert "matrices" not in names_in(module, function), function
+    assert "einsum" not in names_in("coeffs.py", "operator")
 
 
 def test_lapack_is_imported_only_by_the_stepper():

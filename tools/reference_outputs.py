@@ -18,6 +18,11 @@ the import path) and writes into out_dir:
     outflow_demo.npy      outflow_consistency(...).fields of the demo's
                           outflow, and of travelling traces in
     outflow_travelling.npy  U, Theta, H, P and theta_star
+    identities.txt        the stdout of mhbl check-identities, then per
+                          k = 0, 1, 2 the energy_functional of NormSpec(k)
+                          as float.hex, on the demo's last transformed
+                          level (vbar = 0, frozen at that level, its
+                          outflow pressure row)
 
 Run it once in each of two checkouts, then compare with
 
@@ -46,7 +51,11 @@ import numpy as np  # noqa: E402
 
 from mhbl import cli, mms, picard  # noqa: E402
 from mhbl.config import parse_config  # noqa: E402
-from mhbl.diagnostics import outflow_consistency  # noqa: E402
+from mhbl.diagnostics import (  # noqa: E402
+    NormSpec,
+    energy_functional,
+    outflow_consistency,
+)
 from mhbl.fields import sample_outflow  # noqa: E402
 
 #: the grid of the benchmark's simulate_wide workload
@@ -78,19 +87,19 @@ def _simulate(text: str, name: str) -> None:
 
 
 @contextlib.contextmanager
-def _recording_reports(module):
-    """Collect the IterationReport of every picard_solve that module runs
-    through its attribute picard_solve."""
-    reports, real = [], module.picard_solve
+def _recording_runs(module):
+    """Collect the (Trajectory, IterationReport) of every picard_solve that
+    module runs through its attribute picard_solve."""
+    runs, real = [], module.picard_solve
 
     def recording(*args, **kwargs):
-        traj, report = real(*args, **kwargs)
-        reports.append(report)
-        return traj, report
+        run = real(*args, **kwargs)
+        runs.append(run)
+        return run
 
     module.picard_solve = recording
     try:
-        yield reports
+        yield runs
     finally:
         module.picard_solve = real
 
@@ -111,6 +120,24 @@ def _outflow_fields(text: str, path: str) -> None:
     np.save(path, outflow_consistency(outflow, cfg.make_params()).fields)
 
 
+def _identities(text: str, traj, path: str) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run_check_identities()
+    if code != 0:
+        raise SystemExit(f"check-identities exited {code}")
+    cfg = parse_config(text)
+    grid = cfg.make_grid()
+    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    level = traj.state(traj.nlevels - 1)
+    with open(path, "w") as fh:
+        fh.write(out.getvalue())
+        for k in range(3):
+            energy = energy_functional(level, 0.0, level, NormSpec(k), grid,
+                                       cfg.make_params(), outflow.P[-1])
+            fh.write(f"energy_functional {k} {float(energy).hex()}\n")
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -119,20 +146,21 @@ def main(argv) -> int:
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
 
-    with _recording_reports(picard) as reports:
+    with _recording_runs(picard) as runs:
         _simulate(demo, "demo")
+    [(traj, report)] = runs
     with open("report_demo.txt", "w") as fh:
-        _write_report(reports[0], fh)
+        _write_report(report, fh)
     wide = demo
     for key, value in WIDE.items():
         wide = _set_key(wide, key, str(value))
     _simulate(wide, "wide")
 
-    with _recording_reports(mms) as reports:
+    with _recording_runs(mms) as runs:
         result = mms.convergence_study(mms.case_library()["advection"],
                                        MMS_RESOLUTIONS, mode="spatial")
     with open("report_mms.txt", "w") as fh:
-        for (nx, neta), report in zip(MMS_RESOLUTIONS, reports, strict=True):
+        for (nx, neta), (_, report) in zip(MMS_RESOLUTIONS, runs, strict=True):
             fh.write(f"resolution {nx} {neta}\n")
             _write_report(report, fh)
     with open("mms_advection.txt", "w") as fh:
@@ -146,6 +174,7 @@ def main(argv) -> int:
     for key, value in TRAVELLING.items():
         travelling = _set_key(travelling, key, value)
     _outflow_fields(travelling, "outflow_travelling.npy")
+    _identities(demo, traj, "identities.txt")
     return 0
 
 
