@@ -42,7 +42,7 @@ _EXPORTS = {
                 "apply_derivative", "solve_linear_problem"),
     "transform": ("PhysicalState", "check_physical_constraints",
                   "initial_eta_map", "pullback_physical", "residual_original",
-                  "stream_from_h1"),
+                  "stream_from_h1", "time_differences"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

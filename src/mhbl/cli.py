@@ -138,7 +138,7 @@ def _simulate(config_text: str) -> int:
     from .picard import picard_solve
     from .snapshots import emit_plot_data, write_snapshot
     from .transform import (RESIDUAL_MIDDLE, RESIDUAL_OUTER, pullback_physical,
-                            residual_original)
+                            residual_original, time_differences)
 
     cfg = parse_config(config_text)
     params = cfg.make_params()
@@ -168,9 +168,15 @@ def _simulate(config_text: str) -> int:
     mid = nt // 2
     triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
     # one level at a time: pull back, write, and keep of a triple level only
-    # the fields residual_original reads, while the triple is incomplete
-    held, res_o = [], None
-    for k in sorted(set(levels) | set(triple)):
+    # the fields time_differences or residual_original reads.  The triple
+    # comes in the order mid - 1, mid + 1, mid, so its outer levels are
+    # reduced to their time differences before the middle one is pulled back
+    order = sorted(set(levels) | set(triple))
+    if triple:
+        i = order.index(mid)
+        order[i:i + 2] = [mid + 1, mid]
+    held, ddt, res_o = {}, None, None
+    for k in order:
         # d_t h1 pairs each level with an adjacent one: level 1 for level 0,
         # the level below otherwise
         prev = traj.state(1) if k == 0 else traj.state(k - 1)
@@ -182,11 +188,13 @@ def _simulate(config_text: str) -> int:
             write_snapshot(phys, os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
         if k in triple:
             reads = RESIDUAL_MIDDLE if k == mid else RESIDUAL_OUTER
-            held.append(SimpleNamespace(**{n: getattr(phys, n) for n in reads}))
+            held[k] = SimpleNamespace(**{n: getattr(phys, n) for n in reads})
         del phys
-        if len(held) == 3:
-            res_o = residual_original(held, outflow, params)
-            held.clear()
+        if k in triple and k == mid + 1:
+            ddt = time_differences(held.pop(mid - 1), held.pop(k),
+                                   traj.state(mid).time)
+        elif k in triple and k == mid:
+            res_o = residual_original(held.pop(k), ddt, outflow, params)
 
     res_t = residual_transformed(traj, outflow, params, grid)
     emit_plot_data(res_t, out_dir)

@@ -28,7 +28,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from .errors import ConfigError, GridSizingError, PositivityError
-from .fields import Grid, OutflowSpec, Params, make_grid
+from .fields import MAX_DOUBLES, Grid, OutflowSpec, Params, make_grid
 from .stencils import usable_spacing
 
 _SAFE_FUNCS: Dict[str, object] = {
@@ -250,6 +250,11 @@ def parse_config(text: str) -> RunConfig:
                                 ("output", "snapshot_every", 1)):
         if cfg.getint(section, key) < least:
             raise ConfigError(f"[{section}] {key} must be at least {least}")
+    size = cfg.getint("grid", "nx") * cfg.getint("initial", "ny")
+    if size > MAX_DOUBLES:
+        raise ConfigError(
+            f"[grid] nx and [initial] ny must give a physical field nx * ny "
+            f"of at most {MAX_DOUBLES} doubles, got {size:.3g}")
     y_max = cfg.getfloat("initial", "y_max")
     if not (np.isfinite(y_max) and y_max > 0.0):
         raise ConfigError(

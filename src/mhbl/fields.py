@@ -24,6 +24,11 @@ from .stencils import FloatArray, bounded_diff, periodic_diff, usable_spacing
 #: Hard floor used by coefficient evaluations before dividing.
 DENOM_GUARD = 1e-12
 
+#: The most doubles (16 GiB) one array of a run may hold: Grid checks its
+#: level stack against it, parse_config one physical field, before anything
+#: is allocated.
+MAX_DOUBLES = 2 ** 31
+
 
 def _frozen(a: object, dtype=np.float64) -> FloatArray:
     """A read-only, C-contiguous array of dtype holding the values of a.
@@ -77,7 +82,9 @@ class Grid:
     eta_max, dt and t_end must be finite and positive, the eta spacing
     usable by the stencils (stencils.usable_spacing), and t_end a whole
     number of steps (t_end/dt within 1e-9 relative of an integer); time
-    levels are k*dt for k = 0..nsteps with nsteps = round(t_end/dt).
+    levels are k*dt for k = 0..nsteps with nsteps = round(t_end/dt).  The
+    level stack, (nsteps + 1) * nx * neta * 3 doubles, may not exceed
+    MAX_DOUBLES.
     """
 
     nx: int
@@ -106,6 +113,13 @@ class Grid:
                 f"t_end must be at least one step: t_end={self.t_end}, dt={self.dt}"
             )
         steps = self.t_end / self.dt
+        # a float, so an overflowing step count is inf and refused here
+        stack = (steps + 1.0) * self.nx * self.neta * 3
+        if stack > MAX_DOUBLES:
+            raise GridSizingError(
+                f"nx, neta, dt and t_end must give a level stack "
+                f"(nsteps + 1) * nx * neta * 3 of at most {MAX_DOUBLES} "
+                f"doubles, got {stack:.3g}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise GridSizingError(
                 f"t_end must be a whole number of steps: t_end={self.t_end}, "

@@ -26,7 +26,7 @@ rho = (2 P - h1^2) / (2 R theta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -343,36 +343,55 @@ def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
     return float(np.max(np.abs(div))), float(np.max(np.abs(press)))
 
 
-#: the attributes residual_original reads of the outer states of its triple,
-#: and of the middle one
+#: the attributes time_differences reads of the outer states of a residual
+#: triple, and residual_original of the middle one
 RESIDUAL_OUTER = ("time", "u1", "theta", "h1")
 RESIDUAL_MIDDLE = RESIDUAL_OUTER + ("u2", "h2", "y_nodes")
 
 
-def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
-                      params: Params) -> "PhysicalResidualReport":
-    """Discrete residuals of the original system on three consecutive states.
+def time_differences(sm: PhysicalState, sp: PhysicalState,
+                     t0: float) -> Dict[str, Any]:
+    """Centred time differences at t0 of u1, theta and h1, from the states
+    one step before (sm) and after (sp) it, for residual_original.
 
-    states must be (t - dt, t, t + dt); all derivatives are second order
-    (centered in t and x, one-sided at the y ends) and the residuals are
-    evaluated at the middle time on interior y rows.  Returns max and L2
-    norms for the five evolution/constraint equations:
+    Returns {"time": t0, "u1": d_t u1, "theta": d_t theta, "h1": d_t h1},
+    each (sp.f - sm.f) / (2 dt) with dt = t0 - sm.time: bounded_diff's
+    interior stencil along t, in its order of operations, so equal to it
+    bit for bit.  Of sm and sp only the attributes RESIDUAL_OUTER lists are
+    read.  Raises MissingTimeLevelError unless sm.time < t0 < sp.time are
+    equispaced (within 1e-9 relative).
+    """
+    dt1 = t0 - sm.time
+    dt2 = sp.time - t0
+    if abs(dt1 - dt2) > 1e-9 * max(dt1, dt2, 1e-30) or dt1 <= 0:
+        raise MissingTimeLevelError("states must be equispaced in time")
+    return {"time": t0, **{name: (getattr(sp, name) - getattr(sm, name))
+                           / (2.0 * dt1) for name in RESIDUAL_OUTER[1:]}}
+
+
+def residual_original(s0: PhysicalState, ddt: Dict[str, Any],
+                      outflow: OutflowData,
+                      params: Params) -> "PhysicalResidualReport":
+    """Discrete residuals of the original system at the state s0.
+
+    ddt is time_differences(sm, sp, t0) of the states one step either side
+    of s0, and s0.time must be t0, or MissingTimeLevelError is raised.  All
+    derivatives are second order (centered in t and x, one-sided at the y
+    ends) and the residuals are evaluated on interior y rows.  Returns max
+    and L2 norms for the five evolution/constraint equations:
 
       0: tangential momentum      1: temperature      2: tangential field
       3: velocity divergence      4: magnetic divergence
 
-    Of the outer states only time, u1, theta and h1 are read
-    (RESIDUAL_OUTER), of the middle one also u2, h2 and y_nodes
-    (RESIDUAL_MIDDLE), so any objects with those attributes will do; rho is
-    never read.
+    Of s0 only the attributes RESIDUAL_MIDDLE lists are read, so any object
+    with those will do; rho is never read.  ddt is consumed: each difference
+    is taken out of it once its equation has used it, so that only "time"
+    is left.
     """
-    if len(states) != 3:
-        raise MissingTimeLevelError("residual_original needs three states")
-    sm, s0, sp = states
-    dt1 = s0.time - sm.time
-    dt2 = sp.time - s0.time
-    if abs(dt1 - dt2) > 1e-9 * max(dt1, dt2, 1e-30) or dt1 <= 0:
-        raise MissingTimeLevelError("states must be equispaced in time")
+    if s0.time != ddt["time"]:
+        raise MissingTimeLevelError(
+            f"time differences are at t={ddt['time']}, the state at "
+            f"t={s0.time}")
     y = np.asarray(s0.y_nodes)
     nx = s0.u1.shape[0]
     dx = 2.0 * np.pi / nx
@@ -386,11 +405,6 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
 
     def ddy2(f: FloatArray) -> FloatArray:
         return bounded_diff(f, dy, 1, 2)
-
-    def ddt(name: str) -> FloatArray:
-        # bounded_diff's interior stencil along t, in its order of
-        # operations, so equal to it bit for bit
-        return (getattr(sp, name) - getattr(sm, name)) / (2.0 * dt1)
 
     max_norm, l2_norm = np.empty(5), np.empty(5)
 
@@ -409,24 +423,25 @@ def residual_original(states: Sequence[PhysicalState], outflow: OutflowData,
 
     q = 0.5 * h1 ** 2
     Pmq, Q = pressure_factors(P, q, a)
-    tang_u = h1 * ddx(u1) + h2 * ddy(u1)
-    mat_P = P_t + P_x * u1
-    dissip = kappa * ddy2(th) + mu * ddy(u1) ** 2 + nu * ddy(h1) ** 2
 
     # one (nx, ny) residual at a time, reduced and dropped before the next
     # forms; a term that one equation uses (the material derivatives mat_*
-    # and tang_h) is formed inside it, a shared one dropped after its last
-    reduce(0, ddt("u1") + (u1 * ddx(u1) + u2 * ddy(u1))  # mat_u
+    # and tang_h) is formed inside it, the ones equations 1-3 share after
+    # equation 0, and a shared one is dropped after its last use
+    reduce(0, ddt.pop("u1") + (u1 * ddx(u1) + u2 * ddy(u1))  # mat_u
            - R * th / Pmq * (h1 * ddx(h1) + h2 * ddy(h1))  # tang_h
            + R * P_x * th / Pmq
            - mu * R * th / Pmq * ddy2(u1))
-    reduce(1, ddt("theta") + (u1 * ddx(th) + u2 * ddy(th))  # mat_th
+    tang_u = h1 * ddx(u1) + h2 * ddy(u1)
+    mat_P = P_t + P_x * u1
+    dissip = kappa * ddy2(th) + mu * ddy(u1) ** 2 + nu * ddy(h1) ** 2
+    reduce(1, ddt.pop("theta") + (u1 * ddx(th) + u2 * ddy(th))  # mat_th
            + a * th * h1 / Q * tang_u
            - a * mat_P * th / Q
            - a * th * (P + q) / (Q * Pmq) * dissip
            + a * nu * th * h1 / Q * ddy2(h1))
     del q
-    reduce(2, ddt("h1") + (u1 * ddx(h1) + u2 * ddy(h1))  # mat_h
+    reduce(2, ddt.pop("h1") + (u1 * ddx(h1) + u2 * ddy(h1))  # mat_h
            - Pmq / Q * tang_u
            - (1.0 - a) * mat_P * h1 / Q
            - nu * Pmq / Q * ddy2(h1)

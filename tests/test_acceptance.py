@@ -47,6 +47,7 @@ from mhbl.transform import (
     initial_eta_map,
     pullback_physical,
     residual_original,
+    time_differences,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -174,7 +175,9 @@ def test_criterion_03_exact_constant_fixed_point():
     for k in (1, 2, 3):
         states.append(pullback_physical(traj.state(k), data, params, grid, y,
                                         v_hat_prev=traj.state(k - 1)))
-    res_o = float(np.max(residual_original(states, data, params).max_norm))
+    ddt = time_differences(states[0], states[2], states[1].time)
+    res_o = float(np.max(residual_original(states[1], ddt, data,
+                                           params).max_norm))
     ps = states[1]
     const_dev = max(
         float(np.max(np.abs(ps.u1))), float(np.max(np.abs(ps.u2))),

@@ -29,7 +29,8 @@ from mhbl.cli import (
 from mhbl.config import parse_config
 from mhbl.snapshots import emit_plot_data, read_snapshot, write_snapshot
 from mhbl import stepper, transform
-from mhbl.transform import pullback_physical, residual_original
+from mhbl.transform import (pullback_physical, residual_original,
+                            time_differences)
 from mhbl import (DegenerateStateError, LinearSolveError, State, make_grid,
                   sample_outflow)
 
@@ -170,7 +171,9 @@ def test_simulate_residual_triple_pairs_adjacent_levels(tmp_path, monkeypatch):
                                 v_hat_prev=states[1 if k == 0 else k - 1])
               for k, s in enumerate(states)]
     expected_dir = tmp_path / "expected"
-    emit_plot_data(residual_original(triple, outflow, params), str(expected_dir))
+    ddt = time_differences(triple[0], triple[2], triple[1].time)
+    emit_plot_data(residual_original(triple[1], ddt, outflow, params),
+                   str(expected_dir))
     assert ((out_dir / "physical_residuals" / "residuals.csv").read_text()
             == (expected_dir / "residuals.csv").read_text())
 
@@ -212,7 +215,9 @@ def test_simulate_residual_triple_off_the_snapshot_levels(tmp_path,
     triple = [pullback_physical(hats[k], outflow, params, grid, y,
                                 v_hat_prev=hats[k - 1]) for k in (2, 3, 4)]
     expected_dir = tmp_path / "expected"
-    emit_plot_data(residual_original(triple, outflow, params), str(expected_dir))
+    ddt = time_differences(triple[0], triple[2], triple[1].time)
+    emit_plot_data(residual_original(triple[1], ddt, outflow, params),
+                   str(expected_dir))
     assert ((out_dir / "physical_residuals" / "residuals.csv").read_text()
             == (expected_dir / "residuals.csv").read_text())
 
@@ -235,20 +240,22 @@ def test_simulate_peak_memory_does_not_grow_with_levels(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 6 * nx * ny * 8
 
 
-def test_simulate_peak_stays_below_5_physical_levels(tmp_path):
+def test_simulate_peak_stays_below_3_5_physical_levels(tmp_path):
     # the grid above at 5 time levels.  The pullback hands its fresh arrays
     # to PhysicalState without a copy, the residual triple keeps only the
-    # fields residual_original reads (3 of each outer level, 5 of the
-    # middle one) and the residual drops each term after its last use:
-    # 4.15 levels, against 6.08 when every field was copied, whole triple
-    # levels were held and all residual terms lived at once
+    # fields time_differences and residual_original read (3 of each outer
+    # level, 5 of the middle one), the outer levels are reduced to their 3
+    # time differences before the middle one is pulled back, and the
+    # residual drops each term after its last use: 3.22 levels, against
+    # 4.14 when the whole triple was held through the residual and 6.08
+    # when every field was copied and all residual terms lived at once
     nx, ny = 64, 256
     text = write_config(tmp_path, nx=str(nx), neta="16", ny=str(ny),
                         t_end="0.04")[0].read_text()
     assert cli.run_simulate(text) == EXIT_OK  # every lazy import done
     code, peak = traced_peak(cli.run_simulate, text)
     assert code == EXIT_OK
-    assert peak / (6 * nx * ny * 8) < 5.0
+    assert peak / (6 * nx * ny * 8) < 3.5
 
 
 def test_simulate_config_error_exit_2(tmp_path, capsys):
@@ -549,18 +556,34 @@ def test_bad_grid_or_physics_value_exit_2(tmp_path, capsys, command, key,
     ({"y_max": "1e-300"}, "[initial] y_max must give a y spacing h with h*h "
                           "and 1/(h*h) finite and nonzero, got y_max=1e-300, "
                           "h=2.08e-302"),
+    ({"dt": "1e-300"}, "nx, neta, dt and t_end must give a level stack "
+                       "(nsteps + 1) * nx * neta * 3 of at most 2147483648 "
+                       "doubles, got 1.73e+301"),
+    ({"t_end": "1e300"}, "nx, neta, dt and t_end must give a level stack "
+                         "(nsteps + 1) * nx * neta * 3 of at most 2147483648 "
+                         "doubles, got 5.76e+304"),
+    ({"nx": "100000000"}, "nx, neta, dt and t_end must give a level stack "
+                          "(nsteps + 1) * nx * neta * 3 of at most "
+                          "2147483648 doubles, got 2.88e+10"),
+    ({"ny": "1000000000"}, "[grid] nx and [initial] ny must give a physical "
+                           "field nx * ny of at most 2147483648 doubles, got "
+                           "8e+09"),
 ], ids=["dt-nan", "t_end-inf", "eta_max-nan", "eta_max-inf", "y_max-nan",
         "y_max-inf", "t_end-partial-step", "eta_max-huge", "eta_max-tiny",
-        "y_max-tiny"])
+        "y_max-tiny", "dt-tiny", "t_end-huge", "nx-huge", "ny-huge"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_or_partial_step_grid_exit_2(tmp_path, capsys, overrides,
                                                 message):
     # NaN passes a `<= 0` check and inf overflows the step count; a t_end
     # between two steps would silently end the run at the nearer one; a
     # spacing whose square overflows or underflows breaks the second
-    # differences (a traceback, numpy warnings or NaN residuals before)
+    # differences (a traceback, numpy warnings or NaN residuals before); a
+    # level stack or physical field above the cap is refused before it is
+    # allocated (a traceback from np.arange or a GiB-sized allocation before)
     path, out_dir = write_config(tmp_path, **overrides)
-    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    code, peak = traced_peak(main, ["simulate", str(path)])
+    assert code == EXIT_CONFIG
+    assert peak < 2 ** 24
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"
     assert not out_dir.exists()

@@ -40,6 +40,7 @@ from mhbl.transform import (
     pullback_physical,
     residual_original,
     stream_from_h1,
+    time_differences,
 )
 
 PARAMS = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.0, cV=1.0, delta=0.05)
@@ -400,8 +401,9 @@ def test_residual_original_vanishes_on_constants():
     grid = make_grid(8, 16, 4.0, 0.01, 0.05)
     data = outflow_on(grid, P=1.5)
     y = np.linspace(0.0, 3.0, 25)
-    states = [constant_physical(grid, y, k * grid.dt) for k in range(3)]
-    rep = residual_original(states, data, PARAMS)
+    sm, s0, sp = [constant_physical(grid, y, k * grid.dt) for k in range(3)]
+    rep = residual_original(s0, time_differences(sm, sp, s0.time), data,
+                            PARAMS)
     assert rep.time == pytest.approx(grid.dt)
     assert np.all(rep.max_norm <= 1e-12)
     assert np.all(rep.l2_norm <= 1e-12)
@@ -414,9 +416,12 @@ def test_residual_original_validates_time_levels():
     y = np.linspace(0.0, 3.0, 25)
     s = [constant_physical(grid, y, t) for t in (0.0, grid.dt, 3 * grid.dt)]
     with pytest.raises(MissingTimeLevelError):
-        residual_original(s, data, PARAMS)          # not equispaced
+        time_differences(s[0], s[2], s[1].time)     # not equispaced
     with pytest.raises(MissingTimeLevelError):
-        residual_original(s[:2], data, PARAMS)      # needs three states
+        time_differences(s[1], s[0], 0.5 * grid.dt)  # dt1 <= 0
+    ddt = time_differences(s[0], s[1], 0.5 * grid.dt)
+    with pytest.raises(MissingTimeLevelError):
+        residual_original(s[1], ddt, data, PARAMS)  # middle state elsewhere
 
 
 def test_residual_original_flags_wrong_field():
@@ -431,13 +436,16 @@ def test_residual_original_flags_wrong_field():
         states.append(PhysicalState(rho=base.rho, u1=base.u1, u2=base.u2,
                                     theta=base.theta, h1=base.h1, h2=h2,
                                     y_nodes=y, time=base.time))
-    rep = residual_original(states, data, PARAMS)
+    sm, s0, sp = states
+    rep = residual_original(s0, time_differences(sm, sp, s0.time), data,
+                            PARAMS)
     assert rep.max_norm[4] == pytest.approx(0.1, rel=1e-10)
 
 
 def test_residual_original_reads_only_the_listed_fields():
     # what the cli holds of a residual triple: time, u1, theta and h1 of the
-    # outer levels, and also u2, h2 and y_nodes of the middle one
+    # outer levels (read by time_differences), and also u2, h2 and y_nodes
+    # of the middle one (read by residual_original)
     from types import SimpleNamespace
 
     grid = make_grid(16, 48, 6.0, 0.01, 0.05)
@@ -449,8 +457,12 @@ def test_residual_original_reads_only_the_listed_fields():
     held = [SimpleNamespace(**{n: getattr(ps, n) for n in reads})
             for ps, reads in zip(full, (RESIDUAL_OUTER, RESIDUAL_MIDDLE,
                                         RESIDUAL_OUTER))]
-    want = residual_original(full, data, PARAMS)
-    got = residual_original(held, data, PARAMS)
+    want = residual_original(full[1], time_differences(full[0], full[2],
+                                                       full[1].time),
+                             data, PARAMS)
+    got = residual_original(held[1], time_differences(held[0], held[2],
+                                                      held[1].time),
+                            data, PARAMS)
     assert got.time == want.time
     assert got.max_norm.tobytes() == want.max_norm.tobytes()
     assert got.l2_norm.tobytes() == want.l2_norm.tobytes()
