@@ -71,7 +71,9 @@ def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):
             raise DegenerateStateError(
                 f"{name} = {float(np.min(arr)):.3e} fell below the "
                 f"{DENOM_GUARD:g} degeneracy guard{_at(~(arr >= DENOM_GUARD))}")
-    return P + q, Pmq, Q, Q * Pmq
+    with np.errstate(over="ignore"):  # Q (P - q) = inf only divides
+        QPmq = Q * Pmq
+    return P + q, Pmq, Q, QPmq
 
 
 def _dense(shape, entries: dict) -> FloatArray:

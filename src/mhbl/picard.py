@@ -194,7 +194,8 @@ class _Measure:
     approximation), as solve_linear_problem's measure argument; result()
     returns the IterateRecord.  A NaN anywhere in a level makes the distance
     and the norm NaN; in theta or q it also fails admissibility and makes
-    the margin NaN.
+    the margin NaN.  A distance or norm that overflows is inf, and no
+    warning is raised for it.
     """
 
     def __init__(self, background: Background, params: Params, grid: Grid):
@@ -205,26 +206,29 @@ class _Measure:
         self.violation: Optional[Tuple[int, int, int]] = None
 
     def __call__(self, k: int, v: FloatArray, old: Optional[FloatArray]) -> None:
-        if old is not None:
-            # (v - old) ** 2 * w in place, summed over the interleaved level
-            d = v - old
-            d **= 2
-            d *= self.w
-            self.dists.append(np.sqrt(np.sum(d) * self.grid.dxi))
-            del d
-        # the admissibility check reads the theta and q planes, then the
-        # planes become v - vbar in place
-        planes = _planes(v)
-        rep = admissibility(planes[1], planes[2],
-                            self.background.outflow.P[k][:, None], self.params,
-                            self.params.delta)
-        if self.violation is None and not rep.ok:
-            self.violation = (k,) + rep.first_violation
-        self.minima.append(np.min([rep.min_theta, rep.min_q, rep.min_P_minus_q]))
-        self.Q_minima.append(rep.min_Q)
-        planes -= self.background.components(k)
-        comp = discrete_norm(planes, self.spec, self.grid)
-        self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
+        with np.errstate(over="ignore"):  # an overflow is inf, unwarned
+            if old is not None:
+                # (v - old) ** 2 * w in place, summed over the interleaved
+                # level
+                d = v - old
+                d **= 2
+                d *= self.w
+                self.dists.append(np.sqrt(np.sum(d) * self.grid.dxi))
+                del d
+            # the admissibility check reads the theta and q planes, then the
+            # planes become v - vbar in place
+            planes = _planes(v)
+            rep = admissibility(planes[1], planes[2],
+                                self.background.outflow.P[k][:, None],
+                                self.params, self.params.delta)
+            if self.violation is None and not rep.ok:
+                self.violation = (k,) + rep.first_violation
+            self.minima.append(np.min([rep.min_theta, rep.min_q,
+                                       rep.min_P_minus_q]))
+            self.Q_minima.append(rep.min_Q)
+            planes -= self.background.components(k)
+            comp = discrete_norm(planes, self.spec, self.grid)
+            self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
 
     def result(self) -> IterateRecord:
         # np.max and np.min, not the builtins: they drop a NaN that is not first

@@ -38,6 +38,28 @@ from .stencils import bounded_diff, periodic_diff
 from .stepper import apply_derivative, dgtsv
 
 
+#: xi rows per block: stream_from_h1, pullback_physical and
+#: residual_original do their row-local work one block of rows at a time, so
+#: that only their results are held at the size of a whole physical level
+BLOCK_ROWS = 64
+
+
+def _blocks(nx: int):
+    """The row slices of consecutive blocks of BLOCK_ROWS rows covering
+    range(nx); the last one may be shorter."""
+    return (slice(start, min(start + BLOCK_ROWS, nx))
+            for start in range(0, nx, BLOCK_ROWS))
+
+
+def _ddx_rows(f: FloatArray, rows: slice, h: float) -> FloatArray:
+    """periodic_diff of f along axis 0 (spacing h) on the given rows, from
+    those rows and one wrap row on each side: the same bits as the rows of
+    periodic_diff(f, h, 0, 1)."""
+    halo = np.take(f, np.arange(rows.start - 1, rows.stop + 1), axis=0,
+                   mode="wrap")
+    return periodic_diff(halo, h, 0, 1)[1:-1]
+
+
 @dataclass(frozen=True)
 class PhysicalState:
     """Physical fields on the (x, y) grid at one time.
@@ -139,7 +161,8 @@ def stream_from_h1(h1_hat: FloatArray, grid: Grid, y_nodes: FloatArray,
     second order.  Each row where the spline overshoots monotonicity
     (possible for rough h1_hat) falls back to the shape-preserving pchip
     inverse.  Both fits reproduce linear tables exactly, so constant h1_hat
-    rows round-trip to rounding.
+    rows round-trip to rounding.  The rows are inverted one block of
+    BLOCK_ROWS at a time, straight into psi.
     """
     h1_hat = np.asarray(h1_hat, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
@@ -152,11 +175,14 @@ def stream_from_h1(h1_hat: FloatArray, grid: Grid, y_nodes: FloatArray,
             f"h1 must stay finite and >= delta = {delta}; "
             f"min = {lo:.6g}, max = {hi:.6g}")
     y_of_eta = _cumtrapz(1.0 / h1_hat, grid.eta)
-    psi = _spline_inverse(y_of_eta, grid.eta, y_nodes)
-    np.copyto(psi, grid.eta_max, where=np.isnan(psi))  # beyond y(eta_max)
-    for i in np.flatnonzero(np.any(np.diff(psi, axis=1) < 0.0, axis=1)):
-        row = _pchip_row(y_of_eta[i], grid.eta, y_nodes)
-        psi[i] = np.where(np.isnan(row), grid.eta_max, row)
+    psi = np.empty((grid.nx, y_nodes.size))
+    for rows in _blocks(grid.nx):
+        block, table = psi[rows], y_of_eta[rows]
+        _spline_inverse(table, grid.eta, y_nodes, out=block)
+        np.copyto(block, grid.eta_max, where=np.isnan(block))  # beyond y(eta_max)
+        for i in np.flatnonzero(np.any(np.diff(block, axis=1) < 0.0, axis=1)):
+            row = _pchip_row(table[i], grid.eta, y_nodes)
+            block[i] = np.where(np.isnan(row), grid.eta_max, row)
     return psi
 
 
@@ -172,11 +198,12 @@ def _pchip_row(table_row: FloatArray, eta: FloatArray,
     return PchipInterpolator(table_row, eta, extrapolate=False)(y)
 
 
-def _spline_inverse(table: FloatArray, eta: FloatArray,
-                    y: FloatArray) -> FloatArray:
+def _spline_inverse(table: FloatArray, eta: FloatArray, y: FloatArray,
+                    out: Optional[FloatArray] = None) -> FloatArray:
     """Evaluate at y the not-a-knot cubic spline through the points
     (table[i, k], eta[k]) of every row i; NaN beyond table[i, -1], and
-    queries below table[i, 0] extend the first piece.
+    queries below table[i, 0] extend the first piece.  The values go into
+    out, of shape (rows, y.size), when it is given.
 
     Rows need at least 4 strictly increasing knots.  The arithmetic is that
     of scipy's CubicSpline (n >= 4) and PPoly evaluation, in the same order,
@@ -231,11 +258,16 @@ def _spline_inverse(table: FloatArray, eta: FloatArray,
     reached = np.searchsorted(y, table[:, 1:-1]) + (ny + 1) * rows
     reached_at = np.bincount(reached.ravel(), minlength=nx * (ny + 1))
     j = np.cumsum(reached_at.reshape(nx, ny + 1)[:, :ny], axis=1)
+    del reached_at
     piece = j + (n - 1) * rows  # flat index into (nx, n - 1) arrays
     h = y - np.take(table[:, :-1], piece)
-    value = ((np.take(eta, j) + np.take(c2, piece) * h)
-             + np.take(c1, piece) * (h * h) + np.take(c0, piece) * (h * h * h))
-    return np.where(y > table[:, -1:], np.nan, value)
+    # ((eta_j + c2 h) + c1 h^2) + c0 h^3, summed in out term by term
+    out = np.add(np.take(eta, j), np.take(c2, piece) * h, out=out)
+    del j
+    out += np.take(c1, piece) * (h * h)
+    out += np.take(c0, piece) * (h * h * h)
+    np.copyto(out, np.nan, where=y > table[:, -1:])
+    return out
 
 
 def _locate_in_eta(eta: FloatArray,
@@ -254,13 +286,16 @@ def _locate_in_eta(eta: FloatArray,
 
 
 def _interp_at_psi(field_hat: FloatArray, eta: FloatArray,
-                   located: Tuple[np.ndarray, FloatArray]) -> FloatArray:
+                   located: Tuple[np.ndarray, FloatArray],
+                   out: Optional[FloatArray] = None) -> FloatArray:
     """Row i of the result is np.interp(psi[i], eta, field_hat[i]), with psi
-    located once by _locate_in_eta for every field."""
+    located once by _locate_in_eta for every field; written into out when
+    it is given."""
     flat, offset = located
     slope = np.zeros(field_hat.shape)  # zero at the last node: offset is 0 there
     np.divide(np.diff(field_hat, axis=1), np.diff(eta), out=slope[:, :-1])
-    return np.take(slope, flat) * offset + np.take(field_hat, flat)
+    return np.add(np.take(slope, flat) * offset, np.take(field_hat, flat),
+                  out=out)
 
 
 def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
@@ -285,13 +320,7 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     h1_prev = np.sqrt(2.0 * v_hat_prev.q)
     psi = stream_from_h1(h1_hat, grid, y_nodes, params.delta)
     eta_nodes = grid.eta
-    h1 = bounded_diff(psi, y_nodes[1] - y_nodes[0], 1, 1)
-    h2 = -periodic_diff(psi, grid.dxi, 0, 1)
-    at_psi = _locate_in_eta(eta_nodes, psi)
-    del psi
-
-    u1 = _interp_at_psi(v_hat.u1, eta_nodes, at_psi)
-    theta = _interp_at_psi(v_hat.theta, eta_nodes, at_psi)
+    dy = y_nodes[1] - y_nodes[0]
 
     # closed-form stream-function derivatives, evaluated on the eta grid and
     # composed with psi
@@ -300,32 +329,55 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
     dxh1 = apply_derivative(h1_hat, grid, axis="xi", order=1)
     I_x = _cumtrapz(dxh1 / h1_hat ** 2, eta_nodes)
     deta_h1 = apply_derivative(h1_hat, grid, axis="eta", order=1)
-    h1_at_psi = _interp_at_psi(h1_hat, eta_nodes, at_psi)
-
-    # u2 = -(dt_psi + u1 dx_psi - nu dyy_psi) / h1_at_psi, formed in one
-    # buffer; each product and sum has the operands of that expression, in
-    # swapped order where commutative, so the result is the same bit for bit
-    u2 = _interp_at_psi(I_x, eta_nodes, at_psi)
-    u2 *= h1_at_psi  # dx_psi
-    u2 *= u1
-    dt_psi = _interp_at_psi(I_t, eta_nodes, at_psi)
-    dt_psi *= h1_at_psi
-    u2 += dt_psi
-    del dt_psi
-    dyy_psi = _interp_at_psi(h1_hat * deta_h1, eta_nodes, at_psi)
-    del at_psi
-    dyy_psi *= params.nu
-    u2 -= dyy_psi
-    del dyy_psi
-    np.negative(u2, out=u2)
-    u2 /= h1_at_psi
-    del h1_at_psi
+    h1_deta_h1 = h1_hat * deta_h1
 
     k = outflow.time_index(v_hat.time)
     P = outflow.P[k][:, None]
-    rho = (2.0 * P - h1 ** 2) / (2.0 * params.R * theta)
+    # h2 = -d_x psi first, as it reads the neighbours of a block; then each
+    # block of psi is read only by itself, so psi's rows turn into h1's once
+    # located.  Each block's last operation writes into its rows of the
+    # outputs.
+    made = {"h2": np.empty_like(psi)}
+    for rows in _blocks(grid.nx):
+        np.negative(_ddx_rows(psi, rows, grid.dxi), out=made["h2"][rows])
+    made.update((name, np.empty_like(psi)) for name in ("u1", "u2", "theta"))
+    for rows in _blocks(grid.nx):
+        u1, u2, theta = (made[name][rows] for name in ("u1", "u2", "theta"))
+        at_psi = _locate_in_eta(eta_nodes, psi[rows])
+        psi[rows] = bounded_diff(psi[rows], dy, 1, 1)  # h1
+        _interp_at_psi(v_hat.u1[rows], eta_nodes, at_psi, out=u1)
+        _interp_at_psi(v_hat.theta[rows], eta_nodes, at_psi, out=theta)
+        h1_at_psi = _interp_at_psi(h1_hat[rows], eta_nodes, at_psi)
 
-    made = dict(rho=rho, u1=u1, u2=u2, theta=theta, h1=h1, h2=h2)
+        # u2 = -(dt_psi + u1 dx_psi - nu dyy_psi) / h1_at_psi, formed in its
+        # output; each product and sum has the operands of that expression,
+        # in swapped order where commutative, so the result is the same bit
+        # for bit
+        _interp_at_psi(I_x[rows], eta_nodes, at_psi, out=u2)
+        u2 *= h1_at_psi  # dx_psi
+        u2 *= u1
+        dt_psi = _interp_at_psi(I_t[rows], eta_nodes, at_psi)
+        dt_psi *= h1_at_psi
+        u2 += dt_psi
+        del dt_psi
+        dyy_psi = _interp_at_psi(h1_deta_h1[rows], eta_nodes, at_psi)
+        del at_psi
+        dyy_psi *= params.nu
+        u2 -= dyy_psi
+        del dyy_psi
+        np.negative(u2, out=u2)
+        u2 /= h1_at_psi
+        del h1_at_psi
+
+    made["h1"] = psi
+    del psi
+    # rho = (2 P - h1^2) / (2 R theta)
+    made["rho"] = np.empty_like(made["h1"])
+    for rows in _blocks(grid.nx):
+        rho = made["rho"][rows]
+        np.square(made["h1"][rows], out=rho)
+        np.subtract(2.0 * P[rows], rho, out=rho)
+        rho /= 2.0 * params.R * made["theta"][rows]
     for a in made.values():  # fresh arrays: PhysicalState adopts them
         a.setflags(write=False)
     return PhysicalState(**made, y_nodes=y_nodes, time=v_hat.time)
@@ -385,20 +437,21 @@ def residual_original(s0: PhysicalState, ddt: Dict[str, Any],
 
     Of s0 only the attributes RESIDUAL_MIDDLE lists are read, so any object
     with those will do; rho is never read.  ddt is consumed: each difference
-    is taken out of it once its equation has used it, so that only "time"
-    is left.
+    becomes its equation's residual, in place, and is then taken out of it,
+    so that only "time" is left.  The work runs one block of BLOCK_ROWS
+    rows at a time.
     """
     if s0.time != ddt["time"]:
         raise MissingTimeLevelError(
             f"time differences are at t={ddt['time']}, the state at "
             f"t={s0.time}")
     y = np.asarray(s0.y_nodes)
-    nx = s0.u1.shape[0]
+    nx, ny = s0.u1.shape
     dx = 2.0 * np.pi / nx
     dy = y[1] - y[0]
 
-    def ddx(f: FloatArray) -> FloatArray:
-        return periodic_diff(f, dx, 0, 1)
+    def ddx(f: FloatArray, rows: slice) -> FloatArray:
+        return _ddx_rows(f, rows, dx)
 
     def ddy(f: FloatArray) -> FloatArray:
         return bounded_diff(f, dy, 1, 1)
@@ -421,38 +474,75 @@ def residual_original(s0: PhysicalState, ddt: Dict[str, Any],
     a, R = params.a, params.R
     mu, kappa, nu = params.mu, params.kappa, params.nu
 
-    q = 0.5 * h1 ** 2
-    Pmq, Q = pressure_factors(P, q, a)
+    def shared(r: slice):
+        """q, P - q, Q and the terms equations 1-3 share, on the rows r."""
+        q = 0.5 * h1[r] ** 2
+        Pmq, Q = pressure_factors(P[r], q, a)
+        tang_u = h1[r] * ddx(u1, r) + h2[r] * ddy(u1[r])
+        mat_P = P_t[r] + P_x[r] * u1[r]
+        dissip = (kappa * ddy2(th[r]) + mu * ddy(u1[r]) ** 2
+                  + nu * ddy(h1[r]) ** 2)
+        return q, Pmq, Q, tang_u, mat_P, dissip
 
-    # one (nx, ny) residual at a time, reduced and dropped before the next
-    # forms; a term that one equation uses (the material derivatives mat_*
-    # and tang_h) is formed inside it, the ones equations 1-3 share after
-    # equation 0, and a shared one is dropped after its last use
-    reduce(0, ddt.pop("u1") + (u1 * ddx(u1) + u2 * ddy(u1))  # mat_u
-           - R * th / Pmq * (h1 * ddx(h1) + h2 * ddy(h1))  # tang_h
-           + R * P_x * th / Pmq
-           - mu * R * th / Pmq * ddy2(u1))
-    tang_u = h1 * ddx(u1) + h2 * ddy(u1)
-    mat_P = P_t + P_x * u1
-    dissip = kappa * ddy2(th) + mu * ddy(u1) ** 2 + nu * ddy(h1) ** 2
-    reduce(1, ddt.pop("theta") + (u1 * ddx(th) + u2 * ddy(th))  # mat_th
-           + a * th * h1 / Q * tang_u
-           - a * mat_P * th / Q
-           - a * th * (P + q) / (Q * Pmq) * dissip
-           + a * nu * th * h1 / Q * ddy2(h1))
-    del q
-    reduce(2, ddt.pop("h1") + (u1 * ddx(h1) + u2 * ddy(h1))  # mat_h
-           - Pmq / Q * tang_u
-           - (1.0 - a) * mat_P * h1 / Q
-           - nu * Pmq / Q * ddy2(h1)
-           + a * h1 / Q * dissip)
-    del Pmq
-    reduce(3, ddx(u1) + ddy(u2)
-           - (1.0 - a) * h1 / Q * (tang_u + nu * ddy2(h1))
-           + (1.0 - a) * mat_P / Q
-           - a / Q * dissip)
-    del Q, tang_u, mat_P, dissip
-    reduce(4, ddx(h1) + ddy(h2))
+    # Each (nx, ny) residual is summed up one block of rows at a time, term
+    # by term in the order of its expression, and then reduced whole (a
+    # blocked L2 sum would change its bits).  Equations 0-2 are summed into
+    # the time difference each starts from, which is dropped once reduced.
+    # The terms equations 1-3 share are formed per block, once for 1-2 and
+    # again for 3, so that no whole-level copy of them is held; each block's
+    # temporaries go when its function returns.
+    def momentum(r: slice) -> None:
+        Pmq = pressure_factors(P[r], 0.5 * h1[r] ** 2, a)[0]
+        acc = ddt["u1"][r]
+        acc += u1[r] * ddx(u1, r) + u2[r] * ddy(u1[r])  # mat_u
+        acc -= R * th[r] / Pmq * (h1[r] * ddx(h1, r)
+                                  + h2[r] * ddy(h1[r]))  # tang_h
+        acc += R * P_x[r] * th[r] / Pmq
+        acc -= mu * R * th[r] / Pmq * ddy2(u1[r])
+
+    def temperature_and_field(r: slice) -> None:
+        q, Pmq, Q, tang_u, mat_P, dissip = shared(r)
+        c_dissip = a * th[r] * (P[r] + q)  # / (Q (P - q))
+        del q
+        with np.errstate(over="ignore"):  # Q (P - q) = inf only divides
+            QPmq = Q * Pmq
+        c_dissip /= QPmq
+        del QPmq
+        acc = ddt["theta"][r]
+        acc += u1[r] * ddx(th, r) + u2[r] * ddy(th[r])  # mat_th
+        acc += a * th[r] * h1[r] / Q * tang_u
+        acc -= a * mat_P * th[r] / Q
+        acc -= c_dissip * dissip
+        del c_dissip
+        acc += a * nu * th[r] * h1[r] / Q * ddy2(h1[r])
+        acc = ddt["h1"][r]
+        acc += u1[r] * ddx(h1, r) + u2[r] * ddy(h1[r])  # mat_h
+        acc -= Pmq / Q * tang_u
+        acc -= (1.0 - a) * mat_P * h1[r] / Q
+        acc -= nu * Pmq / Q * ddy2(h1[r])
+        acc += a * h1[r] / Q * dissip
+
+    def velocity_divergence(r: slice, acc: FloatArray) -> None:
+        _, _, Q, tang_u, mat_P, dissip = shared(r)
+        np.add(ddx(u1, r), ddy(u2[r]), out=acc)
+        acc -= (1.0 - a) * h1[r] / Q * (tang_u + nu * ddy2(h1[r]))
+        acc += (1.0 - a) * mat_P / Q
+        acc -= a / Q * dissip
+
+    for r in _blocks(nx):
+        momentum(r)
+    reduce(0, ddt.pop("u1"))
+    for r in _blocks(nx):
+        temperature_and_field(r)
+    reduce(1, ddt.pop("theta"))
+    reduce(2, ddt.pop("h1"))
+    res = np.empty((nx, ny))  # equation 3, then equation 4
+    for r in _blocks(nx):
+        velocity_divergence(r, res[r])
+    reduce(3, res)
+    for r in _blocks(nx):
+        np.add(ddx(h1, r), ddy(h2[r]), out=res[r])
+    reduce(4, res)
     return PhysicalResidualReport(max_norm=max_norm, l2_norm=l2_norm,
                                   time=s0.time)
 

@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,7 +249,9 @@ def test_simulate_peak_stays_below_3_5_physical_levels(tmp_path):
     # time differences before the middle one is pulled back, and the
     # residual drops each term after its last use: 3.22 levels, against
     # 4.14 when the whole triple was held through the residual and 6.08
-    # when every field was copied and all residual terms lived at once
+    # when every field was copied and all residual terms lived at once.
+    # Its 64 xi rows make one block of the output stage: 3.14 levels since
+    # the pullback and the residual run in blocks
     nx, ny = 64, 256
     text = write_config(tmp_path, nx=str(nx), neta="16", ny=str(ny),
                         t_end="0.04")[0].read_text()
@@ -256,6 +259,22 @@ def test_simulate_peak_stays_below_3_5_physical_levels(tmp_path):
     code, peak = traced_peak(cli.run_simulate, text)
     assert code == EXIT_OK
     assert peak / (6 * nx * ny * 8) < 3.5
+
+
+def test_simulate_peak_in_xi_row_blocks_stays_below_3_physical_levels(
+        tmp_path):
+    # the grid above at twice the xi rows: two blocks of the output stage,
+    # so that only the results of the pullback and the residual are held at
+    # the size of a whole level, and their temporaries at the size of a
+    # block: 2.28 levels, against 3.15 when each ran on whole levels
+    nx, ny = 128, 256
+    assert nx >= 2 * transform.BLOCK_ROWS
+    text = write_config(tmp_path, nx=str(nx), neta="16", ny=str(ny),
+                        t_end="0.04")[0].read_text()
+    assert cli.run_simulate(text) == EXIT_OK  # every lazy import done
+    code, peak = traced_peak(cli.run_simulate, text)
+    assert code == EXIT_OK
+    assert peak / (6 * nx * ny * 8) < 3.0
 
 
 def test_simulate_config_error_exit_2(tmp_path, capsys):
@@ -587,6 +606,72 @@ def test_non_finite_or_partial_step_grid_exit_2(tmp_path, capsys, overrides,
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"
     assert not out_dir.exists()
+
+
+def demo_config(tmp_path, **keys):
+    """configs/demo.ini at nx = 8, neta = 16, ny = 24 with the given keys
+    changed, writing under tmp_path; returns (config path, output dir)."""
+    out_dir = tmp_path / "demo_out"
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "demo.ini").read_text()
+    keys = {"nx": "8", "neta": "16", "ny": "24", "dir": str(out_dir), **keys}
+    for key, value in keys.items():
+        text, n = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}", text,
+                          flags=re.MULTILINE)
+        assert n == 1, key
+    path = tmp_path / "demo.ini"
+    path.write_text(text)
+    return path, out_dir
+
+
+LEFT_THE_SET = ("zeroth approximation left the admissible set (shorten t_end "
+                "or fix the data) at time level 1, xi column 0, eta row 0")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("mu", "1e300", LEFT_THE_SET),
+    ("kappa", "1e300", LEFT_THE_SET),
+    ("U", "1e200", "Picard iterate 1: time level 1: dt = 0.005 exceeds the "
+                   "advection bound 4.62096e-185 (spectral radius "
+                   "8.49821e+183 at xi column 0, eta row 2)"),
+], ids=["mu", "kappa", "U"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_picard_measure_exits_4_without_a_warning(
+        tmp_path, capsys, key, value, message):
+    # the measure's H^1 norm (and for U its distance) overflows to inf, as a
+    # NaN would be NaN: it raised an overflow RuntimeWarning before the
+    # exit-4 line
+    path, _ = demo_config(tmp_path, **{key: value})
+    assert main(["simulate", str(path)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == f"solver error: {message}\n"
+
+
+@pytest.mark.parametrize("P", ["1e200", "1e305"])
+@pytest.mark.filterwarnings("error")
+def test_huge_outflow_pressure_runs_silently_to_finite_outputs(tmp_path,
+                                                               capsys, P):
+    # Q (P - q) overflows to inf in the coefficients and in the residual of
+    # the temperature equation, where it only divides: the term goes to 0,
+    # its limit.  It raised an overflow RuntimeWarning before
+    path, out_dir = demo_config(tmp_path, P=P)
+    assert main(["simulate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    numbers = 0
+    for name in sorted(out_dir.rglob("*")):
+        if name.suffix == ".mhbl":
+            snap = read_snapshot(str(name))
+            assert np.isfinite(snap.time), name
+            for field, values in snap.fields.items():
+                assert np.all(np.isfinite(values)), (name, field)
+        elif name.suffix == ".csv":
+            for word in re.split(r"[,\n]", name.read_text()):
+                try:
+                    value = float(word)
+                except ValueError:  # a header, an empty ratio, True
+                    continue
+                assert np.isfinite(value), (name, word)
+                numbers += 1
+    assert numbers > 100
 
 
 def test_mms_case_leaving_the_admissible_set_exit_3(monkeypatch, capsys):

@@ -385,6 +385,58 @@ def test_round_trip_second_order_for_tanh_profile():
     assert e2 < 5e-3
 
 
+def test_output_stage_does_not_depend_on_the_block_size(monkeypatch):
+    # one block, 3-row blocks and a ragged 5, 5, 2 split of 12 xi rows give
+    # the same bits, under travelling traces (P varies along xi and with t)
+    # and with a rough row, refitted by pchip, inside a later block
+    grid = make_grid(12, 17, 8.0, 0.01, 0.05)
+    data = sample_outflow(OutflowSpec(
+        U=lambda t, xi: 0.1 * np.sin(xi - t),
+        Theta=lambda t, xi: 1.0 + 0.1 * np.cos(xi - t), Hfield=1.5,
+        P=lambda t, xi: 60.0 + 0.1 * np.cos(xi - t), theta_star=1.0), grid)
+    y = np.linspace(0.0, 5.0, 41)
+    rough = np.where(np.sin(3.0 * grid.eta) > 0, 10.0, 0.06)
+    levels = [State(u1=v.u1, theta=v.theta, q=np.where(
+        np.arange(grid.nx)[:, None] == 10, 0.5 * rough ** 2, v.q),
+        time=v.time) for v in generic_levels(grid, [k * grid.dt
+                                                    for k in range(4)])]
+    bad = levels[1].q.copy()
+    bad[10, 3] = 1e-10
+    refitted = []
+
+    def pchip_row(table_row, eta, y_nodes):
+        refitted.append(table_row)
+        return pchip_row.original(table_row, eta, y_nodes)
+
+    pchip_row.original = transform._pchip_row
+    monkeypatch.setattr(transform, "_pchip_row", pchip_row)
+    runs = []
+    for block_rows in (grid.nx, 3, 5):
+        monkeypatch.setattr(transform, "BLOCK_ROWS", block_rows)
+        refitted.clear()
+        triple = [pullback_physical(levels[k], data, PARAMS, grid, y,
+                                    v_hat_prev=levels[k - 1])
+                  for k in (1, 2, 3)]
+        assert len(refitted) == 3  # row 10 of each level
+        report = residual_original(
+            triple[1], time_differences(triple[0], triple[2], triple[1].time),
+            data, PARAMS)
+        with pytest.raises(NondegeneracyError) as error:
+            stream_from_h1(np.sqrt(2.0 * bad), grid, y, PARAMS.delta)
+        runs.append((triple, report, str(error.value)))
+    (triple, report, message), *others = runs
+    assert message == ("h1 must stay finite and >= delta = 0.05; "
+                       "min = 1.41421e-05, max = 10")
+    for other_triple, other_report, other_message in others:
+        for ps, other_ps in zip(triple, other_triple):
+            for name in ("rho", "u1", "u2", "theta", "h1", "h2"):
+                np.testing.assert_array_equal(getattr(other_ps, name),
+                                              getattr(ps, name), err_msg=name)
+        np.testing.assert_array_equal(other_report.max_norm, report.max_norm)
+        np.testing.assert_array_equal(other_report.l2_norm, report.l2_norm)
+        assert other_message == message
+
+
 # ---------------------------------------------------------------------------
 # residuals of the original equations
 

@@ -10,6 +10,10 @@ the import path) and writes into out_dir:
                           line, as float.hex (admissible as True/False),
                           then its scalar fields
     wide/                 the same physics at nx=256, neta=32, ny=512
+    travelling/           the demo under the travelling outflow traces below,
+                          at nx=100, neta=24, ny=300: a pressure row that
+                          changes along xi and with t, and a last block of
+                          xi rows shorter than the others
     mms_advection.txt     criterion 04's advection study: per resolution
                           the errors, then the fitted orders, as float.hex
     report_mms.txt        that study's IterationReports: per resolution a
@@ -64,6 +68,8 @@ WIDE = {"nx": 256, "neta": 32, "ny": 512}
 MMS_RESOLUTIONS = ((16, 32), (32, 64), (64, 128))
 REPORT_LISTS = ("distances", "ratios", "admissible", "norm_history", "margins",
                 "min_Q")
+#: the grid of the travelling simulate run
+TRAVELLING_GRID = {"nx": 100, "neta": 24, "ny": 300}
 TRAVELLING = {"U": "0.1*sin(xi - t)", "Theta": "1.0 + 0.1*cos(xi - t)",
               "H": "1.5 + 0.05*sin(xi - t)", "P": "1.5 + 0.1*cos(xi - t)",
               "theta_star": "1.0"}
@@ -155,6 +161,13 @@ def main(argv) -> int:
     for key, value in WIDE.items():
         wide = _set_key(wide, key, str(value))
     _simulate(wide, "wide")
+    travelling = demo
+    for key, value in TRAVELLING.items():
+        travelling = _set_key(travelling, key, value)
+    travelling_run = travelling
+    for key, value in TRAVELLING_GRID.items():
+        travelling_run = _set_key(travelling_run, key, str(value))
+    _simulate(travelling_run, "travelling")
 
     with _recording_runs(mms) as runs:
         result = mms.convergence_study(mms.case_library()["advection"],
@@ -170,9 +183,6 @@ def main(argv) -> int:
         fh.write("orders " + " ".join(o.hex() for o in result.orders) + "\n")
 
     _outflow_fields(demo, "outflow_demo.npy")
-    travelling = demo
-    for key, value in TRAVELLING.items():
-        travelling = _set_key(travelling, key, value)
     _outflow_fields(travelling, "outflow_travelling.npy")
     _identities(demo, traj, "identities.txt")
     return 0
