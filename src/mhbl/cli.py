@@ -23,14 +23,16 @@ so main() applies it before importing the numerics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, List, Optional
 
-from .errors import (ConfigError, MhblError, NonConvergenceError,
-                     PositivityError, PreconditionError, SnapshotFormatError)
+from .errors import (ConfigError, DegenerateStateError, MhblError,
+                     NonConvergenceError, PositivityError, PreconditionError,
+                     SnapshotFormatError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,11 +66,26 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
+#: the equations of simulate's residual reports, in the order of their rows
+RESIDUAL_EQUATIONS = {
+    "transformed": ("tangential momentum", "temperature", "tangential field"),
+    "physical": ("tangential momentum", "temperature", "tangential field",
+                 "velocity divergence", "magnetic divergence"),
+}
+
+
 def _exit_code(command: Callable[..., int], *args) -> int:
     """Run a subcommand; an error it raises is printed under its EXIT_TABLE
-    prefix and turned into that row's exit code."""
+    prefix and turned into that row's exit code.
+
+    The subcommand runs under np.errstate(all="ignore"): a floating-point
+    overflow or invalid operation makes inf or NaN without a warning, and
+    the checks where values are made refuse it as a named error."""
+    import numpy as np
+
     try:
-        return command(*args)
+        with np.errstate(all="ignore"):
+            return command(*args)
     except (MhblError, OSError) as exc:
         code, prefix = next((code, prefix) for classes, code, prefix
                             in EXIT_TABLE if isinstance(exc, classes))
@@ -129,6 +146,17 @@ def _initial_state(cfg, params, grid, outflow):
 
     v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
     return v0, y
+
+
+def _refuse_non_finite(report, kind: str) -> None:
+    """Raise DegenerateStateError, naming the equation, unless every max and
+    L2 norm of a residual report of the given kind is finite."""
+    for i, name in enumerate(RESIDUAL_EQUATIONS[kind]):
+        norms = float(report.max_norm[i]), float(report.l2_norm[i])
+        if not all(map(math.isfinite, norms)):
+            raise DegenerateStateError(
+                f"{kind} residual of equation {i} ({name}) is not finite: "
+                f"max norm {norms[0]:.6g}, L2 norm {norms[1]:.6g}")
 
 
 def _simulate(config_text: str) -> int:
@@ -195,8 +223,10 @@ def _simulate(config_text: str) -> int:
                                    traj.state(mid).time)
         elif k in triple and k == mid:
             res_o = residual_original(held.pop(k), ddt, outflow, params)
+            _refuse_non_finite(res_o, "physical")
 
     res_t = residual_transformed(traj, outflow, params, grid)
+    _refuse_non_finite(res_t, "transformed")
     emit_plot_data(res_t, out_dir)
     if res_o is not None:
         emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))

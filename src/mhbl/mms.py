@@ -171,7 +171,9 @@ def convergence_study(case: ManufacturedCase,
         deta = case.eta_max / (neta - 1)
         power = 2 if mode == "spatial" else 1
         dt = case.base_dt * (deta / deta0) ** power
-        _, report, errors = solve_case(case, nx, neta, dt, t_end=t_end)
+        # the trajectory is not kept: bound to a name, it would be held
+        # through the next resolution's solve
+        report, errors = solve_case(case, nx, neta, dt, t_end=t_end)[1:]
         error = report.error()
         if error is not None:
             raise type(error)(f"case {case.name!r} at {nx}x{neta}: {error}")

@@ -38,9 +38,10 @@ from .stencils import bounded_diff, periodic_diff
 from .stepper import apply_derivative, dgtsv
 
 
-#: xi rows per block: stream_from_h1, pullback_physical and
-#: residual_original do their row-local work one block of rows at a time, so
-#: that only their results are held at the size of a whole physical level
+#: xi rows per block: stream_from_h1, pullback_physical, residual_original
+#: and check_physical_constraints do their row-local work one block of rows
+#: at a time, so that only their results are held at the size of a whole
+#: physical level
 BLOCK_ROWS = 64
 
 
@@ -386,13 +387,30 @@ def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
 def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
                                params: Params) -> Tuple[float, float]:
     """Max-norm residuals of the two built-in constraints on a physical state:
-    divergence d_x h1 + d_y h2 and total pressure R rho theta + h1^2/2 - P."""
-    div = (periodic_diff(ps.h1, 2.0 * np.pi / ps.h1.shape[0], 0, 1)
-           + bounded_diff(ps.h2, ps.y_nodes[1] - ps.y_nodes[0], 1, 1))
+    divergence d_x h1 + d_y h2 and total pressure R rho theta + h1^2/2 - P.
+
+    Both run one block of BLOCK_ROWS xi rows at a time; the block maxima
+    are reduced with np.max, so a NaN in any block gives NaN."""
+    nx = ps.h1.shape[0]
+    dx, dy = 2.0 * np.pi / nx, ps.y_nodes[1] - ps.y_nodes[0]
     k = outflow.time_index(ps.time)
     P = outflow.P[k][:, None]
-    press = params.R * ps.rho * ps.theta + 0.5 * ps.h1 ** 2 - P
-    return float(np.max(np.abs(div))), float(np.max(np.abs(press)))
+    div_max, press_max = [], []
+    for rows in _blocks(nx):
+        div = _ddx_rows(ps.h1, rows, dx)
+        div += bounded_diff(ps.h2[rows], dy, 1, 1)
+        div_max.append(np.max(np.abs(div, out=div)))
+        del div
+        # ((R rho) theta + 0.5 h1^2) - P, formed in place
+        press = params.R * ps.rho[rows]
+        press *= ps.theta[rows]
+        h1_sq = np.square(ps.h1[rows])
+        h1_sq *= 0.5
+        press += h1_sq
+        del h1_sq
+        press -= P[rows]
+        press_max.append(np.max(np.abs(press, out=press)))
+    return float(np.max(div_max)), float(np.max(press_max))
 
 
 #: the attributes time_differences reads of the outer states of a residual

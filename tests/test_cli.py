@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from mhbl import cli, coeffs, config, errors, mms, snapshots
+from mhbl import cli, coeffs, config, diagnostics, errors, mms, snapshots
 from mhbl.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -672,6 +672,58 @@ def test_huge_outflow_pressure_runs_silently_to_finite_outputs(tmp_path,
                 assert np.isfinite(value), (name, word)
                 numbers += 1
     assert numbers > 100
+
+
+LEFT_AT_LEVEL_0 = LEFT_THE_SET.replace("time level 1", "time level 0")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("R", "1e308", "Picard iterate 1: time level 0: u1 = nan is not finite "
+                   "at eta row 2, xi column 0"),
+    ("H", "1e200", LEFT_AT_LEVEL_0),
+    ("theta_star", "1e308", LEFT_AT_LEVEL_0),
+    ("u1_0", "1e200*y", LEFT_AT_LEVEL_0),
+], ids=["R", "H", "theta_star", "u1_0"])
+@pytest.mark.filterwarnings("error")
+def test_overflow_in_the_numerics_exits_4_without_a_warning(tmp_path, capsys,
+                                                            key, value,
+                                                            message):
+    # the freeze and the stencils overflow to inf and NaN, which the checks
+    # where values are made refuse; they printed numpy RuntimeWarnings
+    # before the exit-4 line until the command line ran under np.errstate
+    path, _ = demo_config(tmp_path, **{key: value})
+    assert main(["simulate", str(path)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == f"solver error: {message}\n"
+
+
+@pytest.mark.parametrize("module,name,kind,row,written", [
+    (transform, "residual_original", "physical", 3,
+     "physical_residuals/residuals.csv"),
+    (diagnostics, "residual_transformed", "transformed", 1, "residuals.csv"),
+], ids=["physical", "transformed"])
+def test_simulate_refuses_a_non_finite_residual(tmp_path, capsys, monkeypatch,
+                                                module, name, kind, row,
+                                                written):
+    # a residual norm that is not finite is a solver error naming its
+    # equation, not a nan or inf in residuals.csv
+    real, l2 = getattr(module, name), []
+    bad = np.nan if kind == "physical" else np.inf
+
+    def spoiled(*args, **kwargs):
+        report = real(*args, **kwargs)
+        max_norm = np.array(report.max_norm)
+        max_norm[row] = bad
+        l2.append(float(report.l2_norm[row]))
+        return dataclasses.replace(report, max_norm=max_norm)
+
+    monkeypatch.setattr(module, name, spoiled)
+    path, out_dir = write_config(tmp_path)
+    assert main(["simulate", str(path)]) == EXIT_SOLVER
+    equation = cli.RESIDUAL_EQUATIONS[kind][row]
+    assert capsys.readouterr().err == (
+        f"solver error: {kind} residual of equation {row} ({equation}) is not "
+        f"finite: max norm {bad}, L2 norm {l2[0]:.6g}\n")
+    assert not (out_dir / written).exists()
 
 
 def test_mms_case_leaving_the_admissible_set_exit_3(monkeypatch, capsys):

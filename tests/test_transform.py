@@ -12,6 +12,7 @@ Closed-form oracles:
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
@@ -27,6 +28,7 @@ from mhbl import (
     sample_outflow,
 )
 from mhbl import transform
+from mhbl.stencils import bounded_diff, periodic_diff
 from mhbl.transform import (
     RESIDUAL_MIDDLE,
     RESIDUAL_OUTER,
@@ -435,6 +437,75 @@ def test_output_stage_does_not_depend_on_the_block_size(monkeypatch):
         np.testing.assert_array_equal(other_report.max_norm, report.max_norm)
         np.testing.assert_array_equal(other_report.l2_norm, report.l2_norm)
         assert other_message == message
+
+
+def random_physical(nx, ny, seed=0):
+    """A physical state with random positive fields at t = 0.01 (no
+    structure: both constraints are O(1), and their maxima fall anywhere)."""
+    rng = np.random.default_rng(seed)
+    fields = {name: rng.uniform(0.5, 1.5, (nx, ny))
+              for name in ("rho", "u1", "u2", "theta", "h1", "h2")}
+    return PhysicalState(**fields, y_nodes=np.linspace(0.0, 5.0, ny),
+                         time=0.01)
+
+
+def travelling_outflow(grid):
+    # P varies along xi and with t: each block reads its own rows of it
+    return sample_outflow(OutflowSpec(
+        U=0.0, Theta=1.0, Hfield=1.5,
+        P=lambda t, xi: 2.0 + 0.1 * np.cos(xi - t), theta_star=1.0), grid)
+
+
+def test_constraint_audit_does_not_depend_on_the_block_size(monkeypatch):
+    # one block, 3-row blocks and a ragged 5, 5, 2 split of 12 xi rows give
+    # the bits of the whole-level expressions
+    grid = make_grid(12, 17, 8.0, 0.01, 0.05)
+    data = travelling_outflow(grid)
+    params = Params(mu=1.0, kappa=1.0, nu=1.0, R=1.3, cV=1.0, delta=0.05)
+    ps = random_physical(grid.nx, 40)
+    div = (periodic_diff(ps.h1, 2.0 * np.pi / grid.nx, 0, 1)
+           + bounded_diff(ps.h2, ps.y_nodes[1] - ps.y_nodes[0], 1, 1))
+    P = data.P[data.time_index(ps.time)][:, None]
+    press = params.R * ps.rho * ps.theta + 0.5 * ps.h1 ** 2 - P
+    whole = (float(np.max(np.abs(div))), float(np.max(np.abs(press))))
+    # neither maximum lies in the first block of a split
+    assert min(np.argmax(np.abs(div)), np.argmax(np.abs(press))) // 40 >= 5
+    for block_rows in (grid.nx, 3, 5):
+        monkeypatch.setattr(transform, "BLOCK_ROWS", block_rows)
+        got = check_physical_constraints(ps, data, params)
+        assert [g.hex() for g in got] == [w.hex() for w in whole], block_rows
+
+
+@pytest.mark.parametrize("field,row", [("h2", 7), ("rho", 7), ("h1", 11),
+                                       ("theta", 10)])
+def test_constraint_audit_returns_nan_from_any_block(monkeypatch, field, row):
+    # blocks of 5, 5 and 2 rows: a NaN past the first block, even in the
+    # ragged last one, is a NaN maximum (Python's max() would drop it when
+    # it is not the first operand); h2 makes only the divergence NaN, rho
+    # and theta only the pressure residual, h1 both
+    monkeypatch.setattr(transform, "BLOCK_ROWS", 5)
+    grid = make_grid(12, 17, 8.0, 0.01, 0.05)
+    fields = {name: getattr(random_physical(grid.nx, 40), name).copy()
+              for name in ("rho", "u1", "u2", "theta", "h1", "h2")}
+    fields[field][row, 20] = np.nan
+    ps = PhysicalState(**fields, y_nodes=np.linspace(0.0, 5.0, 40), time=0.01)
+    div, press = check_physical_constraints(ps, travelling_outflow(grid),
+                                            PARAMS)
+    assert np.isnan(div) == (field in ("h1", "h2"))
+    assert np.isnan(press) == (field != "h2")
+
+
+def test_constraint_audit_holds_one_block_of_temporaries():
+    # the wide grid's physical level: 1 MiB per field.  The audit held
+    # 3.12 fields of whole-level temporaries; in 64-row blocks it holds
+    # 1.26, the stencils' temporaries of one block
+    nx, ny = 256, 512
+    assert nx >= 4 * transform.BLOCK_ROWS
+    grid = make_grid(nx, 32, 8.0, 0.01, 0.05)
+    data, ps = travelling_outflow(grid), random_physical(nx, ny)
+    check_physical_constraints(ps, data, PARAMS)
+    _, peak = traced_peak(check_physical_constraints, ps, data, PARAMS)
+    assert peak / (nx * ny * 8) < 1.5
 
 
 # ---------------------------------------------------------------------------

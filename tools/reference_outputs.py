@@ -14,6 +14,10 @@ the import path) and writes into out_dir:
                           at nx=100, neta=24, ny=300: a pressure row that
                           changes along xi and with t, and a last block of
                           xi rows shorter than the others
+    audit.txt             per physical snapshot of demo/, wide/ and
+                          travelling/, its path and the divergence and
+                          total-pressure maxima of check_physical_constraints,
+                          as float.hex
     mms_advection.txt     criterion 04's advection study: per resolution
                           the errors, then the fitted orders, as float.hex
     report_mms.txt        that study's IterationReports: per resolution a
@@ -54,6 +58,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from mhbl import cli, mms, picard  # noqa: E402
+from mhbl.snapshots import read_snapshot  # noqa: E402
+from mhbl.transform import (  # noqa: E402
+    PhysicalState,
+    check_physical_constraints,
+)
 from mhbl.config import parse_config  # noqa: E402
 from mhbl.diagnostics import (  # noqa: E402
     NormSpec,
@@ -126,6 +135,24 @@ def _outflow_fields(text: str, path: str) -> None:
     np.save(path, outflow_consistency(outflow, cfg.make_params()).fields)
 
 
+def _audit(run_dirs, path: str) -> None:
+    """Write check_physical_constraints of every physical snapshot in the
+    run directories, under the outflow and y grid of each run's config.ini."""
+    with open(path, "w") as fh:
+        for run_dir in run_dirs:
+            cfg = parse_config(Path(run_dir, "config.ini").read_text())
+            outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
+            y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
+                            cfg.getint("initial", "ny"))
+            for snap_path in sorted(Path(run_dir).glob("physical_*.mhbl")):
+                snap = read_snapshot(str(snap_path))
+                ps = PhysicalState(y_nodes=y, time=snap.time, **snap.fields)
+                maxima = check_physical_constraints(ps, outflow,
+                                                    cfg.make_params())
+                fh.write(" ".join([snap_path.as_posix(),
+                                   *(m.hex() for m in maxima)]) + "\n")
+
+
 def _identities(text: str, traj, path: str) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -168,6 +195,7 @@ def main(argv) -> int:
     for key, value in TRAVELLING_GRID.items():
         travelling_run = _set_key(travelling_run, key, str(value))
     _simulate(travelling_run, "travelling")
+    _audit(("demo", "wide", "travelling"), "audit.txt")
 
     with _recording_runs(mms) as runs:
         result = mms.convergence_study(mms.case_library()["advection"],
