@@ -14,6 +14,7 @@ The run below uses the shipped demonstration configuration:
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def report(label, rep, elapsed):
 
 
 def main():
-    cfg = parse_config(open(DEMO_INI).read())
+    cfg = parse_config(Path(DEMO_INI).read_text())
     params, grid, outflow, v0 = setup(cfg)
 
     margin = min(float(v0.theta.min()), float(v0.q.min()),

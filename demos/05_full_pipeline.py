@@ -17,6 +17,7 @@ summaries.  This script then replays the audits a cautious user would do:
 import os
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def physical_state(snap, y_max):
 
 
 def main():
-    text = open(DEMO_INI).read()
+    text = Path(DEMO_INI).read_text()
     cfg = parse_config(text)
     workdir = tempfile.mkdtemp(prefix="pipeline_demo_")
     out1, out2 = os.path.join(workdir, "run1"), os.path.join(workdir, "run2")
@@ -81,9 +82,8 @@ def main():
           f"on the final magnetic-pressure defect")
 
     rc2 = run_simulate(text.replace("dir = out_demo", f"dir = {out2}"))
-    same = all(
-        open(os.path.join(out1, n), "rb").read()
-        == open(os.path.join(out2, n), "rb").read() for n in names)
+    same = all(Path(out1, n).read_bytes() == Path(out2, n).read_bytes()
+               for n in names)
     print(f"re-run bit-identical             {same} (exit code {rc2})")
 
     shutil.rmtree(workdir)

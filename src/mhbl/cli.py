@@ -182,8 +182,7 @@ def _simulate(config_text: str) -> int:
     traj, report = picard_solve(
         v0, outflow, params, grid,
         tol=cfg.getfloat("picard", "tol"),
-        max_iter=cfg.getint("picard", "max_iter"),
-        compat_order=cfg.getint("picard", "compat_order"))
+        max_iter=cfg.getint("picard", "max_iter"))
 
     emit_plot_data(report, out_dir)
     error = report.error()

@@ -3,9 +3,9 @@
 Sections: [physics] (mu, kappa, nu, R, cV, delta), [grid] (nx, neta,
 eta_max, dt, t_end), [outflow] (U, Theta, H, P, theta_star: expressions in
 t and xi, a number being one), [initial] (expressions in x and y plus the
-y grid), [picard] (tol, max_iter, compat_order), [output] (dir,
-snapshot_every, emit_plots).  Unknown sections or keys are rejected, not
-ignored; a silently misspelled tolerance is worse than an error.
+y grid), [picard] (tol, max_iter), [output] (dir, snapshot_every,
+emit_plots).  Unknown sections or keys are rejected, not ignored; a
+silently misspelled tolerance is worse than an error.
 
 Closed-form values are plain Python expressions over numpy functions
 (sin, cos, tan, sinh, cosh, tanh, exp, log, sqrt, abs, pi) in the variables
@@ -52,14 +52,14 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
                 "theta_star": "expr"},
     "initial": {"u1_0": "expr", "theta0": "expr", "h1_0": "expr",
                 "y_max": "float", "ny": "int"},
-    "picard": {"tol": "float", "max_iter": "int", "compat_order": "int"},
+    "picard": {"tol": "float", "max_iter": "int"},
     "output": {"dir": "str", "snapshot_every": "int", "emit_plots": "bool"},
 }
 
 _DEFAULTS: Dict[str, Dict[str, str]] = {
     "physics": {"mu": "1.0", "kappa": "1.0", "nu": "1.0", "R": "1.0",
                 "cV": "1.0", "delta": "0.05"},
-    "picard": {"tol": "1e-8", "max_iter": "30", "compat_order": "1"},
+    "picard": {"tol": "1e-8", "max_iter": "30"},
     "output": {"dir": "out", "snapshot_every": "1", "emit_plots": "false"},
 }
 
@@ -243,8 +243,6 @@ def parse_config(text: str) -> RunConfig:
     tol = cfg.getfloat("picard", "tol")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"[picard] tol must be finite and >= 0, got {tol!r}")
-    if cfg.getint("picard", "compat_order") not in (0, 1):
-        raise ConfigError("[picard] compat_order must be 0 or 1")
     cfg.getbool("output", "emit_plots")
     for section, key, least in (("initial", "ny", 4), ("picard", "max_iter", 1),
                                 ("output", "snapshot_every", 1)):

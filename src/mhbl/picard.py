@@ -2,8 +2,8 @@
 
 Each iterate solves the linear problem with coefficients frozen at the
 previous iterate; the zeroth iterate is a background profile corrected by a
-short Taylor expansion in time so that its initial value and initial time
-derivatives match the data.  On a short enough time interval the iteration
+first-order Taylor expansion in time so that its initial value and initial
+time derivative match the data.  On a short enough time interval the iteration
 contracts with factor <= 1/2 in the trajectory norm, and every iterate stays
 in the admissible set theta >= delta, delta <= q <= P - delta.
 """
@@ -71,29 +71,21 @@ def build_background(outflow: OutflowData, grid: Grid) -> Background:
 
 
 def compatibility_derivatives(v0: State, outflow: OutflowData, params: Params,
-                              grid: Grid, order: int = 1) -> List[FloatArray]:
-    """The initial time derivatives [v0_0, .., v0_order], v0_j = d_tau^j v(0),
-    each of shape (nx, neta, 3); only orders 0 and 1 are supported.
+                              grid: Grid) -> FloatArray:
+    """The initial time derivative v0_t = d_tau v(0), of shape (nx, neta, 3),
+    from the equation itself,
 
-    v0_0 is the initial data; v0_1 comes from the equation itself,
-
-        v0_1 = -A(v0) d_xi v0 - f(v0, d_eta v0) - g(v0) + B(v0) d_eta^2 v0,
+        v0_t = -A(v0) d_xi v0 - f(v0, d_eta v0) - g(v0) + B(v0) d_eta^2 v0,
 
     with the discrete operators of the stepper.  The wall and far rows are
     the stepper's boundary rows for the time derivatives of the boundary
     data, as the continuous compatibility conditions prescribe.
     """
-    if order not in (0, 1):
-        raise GridSizingError(f"compatibility order must be 0 or 1, got {order}")
-    arr = v0.as_array()
-    out = [arr]
-    if order == 1:
-        v1 = -_operator_at(arr, 0, outflow, params, grid)
-        # boundary rows follow the data, not the interior stencils; they are
-        # linear in it, so d_tau of the data obeys the same rows
-        out.append(_set_boundary_rows(v1, _ddt0(outflow.theta_star, grid.dt),
-                                      _ddt0(outflow.far, grid.dt)))
-    return out
+    v0_t = -_operator_at(v0.as_array(), 0, outflow, params, grid)
+    # boundary rows follow the data, not the interior stencils; they are
+    # linear in it, so d_tau of the data obeys the same rows
+    return _set_boundary_rows(v0_t, _ddt0(outflow.theta_star, grid.dt),
+                              _ddt0(outflow.far, grid.dt))
 
 
 def _ddt0(trace: FloatArray, dt: float) -> FloatArray:
@@ -102,26 +94,28 @@ def _ddt0(trace: FloatArray, dt: float) -> FloatArray:
     return bounded_diff(trace[:3], dt, 0, 1)[0]
 
 
-def build_zeroth_approx(background: Background, compat: List[FloatArray],
-                        grid: Grid) -> Trajectory:
-    """Zeroth Picard iterate: the background plus the Taylor correction
+def build_zeroth_approx(background: Background, v0: FloatArray,
+                        v0_t: FloatArray, grid: Grid) -> Trajectory:
+    """Zeroth Picard iterate: the background plus the first-order Taylor
+    correction
 
-        v0(tau) = vbar(tau) + sum_j tau^j / j! (v0_j - d_tau^j vbar(0)),
+        v0(tau) = vbar(tau) + (v0 - vbar(0)) + tau (v0_t - d_tau vbar(0)),
 
-    over compat = [v0_0, .., v0_order], so that d_tau^j v0(0) = v0_j for
-    j <= order while the far-field behavior of vbar is kept.  d_tau vbar(0) is a one-sided difference of the first
-    background levels.
+    so that v0(0) = v0 and d_tau v0(0) = v0_t while the far-field behavior of
+    vbar is kept.  d_tau vbar(0) is a one-sided difference of the first
+    background levels; both corrections are formed once.
     """
     nt = grid.nsteps
     data = np.empty((nt + 1, grid.nx, grid.neta, 3))
     for k in range(nt + 1):
         data[k] = np.moveaxis(background.components(k), 0, -1)
-    # read d_tau^j vbar(0) off the first levels before they are corrected
-    dvbar0 = [data[0].copy(), _ddt0(data[:3], grid.dt)][:len(compat)]
+    # read vbar(0) and d_tau vbar(0) off the first levels before they are
+    # corrected
+    shift = v0 - data[0]
+    slope = v0_t - _ddt0(data[:3], grid.dt)
     for k in range(nt + 1):
-        tau = grid.times[k]
-        for j, (v0_j, dvbar0_j) in enumerate(zip(compat, dvbar0)):
-            data[k] += tau ** j / math.factorial(j) * (v0_j - dvbar0_j)
+        data[k] += shift
+        data[k] += grid.times[k] * slope
     return Trajectory(data=data, times=grid.times.copy())
 
 
@@ -243,12 +237,13 @@ class _Measure:
 
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                  tol: float = 1e-8, max_iter: int = 30,
-                 compat_order: int = 1,
                  source: Optional[FloatArray] = None):
     """Run the frozen-coefficient iteration to tolerance.
 
     Preconditions: v0 admissible with margin 2*delta (theta >= 2 delta,
-    2 delta <= q <= P - 2 delta at t = 0).  Iterates solve the linear
+    2 delta <= q <= P - 2 delta at t = 0), and admissible with margin delta
+    once its wall and far rows are those of outflow level 0, the level
+    every iterate marches from.  Iterates solve the linear
     problem against the previous trajectory, overwriting it level by level,
     so the run holds one trajectory; the loop stops when the
     trajectory distance drops to tol (finite, >= 0) or max_iter is hit.
@@ -273,11 +268,23 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
             f"2 delta <= q <= P - 2 delta (delta = {d}); got min theta = "
             f"{rep.min_theta:.6g}, min q = {rep.min_q:.6g}, "
             f"min (P - q) = {rep.min_P_minus_q:.6g}")
+    # every iterate marches from this level: iterate 1 would measure it first
+    start = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
+                               outflow.far[0])
+    rep = admissibility(start[..., 1], start[..., 2], outflow.P[0][:, None],
+                        params, d)
+    del start
+    if not rep.ok:
+        i, j = rep.first_violation
+        raise PreconditionError(
+            "initial data with the outflow's wall and far rows at t = 0 must "
+            f"satisfy theta >= delta and delta <= q <= P - delta (delta = "
+            f"{d}); it fails at xi column {i}, eta row {j}")
 
     background = build_background(outflow, grid)
-    compat = compatibility_derivatives(v0, outflow, params, grid,
-                                       order=compat_order)
-    traj = build_zeroth_approx(background, compat, grid)
+    traj = build_zeroth_approx(
+        background, v0.as_array(),
+        compatibility_derivatives(v0, outflow, params, grid), grid)
     records: List[IterateRecord] = []
     aborted, message = False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.

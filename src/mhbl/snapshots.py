@@ -135,8 +135,8 @@ def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
 
     Trajectories produce one profile file per component (eta against the
     field at the first xi node, one column per stored time level).
-    Iteration reports produce the contraction history.  Returns the list of
-    files written.
+    Iteration reports produce the contraction history, with each iterate's
+    norm, margin and min_Q.  Returns the list of files written.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
@@ -168,8 +168,11 @@ def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
         for n, (prev, rec) in enumerate(zip(obj.iterates, obj.iterates[1:]), 1):
             ratio = (rec.distance / prev.distance
                      if n >= 2 and prev.distance > 0.0 else "")
-            rows.append([n, f"{rec.distance:.12e}", ratio, rec.admissible])
-        _write_csv(path, ["iteration", "distance", "ratio", "admissible"], rows)
+            rows.append([n, f"{rec.distance:.12e}", ratio, rec.admissible,
+                         f"{rec.norm:.12e}", f"{rec.margin:.12e}",
+                         f"{rec.min_Q:.12e}"])
+        _write_csv(path, ["iteration", "distance", "ratio", "admissible",
+                          "norm", "margin", "min_Q"], rows)
         written.append(path)
         return written
     # fall through: any object with max_norm/l2_norm pairs counts as residuals

@@ -20,6 +20,7 @@ Pinned tolerances:
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def test_criterion_04_mms_convergence():
 
 @pytest.fixture(scope="module")
 def demo_run():
-    cfg = parse_config(open(DEMO_INI).read())
+    cfg = parse_config(Path(DEMO_INI).read_text())
     params = cfg.make_params()
     grid = cfg.make_grid()
     outflow = sample_outflow(cfg.outflow_spec(), grid)
@@ -351,7 +352,7 @@ def test_criterion_09_outflow_consistency():
 # 10. I/O determinism
 
 def test_criterion_10_io_determinism(tmp_path):
-    text = open(DEMO_INI).read()
+    text = Path(DEMO_INI).read_text()
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     rc1 = run_simulate(text.replace("dir = out_demo", f"dir = {d1}"))
     rc2 = run_simulate(text.replace("dir = out_demo", f"dir = {d2}"))

@@ -47,7 +47,7 @@ def config_text(out_dir, **overrides):
         "theta0": "0.8 + 0.4*(1 - exp(-y*y)) + 0.04*sin(x)*y*y*exp(-y)",
         "h1_0": "1.1 + 0.0*y",
         "y_max": "6.0", "ny": "49",
-        "tol": "1e-9", "max_iter": "25", "compat_order": "1",
+        "tol": "1e-9", "max_iter": "25",
         "snapshot_every": "1", "emit_plots": "false",
     }
     base.update(overrides)
@@ -84,7 +84,6 @@ ny = {base['ny']}
 [picard]
 tol = {base['tol']}
 max_iter = {base['max_iter']}
-compat_order = {base['compat_order']}
 
 [output]
 dir = {out_dir}
@@ -286,8 +285,8 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("max_iter", "0"), ("max_iter", "-3"), ("compat_order", "2"),
-    ("tol", "nan"), ("tol", "inf"), ("tol", "-1e-9"), ("snapshot_every", "0"),
+    ("max_iter", "0"), ("max_iter", "-3"), ("tol", "nan"), ("tol", "inf"),
+    ("tol", "-1e-9"), ("snapshot_every", "0"),
 ])
 def test_simulate_rejects_bad_picard_and_output_values(tmp_path, capsys, key,
                                                        value):
@@ -337,7 +336,7 @@ DECLINING_PRESSURE = dict(
     U="0.0 + 0.0*xi", Theta="1.0 + 0.0*xi",
     H="sqrt(1.1) + 0.0*xi", P="1.0 - 6.0*t + 0.0*xi",
     theta_star="1.0 + 0.0*xi", u1_0="0.0*y", theta0="1.0 + 0.0*y",
-    h1_0="sqrt(1.1) + 0.0*y", t_end="0.08", compat_order="0")
+    h1_0="sqrt(1.1) + 0.0*y", t_end="0.08")
 
 
 def test_simulate_admissibility_loss_exit_4(tmp_path, capsys):
@@ -371,10 +370,12 @@ def test_simulate_refuses_to_continue_past_admissibility_loss(tmp_path,
 @pytest.mark.parametrize("section,line", [
     ("outflow", "mode = constant"),
     ("picard", "on_admissibility_loss = abort"),
-], ids=["mode", "on_admissibility_loss"])
+    ("picard", "compat_order = 1"),
+], ids=["mode", "on_admissibility_loss", "compat_order"])
 def test_config_holding_a_removed_key_exit_2(tmp_path, capsys, section, line):
-    # every outflow trace is an expression, and abort the one policy, so
-    # neither key has a value left to choose
+    # every outflow trace is an expression, abort the one policy and the
+    # first-order Taylor start the one zeroth iterate, so no key has a value
+    # left to choose
     path, out_dir = write_config(tmp_path)
     add_line(path, section, line)
     assert main(["simulate", str(path)]) == EXIT_CONFIG
@@ -680,10 +681,9 @@ LEFT_AT_LEVEL_0 = LEFT_THE_SET.replace("time level 1", "time level 0")
 @pytest.mark.parametrize("key,value,message", [
     ("R", "1e308", "Picard iterate 1: time level 0: u1 = nan is not finite "
                    "at eta row 2, xi column 0"),
-    ("H", "1e200", LEFT_AT_LEVEL_0),
     ("theta_star", "1e308", LEFT_AT_LEVEL_0),
     ("u1_0", "1e200*y", LEFT_AT_LEVEL_0),
-], ids=["R", "H", "theta_star", "u1_0"])
+], ids=["R", "theta_star", "u1_0"])
 @pytest.mark.filterwarnings("error")
 def test_overflow_in_the_numerics_exits_4_without_a_warning(tmp_path, capsys,
                                                             key, value,
@@ -694,6 +694,29 @@ def test_overflow_in_the_numerics_exits_4_without_a_warning(tmp_path, capsys,
     path, _ = demo_config(tmp_path, **{key: value})
     assert main(["simulate", str(path)]) == EXIT_SOLVER
     assert capsys.readouterr().err == f"solver error: {message}\n"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("Theta", "0.01"), ("H", "0.1"), ("H", "1e200"),
+], ids=["Theta", "H", "H-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_outflow_rows_outside_the_set_exit_3(tmp_path, capsys, key, value):
+    # the far row of the level every iterate marches from is the outflow's
+    # (U, Theta, H^2/2): theta or q below delta there, or q = inf, is a fault
+    # of the data, refused before the solve, not a solver error (exit 4)
+    path, _ = demo_config(tmp_path, **{key: value})
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition violated: initial data with the outflow's wall and far "
+        "rows at t = 0 must satisfy theta >= delta and delta <= q <= P - "
+        "delta (delta = 0.05); it fails at xi column 0, eta row 15\n")
+
+
+def test_outflow_rows_just_inside_the_set_exit_0(tmp_path, capsys):
+    # H = 1.7 leaves P - q = 0.055 at the far row, inside the margin delta
+    path, _ = demo_config(tmp_path, H="1.7")
+    assert main(["simulate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("module,name,kind,row,written", [

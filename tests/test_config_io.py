@@ -88,7 +88,7 @@ def test_parse_builds_typed_inputs_and_fills_defaults():
     # defaulted sections
     assert cfg.getfloat("picard", "tol") == 1e-8
     assert cfg.getint("picard", "max_iter") == 30
-    assert set(cfg.values["picard"]) == {"tol", "max_iter", "compat_order"}
+    assert set(cfg.values["picard"]) == {"tol", "max_iter"}
     assert cfg.get("output", "dir") == "out"
     assert cfg.getbool("output", "emit_plots") is False
 
@@ -126,7 +126,6 @@ VALUES = {
     ("initial", "ny"): st.integers(4, 4096).map(str),
     ("picard", "tol"): numbers(0.0, 1.0),
     ("picard", "max_iter"): st.integers(1, 1000).map(str),
-    ("picard", "compat_order"): st.sampled_from(["0", "1"]),
     ("output", "dir"): st.text("abxyz09_-./", min_size=1, max_size=12),
     ("output", "snapshot_every"): st.integers(1, 100).map(str),
     "float": numbers(1e-3, 1e3),
@@ -585,7 +584,7 @@ def test_iteration_report_plot_file(tmp_path):
         for d in (None, 0.1, 0.04, 0.01)])
     files = emit_plot_data(rep, str(tmp_path))
     text = (tmp_path / "iterations.csv").read_text().splitlines()
-    assert text[0] == "iteration,distance,ratio,admissible"
+    assert text[0] == "iteration,distance,ratio,admissible,norm,margin,min_Q"
     assert len(text) == 4
     assert text[1].startswith("1,1.0")
 

@@ -129,25 +129,14 @@ def time_varying_spec():
 # ---------------------------------------------------------------------------
 # compatibility derivatives
 
-def test_compatibility_order_zero_and_validation():
-    grid = make_grid(6, 16, 4.0, 0.05, 0.2)
-    data = sample_outflow(OutflowSpec.constant(), grid)
-    v0 = State.constant(grid, 0.1, 1.0, 0.5)
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=0)
-    assert len(cs) == 1
-    np.testing.assert_allclose(cs[0], v0.as_array(), atol=0)
-    with pytest.raises(GridSizingError):
-        compatibility_derivatives(v0, data, PARAMS, grid, order=2)
-
-
 def test_compatibility_vanishes_on_constant_state():
     grid = make_grid(6, 16, 4.0, 0.05, 0.2)
     data = sample_outflow(OutflowSpec.constant(
         U=0.1, Theta=1.0, Hfield=1.0, P=1.5, theta_star=1.0), grid)
     v0 = State.constant(grid, 0.1, 1.0, 0.5)
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
-    assert len(cs) == 2
-    np.testing.assert_allclose(cs[1], 0.0, rtol=0, atol=1e-14)
+    v0_t = compatibility_derivatives(v0, data, PARAMS, grid)
+    assert v0_t.shape == (grid.nx, grid.neta, 3)
+    np.testing.assert_allclose(v0_t, 0.0, rtol=0, atol=1e-14)
 
 
 def test_compatibility_matches_equation_on_interior():
@@ -173,8 +162,7 @@ def test_compatibility_matches_equation_on_interior():
                         data.P_xi[0][:, None], PARAMS)
     expected = -m["f"] - m["g"] + np.einsum("xeij,xej->xei", m["B"], d2ev_exact)
 
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
-    v1 = cs[1]
+    v1 = compatibility_derivatives(v0, data, PARAMS, grid)
     np.testing.assert_allclose(v1[:, 1:-1], expected[:, 1:-1],
                                rtol=1e-12, atol=1e-13)
     # boundary rows follow the data: u1 wall rest, theta wall trace, q fold
@@ -193,9 +181,9 @@ def test_compatibility_wall_theta_tracks_trace_derivative():
                        theta_star=lambda t, xi: 0.7 + 0.3 * t + 0.0 * xi)
     data = sample_outflow(spec, grid)
     v0 = State.constant(grid, 0.0, 1.0, 0.5)
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
+    v0_t = compatibility_derivatives(v0, data, PARAMS, grid)
     # linear trace: the one-sided second-order difference is exact
-    np.testing.assert_allclose(cs[1][:, 0, 1], 0.3, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v0_t[:, 0, 1], 0.3, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +200,8 @@ def test_zeroth_approx_matches_initial_data_and_slope():
                theta=2.0 * phi + 0.7 * (1 - phi) + bump,
                q=0.72 + bump)
     bg = build_background(data, grid)
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=1)
-    traj = build_zeroth_approx(bg, cs, grid)
+    v0_t = compatibility_derivatives(v0, data, PARAMS, grid)
+    traj = build_zeroth_approx(bg, v0.as_array(), v0_t, grid)
     assert traj.nlevels == grid.nsteps + 1
     np.testing.assert_allclose(traj.times, grid.times, atol=0)
     np.testing.assert_allclose(traj.data[0], v0.as_array(), rtol=0, atol=1e-14)
@@ -221,22 +209,8 @@ def test_zeroth_approx_matches_initial_data_and_slope():
     # exactly v0 + tau * v1
     for k in (1, grid.nsteps):
         np.testing.assert_allclose(
-            traj.data[k], v0.as_array() + grid.times[k] * cs[1],
+            traj.data[k], v0.as_array() + grid.times[k] * v0_t,
             rtol=0, atol=1e-13)
-
-
-def test_zeroth_approx_order_zero_is_background_when_data_matches():
-    grid = make_grid(6, 25, 6.0, 0.05, 0.2)
-    data = sample_outflow(OutflowSpec.constant(
-        U=0.0, Theta=1.0, Hfield=1.0, P=1.5, theta_star=1.0), grid)
-    bg = build_background(data, grid)
-    u1, theta, q = bg.components(0)
-    v0 = State(u1=u1, theta=theta, q=q)
-    cs = compatibility_derivatives(v0, data, PARAMS, grid, order=0)
-    traj = build_zeroth_approx(bg, cs, grid)
-    vbar = np.stack([np.moveaxis(bg.components(k), 0, -1)
-                     for k in range(grid.nsteps + 1)])
-    np.testing.assert_allclose(traj.data, vbar, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +320,7 @@ def declining_pressure_setup():
 
 def test_admissibility_loss_aborts_by_default():
     grid, data, v0 = declining_pressure_setup()
-    traj, report = picard_solve(v0, data, PARAMS, grid, compat_order=0)
+    traj, report = picard_solve(v0, data, PARAMS, grid)
     assert report.aborted
     assert report.iterations == 0
     assert report.distances == []
@@ -367,10 +341,10 @@ def test_admissibility_loss_names_the_first_node_outside(monkeypatch):
     # the zeroth approximation of a declining pressure
     grid, data, v0 = declining_pressure_setup()
     zeroth = build_zeroth_approx(
-        build_background(data, grid),
-        compatibility_derivatives(v0, data, PARAMS, grid, order=0), grid)
+        build_background(data, grid), v0.as_array(),
+        compatibility_derivatives(v0, data, PARAMS, grid), grid)
     k, i, j = first_outside(zeroth.data, data, PARAMS.delta)
-    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0)
+    _, report = picard_solve(v0, data, PARAMS, grid)
     assert report.aborted and "left the admissible set" in report.message
     assert report.message.endswith(
         f"at time level {k}, xi column {i}, eta row {j}")
@@ -411,8 +385,7 @@ def test_admissibility_loss_always_aborts():
         params = inspect.signature(name).parameters
         assert {"on_admissibility_loss", "clamp"}.isdisjoint(params)
     grid, data, v0 = declining_pressure_setup()
-    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0,
-                             max_iter=3, tol=1e-12)
+    _, report = picard_solve(v0, data, PARAMS, grid, max_iter=3, tol=1e-12)
     assert report.aborted and not report.converged
     assert report.admissible == [False]
     assert isinstance(report.error(), MhblError)
@@ -499,18 +472,25 @@ def iteration_rows(report, tmp_path):
         return list(csv.reader(fh))
 
 
+def measured(rec):
+    """The cells iterations.csv appends for an IterateRecord."""
+    return [f"{rec.norm:.12e}", f"{rec.margin:.12e}", f"{rec.min_Q:.12e}"]
+
+
 def test_iterations_csv_row_n_pairs_records_n_minus_1_and_n(tmp_path,
                                                            monkeypatch):
     grid, data, v0 = perturbed_setup()
     _, report = picard_solve(v0, data, PARAMS, grid, tol=1e-9, max_iter=25)
     assert report.converged and report.iterations >= 3
     rows = iteration_rows(report, tmp_path)
-    assert rows[0] == ["iteration", "distance", "ratio", "admissible"]
+    assert rows[0] == ["iteration", "distance", "ratio", "admissible",
+                       "norm", "margin", "min_Q"]
     assert len(rows) == len(report.iterates)
     recs = report.iterates
     for n, row in enumerate(rows[1:], start=1):
         ratio = "" if n == 1 else repr(recs[n].distance / recs[n - 1].distance)
-        assert row == [str(n), f"{recs[n].distance:.12e}", ratio, "True"]
+        assert row == [str(n), f"{recs[n].distance:.12e}", ratio, "True",
+                       *measured(recs[n])]
     assert [float(row[2]) for row in rows[2:]] == report.ratios
 
     # aborted at iterate 2: its row is the last and reads False
@@ -533,9 +513,11 @@ def test_iterations_csv_row_n_pairs_records_n_minus_1_and_n(tmp_path,
     rows = iteration_rows(report, tmp_path)
     recs = report.iterates
     assert rows[1:] == [
-        ["1", f"{recs[1].distance:.12e}", "", "True"],
+        ["1", f"{recs[1].distance:.12e}", "", "True", *measured(recs[1])],
         ["2", f"{recs[2].distance:.12e}",
-         repr(recs[2].distance / recs[1].distance), "False"]]
+         repr(recs[2].distance / recs[1].distance), "False",
+         *measured(recs[2])]]
+    assert float(rows[2][5]) < 0.0  # the margin of the iterate off the set
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +615,9 @@ def test_margins_recorded_per_iterate(monkeypatch):
     # the zeroth approximation of a declining pressure leaves the set
     grid, data, v0 = declining_pressure_setup()
     zeroth = build_zeroth_approx(
-        build_background(data, grid),
-        compatibility_derivatives(v0, data, PARAMS, grid, order=0), grid)
-    _, report = picard_solve(v0, data, PARAMS, grid, compat_order=0)
+        build_background(data, grid), v0.as_array(),
+        compatibility_derivatives(v0, data, PARAMS, grid), grid)
+    _, report = picard_solve(v0, data, PARAMS, grid)
     assert report.aborted and report.admissible == [False]
     assert len(report.margins) == 1 and report.margins[0] < 0.0
     assert report.margins[0] == direct_margin(zeroth.data, data, PARAMS.delta)

@@ -40,7 +40,11 @@ No output means the two compute the same bits.  Each simulate run writes
 into a directory named relative to out_dir, so config.ini's dir line is the
 same in both.  Against a checkout from before [outflow] mode and [picard]
 on_admissibility_loss were removed, demo/config.ini and wide/config.ini
-differ by exactly those two lines, and every other file is the same.
+differ by exactly those two lines.  Against one from before [picard]
+compat_order was removed, the config.ini of demo/, wide/ and travelling/
+also differ by its line "compat_order = 1", and each iterations.csv by the
+norm, margin and min_Q columns appended to its first four; every other file
+is the same.
 """
 
 from __future__ import annotations
