@@ -16,28 +16,11 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
-from mhbl import initial_eta_map, make_grid, picard_solve, sample_outflow
+from mhbl import make_grid, picard_solve, sample_outflow
 from mhbl.config import parse_config
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEMO_INI = os.path.join(HERE, "..", "configs", "demo.ini")
-
-
-def setup(cfg):
-    params = cfg.make_params()
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
-    u1f, thf, h1f = cfg.initial_profiles()
-    y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
-                    cfg.getint("initial", "ny"))
-    X, Y = np.meshgrid(grid.xi, y, indexing="ij")
-    v0, _ = initial_eta_map(np.asarray(u1f(X, Y), float),
-                            np.asarray(thf(X, Y), float),
-                            np.asarray(h1f(X, Y), float),
-                            y, grid, params.delta)
-    return params, grid, outflow, v0
 
 
 def report(label, rep, elapsed):
@@ -55,7 +38,7 @@ def report(label, rep, elapsed):
 
 def main():
     cfg = parse_config(Path(DEMO_INI).read_text())
-    params, grid, outflow, v0 = setup(cfg)
+    params, grid, outflow, v0, _ = cfg.problem()
 
     margin = min(float(v0.theta.min()), float(v0.q.min()),
                  float((outflow.P[0][:, None] - v0.q).min()))

@@ -21,26 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from mhbl import (
-    outflow_consistency,
-    read_snapshot,
-    sample_outflow,
-    trace_check,
-)
+from mhbl import outflow_consistency, read_snapshot, trace_check
 from mhbl.cli import run_simulate
 from mhbl.config import parse_config
 from mhbl.transform import PhysicalState, check_physical_constraints
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEMO_INI = os.path.join(HERE, "..", "configs", "demo.ini")
-
-
-def physical_state(snap, y_max):
-    y = np.linspace(0.0, y_max, snap.fields["rho"].shape[1])
-    return PhysicalState(rho=snap.fields["rho"], u1=snap.fields["u1"],
-                         u2=snap.fields["u2"], theta=snap.fields["theta"],
-                         h1=snap.fields["h1"], h2=snap.fields["h2"],
-                         y_nodes=y, time=snap.time)
 
 
 def main():
@@ -57,15 +44,13 @@ def main():
     phys = [n for n in names if "physical" in n]
     print(f"{len(names)} snapshots written, {len(phys)} physical")
 
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
-    y_max = cfg.getfloat("initial", "y_max")
-    params = cfg.make_params()
+    params, grid, outflow, _, y = cfg.problem()
     worst_div = worst_press = 0.0
     for name in phys:
         snap = read_snapshot(os.path.join(out1, name))
-        div, press = check_physical_constraints(physical_state(snap, y_max),
-                                                outflow, params)
+        div, press = check_physical_constraints(
+            PhysicalState(y_nodes=y, time=snap.time, **snap.fields), outflow,
+            params)
         worst_div, worst_press = max(worst_div, div), max(worst_press, press)
     print(f"worst magnetic divergence        {worst_div:.3e}")
     print(f"worst total-pressure residual    {worst_press:.3e}")

@@ -96,56 +96,13 @@ def _exit_code(command: Callable[..., int], *args) -> int:
 def run_simulate(config_text: str) -> int:
     """Execute the full pipeline for one configuration; returns an exit code.
 
-    Steps: parse and validate, sample the outflow, evaluate the initial
-    profiles, check the preconditions (all three profiles finite; theta_star,
-    theta0, h10 all >= 2 delta and h10^2/2 <= P(0, x) - 2 delta), transform
-    the initial data, run the Picard solve, pull snapshots back to physical
+    Steps: parse and validate, set up the problem with RunConfig.problem
+    (the outflow, the initial data on the (xi, eta) grid and their
+    preconditions), run the Picard solve, pull snapshots back to physical
     variables, and write snapshots, reports and optional plot data.  An
     error is printed and mapped to its exit code, as under main().
     """
     return _exit_code(_simulate, config_text)
-
-
-def _initial_state(cfg, params, grid, outflow):
-    """Evaluate the initial profiles on the physical (x, y) grid, check the
-    positivity preconditions and map the profiles to the (xi, eta) grid.
-
-    Returns the initial transformed state and the y nodes.  The (nx, ny)
-    profiles and eta table die on return, before the Picard solve starts.
-    """
-    import numpy as np
-
-    from .fields import pressure_factors
-    from .transform import initial_eta_map
-
-    u1_fn, theta_fn, h1_fn = cfg.initial_profiles()
-    ny = cfg.getint("initial", "ny")
-    y = np.linspace(0.0, cfg.getfloat("initial", "y_max"), ny)
-    X, Y = np.meshgrid(grid.xi, y, indexing="ij")
-    u10 = np.asarray(u1_fn(X, Y), dtype=float)
-    theta0 = np.asarray(theta_fn(X, Y), dtype=float)
-    h10 = np.asarray(h1_fn(X, Y), dtype=float)
-
-    d = params.delta
-    # each xi column's largest q = h1^2/2 decides once h1 > 0 (checked first);
-    # a huge h1 gives q = inf (Q = 0 * inf at a = 1/2): refused, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        P_minus_q, _ = pressure_factors(outflow.P[0], 0.5 * h10.max(axis=1) ** 2,
-                                        params.a)
-    checks = [(f"{name} finite", bool(np.isfinite(a).all()))
-              for name, a in (("u1_0", u10), ("theta0", theta0), ("h1_0", h10))]
-    checks += [
-        ("theta_star >= 2 delta", float(outflow.theta_star.min()) >= 2 * d),
-        ("theta0 >= 2 delta", float(theta0.min()) >= 2 * d),
-        ("h1_0 >= 2 delta", float(h10.min()) >= 2 * d),
-        ("h1_0^2/2 <= P(0, x) - 2 delta", float(P_minus_q.min()) >= 2 * d),
-    ]
-    for name, ok in checks:
-        if not ok:
-            raise PreconditionError(name)
-
-    v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
-    return v0, y
 
 
 def _refuse_non_finite(report, kind: str) -> None:
@@ -162,17 +119,13 @@ def _refuse_non_finite(report, kind: str) -> None:
 def _simulate(config_text: str) -> int:
     from .config import parse_config, serialize_config
     from .diagnostics import residual_transformed
-    from .fields import sample_outflow
     from .picard import picard_solve
     from .snapshots import emit_plot_data, write_snapshot
     from .transform import (RESIDUAL_MIDDLE, RESIDUAL_OUTER, pullback_physical,
                             residual_original, time_differences)
 
     cfg = parse_config(config_text)
-    params = cfg.make_params()
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
-    v0, y = _initial_state(cfg, params, grid, outflow)
+    params, grid, outflow, v0, y = cfg.problem()
 
     out_dir = cfg.get("output", "dir")
     os.makedirs(out_dir, exist_ok=True)

@@ -13,8 +13,8 @@ t, xi for outflow traces and x, y for initial profiles.  Numeric literals are
 floats, each function takes one argument, and an expression that fails to
 evaluate (1/0, 2.0**10000) or whose value is not real ((-1.0)**0.5) raises
 ConfigError.  numpy evaluates without warnings; a NaN or inf result is for
-the caller to refuse (simulate checks every initial profile, OutflowData
-every trace).
+the caller to refuse (RunConfig.problem checks every initial profile,
+OutflowData every trace).
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .errors import ConfigError, GridSizingError, PositivityError
-from .fields import MAX_DOUBLES, Grid, OutflowSpec, Params, make_grid
+from .errors import (ConfigError, GridSizingError, PositivityError,
+                     PreconditionError)
+from .fields import (MAX_DOUBLES, Grid, OutflowSpec, Params, make_grid,
+                     pressure_factors, sample_outflow)
 from .stencils import usable_spacing
 
 _SAFE_FUNCS: Dict[str, object] = {
@@ -141,6 +143,50 @@ class RunConfig:
         """Return callables (u1_0, theta0, h1_0) of (x, y) arrays."""
         return tuple(compile_expression(self.get("initial", key), ("x", "y"))
                      for key in ("u1_0", "theta0", "h1_0"))
+
+    def problem(self) -> tuple:
+        """The inputs of the Picard solve: (params, grid, outflow, v0, y).
+
+        Samples the outflow, evaluates the initial profiles on the physical
+        (x, y) grid and checks the preconditions of the iteration at t = 0,
+        in order: each profile finite; theta_star, theta0 and h1_0 at least
+        2 delta; q = h1_0^2/2 at most P(0, x) less 2 delta.  The first that
+        fails raises PreconditionError under its name.  The profiles are
+        then mapped to the (xi, eta) grid as v0; they and the eta table die
+        on return, before any solve starts.  y holds the y nodes.
+        """
+        from .transform import initial_eta_map
+
+        params, grid = self.make_params(), self.make_grid()
+        outflow = sample_outflow(self.outflow_spec(), grid)
+        y = np.linspace(0.0, self.getfloat("initial", "y_max"),
+                        self.getint("initial", "ny"))
+        X, Y = np.meshgrid(grid.xi, y, indexing="ij")
+        u10, theta0, h10 = (np.asarray(fn(X, Y), dtype=float)
+                            for fn in self.initial_profiles())
+
+        d = params.delta
+        # each xi column's largest q = h1^2/2 decides once h1 > 0 (checked
+        # first); a huge h1 gives q = inf (Q = 0 * inf at a = 1/2): refused,
+        # not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            P_minus_q, _ = pressure_factors(
+                outflow.P[0], 0.5 * h10.max(axis=1) ** 2, params.a)
+        checks = [(f"{name} finite", bool(np.isfinite(a).all()))
+                  for name, a in (("u1_0", u10), ("theta0", theta0),
+                                  ("h1_0", h10))]
+        checks += [
+            ("theta_star >= 2 delta", float(outflow.theta_star.min()) >= 2 * d),
+            ("theta0 >= 2 delta", float(theta0.min()) >= 2 * d),
+            ("h1_0 >= 2 delta", float(h10.min()) >= 2 * d),
+            ("h1_0^2/2 <= P(0, x) - 2 delta", float(P_minus_q.min()) >= 2 * d),
+        ]
+        for name, ok in checks:
+            if not ok:
+                raise PreconditionError(name)
+
+        v0, _ = initial_eta_map(u10, theta0, h10, y, grid, d)
+        return params, grid, outflow, v0, y
 
 
 def compile_expression(text: str, variables: tuple) -> Callable:

@@ -235,6 +235,18 @@ class _Measure:
             first_violation=self.violation)
 
 
+def _require_finite(v: FloatArray, what: str) -> None:
+    """Raise PreconditionError, naming the component, xi column and eta row
+    of the first entry, unless every entry of an (nx, neta, 3) array is
+    finite."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i, j, c = (int(n) for n in np.argwhere(bad)[0])
+        raise PreconditionError(
+            f"{what} must be finite; {('u1', 'theta', 'q')[c]} = "
+            f"{v[i, j, c]:.6g} at xi column {i}, eta row {j}")
+
+
 def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
                  tol: float = 1e-8, max_iter: int = 30,
                  source: Optional[FloatArray] = None):
@@ -243,7 +255,8 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     Preconditions: v0 admissible with margin 2*delta (theta >= 2 delta,
     2 delta <= q <= P - 2 delta at t = 0), and admissible with margin delta
     once its wall and far rows are those of outflow level 0, the level
-    every iterate marches from.  Iterates solve the linear
+    every iterate marches from; then v0 and the d_tau v(0) of
+    compatibility_derivatives finite.  Iterates solve the linear
     problem against the previous trajectory, overwriting it level by level,
     so the run holds one trajectory; the loop stops when the
     trajectory distance drops to tol (finite, >= 0) or max_iter is hit.
@@ -281,10 +294,13 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
             f"satisfy theta >= delta and delta <= q <= P - delta (delta = "
             f"{d}); it fails at xi column {i}, eta row {j}")
 
+    data0 = v0.as_array()
+    _require_finite(data0, "initial data v(0)")
+    v0_t = compatibility_derivatives(v0, outflow, params, grid)
+    _require_finite(v0_t, "initial time derivative d_tau v(0)")
+
     background = build_background(outflow, grid)
-    traj = build_zeroth_approx(
-        background, v0.as_array(),
-        compatibility_derivatives(v0, outflow, params, grid), grid)
+    traj = build_zeroth_approx(background, data0, v0_t, grid)
     records: List[IterateRecord] = []
     aborted, message = False, ""
     # iterate 0 is the zeroth approximation: measured, never solved for.

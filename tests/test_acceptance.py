@@ -18,8 +18,12 @@ Pinned tolerances:
   10 I/O determinism               bit-identical files and round trips
 """
 
+import multiprocessing
 import os
+import resource
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -195,24 +199,56 @@ def test_criterion_03_exact_constant_fixed_point():
 # ---------------------------------------------------------------------------
 # 4. manufactured convergence
 
+CRITERION_04_RESOLUTIONS = [(16, 32), (32, 64), (64, 128)]
+#: criterion 04's studies, (case name, mode), with their order bands
+CRITERION_04_STUDIES = [
+    (("advection", "spatial"), (1.7, 2.3)),
+    (("shear", "spatial"), (1.7, 2.3)),
+    (("diffusion", "spatial"), (1.7, 2.3)),
+    (("diffusion", "temporal"), (0.8, 1.2)),
+]
+
+
+def criterion_04_study(case_and_mode):
+    """Run one study of criterion 04 in a worker process, with warnings as
+    errors as in the test session.  The case is looked up by name, as a
+    ManufacturedCase holds closures and does not pickle.  Returns the fitted
+    orders, the worker's pid and its own peak RSS in KiB (the parent's
+    RUSAGE_CHILDREN does not see a forkserver's workers)."""
+    name, mode = case_and_mode
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = convergence_study(case_library()[name], CRITERION_04_RESOLUTIONS,
+                                mode=mode)
+    return (res.orders, os.getpid(),
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
 def test_criterion_04_mms_convergence():
     t0 = time.perf_counter()
-    lib = case_library()
-    resolutions = [(16, 32), (32, 64), (64, 128)]
+    # the studies share nothing: one worker process each, up to the CPUs
+    # this process may run on
+    workers = min(4, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("forkserver")
+    ) as pool:
+        results = list(pool.map(criterion_04_study,
+                                [study for study, _ in CRITERION_04_STUDIES]))
     details = []
     ok = True
-    for name in ("advection", "shear", "diffusion"):
-        res = convergence_study(lib[name], resolutions, mode="spatial")
-        good = all(1.7 <= o <= 2.3 for o in res.orders)
+    peaks = {}
+    for ((name, mode), (low, high)), (orders, pid, peak) in zip(
+            CRITERION_04_STUDIES, results, strict=True):
+        good = all(low <= o <= high for o in orders)
         ok = ok and good
-        details.append(f"{name} spatial {min(res.orders):.2f}..{max(res.orders):.2f}")
-    res = convergence_study(lib["diffusion"], resolutions, mode="temporal")
-    good = all(0.8 <= o <= 1.2 for o in res.orders)
-    ok = ok and good
-    details.append(f"diffusion temporal {min(res.orders):.2f}..{max(res.orders):.2f}")
+        details.append(f"{name} {mode} {min(orders):.2f}..{max(orders):.2f}")
+        peaks[pid] = peak
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
-    report(4, ok, "; ".join(details) + f"; {elapsed:.0f} s")
+    report(4, ok, "; ".join(details) + f"; {elapsed:.0f} s in {workers} "
+                  f"workers, peak RSS "
+                  + ", ".join(f"{p / 1024:.0f}" for p in peaks.values())
+                  + " MiB")
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +257,7 @@ def test_criterion_04_mms_convergence():
 @pytest.fixture(scope="module")
 def demo_run():
     cfg = parse_config(Path(DEMO_INI).read_text())
-    params = cfg.make_params()
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
-    u1f, thf, h1f = cfg.initial_profiles()
-    y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
-                    cfg.getint("initial", "ny"))
-    X, Y = np.meshgrid(grid.xi, y, indexing="ij")
-    v0, _ = initial_eta_map(np.asarray(u1f(X, Y), float),
-                            np.asarray(thf(X, Y), float),
-                            np.asarray(h1f(X, Y), float), y, grid,
-                            params.delta)
+    params, grid, outflow, v0, y = cfg.problem()
     t0 = time.perf_counter()
     traj, rep = picard_solve(v0, outflow, params, grid,
                              tol=cfg.getfloat("picard", "tol"),

@@ -297,32 +297,58 @@ def test_simulate_rejects_bad_picard_and_output_values(tmp_path, capsys, key,
     assert not out_dir.exists()
 
 
-def test_simulate_precondition_exit_3(tmp_path, capsys):
-    path, _ = write_config(tmp_path, h1_0="0.01 + 0.0*y")
+def precondition_message(path, route, capsys):
+    """The message of the precondition a config fails: mhbl simulate's one
+    stderr line (exit 3) after its prefix.  On the library route,
+    parse_config(text).problem() must raise PreconditionError with the same
+    message."""
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
-    assert "precondition" in capsys.readouterr().err
+    prefix = "precondition violated: "
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    message = err[len(prefix):-1]
+    if route == "library":
+        with pytest.raises(errors.PreconditionError) as exc:
+            parse_config(path.read_text()).problem()
+        assert str(exc.value) == message
+    return message
+
+
+@pytest.mark.parametrize("route", ["cli", "library"])
+def test_simulate_precondition_exit_3(tmp_path, capsys, route):
+    path, _ = write_config(tmp_path, h1_0="0.01 + 0.0*y")
+    assert precondition_message(path, route, capsys) == "h1_0 >= 2 delta"
     # q = h1^2/2 too close to P
     path, _ = write_config(tmp_path, name="close.ini", h1_0="1.98 + 0.0*y")
-    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
-    assert "h1_0^2/2 <= P(0, x) - 2 delta" in capsys.readouterr().err
+    assert (precondition_message(path, route, capsys)
+            == "h1_0^2/2 <= P(0, x) - 2 delta")
     # q = h1^2/2 overflows: refused by the same check, with no RuntimeWarning
     path, _ = write_config(tmp_path, name="huge.ini", h1_0="1e200 + 0.0*y")
-    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
-    assert "h1_0^2/2 <= P(0, x) - 2 delta" in capsys.readouterr().err
+    assert (precondition_message(path, route, capsys)
+            == "h1_0^2/2 <= P(0, x) - 2 delta")
 
 
-@pytest.mark.parametrize("profile,value", [
+NON_FINITE_PROFILES = [
     ("u1_0", "sqrt(y - 1.0)"), ("u1_0", "1.0/y"),
     ("theta0", "sqrt(y - 1.0)"), ("theta0", "1.0 + 1/y"),
     ("h1_0", "sqrt(y - 1.0)"), ("h1_0", "1.0 + 1/y"),
-], ids=["nan", "inf", "theta0-nan", "theta0-inf", "h1_0-nan", "h1_0-inf"])
-def test_simulate_non_finite_u1_0_exit_3(tmp_path, capsys, profile, value):
+]
+NON_FINITE_IDS = ["nan", "inf", "theta0-nan", "theta0-inf", "h1_0-nan",
+                  "h1_0-inf"]
+
+
+@pytest.mark.parametrize(
+    "profile,value,route",
+    [(*case, "cli") for case in NON_FINITE_PROFILES]
+    + [(*case, "library") for case in NON_FINITE_PROFILES],
+    ids=NON_FINITE_IDS + [f"library-{i}" for i in NON_FINITE_IDS])
+def test_simulate_non_finite_u1_0_exit_3(tmp_path, capsys, profile, value,
+                                         route):
     # +inf passes every ">= 2 delta" check, so each profile is checked for
     # finiteness first and the error names it; numpy's own warnings as it
     # evaluates the expression stay silent (RuntimeWarning is an error here)
     path, out_dir = write_config(tmp_path, **{profile: value})
-    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
-    assert f"precondition violated: {profile} finite" in capsys.readouterr().err
+    assert precondition_message(path, route, capsys) == f"{profile} finite"
     assert not out_dir.exists()
 
 
@@ -675,25 +701,23 @@ def test_huge_outflow_pressure_runs_silently_to_finite_outputs(tmp_path,
     assert numbers > 100
 
 
-LEFT_AT_LEVEL_0 = LEFT_THE_SET.replace("time level 1", "time level 0")
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("R", "1e308", "Picard iterate 1: time level 0: u1 = nan is not finite "
-                   "at eta row 2, xi column 0"),
-    ("theta_star", "1e308", LEFT_AT_LEVEL_0),
-    ("u1_0", "1e200*y", LEFT_AT_LEVEL_0),
+@pytest.mark.parametrize("key,value,component,row", [
+    ("R", "1e308", "u1", 2),
+    ("theta_star", "1e308", "theta", 0),
+    ("u1_0", "1e200*y", "q", 0),
 ], ids=["R", "theta_star", "u1_0"])
 @pytest.mark.filterwarnings("error")
-def test_overflow_in_the_numerics_exits_4_without_a_warning(tmp_path, capsys,
-                                                            key, value,
-                                                            message):
-    # the freeze and the stencils overflow to inf and NaN, which the checks
-    # where values are made refuse; they printed numpy RuntimeWarnings
-    # before the exit-4 line until the command line ran under np.errstate
+def test_non_finite_initial_time_derivative_exit_3(tmp_path, capsys, key,
+                                                  value, component, row):
+    # the initial data are finite, but the d_tau v(0) the equation gives
+    # them overflows to inf and NaN: a fault of the data, which no shorter
+    # t_end can mend, refused before the zeroth approximation is built and
+    # without a numpy warning
     path, _ = demo_config(tmp_path, **{key: value})
-    assert main(["simulate", str(path)]) == EXIT_SOLVER
-    assert capsys.readouterr().err == f"solver error: {message}\n"
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition violated: initial time derivative d_tau v(0) must be "
+        f"finite; {component} = nan at xi column 0, eta row {row}\n")
 
 
 @pytest.mark.parametrize("key,value", [

@@ -42,12 +42,14 @@ from mhbl.picard import (
     picard_solve,
 )
 from mhbl import coeffs, mms, picard
+from mhbl.config import parse_config
 from mhbl.diagnostics import NormSpec, discrete_norm
 from mhbl.snapshots import emit_plot_data
 from mhbl.stepper import FrozenCoeffs, Trajectory, apply_derivative
 
 PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
 SRC = Path(picard.__file__).parent
+DEMO_INI = Path(__file__).resolve().parents[1] / "configs" / "demo.ini"
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +247,25 @@ def test_margin_precondition_enforced():
     v0 = State.constant(grid, 0.0, 1.0, 1.42)   # P - q < 2 delta
     with pytest.raises(PreconditionError):
         picard_solve(v0, data, PARAMS, grid)
+
+
+def test_non_finite_start_is_a_precondition():
+    # a NaN in u1 passes the theta and q checks, and finite data can give a
+    # d_tau v(0) that overflows: either is a fault of the data, refused
+    # before the zeroth approximation is built, not an aborted report
+    params, grid, outflow, v0, _ = parse_config(DEMO_INI.read_text()).problem()
+    u1 = v0.u1.copy()
+    u1[3, 10] = np.nan
+    with pytest.raises(PreconditionError) as exc:
+        picard_solve(State(u1=u1, theta=v0.theta, q=v0.q), outflow, params,
+                     grid)
+    assert str(exc.value) == ("initial data v(0) must be finite; u1 = nan at "
+                              "xi column 3, eta row 10")
+    with np.errstate(all="ignore"), pytest.raises(PreconditionError) as exc:
+        picard_solve(State(u1=1e200 * v0.u1, theta=v0.theta, q=v0.q),
+                     outflow, params, grid)
+    assert str(exc.value) == ("initial time derivative d_tau v(0) must be "
+                              "finite; q = nan at xi column 0, eta row 0")
 
 
 def perturbed_setup(t_end=0.05, dt=0.005):

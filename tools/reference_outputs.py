@@ -73,7 +73,6 @@ from mhbl.diagnostics import (  # noqa: E402
     energy_functional,
     outflow_consistency,
 )
-from mhbl.fields import sample_outflow  # noqa: E402
 
 #: the grid of the benchmark's simulate_wide workload
 WIDE = {"nx": 256, "neta": 32, "ny": 512}
@@ -134,25 +133,22 @@ def _write_report(report, fh) -> None:
 
 
 def _outflow_fields(text: str, path: str) -> None:
-    cfg = parse_config(text)
-    outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
-    np.save(path, outflow_consistency(outflow, cfg.make_params()).fields)
+    params, _, outflow, _, _ = parse_config(text).problem()
+    np.save(path, outflow_consistency(outflow, params).fields)
 
 
 def _audit(run_dirs, path: str) -> None:
     """Write check_physical_constraints of every physical snapshot in the
-    run directories, under the outflow and y grid of each run's config.ini."""
+    run directories, under the outflow and y grid that each run's
+    config.ini sets up."""
     with open(path, "w") as fh:
         for run_dir in run_dirs:
-            cfg = parse_config(Path(run_dir, "config.ini").read_text())
-            outflow = sample_outflow(cfg.outflow_spec(), cfg.make_grid())
-            y = np.linspace(0.0, cfg.getfloat("initial", "y_max"),
-                            cfg.getint("initial", "ny"))
+            params, _, outflow, _, y = parse_config(
+                Path(run_dir, "config.ini").read_text()).problem()
             for snap_path in sorted(Path(run_dir).glob("physical_*.mhbl")):
                 snap = read_snapshot(str(snap_path))
                 ps = PhysicalState(y_nodes=y, time=snap.time, **snap.fields)
-                maxima = check_physical_constraints(ps, outflow,
-                                                    cfg.make_params())
+                maxima = check_physical_constraints(ps, outflow, params)
                 fh.write(" ".join([snap_path.as_posix(),
                                    *(m.hex() for m in maxima)]) + "\n")
 
@@ -163,15 +159,13 @@ def _identities(text: str, traj, path: str) -> None:
         code = cli.run_check_identities()
     if code != 0:
         raise SystemExit(f"check-identities exited {code}")
-    cfg = parse_config(text)
-    grid = cfg.make_grid()
-    outflow = sample_outflow(cfg.outflow_spec(), grid)
+    params, grid, outflow, _, _ = parse_config(text).problem()
     level = traj.state(traj.nlevels - 1)
     with open(path, "w") as fh:
         fh.write(out.getvalue())
         for k in range(3):
             energy = energy_functional(level, 0.0, level, NormSpec(k), grid,
-                                       cfg.make_params(), outflow.P[-1])
+                                       params, outflow.P[-1])
             fh.write(f"energy_functional {k} {float(energy).hex()}\n")
 
 
