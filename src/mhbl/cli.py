@@ -66,14 +66,6 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
-#: the equations of simulate's residual reports, in the order of their rows
-RESIDUAL_EQUATIONS = {
-    "transformed": ("tangential momentum", "temperature", "tangential field"),
-    "physical": ("tangential momentum", "temperature", "tangential field",
-                 "velocity divergence", "magnetic divergence"),
-}
-
-
 def _exit_code(command: Callable[..., int], *args) -> int:
     """Run a subcommand; an error it raises is printed under its EXIT_TABLE
     prefix and turned into that row's exit code.
@@ -99,16 +91,16 @@ def run_simulate(config_text: str) -> int:
     Steps: parse and validate, set up the problem with RunConfig.problem
     (the outflow, the initial data on the (xi, eta) grid and their
     preconditions), run the Picard solve, pull snapshots back to physical
-    variables, and write snapshots, reports and optional plot data.  An
+    variables, and write snapshots, reports and plot data.  An
     error is printed and mapped to its exit code, as under main().
     """
     return _exit_code(_simulate, config_text)
 
 
 def _refuse_non_finite(report, kind: str) -> None:
-    """Raise DegenerateStateError, naming the equation, unless every max and
-    L2 norm of a residual report of the given kind is finite."""
-    for i, name in enumerate(RESIDUAL_EQUATIONS[kind]):
+    """Raise DegenerateStateError, naming the kind of the system and the
+    equation, unless every max and L2 norm of a ResidualReport is finite."""
+    for i, name in enumerate(report.equations):
         norms = float(report.max_norm[i]), float(report.l2_norm[i])
         if not all(map(math.isfinite, norms)):
             raise DegenerateStateError(
@@ -182,8 +174,7 @@ def _simulate(config_text: str) -> int:
     emit_plot_data(res_t, out_dir)
     if res_o is not None:
         emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
-    if cfg.getbool("output", "emit_plots"):
-        emit_plot_data(traj, out_dir, grid=grid)
+    emit_plot_data(traj, out_dir, grid=grid)
 
     print(f"converged in {report.iterations} iterations; "
           f"wrote {len(levels)} snapshot levels to {out_dir}")

@@ -52,12 +52,12 @@ def _split(v: FloatArray):
 
 
 def _at(bad: FloatArray) -> str:
-    """' at eta row j, xi column i' for the first True of an (nx, neta) mask;
+    """' at xi column i, eta row j' for the first True of an (nx, neta) mask;
     other shapes are not a grid level, and name no node."""
     if np.ndim(bad) != 2:
         return ""
     i, j = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
-    return f" at eta row {j}, xi column {i}"
+    return f" at xi column {i}, eta row {j}"
 
 
 def _denominators(theta: FloatArray, q: FloatArray, P, params: Params):

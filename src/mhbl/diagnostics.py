@@ -98,16 +98,23 @@ def energy_functional(v: State, vbar: FloatArray, v_frozen: State,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Componentwise residual norms of the transformed system over a
-    trajectory's interior nodes (max over evaluated time levels)."""
+    """Max and L2 norms of a residual, one entry per equation: row i of
+    max_norm and l2_norm belongs to equations[i].  residual_transformed
+    reports the transformed system, transform.residual_original the
+    original one."""
 
+    equations: Tuple[str, ...]
     max_norm: FloatArray
     l2_norm: FloatArray
-    levels: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_norm", _frozen(self.max_norm))
         object.__setattr__(self, "l2_norm", _frozen(self.l2_norm))
+
+
+#: the equations of the transformed system, in the order of v's components
+TRANSFORMED_EQUATIONS = ("tangential momentum", "temperature",
+                         "tangential field")
 
 
 def residual_transformed(traj: Trajectory, outflow: OutflowData,
@@ -118,8 +125,9 @@ def residual_transformed(traj: Trajectory, outflow: OutflowData,
 
     Time derivatives are centered at interior levels (one-sided with exactly
     two levels), all coefficients are evaluated at the residual level, and
-    the boundary rows are excluded.  A converged frozen-coefficient solution
-    matches the source to the scheme's order.
+    the boundary rows are excluded.  Each norm is the largest over those
+    levels.  A converged frozen-coefficient solution matches the source to
+    the scheme's order.
     """
     nt = traj.nlevels - 1
     if nt < 1:
@@ -139,7 +147,8 @@ def residual_transformed(traj: Trajectory, outflow: OutflowData,
         l2_acc = np.maximum(
             l2_acc,
             np.sqrt(np.sum(inner ** 2 * w[None, :, None], axis=(0, 1)) * grid.dxi))
-    return ResidualReport(max_norm=max_norm, l2_norm=l2_acc, levels=len(klist))
+    return ResidualReport(equations=TRANSFORMED_EQUATIONS, max_norm=max_norm,
+                          l2_norm=l2_acc)
 
 
 @dataclass(frozen=True)

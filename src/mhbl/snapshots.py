@@ -26,6 +26,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
+from .diagnostics import ResidualReport
 from .errors import SnapshotFormatError
 from .fields import FloatArray, State
 from .picard import IterationReport
@@ -131,12 +132,15 @@ def _write_csv(path: str, header: List[str], rows) -> None:
 
 def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
     """Write plain CSV plot data for a Trajectory, an IterationReport or a
-    residual report, plus a gnuplot script referencing the files.
+    ResidualReport.
 
     Trajectories produce one profile file per component (eta against the
-    field at the first xi node, one column per stored time level).
-    Iteration reports produce the contraction history, with each iterate's
-    norm, margin and min_Q.  Returns the list of files written.
+    field at the first xi node, one column per stored time level) and a
+    gnuplot script referencing them.  Iteration reports produce the
+    contraction history, with each iterate's norm, margin and min_Q.
+    Residual reports produce residuals.csv, one row per equation, numbered
+    in the order of ResidualReport.equations.  Returns the list of files
+    written.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
@@ -175,12 +179,10 @@ def emit_plot_data(obj, out_dir: str, grid=None) -> List[str]:
                           "norm", "margin", "min_Q"], rows)
         written.append(path)
         return written
-    # fall through: any object with max_norm/l2_norm pairs counts as residuals
-    if hasattr(obj, "max_norm") and hasattr(obj, "l2_norm"):
+    if isinstance(obj, ResidualReport):
         path = os.path.join(out_dir, "residuals.csv")
-        maxn = np.atleast_1d(np.asarray(obj.max_norm, dtype=float))
-        l2 = np.atleast_1d(np.asarray(obj.l2_norm))
-        rows = [[i, f"{m:.12e}", f"{l:.12e}"] for i, (m, l) in enumerate(zip(maxn, l2))]
+        rows = [[i, f"{m:.12e}", f"{l:.12e}"]
+                for i, (m, l) in enumerate(zip(obj.max_norm, obj.l2_norm))]
         _write_csv(path, ["equation", "max_norm", "l2_norm"], rows)
         written.append(path)
         return written

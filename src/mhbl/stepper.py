@@ -20,7 +20,7 @@ solve_u1 puts the scalar u1 system's three diagonals into dgtsv, then
 solve_theta_q puts the 2x2 (theta, q) system into dgbsv's band, with the u1
 couplings moved to its right-hand side.  Both share one guard
 (_guarded_solve): a non-finite system or a pivot too small for its xi
-column raises LinearSolveError naming the eta row and xi column.
+column raises LinearSolveError naming the xi column and eta row.
 BlockTridiag is the generic (nbatch, m, k, k) block solver the tests take
 as the reference; no solver path builds one, and the error path of each
 named solver names a singular row from its own band (_band_dense).
@@ -137,7 +137,7 @@ def _guarded_solve(scale: FloatArray, rhs: FloatArray, k: int,
     raises before the call.  lapack() makes the call and returns
     (x, u_diag, info), u_diag being the diagonal of the LU factor U.  A
     positive info, or a pivot |u_ii| <= 1e-13 * scale of its column, raises
-    naming the eta row and xi column; column(col) gives xi column col's
+    naming the xi column and eta row; column(col) gives xi column col's
     dense (k m, k m) matrix for that message only.
     """
     nb = len(scale)
@@ -155,7 +155,7 @@ def _guarded_solve(scale: FloatArray, rhs: FloatArray, k: int,
     # name the row where the column's left null vector is largest
     row = int(np.argmax(np.abs(np.linalg.svd(column(col))[0][:, -1]))) // k
     raise LinearSolveError(
-        f"singular implicit system at eta row {row}, xi column {col} "
+        f"singular implicit system at xi column {col}, eta row {row} "
         f"(min |pivot| = {pivot[col]:.3e}, max |entry| = {scale[col]:.3e})")
 
 

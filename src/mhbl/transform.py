@@ -30,6 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from .diagnostics import TRANSFORMED_EQUATIONS, ResidualReport
 from .errors import (GridSizingError, LinearSolveError, MissingTimeLevelError,
                      NondegeneracyError)
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
@@ -417,6 +418,10 @@ def check_physical_constraints(ps: PhysicalState, outflow: OutflowData,
 #: triple, and residual_original of the middle one
 RESIDUAL_OUTER = ("time", "u1", "theta", "h1")
 RESIDUAL_MIDDLE = RESIDUAL_OUTER + ("u2", "h2", "y_nodes")
+#: the equations of the original system, the transformed system's three
+#: evolution equations first
+PHYSICAL_EQUATIONS = TRANSFORMED_EQUATIONS + ("velocity divergence",
+                                              "magnetic divergence")
 
 
 def time_differences(sm: PhysicalState, sp: PhysicalState,
@@ -441,14 +446,14 @@ def time_differences(sm: PhysicalState, sp: PhysicalState,
 
 def residual_original(s0: PhysicalState, ddt: Dict[str, Any],
                       outflow: OutflowData,
-                      params: Params) -> "PhysicalResidualReport":
+                      params: Params) -> ResidualReport:
     """Discrete residuals of the original system at the state s0.
 
     ddt is time_differences(sm, sp, t0) of the states one step either side
     of s0, and s0.time must be t0, or MissingTimeLevelError is raised.  All
     derivatives are second order (centered in t and x, one-sided at the y
-    ends) and the residuals are evaluated on interior y rows.  Returns max
-    and L2 norms for the five evolution/constraint equations:
+    ends) and the residuals are evaluated on interior y rows.  Returns the
+    ResidualReport of the five evolution/constraint equations:
 
       0: tangential momentum      1: temperature      2: tangential field
       3: velocity divergence      4: magnetic divergence
@@ -561,18 +566,6 @@ def residual_original(s0: PhysicalState, ddt: Dict[str, Any],
     for r in _blocks(nx):
         np.add(ddx(h1, r), ddy(h2[r]), out=res[r])
     reduce(4, res)
-    return PhysicalResidualReport(max_norm=max_norm, l2_norm=l2_norm,
-                                  time=s0.time)
+    return ResidualReport(equations=PHYSICAL_EQUATIONS, max_norm=max_norm,
+                          l2_norm=l2_norm)
 
-
-@dataclass(frozen=True)
-class PhysicalResidualReport:
-    """Residual norms of the original system's five equations at one time."""
-
-    max_norm: FloatArray
-    l2_norm: FloatArray
-    time: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "max_norm", _frozen(self.max_norm))
-        object.__setattr__(self, "l2_norm", _frozen(self.l2_norm))

@@ -48,7 +48,7 @@ def config_text(out_dir, **overrides):
         "h1_0": "1.1 + 0.0*y",
         "y_max": "6.0", "ny": "49",
         "tol": "1e-9", "max_iter": "25",
-        "snapshot_every": "1", "emit_plots": "false",
+        "snapshot_every": "1",
     }
     base.update(overrides)
     return f"""\
@@ -88,7 +88,6 @@ max_iter = {base['max_iter']}
 [output]
 dir = {out_dir}
 snapshot_every = {base['snapshot_every']}
-emit_plots = {base['emit_plots']}
 """
 
 
@@ -128,8 +127,7 @@ def test_simulate_is_bit_deterministic(tmp_path):
 
 
 def test_simulate_snapshot_every_and_plots(tmp_path):
-    path, out_dir = write_config(tmp_path, snapshot_every="2",
-                                 emit_plots="true")
+    path, out_dir = write_config(tmp_path, snapshot_every="2")
     assert main(["simulate", str(path)]) == EXIT_OK
     names = sorted(os.listdir(out_dir))
     # levels 0, 2 and the forced final level 3
@@ -397,11 +395,14 @@ def test_simulate_refuses_to_continue_past_admissibility_loss(tmp_path,
     ("outflow", "mode = constant"),
     ("picard", "on_admissibility_loss = abort"),
     ("picard", "compat_order = 1"),
-], ids=["mode", "on_admissibility_loss", "compat_order"])
+    ("output", "emit_plots = true"),
+    ("output", "emit_plots = false"),
+], ids=["mode", "on_admissibility_loss", "compat_order", "emit_plots_true",
+        "emit_plots_false"])
 def test_config_holding_a_removed_key_exit_2(tmp_path, capsys, section, line):
-    # every outflow trace is an expression, abort the one policy and the
-    # first-order Taylor start the one zeroth iterate, so no key has a value
-    # left to choose
+    # every outflow trace is an expression, abort the one policy, the
+    # first-order Taylor start the one zeroth iterate and every run writes
+    # its plot data, so no key has a value left to choose
     path, out_dir = write_config(tmp_path)
     add_line(path, section, line)
     assert main(["simulate", str(path)]) == EXIT_CONFIG
@@ -743,14 +744,15 @@ def test_outflow_rows_just_inside_the_set_exit_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("module,name,kind,row,written", [
-    (transform, "residual_original", "physical", 3,
+@pytest.mark.parametrize("module,name,kind,row,equation,written", [
+    (transform, "residual_original", "physical", 3, "velocity divergence",
      "physical_residuals/residuals.csv"),
-    (diagnostics, "residual_transformed", "transformed", 1, "residuals.csv"),
+    (diagnostics, "residual_transformed", "transformed", 1, "temperature",
+     "residuals.csv"),
 ], ids=["physical", "transformed"])
 def test_simulate_refuses_a_non_finite_residual(tmp_path, capsys, monkeypatch,
                                                 module, name, kind, row,
-                                                written):
+                                                equation, written):
     # a residual norm that is not finite is a solver error naming its
     # equation, not a nan or inf in residuals.csv
     real, l2 = getattr(module, name), []
@@ -761,12 +763,12 @@ def test_simulate_refuses_a_non_finite_residual(tmp_path, capsys, monkeypatch,
         max_norm = np.array(report.max_norm)
         max_norm[row] = bad
         l2.append(float(report.l2_norm[row]))
+        assert report.equations[row] == equation
         return dataclasses.replace(report, max_norm=max_norm)
 
     monkeypatch.setattr(module, name, spoiled)
     path, out_dir = write_config(tmp_path)
     assert main(["simulate", str(path)]) == EXIT_SOLVER
-    equation = cli.RESIDUAL_EQUATIONS[kind][row]
     assert capsys.readouterr().err == (
         f"solver error: {kind} residual of equation {row} ({equation}) is not "
         f"finite: max norm {bad}, L2 norm {l2[0]:.6g}\n")

@@ -301,7 +301,7 @@ def test_degeneracy_error_names_the_first_node():
     v[3, 1, 1] = -1.0
     with pytest.raises(DegenerateStateError,
                        match=r"^theta = -1\.000e\+00 fell below .* guard at "
-                             r"eta row 3, xi column 2$"):
+                             r"xi column 2, eta row 3$"):
         dense(v, np.full((4, 1), 1.0), PARAMS1)
 
 

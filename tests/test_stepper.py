@@ -166,7 +166,7 @@ def test_block_solve_detects_singular_block():
         sys.diag[2, 5] = 0.0
         sys.lower[2, 5] = 0.0
         sys.upper[2, 5] = 0.0
-        with pytest.raises(LinearSolveError, match="eta row 5, xi column 2"):
+        with pytest.raises(LinearSolveError, match="xi column 2, eta row 5"):
             sys.solve(rng.normal(size=(4, 8, k)))
 
 
@@ -309,8 +309,8 @@ def test_solve_u1_names_a_singular_row(col, row):
     f00, b00, rhs, far = u1_system()
     f00[col, row], b00[col, row] = (2.0 if row else -2.0), -1.0
     with pytest.raises(LinearSolveError,
-                       match=f"^singular implicit system at eta row {row}, "
-                             f"xi column {col} "):
+                       match=f"^singular implicit system at xi column {col}, "
+                             f"eta row {row} "):
         stepper.solve_u1(f00, b00, rhs, far, 0.5, 1.0)
 
 
@@ -322,8 +322,8 @@ def test_solve_theta_q_names_a_singular_row(col, row, r):
     F[r][r][col, row], B[r][r][col, row] = (2.0 if row else -2.0), -1.0
     F[r][1 - r][col, row] = B[r][1 - r][col, row] = 0.0
     with pytest.raises(LinearSolveError,
-                       match=f"^singular implicit system at eta row {row}, "
-                             f"xi column {col} "):
+                       match=f"^singular implicit system at xi column {col}, "
+                             f"eta row {row} "):
         stepper.solve_theta_q(F, B, rhs, wall, far, 0.5, 1.0)
 
 
@@ -768,7 +768,7 @@ def test_frozen_coeffs_reject_nan_state(node, value, needle):
     v[node] = value
     x, j = node[:2]
     with pytest.raises(DegenerateStateError,
-                       match=f"^{needle} .* at eta row {j}, xi column {x}$"):
+                       match=f"^{needle} .* at xi column {x}, eta row {j}$"):
         FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                 outflow.P_xi[0], PARAMS, g)
 
@@ -787,8 +787,8 @@ def test_frozen_coeffs_refuse_inadmissible_state(node, value, needle):
     v[node] = value
     x, j = node[:2]
     with pytest.raises(DegenerateStateError,
-                       match=f"^{re.escape(needle)} .* at eta row {j}, "
-                             f"xi column {x}$"):
+                       match=f"^{re.escape(needle)} .* at xi column {x}, "
+                             f"eta row {j}$"):
         FrozenCoeffs.from_state(v, outflow.P[0], outflow.P_t[0],
                                 outflow.P_xi[0], PARAMS, g)
 
@@ -823,7 +823,7 @@ def test_march_rejects_non_finite_frozen_u1(value):
     coeff.data[2, 3, 5, 0] = value
     with pytest.raises(DegenerateStateError,
                        match=r"^time level 2: u1 = (nan|inf) is not finite "
-                             r"at eta row 5, xi column 3$"):
+                             r"at xi column 3, eta row 5$"):
         solve_linear_problem(coeff, v, outflow, PARAMS, g)
 
 

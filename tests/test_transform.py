@@ -527,7 +527,9 @@ def test_residual_original_vanishes_on_constants():
     sm, s0, sp = [constant_physical(grid, y, k * grid.dt) for k in range(3)]
     rep = residual_original(s0, time_differences(sm, sp, s0.time), data,
                             PARAMS)
-    assert rep.time == pytest.approx(grid.dt)
+    assert rep.equations == ("tangential momentum", "temperature",
+                             "tangential field", "velocity divergence",
+                             "magnetic divergence")
     assert np.all(rep.max_norm <= 1e-12)
     assert np.all(rep.l2_norm <= 1e-12)
     assert rep.max_norm.shape == (5,)
@@ -586,6 +588,5 @@ def test_residual_original_reads_only_the_listed_fields():
     got = residual_original(held[1], time_differences(held[0], held[2],
                                                       held[1].time),
                             data, PARAMS)
-    assert got.time == want.time
     assert got.max_norm.tobytes() == want.max_norm.tobytes()
     assert got.l2_norm.tobytes() == want.l2_norm.tobytes()

@@ -1,6 +1,7 @@
 """Write the outputs whose bits a change that keeps the numbers must keep.
 
     python tools/reference_outputs.py <out_dir>
+    python tools/reference_outputs.py --pin
 
 Runs the code of the checkout this script sits in (its src/ goes first on
 the import path) and writes into out_dir:
@@ -44,22 +45,37 @@ differ by exactly those two lines.  Against one from before [picard]
 compat_order was removed, the config.ini of demo/, wide/ and travelling/
 also differ by its line "compat_order = 1", and each iterations.csv by the
 norm, margin and min_Q columns appended to its first four; every other file
-is the same.
+is the same.  Against one from before [output] emit_plots was removed,
+the config.ini of demo/, wide/ and travelling/ differ by its line
+"emit_plots = true" and no other file differs.
+
+--pin runs demo/ and travelling/ in a temporary directory and writes the
+sha256 of every file they write into tests/golden/digests.json, under the
+fingerprint of the running host (numpy and scipy versions, machine, and
+the OpenBLAS core scipy's LAPACK runs on).  tests/test_golden.py reruns
+the two and compares; wide/ is left to the diff -r above.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import hashlib
 import io
+import json
 import os
+import platform
 import re
 import sys
+import tempfile
 from pathlib import Path
+from typing import Dict
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from mhbl import cli, mms, picard  # noqa: E402
 from mhbl.snapshots import read_snapshot  # noqa: E402
@@ -74,6 +90,10 @@ from mhbl.diagnostics import (  # noqa: E402
     outflow_consistency,
 )
 
+DEMO = ROOT / "configs" / "demo.ini"
+#: the simulate runs pinned in DIGESTS, by their directory names
+PINNED_RUNS = ("demo", "travelling")
+DIGESTS = ROOT / "tests" / "golden" / "digests.json"
 #: the grid of the benchmark's simulate_wide workload
 WIDE = {"nx": 256, "neta": 32, "ny": 512}
 #: criterion 04's resolutions
@@ -94,6 +114,60 @@ def _set_key(text: str, key: str, value: str) -> str:
     if n != 1:
         raise ValueError(f"expected one '{key} =' line in the config, found {n}")
     return new
+
+
+def _with(text: str, values: Dict[str, object]) -> str:
+    for key, value in values.items():
+        text = _set_key(text, key, str(value))
+    return text
+
+
+def simulate_configs() -> Dict[str, str]:
+    """The configuration text of each simulate run, by its directory
+    name: demo, wide and travelling."""
+    demo = DEMO.read_text()
+    return {"demo": demo, "wide": _with(demo, WIDE),
+            "travelling": _with(_with(demo, TRAVELLING), TRAVELLING_GRID)}
+
+
+def fingerprint() -> str:
+    """What the bits of a run depend on besides the code: the numpy and
+    scipy versions, the machine, and the core that scipy's bundled
+    OpenBLAS picked at load time ("unknown" without one), since dgbsv's
+    update runs that core's fused multiply-adds."""
+    core = "unknown"
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    lib = next(libs.glob("libscipy_openblas*.so"), None)
+    if lib is not None:
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"{platform.machine()}, {core}")
+
+
+def run_digests() -> Dict[str, str]:
+    """Run PINNED_RUNS into the current directory; the sha256 of every
+    file they write, by its path relative to it."""
+    configs = simulate_configs()
+    for name in PINNED_RUNS:
+        _simulate(configs[name], name)
+    return {path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for name in PINNED_RUNS for path in sorted(Path(name).rglob("*"))
+            if path.is_file()}
+
+
+def _pin() -> None:
+    pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            pinned[fingerprint()] = run_digests()
+        finally:
+            os.chdir(cwd)
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
 
 
 def _simulate(text: str, name: str) -> None:
@@ -170,10 +244,14 @@ def _identities(text: str, traj, path: str) -> None:
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    if argv == ["--pin"]:
+        _pin()
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
-    demo = (ROOT / "configs" / "demo.ini").read_text()
+    configs = simulate_configs()
+    demo = configs["demo"]
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
 
@@ -182,17 +260,8 @@ def main(argv) -> int:
     [(traj, report)] = runs
     with open("report_demo.txt", "w") as fh:
         _write_report(report, fh)
-    wide = demo
-    for key, value in WIDE.items():
-        wide = _set_key(wide, key, str(value))
-    _simulate(wide, "wide")
-    travelling = demo
-    for key, value in TRAVELLING.items():
-        travelling = _set_key(travelling, key, value)
-    travelling_run = travelling
-    for key, value in TRAVELLING_GRID.items():
-        travelling_run = _set_key(travelling_run, key, str(value))
-    _simulate(travelling_run, "travelling")
+    _simulate(configs["wide"], "wide")
+    _simulate(configs["travelling"], "travelling")
     _audit(("demo", "wide", "travelling"), "audit.txt")
 
     with _recording_runs(mms) as runs:
@@ -209,7 +278,7 @@ def main(argv) -> int:
         fh.write("orders " + " ".join(o.hex() for o in result.orders) + "\n")
 
     _outflow_fields(demo, "outflow_demo.npy")
-    _outflow_fields(travelling, "outflow_travelling.npy")
+    _outflow_fields(_with(demo, TRAVELLING), "outflow_travelling.npy")
     _identities(demo, traj, "identities.txt")
     return 0
 
