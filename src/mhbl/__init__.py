@@ -9,17 +9,17 @@ docstrings for the details of each stage.
 
 The names below are resolved on first use (PEP 562), so importing the
 package, or only its command line, loads neither numpy nor scipy; the
-command line can then cap the numerical backend's threads before it loads.
-Of scipy, the solver loads only the f2py LAPACK module, from its file (see
-mhbl.stepper); scipy.linalg comes in only with scipy.interpolate, for a
-rough pullback row.
+command line can then set the numerical backend's thread count before it
+loads.  Of scipy, the solver loads only the f2py LAPACK module, from its
+file (see mhbl.stepper); scipy.linalg comes in only with scipy.interpolate,
+for a rough pullback row.
 """
 
 import importlib
 
 _EXPORTS = {
     "coeffs": ("matrices",),
-    "diagnostics": ("NormSpec", "OutflowConsistencyReport", "ResidualReport",
+    "diagnostics": ("OutflowConsistencyReport", "ResidualReport",
                     "discrete_norm", "energy_functional",
                     "outflow_consistency", "residual_transformed",
                     "trace_check"),

@@ -12,12 +12,14 @@ Subcommands:
 Exit codes, the same for every subcommand (mms included): 0 success,
 2 configuration error (a malformed configuration, an expression that fails
 to evaluate, an unreadable config or snapshot, an unwritable output
-directory), 3 precondition violation, 4 solver error (admissibility loss,
-degenerate state, failed linear solve), 5 non-convergence.  Subcommands
-raise; one wrapper maps the error through EXIT_TABLE to its exit code and
-stderr prefix.  The environment variable MHBL_THREADS caps the worker
-threads of the numerical backend; it must be set before heavy work starts,
-so main() applies it before importing the numerics.
+directory, an mms level whose grid is refused), 3 precondition violation,
+4 solver error (admissibility loss, degenerate state, failed linear
+solve), 5 non-convergence.  Subcommands raise; one wrapper maps the error
+through EXIT_TABLE to its exit code and stderr prefix.  main() runs the
+numerical backend on one thread unless OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS says
+otherwise; the cap must be set before the backend loads, so main() applies
+it before importing the numerics.
 """
 
 from __future__ import annotations
@@ -52,18 +54,12 @@ EXIT_TABLE = (
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("MHBL_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        print(f"warning: ignoring non-integer MHBL_THREADS={cap!r}",
-              file=sys.stderr)
-        return
+    """Run the numerical backend on one thread unless the environment sets
+    its thread count: the systems solved are small, and a second BLAS
+    thread does not shorten them."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ.setdefault(var, "1")
 
 
 def _exit_code(command: Callable[..., int], *args) -> int:
@@ -272,7 +268,8 @@ def run_mms(case_name: str, levels: int, mode: str, out: Optional[str]) -> int:
                           f"(have {', '.join(sorted(lib))})")
     if levels < 3:
         raise ConfigError("need at least 3 levels")
-    resolutions = [(16 * 2 ** i, 32 * 2 ** i) for i in range(levels)]
+    # read lazily: the study stops at the first level whose grid is refused
+    resolutions = ((16 * 2 ** i, 32 * 2 ** i) for i in range(levels))
     result = convergence_study(lib[case_name], resolutions, mode=mode)
     for row in result.rows:
         errs = ", ".join(f"{e:.4e}" for e in row.errors)

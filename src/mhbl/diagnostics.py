@@ -9,7 +9,7 @@ is space-only: trajectories are measured level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,18 +21,11 @@ from .stencils import bounded_diff, periodic_diff
 from .stepper import Trajectory, _operator_at, apply_derivative
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Sobolev order selector for the discrete norms; k in {0, 1, 2}."""
-
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k not in (0, 1, 2):
-            raise GridSizingError(f"norm order k must be 0, 1 or 2, got {self.k}")
-
-
 def _multi_indices(k: int):
+    """The multi-indices (a1, a2) with a1 + a2 <= k, for a Sobolev order k
+    in {0, 1, 2}."""
+    if k not in (0, 1, 2):
+        raise GridSizingError(f"norm order k must be 0, 1 or 2, got {k}")
     return [(a1, a2) for a1 in range(k + 1) for a2 in range(k + 1 - a1)]
 
 
@@ -55,8 +48,9 @@ def _l2_sq(f: FloatArray, grid: Grid):
     return np.sum(sq, axis=(-2, -1)) * grid.dxi
 
 
-def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid):
-    """Discrete H^k norm of a scalar field (nx, neta), as a float.
+def discrete_norm(f: FloatArray, k: int, grid: Grid):
+    """Discrete H^k norm of a scalar field (nx, neta), as a float; k is 0,
+    1 or 2.
 
     A stack of fields (..., nx, neta) gives the array of their norms from
     one pass of each stencil.
@@ -65,7 +59,7 @@ def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid):
     if f.shape[-2:] != (grid.nx, grid.neta):
         raise GridSizingError(f"field shape {f.shape} does not match the grid")
     total = 0.0
-    for a1, a2 in _multi_indices(spec.k):
+    for a1, a2 in _multi_indices(k):
         total = total + _l2_sq(_derivative_power(f, grid, a1, a2, f.ndim - 2),
                                grid)
     norm = np.sqrt(total)
@@ -73,7 +67,7 @@ def discrete_norm(f: FloatArray, spec: NormSpec, grid: Grid):
 
 
 def energy_functional(v: State, vbar: FloatArray, v_frozen: State,
-                      spec: NormSpec, grid: Grid, params: Params,
+                      k: int, grid: Grid, params: Params,
                       P_row: FloatArray) -> float:
     """Symmetrizer-weighted energy of w = v - vbar about a frozen state:
 
@@ -89,7 +83,7 @@ def energy_functional(v: State, vbar: FloatArray, v_frozen: State,
     S = coeffs.matrices(frozen, zero, P_row[:, None], 0.0, 0.0, params)["S"]
     wq = grid.eta_weights()
     total = 0.0
-    for a1, a2 in _multi_indices(spec.k):
+    for a1, a2 in _multi_indices(k):
         dw = _derivative_power(w, grid, a1, a2)
         quad = np.einsum("xei,xeij,xej->xe", dw, S, dw)
         total += float(np.sum(quad * wq[None, :]) * grid.dxi)
@@ -118,15 +112,14 @@ TRANSFORMED_EQUATIONS = ("tangential momentum", "temperature",
 
 
 def residual_transformed(traj: Trajectory, outflow: OutflowData,
-                         params: Params, grid: Grid,
-                         source: Optional[FloatArray] = None) -> ResidualReport:
+                         params: Params, grid: Grid) -> ResidualReport:
     """Discrete residual of the nonlinear transformed system along a
     trajectory.
 
     Time derivatives are centered at interior levels (one-sided with exactly
     two levels), all coefficients are evaluated at the residual level, and
     the boundary rows are excluded.  Each norm is the largest over those
-    levels.  A converged frozen-coefficient solution matches the source to
+    levels.  A converged solution of the unforced system has a residual of
     the scheme's order.
     """
     nt = traj.nlevels - 1
@@ -140,8 +133,6 @@ def residual_transformed(traj: Trajectory, outflow: OutflowData,
         v = traj.data[k]
         ddt = bounded_diff(traj.data[k - 1:k + 2], grid.dt, 0, 1)[1]
         r = ddt + _operator_at(v, k, outflow, params, grid)
-        if source is not None:
-            r = r - source[k]
         inner = r[:, 1:-1, :]
         max_norm = np.maximum(max_norm, np.max(np.abs(inner), axis=(0, 1)))
         l2_acc = np.maximum(

@@ -34,12 +34,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from . import coeffs
-from .errors import GridSizingError, PreconditionError
+from .errors import ConfigError, GridSizingError, PreconditionError
 from .fields import (FloatArray, Grid, OutflowData, OutflowSpec, Params,
                      State, admissibility, make_grid, sample_outflow)
 from .picard import picard_solve
@@ -99,18 +99,20 @@ def manufacture_source(case: ManufacturedCase, outflow: OutflowData,
     return out
 
 
-def solve_case(case: ManufacturedCase, nx: int, neta: int, dt: float,
-               t_end: Optional[float] = None):
+def _case_grid(case: ManufacturedCase, nx: int, neta: int, dt: float) -> Grid:
+    """The grid of solve_case, with dt snapped to a whole number of steps."""
+    nsteps = max(1, int(round(case.t_end / dt)))
+    return make_grid(nx, neta, case.eta_max, case.t_end / nsteps, case.t_end)
+
+
+def solve_case(case: ManufacturedCase, nx: int, neta: int, dt: float):
     """Run the solver against a case; returns (trajectory, report, errors).
 
     errors are the weighted L2 norms of (computed - exact) per component at
     the final time.  dt is snapped so an integer number of steps lands on
-    t_end exactly.
+    case.t_end exactly.
     """
-    t_end = case.t_end if t_end is None else t_end
-    nsteps = max(1, int(round(t_end / dt)))
-    dt = t_end / nsteps
-    grid = make_grid(nx, neta, case.eta_max, dt, t_end)
+    grid = _case_grid(case, nx, neta, dt)
     outflow = sample_outflow(case.outflow_spec, grid)
     source = manufacture_source(case, outflow, case.params, grid)
     v0 = exact_state(case, grid, 0.0)
@@ -150,30 +152,40 @@ class StudyResult:
 
 
 def convergence_study(case: ManufacturedCase,
-                      resolutions: Sequence[Tuple[int, int]],
-                      mode: str = "spatial",
-                      t_end: Optional[float] = None) -> StudyResult:
+                      resolutions: Iterable[Tuple[int, int]],
+                      mode: str = "spatial") -> StudyResult:
     """Refine (dxi, deta, dt) together and fit the observed order.
 
     mode "spatial" scales dt with deta^2 so the first-order time error stays
     subdominant and the fitted slope reflects the second-order stencils;
     mode "temporal" scales dt with deta and expects slope one.  At least
     three resolutions are required; the first runs at the case's base_dt.
-    A failed solve raises its report's error, naming case and resolution.
+    Every resolution's grid is made, in order, before the first solve: the
+    first one refused raises ConfigError, and no later one is read.  A
+    failed solve raises its report's error, naming case and resolution.
     """
     if mode not in ("spatial", "temporal"):
         raise GridSizingError(f"mode must be 'spatial' or 'temporal', got {mode!r}")
-    if len(resolutions) < 3:
-        raise GridSizingError("a convergence study needs at least 3 resolutions")
-    deta0 = case.eta_max / (resolutions[0][1] - 1)
-    rows: List[StudyRow] = []
-    for nx, neta in resolutions:
+    power = 2 if mode == "spatial" else 1
+    plan: List[Tuple[int, int, float]] = []
+    for i, (nx, neta) in enumerate(resolutions):
         deta = case.eta_max / (neta - 1)
-        power = 2 if mode == "spatial" else 1
+        if i == 0:
+            deta0 = deta
         dt = case.base_dt * (deta / deta0) ** power
+        try:
+            _case_grid(case, nx, neta, dt)
+        except GridSizingError as exc:
+            raise ConfigError(f"case {case.name!r} at {nx}x{neta} (level {i}): "
+                              f"{exc}") from exc
+        plan.append((nx, neta, dt))
+    if len(plan) < 3:
+        raise GridSizingError("a convergence study needs at least 3 resolutions")
+    rows: List[StudyRow] = []
+    for nx, neta, dt in plan:
         # the trajectory is not kept: bound to a name, it would be held
         # through the next resolution's solve
-        report, errors = solve_case(case, nx, neta, dt, t_end=t_end)[1:]
+        report, errors = solve_case(case, nx, neta, dt)[1:]
         error = report.error()
         if error is not None:
             raise type(error)(f"case {case.name!r} at {nx}x{neta}: {error}")

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import NormSpec, discrete_norm
+from .diagnostics import discrete_norm
 from .errors import (CFLError, DegenerateStateError, GridSizingError,
                      LinearSolveError, MhblError, NonConvergenceError,
                      PreconditionError)
@@ -194,7 +194,6 @@ class _Measure:
 
     def __init__(self, background: Background, params: Params, grid: Grid):
         self.background, self.params, self.grid = background, params, grid
-        self.spec = NormSpec(k=1)
         self.w = grid.eta_weights()[:, None]
         self.dists, self.norms, self.minima, self.Q_minima = [], [], [], []
         self.violation: Optional[Tuple[int, int, int]] = None
@@ -221,7 +220,7 @@ class _Measure:
                                        rep.min_P_minus_q]))
             self.Q_minima.append(rep.min_Q)
             planes -= self.background.components(k)
-            comp = discrete_norm(planes, self.spec, self.grid)
+            comp = discrete_norm(planes, 1, self.grid)
             self.norms.append(math.sqrt(sum(n ** 2 for n in comp.tolist())))
 
     def result(self) -> IterateRecord:

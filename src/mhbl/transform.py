@@ -302,18 +302,15 @@ def _interp_at_psi(field_hat: FloatArray, eta: FloatArray,
 
 def pullback_physical(v_hat: State, outflow: OutflowData, params: Params,
                       grid: Grid, y_nodes: FloatArray,
-                      v_hat_prev: Optional[State] = None) -> PhysicalState:
+                      v_hat_prev: State) -> PhysicalState:
     """Recover the physical fields from one transformed state.
 
     v_hat_prev must be the state at an adjacent time level; the time
     derivative of h1_hat uses the difference quotient between the two levels
     (pass the level above for t = 0, the level below otherwise).  For
     genuinely steady data, pass a state with the same fields at a different
-    time.  Raises MissingTimeLevelError when absent.
+    time.  Raises MissingTimeLevelError when the two share a time.
     """
-    if v_hat_prev is None:
-        raise MissingTimeLevelError(
-            "pullback needs an adjacent time level for d_t h1; pass v_hat_prev")
     dt_pair = v_hat.time - v_hat_prev.time
     if abs(dt_pair) < 1e-300:
         raise MissingTimeLevelError("adjacent level must differ in time")

@@ -18,6 +18,7 @@ Pinned tolerances:
   10 I/O determinism               bit-identical files and round trips
 """
 
+import json
 import multiprocessing
 import os
 import resource
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import reference_outputs
 from mhbl import (
     OutflowSpec,
     Params,
@@ -212,15 +214,15 @@ CRITERION_04_STUDIES = [
 def criterion_04_study(case_and_mode):
     """Run one study of criterion 04 in a worker process, with warnings as
     errors as in the test session.  The case is looked up by name, as a
-    ManufacturedCase holds closures and does not pickle.  Returns the fitted
-    orders, the worker's pid and its own peak RSS in KiB (the parent's
+    ManufacturedCase holds closures and does not pickle.  Returns the
+    StudyResult, the worker's pid and its own peak RSS in KiB (the parent's
     RUSAGE_CHILDREN does not see a forkserver's workers)."""
     name, mode = case_and_mode
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = convergence_study(case_library()[name], CRITERION_04_RESOLUTIONS,
                                 mode=mode)
-    return (res.orders, os.getpid(),
+    return (res, os.getpid(),
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
@@ -237,12 +239,21 @@ def test_criterion_04_mms_convergence():
     details = []
     ok = True
     peaks = {}
-    for ((name, mode), (low, high)), (orders, pid, peak) in zip(
+    for ((name, mode), (low, high)), (res, pid, peak) in zip(
             CRITERION_04_STUDIES, results, strict=True):
+        orders = res.orders
         good = all(low <= o <= high for o in orders)
         ok = ok and good
         details.append(f"{name} {mode} {min(orders):.2f}..{max(orders):.2f}")
         peaks[pid] = peak
+        if name == "advection":
+            advection = res
+    # the advection study is tools/reference_outputs.py's mms_advection.txt:
+    # where this host's fingerprint is pinned, its bits are too
+    pinned = json.loads(reference_outputs.DIGESTS.read_text()).get(
+        reference_outputs.fingerprint())
+    if pinned is not None:
+        assert reference_outputs.mms_lines(advection) == pinned["mms_advection"]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     report(4, ok, "; ".join(details) + f"; {elapsed:.0f} s in {workers} "

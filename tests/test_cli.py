@@ -144,7 +144,7 @@ def test_simulate_residual_triple_pairs_adjacent_levels(tmp_path, monkeypatch):
     # for level 0 would not show in the CSV.
     pairs = []
 
-    def recording(v_hat, *args, v_hat_prev=None, **kwargs):
+    def recording(v_hat, *args, v_hat_prev, **kwargs):
         pairs.append((v_hat.time, v_hat_prev.time))
         return pullback_physical(v_hat, *args, v_hat_prev=v_hat_prev, **kwargs)
 
@@ -183,7 +183,7 @@ def test_simulate_residual_triple_off_the_snapshot_levels(tmp_path,
     # the triple, once each, against the level below, and never written
     calls = {}
 
-    def recording(v_hat, *args, v_hat_prev=None, **kwargs):
+    def recording(v_hat, *args, v_hat_prev, **kwargs):
         k = round(v_hat.time / 0.01)  # the configured dt
         assert k not in calls
         calls[k] = (v_hat, v_hat_prev)
@@ -499,6 +499,24 @@ def test_mms_rejects_unknown_case_and_few_levels(capsys):
     assert main(["mms", "constant", "2"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("levels", ["6", "64"])
+def test_mms_refuses_an_oversized_level_before_any_solve(monkeypatch, capsys,
+                                                         levels):
+    # level 5, 512x1024 with 10880 steps, is the first whose level stack
+    # Grid refuses; levels 0-4 would take minutes and gigabytes to solve
+    solved = []
+
+    def recording(*args, **kwargs):
+        solved.append(args)
+        raise AssertionError(f"solve_case{args[1:]} was called")
+
+    monkeypatch.setattr(mms, "solve_case", recording)
+    assert main(["mms", "advection", levels]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: case 'advection' at 512x1024 (level 5): ")
+    assert solved == []
+
+
 def test_info_prints_header_and_rejects_garbage(tmp_path, capsys):
     grid = make_grid(6, 9, 4.0, 0.1, 0.3)
     st = State.constant(grid, 0.0, 1.0, 0.5, time=0.125)
@@ -516,14 +534,18 @@ def test_info_prints_header_and_rejects_garbage(tmp_path, capsys):
 
 
 def test_thread_cap_env(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in names:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MHBL_THREADS", "2")
     _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    monkeypatch.setenv("MHBL_THREADS", "lots")
-    _apply_thread_cap()   # warns, does not raise
+    assert [os.environ[var] for var in names] == ["1"] * 4
+    # a value the user set is kept
+    for var in names:
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    _apply_thread_cap()
+    assert [os.environ[var] for var in names] == ["1", "2", "1", "1"]
 
 
 # --------------------------------------------------------------------------

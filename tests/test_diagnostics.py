@@ -26,7 +26,6 @@ from mhbl import (
     sample_outflow,
 )
 from mhbl.diagnostics import (
-    NormSpec,
     discrete_norm,
     energy_functional,
     outflow_consistency,
@@ -43,11 +42,14 @@ PARAMS = Params(mu=0.1, kappa=0.1, nu=0.1, R=1.0, cV=1.0, delta=0.05)
 # norms
 
 def test_norm_spec_validation():
-    NormSpec(k=0), NormSpec(k=2)
+    grid = make_grid(8, 16, 4.0, 0.1, 0.5)
+    f = np.ones((8, 16))
+    discrete_norm(f, 0, grid), discrete_norm(f, 2, grid)
+    with pytest.raises(GridSizingError,
+                       match="norm order k must be 0, 1 or 2, got 3"):
+        discrete_norm(f, 3, grid)
     with pytest.raises(GridSizingError):
-        NormSpec(k=3)
-    with pytest.raises(GridSizingError):
-        NormSpec(k=-1)
+        discrete_norm(f, -1, grid)
 
 
 def test_norm_of_constant_is_exact():
@@ -56,7 +58,7 @@ def test_norm_of_constant_is_exact():
     want = 0.7 * np.sqrt(2.0 * np.pi * 5.0)
     for k in (0, 1, 2):
         # all derivative terms vanish exactly on constants
-        assert discrete_norm(f, NormSpec(k=k), grid) == pytest.approx(
+        assert discrete_norm(f, k, grid) == pytest.approx(
             want, rel=1e-15)
 
 
@@ -66,11 +68,11 @@ def test_norm_of_sine_matches_stencil_symbols():
     base = np.pi * grid.eta_max
     sym1 = np.sin(grid.dxi) / grid.dxi
     sym2 = (2.0 - 2.0 * np.cos(grid.dxi)) / grid.dxi ** 2
-    assert discrete_norm(f, NormSpec(0), grid) == pytest.approx(
+    assert discrete_norm(f, 0, grid) == pytest.approx(
         np.sqrt(base), rel=1e-13)
-    assert discrete_norm(f, NormSpec(1), grid) == pytest.approx(
+    assert discrete_norm(f, 1, grid) == pytest.approx(
         np.sqrt(base * (1.0 + sym1 ** 2)), rel=1e-13)
-    assert discrete_norm(f, NormSpec(2), grid) == pytest.approx(
+    assert discrete_norm(f, 2, grid) == pytest.approx(
         np.sqrt(base * (1.0 + sym1 ** 2 + sym2 ** 2)), rel=1e-13)
 
 
@@ -80,10 +82,10 @@ def test_norm_of_linear_eta_has_exact_trapezoid_error():
     f = np.broadcast_to(grid.eta[None, :], (8, 21)).copy()
     L, d = grid.eta_max, grid.deta
     want0 = np.sqrt(2.0 * np.pi * (L ** 3 / 3.0 + L * d ** 2 / 6.0))
-    assert discrete_norm(f, NormSpec(0), grid) == pytest.approx(want0, rel=1e-14)
+    assert discrete_norm(f, 0, grid) == pytest.approx(want0, rel=1e-14)
     # d_eta f = 1 and d_eta^2 f = 0 exactly for the second-order stencils
     want1 = np.sqrt(want0 ** 2 + 2.0 * np.pi * L)
-    assert discrete_norm(f, NormSpec(1), grid) == pytest.approx(want1, rel=1e-14)
+    assert discrete_norm(f, 1, grid) == pytest.approx(want1, rel=1e-14)
 
 
 def test_norm_of_a_stack_is_each_field_norm_to_the_bit():
@@ -91,9 +93,9 @@ def test_norm_of_a_stack_is_each_field_norm_to_the_bit():
     grid = make_grid(8, 21, 4.0, 0.1, 0.5)
     stack = np.random.default_rng(5).normal(size=(3, 8, 21))
     for k in (0, 1, 2):
-        got = discrete_norm(stack, NormSpec(k), grid)
+        got = discrete_norm(stack, k, grid)
         assert got.shape == (3,)
-        singles = [discrete_norm(f, NormSpec(k), grid) for f in stack]
+        singles = [discrete_norm(f, k, grid) for f in stack]
         assert all(type(x) is float for x in singles)
         assert got.tolist() == singles
 
@@ -102,7 +104,7 @@ def test_norm_shape_validation():
     grid = make_grid(8, 21, 4.0, 0.1, 0.5)
     for shape in ((8, 20), (3, 8, 20), (21,)):
         with pytest.raises(GridSizingError):
-            discrete_norm(np.zeros(shape), NormSpec(0), grid)
+            discrete_norm(np.zeros(shape), 0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +121,13 @@ def test_energy_zero_iff_zero_and_matches_longhand():
     P_row = np.full(6, 1.5)
 
     v_eq = State(u1=vbar[..., 0], theta=vbar[..., 1], q=vbar[..., 2])
-    assert energy_functional(v_eq, vbar, frozen, NormSpec(1), grid, PARAMS,
+    assert energy_functional(v_eq, vbar, frozen, 1, grid, PARAMS,
                              P_row) == pytest.approx(0.0, abs=1e-15)
 
     v = State(u1=vbar[..., 0] + 0.1 * rng.standard_normal((6, 12)),
               theta=vbar[..., 1] + 0.1 * rng.standard_normal((6, 12)),
               q=vbar[..., 2] + 0.05 * rng.standard_normal((6, 12)))
-    got = energy_functional(v, vbar, frozen, NormSpec(1), grid, PARAMS, P_row)
+    got = energy_functional(v, vbar, frozen, 1, grid, PARAMS, P_row)
     assert got > 0.0
 
     # longhand: loop over multi-indices and nodes
@@ -178,18 +180,6 @@ def test_residual_recovers_linear_drift_exactly():
     traj = Trajectory(data=drift, times=grid.times.copy())
     rep = residual_transformed(traj, data, PARAMS, grid)
     np.testing.assert_allclose(rep.max_norm, np.abs(c), rtol=1e-11)
-
-
-def test_residual_matches_injected_source():
-    grid = make_grid(8, 16, 4.0, 0.01, 0.05)
-    data = sample_outflow(OutflowSpec.constant(
-        U=0.0, Theta=1.0, Hfield=1.0, P=1.5, theta_star=1.0), grid)
-    rng = np.random.default_rng(3)
-    source = rng.random((grid.nsteps + 1, grid.nx, grid.neta, 3))
-    rep = residual_transformed(constant_traj(grid), data, PARAMS, grid,
-                               source=source)
-    want = np.max(np.abs(source[1:-1, :, 1:-1, :]), axis=(0, 1, 2))
-    np.testing.assert_allclose(rep.max_norm, want, rtol=1e-12)
 
 
 def test_residual_time_level_handling():

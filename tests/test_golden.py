@@ -1,23 +1,19 @@
-"""The files of the demo and travelling simulate runs of
+"""The files of the demo, travelling and wide simulate runs of
 tools/reference_outputs.py, bit for bit against tests/golden/digests.json.
 
 The digests are pinned per host fingerprint (see reference_outputs.
 fingerprint); on a host with none pinned the comparison skips, naming both
 fingerprints.  `python tools/reference_outputs.py --pin` pins the running
 one; a change that alters outputs on purpose repins and says which files
-changed.
+changed.  The entry's mms_advection lines are checked by criterion 04 of
+test_acceptance.py, which runs that study.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_outputs.py"
-_spec = importlib.util.spec_from_file_location("reference_outputs", _TOOL)
-reference_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference_outputs)
+from conftest import reference_outputs
 
 
 def pinned_digests():
@@ -32,7 +28,8 @@ def pinned_digests():
 
 
 def test_reference_runs_match_the_pinned_digests(tmp_path, monkeypatch):
-    want = pinned_digests()
+    want = {path: digest for path, digest in pinned_digests().items()
+            if path != "mms_advection"}
     monkeypatch.chdir(tmp_path)
     assert reference_outputs.run_digests() == want
 

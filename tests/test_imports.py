@@ -21,8 +21,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def run_fresh(code, **env):
-    full = {k: v for k, v in os.environ.items()
-            if k not in THREAD_VARS and k != "MHBL_THREADS"}
+    full = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     full["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     full.update(env)
@@ -59,14 +58,21 @@ def test_stepper_lapack_routines_are_scipys_own():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc")
-def test_thread_cap_reaches_the_backend_from_the_command_line():
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "user_sets_2"])
+def test_thread_cap_reaches_the_backend_from_the_command_line(env):
+    if env and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one CPU")
     threads = run_fresh(
         "import os\n"
         "from mhbl.cli import main\n"
         "main(['info', 'missing.mhbl'])\n"
         "import mhbl.stepper, mhbl.transform\n"
-        "print(len(os.listdir('/proc/self/task')))", MHBL_THREADS="1")
-    assert threads == ["1"]
+        "print(len(os.listdir('/proc/self/task')))", **env)
+    if env:
+        assert int(threads[0]) > 1
+    else:
+        assert threads == ["1"]
 
 
 def test_package_names_resolve_to_the_submodules():

@@ -39,7 +39,8 @@ def test_constant_case_has_zero_source_and_solves_exactly():
     outflow = sample_outflow(case.outflow_spec, grid)
     source = manufacture_source(case, outflow, case.params, grid)
     assert np.max(np.abs(source)) <= 1e-13
-    traj, report, errors = solve_case(case, 8, 16, 0.02, t_end=0.1)
+    short = dataclasses.replace(case, t_end=0.1)
+    traj, report, errors = solve_case(short, 8, 16, 0.02)
     assert report.converged
     assert np.all(errors <= 1e-12)
 
@@ -95,8 +96,8 @@ def test_manufacture_source_rejects_inadmissible_case():
 
 
 def test_solve_case_snaps_dt_to_land_on_t_end():
-    case = CASES["advection"]
-    traj, report, errors = solve_case(case, 8, 16, dt=0.03, t_end=0.2)
+    case = dataclasses.replace(CASES["advection"], t_end=0.2)
+    traj, report, errors = solve_case(case, 8, 16, dt=0.03)
     assert report.converged
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-14)
     # 0.2/0.03 rounds to 7 steps
@@ -127,8 +128,8 @@ def test_convergence_study_validation():
 
 
 def test_constant_study_is_flagged_exact():
-    case = CASES["constant"]
-    res = convergence_study(case, [(8, 16), (8, 24), (8, 32)], t_end=0.1)
+    case = dataclasses.replace(CASES["constant"], t_end=0.1)
+    res = convergence_study(case, [(8, 16), (8, 24), (8, 32)])
     assert res.exact and res.monotone
     assert all(np.isnan(o) for o in res.orders)
     assert len(res.rows) == 3

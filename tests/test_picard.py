@@ -43,7 +43,7 @@ from mhbl.picard import (
 )
 from mhbl import coeffs, mms, picard
 from mhbl.config import parse_config
-from mhbl.diagnostics import NormSpec, discrete_norm
+from mhbl.diagnostics import discrete_norm
 from mhbl.snapshots import emit_plot_data
 from mhbl.stepper import FrozenCoeffs, Trajectory, apply_derivative
 
@@ -579,9 +579,8 @@ def test_norm_history_matches_stacked_background_reference(monkeypatch):
     vbar[..., 1] = (data.Theta[:, :, None] * phi
                     + data.theta_star[:, :, None] * (1.0 - phi))
     vbar[..., 2] = 0.5 * data.Hfield[:, :, None] ** 2
-    spec = NormSpec(k=1)
     for got, traj in zip(report.norm_history, iterates):
-        want = max(np.sqrt(sum(discrete_norm(w[..., c], spec, grid) ** 2
+        want = max(np.sqrt(sum(discrete_norm(w[..., c], 1, grid) ** 2
                                for c in range(3)))
                    for w in traj - vbar)
         assert got == pytest.approx(want, rel=1e-14)

@@ -282,8 +282,6 @@ def test_pullback_requires_adjacent_level():
     y = np.linspace(0.0, 2.0, 17)
     v = State.constant(grid, 0.0, 1.0, 0.5)
     with pytest.raises(MissingTimeLevelError):
-        pullback_physical(v, data, PARAMS, grid, y)
-    with pytest.raises(MissingTimeLevelError):
         pullback_physical(v, data, PARAMS, grid, y, v_hat_prev=v)  # same time
 
 

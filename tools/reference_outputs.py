@@ -28,8 +28,8 @@ the import path) and writes into out_dir:
                           outflow, and of travelling traces in
     outflow_travelling.npy  U, Theta, H, P and theta_star
     identities.txt        the stdout of mhbl check-identities, then per
-                          k = 0, 1, 2 the energy_functional of NormSpec(k)
-                          as float.hex, on the demo's last transformed
+                          order k = 0, 1, 2 its energy_functional as
+                          float.hex, on the demo's last transformed
                           level (vbar = 0, frozen at that level, its
                           outflow pressure row)
 
@@ -49,11 +49,14 @@ is the same.  Against one from before [output] emit_plots was removed,
 the config.ini of demo/, wide/ and travelling/ differ by its line
 "emit_plots = true" and no other file differs.
 
---pin runs demo/ and travelling/ in a temporary directory and writes the
-sha256 of every file they write into tests/golden/digests.json, under the
-fingerprint of the running host (numpy and scipy versions, machine, and
-the OpenBLAS core scipy's LAPACK runs on).  tests/test_golden.py reruns
-the two and compares; wide/ is left to the diff -r above.
+--pin runs demo/, travelling/ and wide/ in a temporary directory and the
+advection study of mms_advection.txt, and writes into
+tests/golden/digests.json, under the fingerprint of the running host
+(numpy and scipy versions, machine, and the OpenBLAS core scipy's LAPACK
+runs on), the sha256 of every file the runs write and, as mms_advection,
+the lines of mms_advection.txt.  tests/test_golden.py reruns the three
+runs and compares; criterion 04 of tests/test_acceptance.py compares its
+advection study with the lines.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -85,14 +88,13 @@ from mhbl.transform import (  # noqa: E402
 )
 from mhbl.config import parse_config  # noqa: E402
 from mhbl.diagnostics import (  # noqa: E402
-    NormSpec,
     energy_functional,
     outflow_consistency,
 )
 
 DEMO = ROOT / "configs" / "demo.ini"
 #: the simulate runs pinned in DIGESTS, by their directory names
-PINNED_RUNS = ("demo", "travelling")
+PINNED_RUNS = ("demo", "travelling", "wide")
 DIGESTS = ROOT / "tests" / "golden" / "digests.json"
 #: the grid of the benchmark's simulate_wide workload
 WIDE = {"nx": 256, "neta": 32, "ny": 512}
@@ -157,15 +159,30 @@ def run_digests() -> Dict[str, str]:
             if path.is_file()}
 
 
+def mms_lines(result) -> List[str]:
+    """The lines of mms_advection.txt for a StudyResult: per resolution
+    nx, neta, dt and the errors, then the fitted orders, as float.hex."""
+    return [f"{row.nx} {row.neta} {row.dt.hex()} "
+            + " ".join(e.hex() for e in row.errors) for row in result.rows] \
+        + ["orders " + " ".join(o.hex() for o in result.orders)]
+
+
+def _mms_study():
+    return mms.convergence_study(mms.case_library()["advection"],
+                                 MMS_RESOLUTIONS, mode="spatial")
+
+
 def _pin() -> None:
     pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            pinned[fingerprint()] = run_digests()
+            entry = run_digests()
         finally:
             os.chdir(cwd)
+    entry["mms_advection"] = mms_lines(_mms_study())
+    pinned[fingerprint()] = entry
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
 
@@ -238,8 +255,8 @@ def _identities(text: str, traj, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(out.getvalue())
         for k in range(3):
-            energy = energy_functional(level, 0.0, level, NormSpec(k), grid,
-                                       params, outflow.P[-1])
+            energy = energy_functional(level, 0.0, level, k, grid, params,
+                                       outflow.P[-1])
             fh.write(f"energy_functional {k} {float(energy).hex()}\n")
 
 
@@ -265,17 +282,13 @@ def main(argv) -> int:
     _audit(("demo", "wide", "travelling"), "audit.txt")
 
     with _recording_runs(mms) as runs:
-        result = mms.convergence_study(mms.case_library()["advection"],
-                                       MMS_RESOLUTIONS, mode="spatial")
+        result = _mms_study()
     with open("report_mms.txt", "w") as fh:
         for (nx, neta), (_, report) in zip(MMS_RESOLUTIONS, runs, strict=True):
             fh.write(f"resolution {nx} {neta}\n")
             _write_report(report, fh)
     with open("mms_advection.txt", "w") as fh:
-        for row in result.rows:
-            fh.write(f"{row.nx} {row.neta} {row.dt.hex()} "
-                     + " ".join(e.hex() for e in row.errors) + "\n")
-        fh.write("orders " + " ".join(o.hex() for o in result.orders) + "\n")
+        fh.write("".join(line + "\n" for line in mms_lines(result)))
 
     _outflow_fields(demo, "outflow_demo.npy")
     _outflow_fields(_with(demo, TRAVELLING), "outflow_travelling.npy")
