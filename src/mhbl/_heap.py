@@ -2,8 +2,8 @@
 
 The largest arrays of a solve are its level stacks, one (nx, neta, 3) state
 per time level: the manufactured source and the zeroth approximation,
-made once per solve, and a new trajectory made for every Picard iterate.
-glibc serves a block from a mapping of its own when it is at least the mmap
+each made once per solve; every Picard iterate then overwrites the one
+trajectory in place, level by level.  glibc serves a block from a mapping of its own when it is at least the mmap
 threshold, which starts at 128 KiB and rises to the size of every mapped
 block that is freed, up to 32 MiB; the trim threshold, the free space kept
 at the top of the heap, follows at twice that.  A stack under 32 MiB (the

@@ -23,8 +23,8 @@ from .errors import (CFLError, DegenerateStateError, GridSizingError,
 from .fields import (FloatArray, Grid, OutflowData, Params, State, _frozen,
                      admissibility)
 from .stencils import bounded_diff
-from .stepper import (Trajectory, _operator_at, _planes, _set_boundary_rows,
-                      solve_linear_problem)
+from .stepper import (Trajectory, _fork_columns, _operator_at, _planes,
+                      _set_boundary_rows, solve_linear_problem)
 
 
 def cutoff_phi(eta) -> FloatArray:
@@ -264,7 +264,10 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     its first node outside the set, as the estimates behind the iteration
     hold only inside it.  A LinearSolveError, CFLError or
     DegenerateStateError from iterate n is raised again as the same class
-    with "Picard iterate n: " before its message.
+    with "Picard iterate n: " before its message.  A large enough solve
+    splits each step's xi columns with a helper process
+    (stepper._fork_columns), to the same bits; the helper is reaped before
+    this returns or raises.
 
     Returns (trajectory, IterationReport).
     """
@@ -298,36 +301,44 @@ def picard_solve(v0: State, outflow: OutflowData, params: Params, grid: Grid,
     v0_t = compatibility_derivatives(v0, outflow, params, grid)
     _require_finite(v0_t, "initial time derivative d_tau v(0)")
 
-    background = build_background(outflow, grid)
-    traj = build_zeroth_approx(background, data0, v0_t, grid)
-    records: List[IterateRecord] = []
-    aborted, message = False, ""
-    # iterate 0 is the zeroth approximation: measured, never solved for.
-    # Each later iterate marches in place over the previous one, measured
-    # level by level against it as it goes.
-    for n in range(max_iter + 1):
-        measure = _Measure(background, params, grid)
-        if n == 0:
-            for k, v in enumerate(traj.data):
-                measure(k, v, None)
-        else:
-            try:
-                traj = solve_linear_problem(traj, v0, outflow, params, grid,
-                                            source=source, measure=measure)
-            except (LinearSolveError, CFLError, DegenerateStateError) as exc:
-                raise type(exc)(f"Picard iterate {n}: {exc}") from exc
-        rec = measure.result()
-        records.append(rec)
-        if not rec.admissible:
-            aborted = True
-            k, i, j = rec.first_violation
-            where = f"at time level {k}, xi column {i}, eta row {j}"
-            message = (f"iterate {n} left the admissible set {where}" if n
-                       else "zeroth approximation left the admissible set "
-                       f"(shorten t_end or fix the data) {where}")
-            break
-        if n > 0 and rec.distance <= tol:
-            break
+    # a helper process for the marches, if any, is forked before the level
+    # stack exists, so that it never shares it
+    columns = _fork_columns(outflow, params, grid, source)
+    try:
+        background = build_background(outflow, grid)
+        traj = build_zeroth_approx(background, data0, v0_t, grid)
+        records: List[IterateRecord] = []
+        aborted, message = False, ""
+        # iterate 0 is the zeroth approximation: measured, never solved for.
+        # Each later iterate marches in place over the previous one, measured
+        # level by level against it as it goes.
+        for n in range(max_iter + 1):
+            measure = _Measure(background, params, grid)
+            if n == 0:
+                for k, v in enumerate(traj.data):
+                    measure(k, v, None)
+            else:
+                try:
+                    traj = solve_linear_problem(
+                        traj, v0, outflow, params, grid, source=source,
+                        measure=measure, _columns=columns)
+                except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+                    raise type(exc)(f"Picard iterate {n}: {exc}") from exc
+            rec = measure.result()
+            records.append(rec)
+            if not rec.admissible:
+                aborted = True
+                k, i, j = rec.first_violation
+                where = f"at time level {k}, xi column {i}, eta row {j}"
+                message = (f"iterate {n} left the admissible set {where}" if n
+                           else "zeroth approximation left the admissible set "
+                           f"(shorten t_end or fix the data) {where}")
+                break
+            if n > 0 and rec.distance <= tol:
+                break
+    finally:
+        if columns is not None:
+            columns.close()
     converged = not aborted and rec.distance <= tol
     if not (converged or aborted):
         message = (f"no convergence after {n} iterations; "

@@ -32,6 +32,18 @@ Explicit advection with centered differences is only weakly stable, so steps
 refuse to run when dt exceeds 0.5 * dxi / max spectral radius of A0;
 advection-dominated regimes need that bound respected.
 
+The step takes any range of adjacent xi columns (_advance): no coupling
+crosses an xi column in the freeze or the implicit solves, and the explicit
+xi difference reads one neighbouring column on either side, so a range
+comes out bit for bit as the same columns of the whole step.  The march
+takes one range, all columns, unless picard_solve forked a helper process
+for the solve (_fork_columns: nx * neta * nsteps at least SPLIT_NODES, two
+CPUs, one OS thread).  Then each step takes xi columns [0, nx // 2) here
+and [nx // 2, nx) in the helper, and this process measures the whole level
+while the helper takes the next step; every output keeps its bits.  The
+spans of a traced run (perfbench --trace 1) see this process's columns
+only.
+
 Boundary rows are not part of the implicit solve.  The wall values of u1 and
 theta are Dirichlet data, the wall q satisfies the one-sided second-order
 Neumann closure q0 = (4 q1 - q2) / 3 (wall_q), and the far row carries the
@@ -44,14 +56,16 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import _heap, coeffs
-from .errors import CFLError, DegenerateStateError, GridSizingError, LinearSolveError
+from .errors import (CFLError, DegenerateStateError, GridSizingError,
+                     LinearSolveError, MhblError)
 from .fields import FloatArray, Grid, OutflowData, Params, State
 from .stencils import bounded_diff, periodic_diff
 
@@ -82,6 +96,9 @@ CFL_CONSTANT = 0.5
 
 #: Weights of q1 and q2 in wall_q, folded into the first interior row.
 WALL_Q_WEIGHTS = (4.0 / 3.0, -1.0 / 3.0)
+
+#: nx * neta * nsteps from which a solve's steps are split over two processes
+SPLIT_NODES = 1 << 17
 
 
 def wall_q(q1: FloatArray, q2: FloatArray) -> FloatArray:
@@ -434,14 +451,20 @@ def _set_boundary_rows(a: FloatArray, theta_wall: FloatArray,
 
 def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
                  outflow: OutflowData, params: Params, grid: Grid,
-                 source: Optional[FloatArray] = None) -> FloatArray:
+                 source: Optional[FloatArray] = None,
+                 cols: Optional[Tuple[int, int]] = None) -> FloatArray:
     """One IMEX step of the frozen-coefficient system: advance a state
     array v (nx, neta, 3) to time level k; returns a new array.
 
     source, when given, is the extra right-hand side at level k, shaped
-    like v.  The map is affine in v for fixed coefficients and boundary
-    data.  Raises CFLError instead of running an unstable step.
+    like v.  cols = (a, b), when given, steps xi columns a..b-1 of v only:
+    fc is then frozen on those columns, and the result holds them.  The map
+    is affine in v for fixed coefficients and boundary data.  Raises
+    CFLError instead of running an unstable step.
     """
+    v = np.asarray(v, dtype=float)
+    nx = len(v)
+    a, b = (0, nx) if cols is None else cols
     dt, dxi, deta = grid.dt, grid.dxi, grid.deta
     radius = float(np.max(fc.adv_radius))
     if radius > 0.0 and dt > CFL_CONSTANT * dxi / radius:
@@ -453,9 +476,16 @@ def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
 
     # The right-hand side v / dt - (A d_xi v + G v) is built in place on one
     # copy of v's component planes from the nine nonzero products, each row
-    # summed in column order; a row reads only planes not yet divided.
-    rhs = _planes(v)
-    dx = apply_derivative(rhs.transpose(1, 2, 0), grid, axis="xi").transpose(2, 0, 1)
+    # summed in column order; a row reads only planes not yet divided.  The
+    # copy holds xi columns a - 1 .. b, periodically, so that the xi
+    # difference of every column a..b-1 is an interior one, with the bits of
+    # the whole level's.
+    ext = np.empty((3, b - a + 2, v.shape[1]))
+    ext[:, 1:-1] = v[a:b].transpose(2, 0, 1)
+    ext[:, 0], ext[:, -1] = v[a - 1].T, v[b % nx].T
+    dx = apply_derivative(ext.transpose(1, 2, 0), grid,
+                          axis="xi").transpose(2, 0, 1)[:, 1:-1]
+    rhs = ext[:, 1:-1]
     r0, r1, r2 = rhs
     row = fc.u1 * dx[0] + fc.a02 * dx[2] + fc.g01 * r1
     r0 /= dt
@@ -468,15 +498,15 @@ def _step_arrays(v: FloatArray, k: int, fc: FrozenCoeffs,
     r2 -= row
     del dx, row
     if source is not None:
-        rhs += source.transpose(2, 0, 1)
+        rhs += source[a:b].transpose(2, 0, 1)
 
     # The solves read the Dirichlet data from the outflow, and the u1
     # couplings read u1's two boundary rows, so those are written first;
     # _set_boundary_rows writes every boundary row once the interior is
     # solved, so each entry of out is written before it is read.
     sl = slice(1, -1)
-    theta_wall, far = outflow.theta_star[k], outflow.far[k]
-    out = np.empty_like(v)
+    theta_wall, far = outflow.theta_star[k][a:b], outflow.far[k][a:b]
+    out = np.empty((b - a,) + v.shape[1:])
     u1 = out[:, :, 0]
     u1[:, 0], u1[:, -1] = 0.0, far[:, 0]
 
@@ -514,11 +544,28 @@ class Trajectory:
         return State.from_array(self.data[k], time=float(self.times[k]))
 
 
+def _advance(level: FloatArray, old: FloatArray, k: int,
+             cols: Tuple[int, int], outflow: OutflowData, params: Params,
+             grid: Grid, source: Optional[FloatArray]) -> FloatArray:
+    """The step off time level k on xi columns cols = (a, b): freeze the
+    previous iterate's level k on those columns, old (b - a, neta, 3), and
+    step them from the whole new level k, level (nx, neta, 3); returns the
+    new level k + 1 on those columns."""
+    a, b = cols
+    frozen = FrozenCoeffs.from_state(old, outflow.P[k][a:b],
+                                     outflow.P_t[k][a:b], outflow.P_xi[k][a:b],
+                                     params, grid)
+    return _step_arrays(level, k + 1, frozen, outflow, params, grid,
+                        source=None if source is None else source[k + 1],
+                        cols=cols)
+
+
 def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
                          params: Params, grid: Grid,
                          source: Optional[FloatArray] = None,
                          measure: Optional[
                              Callable[[int, FloatArray, FloatArray], None]] = None,
+                         *, _columns: Optional["_Columns"] = None,
                          ) -> Trajectory:
     """March the frozen-coefficient problem over [0, t_end], in place.
 
@@ -538,28 +585,201 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     below k and the old levels from k on.  measure, when given, is called
     as measure(k, new, old) for k = 0..nsteps in order, with the new and
     the old level k, just before slot k is overwritten.
+
+    _columns is picard_solve's helper process, if it forked one for these
+    outflow, params, grid and source; the steps are then split with it
+    (_Columns.step), and it is closed if the march raises.
     """
-    nt = grid.nsteps
+    nt, nx = grid.nsteps, grid.nx
     if v_prev.nlevels != nt + 1:
         raise GridSizingError(
             f"coefficient trajectory has {v_prev.nlevels} levels, grid wants {nt + 1}")
     data = v_prev.data
     level = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
                                outflow.far[0])
-    for k in range(nt + 1):
-        new = None
-        if k < nt:
-            src = None if source is None else source[k + 1]
-            try:
-                frozen = FrozenCoeffs.from_state(
-                    data[k], outflow.P[k], outflow.P_t[k], outflow.P_xi[k],
-                    params, grid)
-                new = _step_arrays(level, k + 1, frozen, outflow, params,
-                                   grid, source=src)
-            except (LinearSolveError, CFLError, DegenerateStateError) as exc:
-                raise type(exc)(f"time level {k}: {exc}") from exc
-        if measure is not None:
-            measure(k, level, data[k])
-        data[k] = level
-        level = new
+    helper = _columns if (_columns is not None and _columns.serves(
+        outflow, params, grid, source)) else None
+    if helper is None:
+        def step(level, k):
+            return _advance(level, data[k], k, (0, nx), outflow, params, grid,
+                            source)
+    else:
+        def step(level, k):
+            return helper.step(level, k, data)
+    try:
+        if helper is not None:
+            level = helper.start(level, data)
+        for k in range(nt + 1):
+            new = None
+            if k < nt:
+                try:
+                    new = step(level, k)
+                except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+                    raise type(exc)(f"time level {k}: {exc}") from exc
+            if measure is not None:
+                measure(k, level, data[k])
+            data[k] = level
+            level = new
+    except BaseException:
+        if helper is not None:
+            helper.close()
+        raise
     return Trajectory(data=data, times=grid.times.copy())
+
+
+def _fork_columns(outflow: OutflowData, params: Params, grid: Grid,
+                  source: Optional[FloatArray]) -> Optional["_Columns"]:
+    """The one place where a solve's march is split: a helper process for
+    picard_solve to pass to every march, or None to march in process.  It
+    forks only when nx * neta * nsteps is at least SPLIT_NODES and this
+    process may run on two CPUs or more, and only from a process with one
+    OS thread, as a fork copies just the calling thread (and Python 3.12
+    warns); if the fork itself fails, the march stays in process."""
+    if (grid.nx * grid.neta * grid.nsteps < SPLIT_NODES
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return None
+        return _Columns(outflow, params, grid, source)
+    except OSError:
+        return None
+
+
+class _Columns:
+    """A helper process that takes xi columns [h, nx), h = nx // 2, of every
+    step of a solve's marches, while the march takes [0, h) and measures.
+
+    It is forked before the solve makes its level stack, so that it holds
+    only what it reads: outflow, params, grid and source, shared
+    copy-on-write and never written, and one anonymous shared mapping.  The
+    mapping holds three level buffers, level k of a march in buffer k % 3,
+    and a slot for the previous iterate's level k on the helper's columns,
+    which the march copies there before it hands over the step off level k.
+    Per step the march writes k to the command pipe, and the helper answers
+    one byte on the reply pipe once its columns of level k + 1 are in their
+    buffer: 0, or 1 if its step raised.  The helper leaves by os._exit at
+    the command pipe's end of file or on a broken reply pipe, and ignores
+    SIGINT, so that the march that forked it decides when it ends.
+    """
+
+    def __init__(self, outflow: OutflowData, params: Params, grid: Grid,
+                 source: Optional[FloatArray]) -> None:
+        import mmap  # here, and signal below: only a split solve needs them
+        import signal
+
+        nx, neta = grid.nx, grid.neta
+        self.inputs = (outflow, params, grid, source)
+        self.h = nx // 2
+        node = neta * 3
+        shared = np.frombuffer(mmap.mmap(-1, (4 * nx - self.h) * node * 8))
+        self.levels = shared[:3 * nx * node].reshape(3, nx, neta, 3)
+        self.old = shared[3 * nx * node:].reshape(nx - self.h, neta, 3)
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        cmd_r, self.cmd, self.reply, reply_w = fds
+        if self.pid == 0:
+            try:
+                os.close(self.cmd)
+                os.close(self.reply)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                self._serve(cmd_r, reply_w)
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(reply_w)
+
+    def _serve(self, cmd: int, reply: int) -> None:
+        outflow, params, grid, source = self.inputs
+        cols = (self.h, grid.nx)
+        while True:
+            msg = os.read(cmd, 8)
+            if not msg:
+                return
+            k = int.from_bytes(msg, "little")
+            try:
+                self.levels[(k + 1) % 3, self.h:] = _advance(
+                    self.levels[k % 3], self.old, k, cols, outflow, params,
+                    grid, source)
+            except Exception:  # the march takes the step again, and raises
+                os.write(reply, b"\1")
+            else:
+                os.write(reply, b"\0")
+
+    def serves(self, outflow: OutflowData, params: Params, grid: Grid,
+               source: Optional[FloatArray]) -> bool:
+        """Whether the helper is running and was forked with these inputs."""
+        return self.pid is not None and all(
+            mine is given for mine, given in
+            zip(self.inputs, (outflow, params, grid, source)))
+
+    def _gone(self, k: int) -> MhblError:
+        return MhblError(
+            f"time level {k}: the process stepping xi columns {self.h}.."
+            f"{self.inputs[2].nx - 1} (pid {self.pid}) exited")
+
+    def _send(self, k: int, data: FloatArray) -> None:
+        """Hand over the step off level k, with the previous iterate's level
+        k from data."""
+        self.old[...] = data[k, self.h:]
+        try:
+            os.write(self.cmd, k.to_bytes(8, "little"))
+        except BrokenPipeError:
+            raise self._gone(k) from None
+
+    def _done(self, k: int) -> bool:
+        """Wait for the helper's step off level k; True if it succeeded."""
+        reply = os.read(self.reply, 1)
+        if not reply:
+            raise self._gone(k)
+        return reply == b"\0"
+
+    def start(self, level: FloatArray, data: FloatArray) -> FloatArray:
+        """Put a march's level 0 in its buffer and hand over the first step;
+        returns the buffer."""
+        self.levels[0] = level
+        if len(data) > 1:
+            self._send(0, data)
+        return self.levels[0]
+
+    def step(self, level: FloatArray, k: int, data: FloatArray) -> FloatArray:
+        """The step off level k, whose buffer is level: columns [0, h) here
+        while the helper takes the others; then the step off level k + 1 is
+        handed over, so that the helper takes it while level k is measured.
+        Returns the buffer of level k + 1.  If either side raised, the whole
+        step is taken again here, over all columns, so that it raises
+        exactly as in process."""
+        outflow, params, grid, source = self.inputs
+        new = self.levels[(k + 1) % 3]
+        try:
+            new[:self.h] = _advance(level, data[k, :self.h], k, (0, self.h),
+                                    outflow, params, grid, source)
+            ok = True
+        except Exception:  # raised again below, as the whole step raises it
+            ok = False
+        if not (self._done(k) and ok):
+            new[...] = _advance(level, data[k], k, (0, grid.nx), outflow,
+                                params, grid, source)
+        if k + 1 < grid.nsteps:
+            self._send(k + 1, data)
+        return new
+
+    def close(self) -> None:
+        """End the helper and reap it; it then serves no march."""
+        if self.pid is None:
+            return
+        os.close(self.cmd)
+        os.close(self.reply)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already, as under SIGCHLD ignored
+            pass
+        self.pid = None
