@@ -3,15 +3,16 @@
 The largest arrays of a solve are its level stacks, one (nx, neta, 3) state
 per time level: the manufactured source and the zeroth approximation,
 each made once per solve; every Picard iterate then overwrites the one
-trajectory in place, level by level.  glibc serves a block from a mapping of its own when it is at least the mmap
-threshold, which starts at 128 KiB and rises to the size of every mapped
-block that is freed, up to 32 MiB; the trim threshold, the free space kept
-at the top of the heap, follows at twice that.  A stack under 32 MiB (the
-64 x 128 advection case's is 31.7 MiB) therefore moves into the heap once
-the first one is freed.  There a small block that lands between two freed
-stacks keeps the next one from fitting, and the heap grows by a whole
-stack.  Whether that happens depends on when unrelated small blocks are
-allocated, so in some runs the same solve peaked about 26 MB higher.
+trajectory in place, level by level.  glibc serves a block from a mapping
+of its own when it is at least the mmap threshold, which starts at
+128 KiB and rises to the size of every mapped block that is freed, up to
+32 MiB; the trim threshold, the free space kept at the top of the heap,
+follows at twice that.  A stack under 32 MiB (the 64 x 128 advection
+case's is 31.7 MiB) therefore moves into the heap once the first one is
+freed.  There a small block that lands between two freed stacks keeps the
+next one from fitting, and the heap grows by a whole stack.  Whether that
+happens depends on when unrelated small blocks are allocated, so in some
+runs the same solve peaked about 26 MB higher.
 
 steady() fixes both thresholds instead: blocks of 4 MiB and more always get
 their own mapping, returned whole when freed, and smaller ones come from

@@ -97,8 +97,12 @@ CFL_CONSTANT = 0.5
 #: Weights of q1 and q2 in wall_q, folded into the first interior row.
 WALL_Q_WEIGHTS = (4.0 / 3.0, -1.0 / 3.0)
 
-#: nx * neta * nsteps from which a solve's steps are split over two processes
-SPLIT_NODES = 1 << 17
+#: nx * neta * nsteps from which a solve's steps are split over two
+#: processes.  Measured on a 2-CPU host, BLAS on one thread: the split lost
+#: at 5120, 20480 and 26496 (7-17% slower) and won from 40960 up (4-24%
+#: faster), so the demo's 32 x 64 x 10 stays in process and simulate_wide's
+#: 256 x 32 x 10 splits.
+SPLIT_NODES = 1 << 15
 
 
 def wall_q(q1: FloatArray, q2: FloatArray) -> FloatArray:
@@ -586,9 +590,9 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     as measure(k, new, old) for k = 0..nsteps in order, with the new and
     the old level k, just before slot k is overwritten.
 
-    _columns is picard_solve's helper process, if it forked one for these
-    outflow, params, grid and source; the steps are then split with it
-    (_Columns.step), and it is closed if the march raises.
+    _columns is picard_solve's helper process, forked for these outflow,
+    params, grid and source; the steps are then split with it
+    (_Columns.step).  picard_solve closes it.
     """
     nt, nx = grid.nsteps, grid.nx
     if v_prev.nlevels != nt + 1:
@@ -597,33 +601,26 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     data = v_prev.data
     level = _set_boundary_rows(v0.as_array(), outflow.theta_star[0],
                                outflow.far[0])
-    helper = _columns if (_columns is not None and _columns.serves(
-        outflow, params, grid, source)) else None
-    if helper is None:
+    if _columns is None:
         def step(level, k):
             return _advance(level, data[k], k, (0, nx), outflow, params, grid,
                             source)
     else:
+        level = _columns.start(level, data)
+
         def step(level, k):
-            return helper.step(level, k, data)
-    try:
-        if helper is not None:
-            level = helper.start(level, data)
-        for k in range(nt + 1):
-            new = None
-            if k < nt:
-                try:
-                    new = step(level, k)
-                except (LinearSolveError, CFLError, DegenerateStateError) as exc:
-                    raise type(exc)(f"time level {k}: {exc}") from exc
-            if measure is not None:
-                measure(k, level, data[k])
-            data[k] = level
-            level = new
-    except BaseException:
-        if helper is not None:
-            helper.close()
-        raise
+            return _columns.step(level, k, data)
+    for k in range(nt + 1):
+        new = None
+        if k < nt:
+            try:
+                new = step(level, k)
+            except (LinearSolveError, CFLError, DegenerateStateError) as exc:
+                raise type(exc)(f"time level {k}: {exc}") from exc
+        if measure is not None:
+            measure(k, level, data[k])
+        data[k] = level
+        level = new
     return Trajectory(data=data, times=grid.times.copy())
 
 
@@ -714,13 +711,6 @@ class _Columns:
             else:
                 os.write(reply, b"\0")
 
-    def serves(self, outflow: OutflowData, params: Params, grid: Grid,
-               source: Optional[FloatArray]) -> bool:
-        """Whether the helper is running and was forked with these inputs."""
-        return self.pid is not None and all(
-            mine is given for mine, given in
-            zip(self.inputs, (outflow, params, grid, source)))
-
     def _gone(self, k: int) -> MhblError:
         return MhblError(
             f"time level {k}: the process stepping xi columns {self.h}.."
@@ -773,13 +763,10 @@ class _Columns:
         return new
 
     def close(self) -> None:
-        """End the helper and reap it; it then serves no march."""
-        if self.pid is None:
-            return
+        """End the helper and reap it."""
         os.close(self.cmd)
         os.close(self.reply)
         try:
             os.waitpid(self.pid, 0)
         except ChildProcessError:  # reaped already, as under SIGCHLD ignored
             pass
-        self.pid = None

@@ -233,7 +233,7 @@ def test_criterion_04_mms_convergence(monkeypatch):
     # the studies share nothing: one worker process each, up to the CPUs
     # this process may run on.  The workers run the numerical backend on
     # one thread, as the command line does, so that a worker has one OS
-    # thread and may split its finest march with a helper process
+    # thread and may split its marches with a helper process
     workers = min(4, len(os.sched_getaffinity(0)))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):

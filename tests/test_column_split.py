@@ -205,14 +205,14 @@ def test_split_is_decided_by_size_cpus_and_threads(monkeypatch):
     # the gates alone, with the fork replaced: no process is started here
     made = []
     monkeypatch.setattr(stepper, "_Columns", lambda *args: made.append(args))
-    grid = mhbl.make_grid(64, 128, 8.0, 0.2 / 168, 0.2)  # criterion 04's finest
-    assert grid.nx * grid.neta * grid.nsteps >= stepper.SPLIT_NODES
-    for nx, neta in ((32, 64), (256, 32)):  # simulate_demo and simulate_wide
-        assert nx * neta * 10 < stepper.SPLIT_NODES
-    small = mhbl.make_grid(32, 64, 8.0, 0.005, 0.05)
-    assert stepper._fork_columns(None, None, small, None) is None
+    monkeypatch.setattr(stepper, "SPLIT_NODES", 16 * 32 * 10)
+    grid = mhbl.make_grid(16, 32, 8.0, 0.005, 0.05)  # 10 steps: at the size
+    small = mhbl.make_grid(16, 31, 8.0, 0.005, 0.05)  # one node row below
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    assert stepper._fork_columns(None, None, small, None) is None
+    assert made == []
     monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
     assert stepper._fork_columns(None, None, grid, None) is None
     monkeypatch.setattr(os, "listdir", lambda path: ["1"])
