@@ -25,6 +25,7 @@ it before importing the numerics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -51,6 +52,16 @@ EXIT_TABLE = (
     ((NonConvergenceError,), EXIT_NO_CONVERGENCE, "non-convergence"),
     ((MhblError,), EXIT_SOLVER, "solver error"),
 )
+
+#: Physical nodes (levels times nx * ny) from which simulate's output stage
+#: hands the levels outside the residual triple to a forked child.  Whole
+#: runs in one process on a 2-CPU host, BLAS on one thread, 11 levels (the
+#: child's 8): the fork lost at 3072 and 4608 nodes per level (11-23%
+#: slower), lost or won by set at 6144 and 12288, and won at 24576 and
+#: 32768 (13-14% faster); 2^17 lies between 8 x 12288 and 8 x 24576.  So
+#: the demo's 8 levels of 32 x 96 stay in process and simulate_wide's 8 of
+#: 256 x 512 split.
+OUTPUT_SPLIT_NODES = 1 << 17
 
 
 def _apply_thread_cap() -> None:
@@ -106,11 +117,8 @@ def _refuse_non_finite(report, kind: str) -> None:
 
 def _simulate(config_text: str) -> int:
     from .config import parse_config, serialize_config
-    from .diagnostics import residual_transformed
     from .picard import picard_solve
-    from .snapshots import emit_plot_data, write_snapshot
-    from .transform import (RESIDUAL_MIDDLE, RESIDUAL_OUTER, pullback_physical,
-                            residual_original, time_differences)
+    from .snapshots import emit_plot_data
 
     cfg = parse_config(config_text)
     params, grid, outflow, v0, y = cfg.problem()
@@ -133,48 +141,147 @@ def _simulate(config_text: str) -> int:
     every = cfg.getint("output", "snapshot_every")
     nt = grid.nsteps
     levels = sorted(set(list(range(0, nt + 1, every)) + [nt]))
-    mid = nt // 2
-    triple = (mid - 1, mid, mid + 1) if nt >= 2 else ()
-    # one level at a time: pull back, write, and keep of a triple level only
-    # the fields time_differences or residual_original reads.  The triple
-    # comes in the order mid - 1, mid + 1, mid, so its outer levels are
-    # reduced to their time differences before the middle one is pulled back
+    _output_stage(traj, outflow, params, grid, y, out_dir, levels)
+    print(f"converged in {report.iterations} iterations; "
+          f"wrote {len(levels)} snapshot levels to {out_dir}")
+    return EXIT_OK
+
+
+def _forks_output(nlevels: int, nx: int, ny: int) -> bool:
+    """Whether simulate's output stage hands nlevels levels of nx * ny
+    physical nodes to a forked child: when they come to at least
+    OUTPUT_SPLIT_NODES nodes and stepper._may_fork()."""
+    from .stepper import _may_fork
+
+    return nlevels * nx * ny >= OUTPUT_SPLIT_NODES and _may_fork()
+
+
+def _reap(pid: int, kill: bool = False) -> int:
+    """Wait for child pid, after a SIGKILL if kill; its wait status, or -1
+    if it was reaped already (as under SIGCHLD ignored)."""
+    import signal
+
+    if kill:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return -1
+
+
+def _output_stage(traj, outflow, params, grid, y, out_dir: str,
+                  levels: List[int]) -> None:
+    """simulate's output stage: pull every level of levels back, write its
+    state_k and physical_k snapshots, form the physical residual of the
+    triple (mid - 1, mid, mid + 1) around the middle level and the
+    transformed residual, and write the plot data.
+
+    One level at a time: of a triple level only the fields that
+    time_differences or residual_original reads are kept, and the triple
+    comes in the order mid - 1, mid + 1, mid, so that its outer levels are
+    reduced to their time differences before the middle one is pulled
+    back.  When _forks_output says so for the other levels, a forked child
+    pulls them back and writes them, while this process takes the triple
+    and the residuals, then reaps it and writes the plot data.  If the
+    child fails or dies, or this process's part raises, the child is ended,
+    the snapshots of levels are removed and the whole stage is taken again
+    here, in its own order, so that it writes and raises exactly as in
+    process.
+    """
+    import signal
+    import warnings
+
+    from .diagnostics import residual_transformed
+    from .snapshots import emit_plot_data, write_snapshot
+    from .transform import (RESIDUAL_MIDDLE, RESIDUAL_OUTER, pullback_physical,
+                            residual_original, time_differences)
+
+    mid = grid.nsteps // 2
+    triple = (mid - 1, mid, mid + 1) if grid.nsteps >= 2 else ()
     order = sorted(set(levels) | set(triple))
     if triple:
         i = order.index(mid)
         order[i:i + 2] = [mid + 1, mid]
-    held, ddt, res_o = {}, None, None
-    for k in order:
+
+    def paths(k):
+        return [os.path.join(out_dir, f"{kind}_{k:05d}.mhbl")
+                for kind in ("state", "physical")]
+
+    def pull_back(k):
         # d_t h1 pairs each level with an adjacent one: level 1 for level 0,
         # the level below otherwise
         prev = traj.state(1) if k == 0 else traj.state(k - 1)
         phys = pullback_physical(traj.state(k), outflow, params, grid, y,
                                  v_hat_prev=prev)
         if k in levels:
-            write_snapshot(traj.state(k),
-                           os.path.join(out_dir, f"state_{k:05d}.mhbl"))
-            write_snapshot(phys, os.path.join(out_dir, f"physical_{k:05d}.mhbl"))
-        if k in triple:
-            reads = RESIDUAL_MIDDLE if k == mid else RESIDUAL_OUTER
-            held[k] = SimpleNamespace(**{n: getattr(phys, n) for n in reads})
-        del phys
-        if k in triple and k == mid + 1:
-            ddt = time_differences(held.pop(mid - 1), held.pop(k),
-                                   traj.state(mid).time)
-        elif k in triple and k == mid:
-            res_o = residual_original(held.pop(k), ddt, outflow, params)
-            _refuse_non_finite(res_o, "physical")
+            state_path, physical_path = paths(k)
+            write_snapshot(traj.state(k), state_path)
+            write_snapshot(phys, physical_path)
+        return phys
 
-    res_t = residual_transformed(traj, outflow, params, grid)
-    _refuse_non_finite(res_t, "transformed")
-    emit_plot_data(res_t, out_dir)
-    if res_o is not None:
-        emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
-    emit_plot_data(traj, out_dir, grid=grid)
+    def take(ks):
+        """Take levels ks in order; returns the transformed and the physical
+        residual (None without a triple)."""
+        held, ddt, res_o = {}, None, None
+        for k in ks:
+            phys = pull_back(k)
+            if k in triple:
+                reads = RESIDUAL_MIDDLE if k == mid else RESIDUAL_OUTER
+                held[k] = SimpleNamespace(**{n: getattr(phys, n) for n in reads})
+            del phys
+            if k in triple and k == mid + 1:
+                ddt = time_differences(held.pop(mid - 1), held.pop(k),
+                                       traj.state(mid).time)
+            elif k in triple and k == mid:
+                res_o = residual_original(held.pop(k), ddt, outflow, params)
+                _refuse_non_finite(res_o, "physical")
+        res_t = residual_transformed(traj, outflow, params, grid)
+        _refuse_non_finite(res_t, "transformed")
+        return res_t, res_o
 
-    print(f"converged in {report.iterations} iterations; "
-          f"wrote {len(levels)} snapshot levels to {out_dir}")
-    return EXIT_OK
+    def plot(res_t, res_o):
+        emit_plot_data(res_t, out_dir)
+        if res_o is not None:
+            emit_plot_data(res_o, os.path.join(out_dir, "physical_residuals"))
+        emit_plot_data(traj, out_dir, grid=grid)
+
+    child = [k for k in order if k not in triple]
+    pid = -1
+    if _forks_output(len(child), grid.nx, len(y)):
+        with contextlib.suppress(OSError):  # then the stage stays here
+            pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            # what would print here makes the stage be taken again instead
+            warnings.simplefilter("error")
+            for k in child:
+                pull_back(k)
+            code = 0
+        finally:
+            os._exit(code)
+    if pid < 0:
+        plot(*take(order))
+        return
+    status = None
+    try:
+        try:
+            residuals = take([k for k in order if k in triple])
+        except Exception:  # raised again below, as the whole stage raises it
+            residuals = None
+        status = _reap(pid, kill=residuals is None)
+        if residuals is None or status != 0:
+            for k in levels:
+                for path in paths(k):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(path)
+            residuals = take(order)
+    finally:
+        if status is None:
+            _reap(pid, kill=True)
+    plot(*residuals)
 
 
 def run_check_identities() -> int:

@@ -37,12 +37,13 @@ crosses an xi column in the freeze or the implicit solves, and the explicit
 xi difference reads one neighbouring column on either side, so a range
 comes out bit for bit as the same columns of the whole step.  The march
 takes one range, all columns, unless picard_solve forked a helper process
-for the solve (_fork_columns: nx * neta * nsteps at least SPLIT_NODES, two
-CPUs, one OS thread).  Then each step takes xi columns [0, nx // 2) here
-and [nx // 2, nx) in the helper, and this process measures the whole level
-while the helper takes the next step; every output keeps its bits.  The
-spans of a traced run (perfbench --trace 1) see this process's columns
-only.
+for the solve (_fork_columns: nx * neta * nsteps at least SPLIT_NODES and
+_may_fork, two CPUs and one OS thread).  Then each step takes xi columns
+[0, h) here and [h, nx) in the helper, h starting at nx // 2 and moving by
+one column per step towards the side that finished first, and this
+process measures the whole level while the helper takes the next step;
+every output keeps its bits.  The spans of a traced run (perfbench
+--trace 1) see this process's columns only.
 
 Boundary rows are not part of the implicit solve.  The wall values of u1 and
 theta are Dirichlet data, the wall q satisfies the one-sided second-order
@@ -624,41 +625,57 @@ def solve_linear_problem(v_prev: Trajectory, v0: State, outflow: OutflowData,
     return Trajectory(data=data, times=grid.times.copy())
 
 
+def _may_fork() -> bool:
+    """Whether this process may hand work to a forked child: it may run on
+    two CPUs or more, and it has one OS thread, as a fork copies just the
+    calling thread (and Python 3.12 warns).  Both splits ask it: the
+    march's (_fork_columns) and simulate's output stage's."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _fork_columns(outflow: OutflowData, params: Params, grid: Grid,
                   source: Optional[FloatArray]) -> Optional["_Columns"]:
     """The one place where a solve's march is split: a helper process for
     picard_solve to pass to every march, or None to march in process.  It
-    forks only when nx * neta * nsteps is at least SPLIT_NODES and this
-    process may run on two CPUs or more, and only from a process with one
-    OS thread, as a fork copies just the calling thread (and Python 3.12
-    warns); if the fork itself fails, the march stays in process."""
-    if (grid.nx * grid.neta * grid.nsteps < SPLIT_NODES
-            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
+    forks only when nx * neta * nsteps is at least SPLIT_NODES and
+    _may_fork(); if the fork itself fails, the march stays in process."""
+    if grid.nx * grid.neta * grid.nsteps < SPLIT_NODES or not _may_fork():
         return None
     try:
-        if len(os.listdir("/proc/self/task")) != 1:
-            return None
         return _Columns(outflow, params, grid, source)
     except OSError:
         return None
 
 
 class _Columns:
-    """A helper process that takes xi columns [h, nx), h = nx // 2, of every
-    step of a solve's marches, while the march takes [0, h) and measures.
+    """A helper process that takes xi columns [h, nx) of every step of a
+    solve's marches, while the march takes [0, h) and measures.
+
+    h starts at nx // 2 and moves by one column per step towards the side
+    that finished first, within [1, nx - 1]: once its own columns are
+    stepped, the march looks at the reply pipe without waiting, and gives
+    the helper one more column if its reply is already there and one fewer
+    otherwise.  A step's columns do not depend on the range that steps
+    them, so any h gives the same bits.
 
     It is forked before the solve makes its level stack, so that it holds
     only what it reads: outflow, params, grid and source, shared
     copy-on-write and never written, and one anonymous shared mapping.  The
     mapping holds three level buffers, level k of a march in buffer k % 3,
-    and a slot for the previous iterate's level k on the helper's columns,
-    which the march copies there before it hands over the step off level k.
-    Per step the march writes k to the command pipe, and the helper answers
-    one byte on the reply pipe once its columns of level k + 1 are in their
-    buffer: 0, or 1 if its step raised.  The helper leaves by os._exit at
-    the command pipe's end of file or on a broken reply pipe, and ignores
-    SIGINT, so that the march that forked it decides when it ends.
+    and a slot for the previous iterate's level k, whose columns [h, nx)
+    the march copies there before it hands over the step off level k.  Per
+    step the march writes (k, h) to the command pipe, and the helper
+    answers one byte on the reply pipe once its columns of level k + 1 are
+    in their buffer: 0, or 1 if its step raised.  The helper leaves by
+    os._exit at the command pipe's end of file or on a broken reply pipe,
+    and ignores SIGINT, so that the march that forked it decides when it
+    ends.
     """
 
     def __init__(self, outflow: OutflowData, params: Params, grid: Grid,
@@ -669,10 +686,9 @@ class _Columns:
         nx, neta = grid.nx, grid.neta
         self.inputs = (outflow, params, grid, source)
         self.h = nx // 2
-        node = neta * 3
-        shared = np.frombuffer(mmap.mmap(-1, (4 * nx - self.h) * node * 8))
-        self.levels = shared[:3 * nx * node].reshape(3, nx, neta, 3)
-        self.old = shared[3 * nx * node:].reshape(nx - self.h, neta, 3)
+        shared = np.frombuffer(mmap.mmap(-1, 4 * nx * neta * 3 * 8))
+        self.levels = shared[:3 * nx * neta * 3].reshape(3, nx, neta, 3)
+        self.old = shared[3 * nx * neta * 3:].reshape(nx, neta, 3)
         fds = []
         try:
             fds += os.pipe()
@@ -696,16 +712,15 @@ class _Columns:
 
     def _serve(self, cmd: int, reply: int) -> None:
         outflow, params, grid, source = self.inputs
-        cols = (self.h, grid.nx)
         while True:
-            msg = os.read(cmd, 8)
+            msg = os.read(cmd, 16)
             if not msg:
                 return
-            k = int.from_bytes(msg, "little")
+            k, h = (int.from_bytes(msg[i:i + 8], "little") for i in (0, 8))
             try:
-                self.levels[(k + 1) % 3, self.h:] = _advance(
-                    self.levels[k % 3], self.old, k, cols, outflow, params,
-                    grid, source)
+                self.levels[(k + 1) % 3, h:] = _advance(
+                    self.levels[k % 3], self.old[h:], k, (h, grid.nx),
+                    outflow, params, grid, source)
             except Exception:  # the march takes the step again, and raises
                 os.write(reply, b"\1")
             else:
@@ -717,11 +732,12 @@ class _Columns:
             f"{self.inputs[2].nx - 1} (pid {self.pid}) exited")
 
     def _send(self, k: int, data: FloatArray) -> None:
-        """Hand over the step off level k, with the previous iterate's level
-        k from data."""
-        self.old[...] = data[k, self.h:]
+        """Hand over the step off level k on columns [h, nx), with the
+        previous iterate's level k from data."""
+        self.old[self.h:] = data[k, self.h:]
         try:
-            os.write(self.cmd, k.to_bytes(8, "little"))
+            os.write(self.cmd, k.to_bytes(8, "little")
+                     + self.h.to_bytes(8, "little"))
         except BrokenPipeError:
             raise self._gone(k) from None
 
@@ -742,22 +758,27 @@ class _Columns:
 
     def step(self, level: FloatArray, k: int, data: FloatArray) -> FloatArray:
         """The step off level k, whose buffer is level: columns [0, h) here
-        while the helper takes the others; then the step off level k + 1 is
-        handed over, so that the helper takes it while level k is measured.
-        Returns the buffer of level k + 1.  If either side raised, the whole
-        step is taken again here, over all columns, so that it raises
-        exactly as in process."""
+        while the helper takes the others; then h moves, and the step off
+        level k + 1 is handed over, so that the helper takes it while level
+        k is measured.  Returns the buffer of level k + 1.  If either side
+        raised, the whole step is taken again here, over all columns, so
+        that it raises exactly as in process."""
+        import select
+
         outflow, params, grid, source = self.inputs
+        h = self.h
         new = self.levels[(k + 1) % 3]
         try:
-            new[:self.h] = _advance(level, data[k, :self.h], k, (0, self.h),
-                                    outflow, params, grid, source)
+            new[:h] = _advance(level, data[k, :h], k, (0, h), outflow, params,
+                               grid, source)
             ok = True
         except Exception:  # raised again below, as the whole step raises it
             ok = False
+        helper_first = bool(select.select([self.reply], [], [], 0)[0])
         if not (self._done(k) and ok):
             new[...] = _advance(level, data[k], k, (0, grid.nx), outflow,
                                 params, grid, source)
+        self.h = min(max(h - 1 if helper_first else h + 1, 1), grid.nx - 1)
         if k + 1 < grid.nsteps:
             self._send(k + 1, data)
         return new

@@ -1,18 +1,21 @@
-"""The march split over two processes (stepper._fork_columns): the same
-bits, the same errors, and no helper process left behind.
+"""The splits over two processes, of the march (stepper._fork_columns) and
+of simulate's output stage (cli._output_stage): the same bits, the same
+errors, and no child process left behind.
 
 A fork is refused in a process with more than one OS thread, and this one
 has loaded numpy's threaded BLAS, so the split runs are made in a fresh
-interpreter with the BLAS capped at one thread (_split_runs); each is
-compared with an in-process run made there too.  SPLIT_NODES is set to 0
-there, so that tiny grids split.
+interpreter with the BLAS capped at one thread (_split_runs, through
+conftest.run_capped); each is compared with an in-process run made there
+too.  SPLIT_NODES and OUTPUT_SPLIT_NODES are set to 0 there, so that tiny
+grids split.
 """
 
+import contextlib
+import io
 import os
 import pickle
 import re
-import subprocess
-import sys
+import shutil
 import warnings
 from pathlib import Path
 
@@ -20,18 +23,20 @@ import numpy as np
 import pytest
 
 import mhbl
-from mhbl import stepper
+from conftest import run_capped
+from mhbl import cli, stepper
 
-SRC = Path(mhbl.__file__).resolve().parents[1]
-HERE = Path(__file__).resolve().parent
-DEMO = HERE.parent / "configs" / "demo.ini"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.ini"
 #: (name, nx): an MMS case with a source, odd nx too, and the demo's physics
 CASES = (("mms", 8), ("mms_odd_nx", 9), ("demo", 8))
 #: (xi column, time level) of a NaN put in the 8-column MMS source: on the
-#: helper's side and on this process's side
-FAULTS = ((6, 4), (1, 4))
+#: helper's side and on this process's side, wherever the split point moves
+FAULTS = ((7, 4), (0, 4))
+#: the demo's physics on 8 x 16 nodes, 24 y nodes and 11 time levels: the
+#: output stage's child takes levels 0-3 and 7-10
+SMALL = {"nx": "8", "neta": "16", "ny": "24"}
+#: a level of the output child's where the simulate runs below fail
+CHILD_LEVEL = 2
 
 
 def _children_left() -> bool:
@@ -43,6 +48,13 @@ def _children_left() -> bool:
     return True
 
 
+def _small_demo() -> str:
+    text = DEMO.read_text()
+    for key, value in SMALL.items():
+        text = re.sub(rf"^{key}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
 def _split_runs(out: str) -> None:
     """Every run the tests below read, in process and split, pickled to out
     as {key: (in-process, split)}; each side is (result, forks, children
@@ -50,19 +62,21 @@ def _split_runs(out: str) -> None:
     name, message)."""
     import signal
 
-    from mhbl import mms, picard
+    from mhbl import diagnostics, mms, picard, transform
     from mhbl.config import parse_config
     from mhbl.fields import sample_outflow
 
     warnings.simplefilter("error")  # as in the test session
-    forks = []
-    fork = stepper._Columns.__init__
+    forks = []  # the pids this process forked
+    fork = os.fork
 
-    def counted(self, *args):
-        fork(self, *args)  # the helper never returns from it
-        forks.append(self)
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    stepper._Columns.__init__ = counted
+    os.fork = counted
     case = mms.case_library()["advection"]
 
     def mms_problem(nx):
@@ -83,11 +97,7 @@ def _split_runs(out: str) -> None:
         return traj.data, report
 
     def demo_solve():
-        text = DEMO.read_text()
-        for key, value in (("nx", "8"), ("neta", "16"), ("ny", "24")):
-            text = re.sub(rf"^{key}\s*=.*$", f"{key} = {value}", text,
-                          flags=re.M)
-        cfg = parse_config(text)
+        cfg = parse_config(_small_demo())
         params, grid, outflow, v0, _ = cfg.problem()
         traj, report = picard.picard_solve(
             v0, outflow, params, grid, tol=float(cfg.get("picard", "tol")),
@@ -112,7 +122,7 @@ def _split_runs(out: str) -> None:
     def helper_killed(nx):
         def at_level_2(self, k, v, old):
             if old is not None and k == 2 and forks:
-                os.kill(forks[-1].pid, signal.SIGKILL)
+                os.kill(forks[-1], signal.SIGKILL)
             measure(self, k, v, old)
         picard._Measure.__call__ = at_level_2
         try:
@@ -120,18 +130,75 @@ def _split_runs(out: str) -> None:
         finally:
             picard._Measure.__call__ = measure
 
+    sim_dir = os.path.join(os.path.dirname(out), "simulate")
+    text = re.sub(r"^dir\s*=.*$", f"dir = {sim_dir}", _small_demo(),
+                  flags=re.M)
+    child_time = parse_config(text).make_grid().times[CHILD_LEVEL]
+    harness = os.getpid()
+
+    def simulate():
+        """run_simulate of text into a fresh directory; (exit code, stdout,
+        stderr, {path: bytes} of the directory)."""
+        shutil.rmtree(sim_dir, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.run_simulate(text)
+        files = {path.relative_to(sim_dir).as_posix(): path.read_bytes()
+                 for path in sorted(Path(sim_dir).rglob("*")) if path.is_file()}
+        return code, stdout.getvalue(), stderr.getvalue(), files
+
+    def simulate_with(module, name, make):
+        """simulate() with module's function name replaced by make(it)."""
+        real = getattr(module, name)
+        setattr(module, name, make(real))
+        try:
+            return simulate()
+        except KeyboardInterrupt:
+            return "KeyboardInterrupt"
+        finally:
+            setattr(module, name, real)
+
+    def at_child_level(act):
+        def make(real):
+            def pullback(v_hat, *args, **kwargs):
+                if v_hat.time == child_time:
+                    act()
+                return real(v_hat, *args, **kwargs)
+            return pullback
+        return make
+
+    def fail():
+        raise mhbl.DegenerateStateError(f"pullback of level {CHILD_LEVEL}")
+
+    def die():
+        if os.getpid() != harness:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def interrupt(real):
+        def residual(*args, **kwargs):
+            raise KeyboardInterrupt
+        return residual
+
     runs = {name: (lambda nx=nx: mms_solve(nx)) for name, nx in CASES[:2]}
     runs["demo"] = demo_solve
     runs.update({f"fault_{col}": (lambda f=(col, k): mms_solve(8, f))
                  for col, k in FAULTS})
     runs["interrupted"] = lambda: interrupted(8)
     runs["helper_killed"] = lambda: helper_killed(8)
+    runs["simulate"] = simulate
+    runs["simulate_fault"] = lambda: simulate_with(
+        transform, "pullback_physical", at_child_level(fail))
+    runs["simulate_child_killed"] = lambda: simulate_with(
+        transform, "pullback_physical", at_child_level(die))
+    runs["simulate_interrupted"] = lambda: simulate_with(
+        diagnostics, "residual_transformed", interrupt)
     results = {}
-    nodes = stepper.SPLIT_NODES
+    gates = stepper.SPLIT_NODES, cli.OUTPUT_SPLIT_NODES
     for key, run in runs.items():
         sides = []
-        for split_nodes in (nodes, 0):
-            stepper.SPLIT_NODES = split_nodes
+        for side_gates in (gates, (0, 0)):
+            stepper.SPLIT_NODES, cli.OUTPUT_SPLIT_NODES = side_gates
             forks.clear()
             try:
                 got = run()
@@ -139,7 +206,7 @@ def _split_runs(out: str) -> None:
                 got = (type(exc).__name__, str(exc))
             sides.append((got, len(forks), _children_left()))
         results[key] = tuple(sides)
-    stepper.SPLIT_NODES = nodes
+    stepper.SPLIT_NODES, cli.OUTPUT_SPLIT_NODES = gates
     with open(out, "wb") as fh:
         pickle.dump(results, fh)
 
@@ -152,14 +219,8 @@ def split_runs(tmp_path_factory):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("the split needs two CPUs")
     out = tmp_path_factory.mktemp("split") / "runs.pkl"
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update({var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), str(HERE)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-c",
-         f"import test_column_split as t; t._split_runs({str(out)!r})"],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = run_capped(
+        f"import test_column_split as t; t._split_runs({str(out)!r})")
     assert done.returncode == 0, done.stderr
     with open(out, "rb") as fh:
         return pickle.load(fh)
@@ -191,7 +252,7 @@ def test_split_helper_death_raises(split_runs):
     name, message = split
     assert name == "MhblError"
     assert re.fullmatch(r"time level \d+: the process stepping xi columns "
-                        r"4\.\.7 \(pid \d+\) exited", message)
+                        r"\d+\.\.7 \(pid \d+\) exited", message)
 
 
 def test_split_leaves_no_helper(split_runs):
@@ -199,6 +260,39 @@ def test_split_leaves_no_helper(split_runs):
     for key, sides in split_runs.items():
         for got, forks, left in sides:
             assert not left, key
+
+
+@pytest.mark.parametrize("key", ["simulate", "simulate_child_killed"])
+def test_split_output_stage_writes_the_same_files(split_runs, key):
+    (alone, forks_alone, _), (split, forks_split, _) = split_runs[key]
+    # the split side forks the march's helper and the output stage's child
+    assert (forks_alone, forks_split) == (0, 2)
+    assert split == alone == split_runs["simulate"][0][0]
+    code, stdout, stderr, files = alone
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("converged in ")
+    assert {f"{kind}_{k:05d}.mhbl" for kind in ("state", "physical")
+            for k in range(11)} <= set(files)
+
+
+def test_split_output_child_fault_exits_as_in_process(split_runs):
+    (alone, _, _), (split, forks, _) = split_runs["simulate_fault"]
+    assert forks == 2
+    assert split == alone
+    code, stdout, stderr, files = alone
+    assert (code, stdout) == (4, "")
+    assert stderr == f"solver error: pullback of level {CHILD_LEVEL}\n"
+    # in process, the stage stops at that level: levels 0 and 1 are written
+    assert sorted(n for n in files if n.endswith(".mhbl")) == [
+        "physical_00000.mhbl", "physical_00001.mhbl", "state_00000.mhbl",
+        "state_00001.mhbl"]
+
+
+def test_split_output_interrupt_leaves_no_child(split_runs):
+    for got, forks, left in split_runs["simulate_interrupted"]:
+        assert got == "KeyboardInterrupt"
+        assert not left
+    assert split_runs["simulate_interrupted"][1][1] == 2
 
 
 def test_split_is_decided_by_size_cpus_and_threads(monkeypatch):
@@ -222,6 +316,22 @@ def test_split_is_decided_by_size_cpus_and_threads(monkeypatch):
     made.clear()
     assert stepper._fork_columns(None, None, grid, None) is None
     assert made == []
+
+
+def test_output_split_is_decided_by_size_cpus_and_threads(monkeypatch):
+    # the gates alone: _forks_output starts no process
+    monkeypatch.setattr(cli, "OUTPUT_SPLIT_NODES", 8 * 32 * 96)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    assert cli._forks_output(8, 32, 96)  # at the size
+    assert not cli._forks_output(7, 32, 96)  # one level below
+    assert not cli._forks_output(8, 32, 95)  # one y node below
+    monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
+    assert not cli._forks_output(8, 32, 96)
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not cli._forks_output(8, 32, 96)
 
 
 def test_split_marches_in_process_when_the_fork_fails(monkeypatch):

@@ -5,15 +5,18 @@ The digests are pinned per host fingerprint (see reference_outputs.
 fingerprint); on a host with none pinned the comparison skips, naming both
 fingerprints.  `python tools/reference_outputs.py --pin` pins the running
 one; a change that alters outputs on purpose repins and says which files
-changed.  The entry's mms_advection lines are checked by criterion 04 of
-test_acceptance.py, which runs that study.
+changed.  The runs are made in a fresh interpreter with the numerical
+backend on one thread, as the command line and the tool run them, so that
+wide/ takes both two-process splits (the march's and the output stage's)
+where the host has two CPUs.  The entry's mms_advection lines are checked
+by criterion 04 of test_acceptance.py, which runs that study.
 """
 
 import json
 
 import pytest
 
-from conftest import reference_outputs
+from conftest import reference_outputs, run_capped
 
 
 def pinned_digests():
@@ -27,11 +30,17 @@ def pinned_digests():
     return pinned[here]
 
 
-def test_reference_runs_match_the_pinned_digests(tmp_path, monkeypatch):
+def test_reference_runs_match_the_pinned_digests(tmp_path):
     want = {path: digest for path, digest in pinned_digests().items()
             if path != "mms_advection"}
-    monkeypatch.chdir(tmp_path)
-    assert reference_outputs.run_digests() == want
+    done = run_capped(
+        "import json, warnings\n"
+        "from conftest import reference_outputs\n"
+        "warnings.simplefilter('error')  # as in the test session\n"
+        "with open('digests.json', 'w') as fh:\n"
+        "    json.dump(reference_outputs.run_digests(), fh)", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "digests.json").read_text()) == want
 
 
 def test_another_fingerprint_skips_naming_both(monkeypatch):

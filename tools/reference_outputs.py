@@ -33,7 +33,10 @@ the import path) and writes into out_dir:
                           level (vbar = 0, frozen at that level, its
                           outflow pressure row)
 
-Run it once in each of two checkouts, then compare with
+Like mhbl itself, it runs the numerical backend on one thread unless the
+environment sets a count, so that its large runs take the same two-process
+paths as the command line's.  Run it once in each of two checkouts, then
+compare with
 
     diff -r <out_dir of one> <out_dir of the other>
 
@@ -77,10 +80,17 @@ from typing import Dict, List
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from mhbl import cli  # noqa: E402  (loads no numerics)
+
+if __name__ == "__main__":
+    # as the command line, before numpy loads: with the backend's threads
+    # this process could not fork, and the runs would take neither split
+    cli._apply_thread_cap()
+
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from mhbl import cli, mms, picard  # noqa: E402
+from mhbl import mms, picard  # noqa: E402
 from mhbl.snapshots import read_snapshot  # noqa: E402
 from mhbl.transform import (  # noqa: E402
     PhysicalState,
